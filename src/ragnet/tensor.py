@@ -14,8 +14,9 @@ all shapes must match exactly, which keeps the network wiring shape-exact.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_DTYPE = np.float32
 SCALAR_SHAPE = (1, 1, 1, 1)
@@ -49,6 +50,12 @@ class Tape:
 
 
 class _OpNode:
+    """One recorded op.  ``out`` is a weak reference to the op's output, so a
+    graph holds no reference cycle (the output already holds its node) and is
+    freed by reference counting as soon as its last tensor is dropped;
+    ``backward`` reaches every node through strong ``parents`` links, which
+    keep each output alive while it runs."""
+
     __slots__ = ("op", "parents", "out", "grad_fn", "seq")
 
     _counter = 0
@@ -56,7 +63,7 @@ class _OpNode:
     def __init__(self, op, parents, out, grad_fn):
         self.op = op
         self.parents = parents
-        self.out = out
+        self.out = weakref.ref(out)
         self.grad_fn = grad_fn
         _OpNode._counter += 1
         self.seq = _OpNode._counter
@@ -69,7 +76,7 @@ class Tensor:
     mutates afterwards (by accumulation during ``backward``).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype if dtype is not None else None)
@@ -181,6 +188,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
 
     ``w`` is (Cout, Cin, k, k) with k odd or 1; output spatial size is
     floor((H + 2*pad - k)/stride) + 1.
+
+    Layout: the input is copied once into a zero-padded NHWC buffer whose
+    rows are flattened, so pixel (i, j) of image b is row b*Hp*Wp + i*Wp + j
+    and tap (u, v) of every anchor is the contiguous row slice shifted by
+    u*Wp + v.  The convolution is then k*k GEMMs of that slice against
+    w[:, :, u, v].T summed into one accumulator; anchors on pad columns or
+    straddling two images are computed and cropped, and stride > 1
+    subsamples the stride-1 anchor grid.  The tape keeps the padded input
+    buffer (1x the input, not an im2col matrix of k*k times it) and the
+    per-tap weight copy; the backward pass runs the same slices over the
+    output gradient scattered onto the padded grid.
     """
     n, ci, h, wd = x.shape
     co, ci_w, kh, kw = w.shape
@@ -200,26 +218,40 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     if ho < 1 or wo < 1:
         raise ValueError(f"conv2d: output spatial size ({ho},{wo}) is empty for input ({h},{wd})")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    # im2col: (N*Ho*Wo, Ci*k*k) @ (Ci*k*k, Co)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, ci * k * k)
-    wmat = w.data.reshape(co, ci * k * k)
-    out_data = (cols @ wmat.T).reshape(n, ho, wo, co).transpose(0, 3, 1, 2)
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    xp = np.zeros((n, hp, wp, ci), dtype=x.data.dtype)
+    xp[:, pad:pad + h, pad:pad + wd] = x.data.transpose(0, 2, 3, 1)
+    xf = xp.reshape(n * hp * wp, ci)
+    rows = n * hp * wp - (k - 1) * (wp + 1)  # the anchors whose k*k taps all lie inside xf
+    # (k, k, Cout, Cin): one contiguous matrix per tap.  Copied 32 output
+    # channels at a time, which keeps the source block in cache and halves
+    # the cost of this transposing copy on the 512-channel layers.
+    wt = np.empty((k, k, co, ci), dtype=w.data.dtype)
+    for o in range(0, co, 32):
+        wt[:, :, o:o + 32] = w.data[o:o + 32].transpose(2, 3, 0, 1)
+    taps = [(u, v, u * wp + v) for u in range(k) for v in range(k)]
+
+    acc = np.empty((n * hp * wp, co), dtype=np.result_type(x.data, w.data))
+    tmp = np.empty((rows, co), dtype=acc.dtype)
+    np.matmul(xf[:rows], wt[0, 0].T, out=acc[:rows])
+    for u, v, s in taps[1:]:
+        acc[:rows] += np.matmul(xf[s:s + rows], wt[u, v].T, out=tmp)
+    out_data = acc.reshape(n, hp, wp, co)[:, :stride * ho:stride, :stride * wo:stride].transpose(0, 3, 1, 2)
     if b is not None:
         out_data = out_data + b.data
     out = Tensor(np.ascontiguousarray(out_data))
 
     def grad_fn(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, co)
-        dw = (g2.T @ cols).reshape(co, ci, k, k)
-        dcols = (g2 @ wmat).reshape(n, ho, wo, ci, k, k)
-        dxp = np.zeros((n, ci, h + 2 * pad, wd + 2 * pad), dtype=g.dtype)
-        for u in range(k):
-            for v in range(k):
-                dxp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += \
-                    dcols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-        dx = dxp[:, :, pad:pad + h, pad:pad + wd] if pad else dxp
+        gp = np.zeros((n, hp, wp, co), dtype=g.dtype)
+        gp[:, :stride * ho:stride, :stride * wo:stride] = g.transpose(0, 2, 3, 1)
+        gf = gp.reshape(n * hp * wp, co)[:rows]
+        dw = np.empty((co, ci, k, k), dtype=np.result_type(g, xf))
+        dxf = np.zeros((n * hp * wp, ci), dtype=np.result_type(g, w.data))
+        tmp = np.empty((rows, ci), dtype=dxf.dtype)
+        for u, v, s in taps:
+            dw[:, :, u, v] = gf.T @ xf[s:s + rows]
+            dxf[s:s + rows] += np.matmul(gf, wt[u, v], out=tmp)
+        dx = np.ascontiguousarray(dxf.reshape(n, hp, wp, ci)[:, pad:pad + h, pad:pad + wd].transpose(0, 3, 1, 2))
         db = g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1) if b is not None else None
         return (dx, dw, db) if b is not None else (dx, dw)
 
@@ -288,18 +320,27 @@ def mask_mean3x3(m: Tensor) -> Tensor:
     """Mean of the zero-padded 3x3 neighborhood with fixed divisor 9.
 
     Border values are attenuated by the missing zero-padded neighbors
-    (edges 6/9, corners 4/9 for an all-ones input).  Self-adjoint, so the
-    backward pass is the same averaging applied to the incoming gradient.
+    (edges 6/9, corners 4/9 for an all-ones input).  Computed as a separable
+    box sum over one zero-padded copy: three row-shifted adds, then three
+    column-shifted adds, then the division, all in the input's dtype.  The
+    tape keeps nothing: the op is self-adjoint, so the backward pass is the
+    same averaging applied to the incoming gradient.
     """
     def avg9(a):
-        ap = np.pad(a, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        win = sliding_window_view(ap, (3, 3), axis=(2, 3))
-        return win.sum(axis=(-1, -2)) / 9.0
+        n, c, h, w = a.shape
+        ap = np.zeros((n, c, h + 2, w + 2), dtype=a.dtype)
+        ap[:, :, 1:-1, 1:-1] = a
+        rows = ap[:, :, :-2] + ap[:, :, 1:-1]
+        rows += ap[:, :, 2:]
+        box = rows[..., :-2] + rows[..., 1:-1]
+        box += rows[..., 2:]
+        box /= 9.0
+        return box
 
-    out = Tensor(avg9(m.data).astype(m.data.dtype))
+    out = Tensor(avg9(m.data))
 
     def grad_fn(g):
-        return (avg9(g).astype(g.dtype),)
+        return (avg9(g),)
 
     return _record("mask_mean3x3", (m,), out, grad_fn)
 
@@ -489,7 +530,8 @@ def sqrt(x: Tensor) -> Tensor:
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     out = Tensor(np.where(x.data > 0, x.data, slope * x.data))
-    return _record("leaky_relu", (x,), out, lambda g: (g * np.where(x.data > 0, 1.0, slope),))
+    return _record("leaky_relu", (x,), out,
+                   lambda g: (g * np.where(x.data > 0, 1.0, slope).astype(x.data.dtype),))
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +608,8 @@ def backward(loss: Tensor) -> None:
 
     Gradients accumulate additively, both for fan-out inside one graph and
     across repeated calls; callers zero grads between optimization steps.
+    A ``grad_fn`` that returns a gradient whose shape or dtype differs from
+    its parent's raises ValueError naming the op.
     """
     if loss.shape != SCALAR_SHAPE:
         raise ValueError(f"backward: loss must be scalar (1,1,1,1), got {loss.shape}")
@@ -579,17 +623,20 @@ def backward(loss: Tensor) -> None:
     pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     keep: dict[int, Tensor] = {id(loss): loss}
     for node in reversed(nodes):
-        g = pending.pop(id(node.out), None)
+        t = node.out()
+        g = pending.pop(id(t), None)
         if g is None:
             continue
-        keep.pop(id(node.out), None)
-        t = node.out
+        keep.pop(id(t), None)
         if t.requires_grad:
             t.grad = g.copy() if t.grad is None else t.grad + g
         parent_grads = node.grad_fn(g)
         for p, pg in zip(node.parents, parent_grads):
             if p is None or pg is None or not p.requires_grad:
                 continue
+            if pg.shape != p.shape or pg.dtype != p.dtype:
+                raise ValueError(f"backward: {node.op} returned a {pg.dtype} gradient of shape {pg.shape} "
+                                 f"for a {p.dtype} parent of shape {p.shape}")
             if id(p) in pending:
                 pending[id(p)] = pending[id(p)] + pg
             else:

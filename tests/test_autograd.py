@@ -1,5 +1,8 @@
 """Reverse-mode gradients checked against central finite differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -60,6 +63,48 @@ class TestBackwardContract:
             loss = T.reduce_sum(x.detach())
             T.backward(loss)
         assert x.grad is None
+
+    def test_graph_freed_without_cycle_collector(self):
+        x = leaf((1, 2, 4, 4), 7)
+        w = leaf((2, 2, 3, 3), 8)
+        gc.disable()
+        try:
+            with T.Tape():
+                mid = T.relu(T.conv2d(x, w, None, stride=1, pad=1))
+                loss = T.reduce_sum(T.mask_mean3x3(mid))
+                T.backward(loss)
+            ref = weakref.ref(mid)
+            del mid, loss
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert x.grad is not None and w.grad is not None
+
+    @pytest.mark.parametrize("bad_grad", [lambda g: (g.astype(np.float32),),
+                                          lambda g: (g[:, :, :1],)], ids=["dtype", "shape"])
+    def test_parent_gradient_mismatch_names_op(self, bad_grad):
+        x = leaf((1, 1, 2, 2), 9)
+        with T.Tape():
+            y = T._record("bad_op", (x,), T.Tensor(x.data * 2.0), bad_grad)
+            loss = T.reduce_sum(y)
+            with pytest.raises(ValueError, match="bad_op"):
+                T.backward(loss)
+
+
+class TestFloat32:
+    @pytest.mark.parametrize("op", ["conv2d", "conv2d_stride2", "mask_mean3x3"])
+    def test_stencils_keep_float32(self, op):
+        x = T.tensor(rand((2, 3, 6, 5), 400).astype(np.float32), requires_grad=True)
+        w = T.tensor(rand((4, 3, 3, 3), 401).astype(np.float32), requires_grad=True)
+        b = T.tensor(rand((1, 4, 1, 1), 402).astype(np.float32), requires_grad=True)
+        fn, leaves = {"conv2d": (lambda: T.conv2d(x, w, b, stride=1, pad=1), [x, w, b]),
+                      "conv2d_stride2": (lambda: T.conv2d(x, w, b, stride=2, pad=1), [x, w, b]),
+                      "mask_mean3x3": (lambda: T.mask_mean3x3(x), [x])}[op]
+        with T.Tape():
+            out = fn()
+            T.backward(T.reduce_sum(out))
+        assert out.dtype == np.float32
+        assert [t.grad.dtype for t in leaves] == [np.float32] * len(leaves)
 
 
 class TestFiniteDifferences:

@@ -39,6 +39,9 @@ class TestConv2d:
         (2, (1, 4, 5, 5), (2, 4, 1, 1), 1, 0),
         (3, (2, 1, 9, 9), (1, 1, 5, 5), 2, 2),
         (4, (1, 3, 6, 6), (5, 3, 3, 3), 1, 0),
+        (5, (3, 2, 5, 9), (4, 2, 3, 3), 1, 1),
+        (6, (2, 3, 7, 10), (2, 3, 3, 3), 2, 1),
+        (7, (2, 2, 4, 5), (3, 2, 1, 1), 1, 1),
     ])
     def test_matches_nested_loop_oracle(self, seed, shape, wshape, stride, pad):
         x = rand(shape, seed)
@@ -132,7 +135,8 @@ class TestMaskMean3x3:
 
     @pytest.mark.parametrize("seed,shape", [(0, (1, 3, 6, 6)), (1, (2, 1, 5, 7)),
                                             (2, (1, 2, 3, 3)), (3, (1, 1, 8, 4)),
-                                            (4, (2, 2, 4, 4))])
+                                            (4, (2, 2, 4, 4)), (5, (2, 1, 1, 6)),
+                                            (6, (2, 1, 6, 1))])
     def test_matches_nine_point_oracle(self, seed, shape):
         m = rand(shape, seed, lo=0.0, hi=1.0)
         got = T.mask_mean3x3(T.tensor(m))

@@ -268,6 +268,27 @@ class TestTraining:
         finally:
             TrainerState.__init__ = orig_init
 
+    def test_float32_phase2_step_hands_float32_grads_to_adam(self, tmp_path, monkeypatch):
+        from ragnet.synthesis import load_triple, read_manifest
+
+        manifest = make_dataset(2, SynthesisParams(seed=3, patch_size=16, blend_mode="overexpose"), tmp_path)
+        triples = [load_triple(e) for e in read_manifest(manifest)]
+        cfg = TrainConfig(model=ModelConfig(width_multiplier=1 / 16, seed=0, use_adversarial=True),
+                          schedule=Schedule(phase1_epochs=0, phase2_epochs=1, batch_size=2))
+        state = TrainerState(cfg)
+        handed = []
+        adam_step = AdamState.step
+
+        def spy(self, params):
+            handed.extend((name, p.grad.dtype) for name, p in params.items())
+            adam_step(self, params)
+
+        monkeypatch.setattr(AdamState, "step", spy)
+        trainer._phase2_step(state, triples, True, lambda *a: None)
+        assert all(p.dtype == np.float32 for net in state.nets.values() for p in net.params.values())
+        assert len(handed) == sum(len(net.params) for net in state.nets.values())
+        assert [name for name, dtype in handed if dtype != np.float32] == []
+
     def test_discriminator_step_leaves_generator_grads_untouched(self, tiny_dataset):
         from ragnet.synthesis import load_triple, read_manifest
 
