@@ -1,11 +1,11 @@
 """Command-line interface: synthesis, training, inference, evaluation, checks.
 
-Configuration is a flat key=value table.  Values come from built-in defaults
-(the published ones wherever the source material states a value: thresholds
-phi=0.3, xi=0.01, tau=0.40, loss weights 1/1/0.2/0.01/1, Adam betas
-0.9/0.999, lr=1e-4), optionally overridden by a ``--config`` file of
-``key = value`` lines (``#`` comments), then by ``--key value`` flags.
-Unknown keys are rejected.
+Configuration is a flat key=value table.  Values come from the defaults of
+the config dataclasses (the published ones wherever the source material
+states a value: thresholds phi=0.3, xi=0.01, tau=0.40, loss weights
+1/1/0.2/0.01/1, Adam betas 0.9/0.999, lr=1e-4), optionally overridden by a
+``--config`` file of ``key = value`` lines (``#`` comments), then by
+``--key value`` flags.  Unknown keys are rejected.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 I/O failure.
 ``RAGNET_THREADS`` caps worker parallelism for per-image work (default 1,
@@ -15,6 +15,7 @@ keeping runs deterministic by default; results are order-stable either way).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -34,7 +35,6 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 
-# key -> (default, parser, help)
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
@@ -45,44 +45,59 @@ def _parse_bool(s: str) -> bool:
         raise ValueError(f"expected a boolean (true/false), got {s!r}")
 
 
-CONFIG_KEYS: dict[str, tuple[object, type | object, str]] = {
-    "width_multiplier": (0.125, float, "channel-width scale; 1.0 = published widths"),
-    "rag_variant": ("full", str, f"decoder variant, one of {'/'.join(M.RAG_VARIANTS)}"),
-    "use_adversarial": (True, _parse_bool, "enable the adversarial term and critic training"),
-    "seed": (0, int, "master seed; all randomness derives from it"),
-    "phi": (0.3, float, "heavy-reflection threshold of the mask loss"),
-    "xi": (0.01, float, "near-clean threshold of the mask loss"),
-    "tau": (0.40, float, "weak/strong split threshold for region-weighted PSNR"),
-    "lambda_rec": (1.0, float, "reconstruction loss weight"),
-    "lambda_percep": (1.0, float, "perceptual loss weight"),
-    "lambda_excl": (0.2, float, "exclusion loss weight"),
-    "lambda_adv": (0.01, float, "adversarial loss weight"),
-    "lambda_mask": (1.0, float, "mask loss weight"),
-    "lr": (1e-4, float, "Adam learning rate (fixed)"),
-    "adam_beta1": (0.9, float, "Adam first-moment decay"),
-    "adam_beta2": (0.999, float, "Adam second-moment decay"),
-    "adam_eps": (1e-8, float, "Adam denominator epsilon"),
-    "phase1_epochs": (2, int, "reflection-pretraining epochs (desk default; published protocol: 50)"),
-    "phase2_epochs": (8, int, "joint-training epochs (desk default; published protocol: 100)"),
-    "batch_size": (4, int, "training batch size"),
-    "blur_sigma_lo": (2.0, float, "reflection blur sigma, lower bound (pixels)"),
-    "blur_sigma_hi": (5.0, float, "reflection blur sigma, upper bound (pixels)"),
-    "decay_lo": (0.6, float, "reflection intensity decay, lower bound"),
-    "decay_hi": (1.0, float, "reflection intensity decay, upper bound"),
-    "blend_mode": ("linear_clip", str, "synthesis blend: linear_clip or overexpose"),
-    "patch_size": (32, int, "synthesized patch size (desk default; published protocol: 224)"),
-    "scale_lo": (1.0, float, "pre-crop scale range lower bound (x patch_size)"),
-    "scale_hi": (2.0, float, "pre-crop scale range upper bound (x patch_size)"),
-    "overexpose_boost": (0.5, float, "highlight boost factor of the overexpose blend"),
-    "saturate_threshold": (1.3, float, "mean T+R level that hard-saturates a pixel"),
-    "rec_normalize": (True, _parse_bool, "mean-normalize l1 reconstruction terms"),
-    "mask_normalize": (True, _parse_bool, "mean-normalize mask loss selections"),
-    "stop_gradient_r": (False, _parse_bool, "block joint-phase gradients through the reflection estimate"),
+# key -> (dataclass, field, help); a ``*_lo``/``*_hi`` key is one end of a
+# ``*_range`` tuple field, and each ``*_lo`` key precedes its ``*_hi`` key.
+CONFIG_FIELDS: dict[str, tuple[type, str, str]] = {
+    "width_multiplier": (M.ModelConfig, "width_multiplier", "channel-width scale; 1.0 = published widths"),
+    "rag_variant": (M.ModelConfig, "rag_variant", f"decoder variant, one of {'/'.join(M.RAG_VARIANTS)}"),
+    "use_adversarial": (M.ModelConfig, "use_adversarial", "enable the adversarial term and critic training"),
+    "seed": (M.ModelConfig, "seed", "master seed; all randomness derives from it"),
+    "phi": (L.MaskLossThresholds, "phi", "heavy-reflection threshold of the mask loss"),
+    "xi": (L.MaskLossThresholds, "xi", "near-clean threshold of the mask loss"),
+    "tau": (L.MaskLossThresholds, "tau", "weak/strong split threshold for region-weighted PSNR"),
+    "lambda_rec": (L.LossWeights, "rec", "reconstruction loss weight"),
+    "lambda_percep": (L.LossWeights, "percep", "perceptual loss weight"),
+    "lambda_excl": (L.LossWeights, "excl", "exclusion loss weight"),
+    "lambda_adv": (L.LossWeights, "adv", "adversarial loss weight"),
+    "lambda_mask": (L.LossWeights, "mask", "mask loss weight"),
+    "lr": (TR.AdamConfig, "lr", "Adam learning rate (fixed)"),
+    "adam_beta1": (TR.AdamConfig, "beta1", "Adam first-moment decay"),
+    "adam_beta2": (TR.AdamConfig, "beta2", "Adam second-moment decay"),
+    "adam_eps": (TR.AdamConfig, "eps", "Adam denominator epsilon"),
+    "phase1_epochs": (TR.Schedule, "phase1_epochs",
+                      "reflection-pretraining epochs (desk default; published protocol: 50)"),
+    "phase2_epochs": (TR.Schedule, "phase2_epochs", "joint-training epochs (desk default; published protocol: 100)"),
+    "batch_size": (TR.Schedule, "batch_size", "training batch size"),
+    "blur_sigma_lo": (S.SynthesisParams, "blur_sigma_range", "reflection blur sigma, lower bound (pixels)"),
+    "blur_sigma_hi": (S.SynthesisParams, "blur_sigma_range", "reflection blur sigma, upper bound (pixels)"),
+    "decay_lo": (S.SynthesisParams, "decay_range", "reflection intensity decay, lower bound"),
+    "decay_hi": (S.SynthesisParams, "decay_range", "reflection intensity decay, upper bound"),
+    "blend_mode": (S.SynthesisParams, "blend_mode", "synthesis blend: linear_clip or overexpose"),
+    "patch_size": (S.SynthesisParams, "patch_size", "synthesized patch size (desk default; published protocol: 224)"),
+    "scale_lo": (S.SynthesisParams, "scale_range", "pre-crop scale range lower bound (x patch_size)"),
+    "scale_hi": (S.SynthesisParams, "scale_range", "pre-crop scale range upper bound (x patch_size)"),
+    "overexpose_boost": (S.SynthesisParams, "overexpose_boost", "highlight boost factor of the overexpose blend"),
+    "saturate_threshold": (S.SynthesisParams, "saturate_threshold", "mean T+R level that hard-saturates a pixel"),
+    "rec_normalize": (TR.TrainConfig, "rec_normalize", "mean-normalize l1 reconstruction terms"),
+    "mask_normalize": (TR.TrainConfig, "mask_normalize", "mean-normalize mask loss selections"),
+    "stop_gradient_r": (TR.TrainConfig, "stop_gradient_r",
+                        "block joint-phase gradients through the reflection estimate"),
 }
 
 
+def _key_spec(key: str, owner: type, name: str, help_text: str) -> tuple[object, object, str]:
+    default = next(f.default for f in dataclasses.fields(owner) if f.name == name)
+    if isinstance(default, tuple):
+        default = default[1 if key.endswith("_hi") else 0]
+    return default, _parse_bool if isinstance(default, bool) else type(default), help_text
+
+
+# key -> (default, parser, help), read off the dataclass fields
+CONFIG_KEYS = {key: _key_spec(key, *spec) for key, spec in CONFIG_FIELDS.items()}
+
+
 class RunConfig:
-    """Validated flat configuration; every key has a documented default."""
+    """Validated flat configuration; every key defaults to its dataclass field."""
 
     def __init__(self, values: dict[str, object]):
         unknown = sorted(set(values) - set(CONFIG_KEYS))
@@ -97,31 +112,26 @@ class RunConfig:
         except KeyError:
             raise AttributeError(key)
 
+    def _build(self, cls, **extra):
+        """An instance of *cls* from the keys mapped to its fields, plus *extra*."""
+        kw = dict(extra)
+        for key, (owner, name, _) in CONFIG_FIELDS.items():
+            if owner is cls:
+                value = self._v[key]
+                # a *_lo key starts its range tuple and the *_hi key completes it
+                kw[name] = kw.get(name, ()) + (value,) if key.endswith(("_lo", "_hi")) else value
+        return cls(**kw)
+
     def model_config(self) -> M.ModelConfig:
-        return M.ModelConfig(width_multiplier=self.width_multiplier, rag_variant=self.rag_variant,
-                             use_adversarial=self.use_adversarial, seed=self.seed)
+        return self._build(M.ModelConfig)
 
     def synthesis_params(self) -> S.SynthesisParams:
-        return S.SynthesisParams(blur_sigma_range=(self.blur_sigma_lo, self.blur_sigma_hi),
-                                 decay_range=(self.decay_lo, self.decay_hi),
-                                 blend_mode=self.blend_mode, patch_size=self.patch_size,
-                                 scale_range=(self.scale_lo, self.scale_hi), seed=self.seed,
-                                 overexpose_boost=self.overexpose_boost,
-                                 saturate_threshold=self.saturate_threshold)
+        return self._build(S.SynthesisParams, seed=self.seed)
 
     def train_config(self) -> TR.TrainConfig:
-        return TR.TrainConfig(
-            model=self.model_config(),
-            schedule=TR.Schedule(self.phase1_epochs, self.phase2_epochs, self.batch_size),
-            weights=L.LossWeights(self.lambda_rec, self.lambda_percep, self.lambda_excl,
-                                  self.lambda_adv, self.lambda_mask),
-            thresholds=L.MaskLossThresholds(self.phi, self.xi, self.tau),
-            adam=TR.AdamConfig(self.lr, self.adam_beta1, self.adam_beta2, self.adam_eps),
-            rec_normalize=self.rec_normalize, mask_normalize=self.mask_normalize,
-            stop_gradient_r=self.stop_gradient_r)
-
-    def thresholds(self) -> L.MaskLossThresholds:
-        return L.MaskLossThresholds(self.phi, self.xi, self.tau)
+        return self._build(TR.TrainConfig, model=self.model_config(), schedule=self._build(TR.Schedule),
+                           weights=self._build(L.LossWeights), thresholds=self._build(L.MaskLossThresholds),
+                           adam=self._build(TR.AdamConfig))
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -270,7 +280,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    cfg = build_config(args)
+    build_config(args)  # validates any provided keys
     if not os.path.exists(args.ckpt):
         raise OSError(f"checkpoint not found: {args.ckpt}")
     state = load_models(args.ckpt)
@@ -296,15 +306,18 @@ def cmd_eval(args) -> int:
     def eval_one(entry):
         tr = S.load_triple(entry)
         r_np, t_np, masks, pads = infer_image(state, tr.i)
-        level1 = next(m for m in masks if m.level == 1)
-        mask_mean = M.crop_padding(level1.m_diff.data, pads)[0].mean(axis=0)
-        split = ME.RegionMask(m_w=mask_mean > tau, tau=tau)
+        mask_mean = weak = strong = None
+        if masks:  # the no_mask variant has no level-1 mask to split the image by
+            mask_mean = M.crop_padding(masks[0].m_diff.data, pads)[0].mean(axis=0)
+            split = ME.weak_strong_split(mask_mean, tau)
+            weak = ME.region_psnr(t_np, tr.t, split.m_w)
+            strong = ME.region_psnr(t_np, tr.t, split.m_s)
         return ME.ImageResult(
             name=f"img{entry.index:04d}",
             psnr=ME.psnr(t_np, tr.t),
             ssim=ME.ssim(t_np, tr.t),
-            psnr_weak=ME.region_psnr(t_np, tr.t, split.m_w),
-            psnr_strong=ME.region_psnr(t_np, tr.t, split.m_s),
+            psnr_weak=weak,
+            psnr_strong=strong,
             refl_det_psnr=ME.reflection_detection_psnr(r_np, tr.i, tr.t),
             mask=mask_mean,
             panel=ME.make_panel(tr.i, r_np, t_np))
@@ -333,7 +346,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_inspect_mask(args) -> int:
-    cfg = build_config(args)
+    build_config(args)  # validates any provided keys
     if not os.path.exists(args.ckpt):
         raise OSError(f"checkpoint not found: {args.ckpt}")
     state = load_models(args.ckpt)

@@ -126,26 +126,29 @@ def perceptual_loss(t_hat: Tensor, t: Tensor, r_hat: Tensor | None, r: Tensor | 
     return loss
 
 
+def _scale_gradients(t: Tensor, r: Tensor, n_scales: int):
+    """Spatial gradients (tx, ty, rx, ry) at each scale, halving the resolution between scales."""
+    for scale in range(n_scales + 1):
+        yield T.spatial_gradient(t) + T.spatial_gradient(r)
+        if scale < n_scales:
+            t, r = T.downsample2x(t), T.downsample2x(r)
+
+
+def _gradient_mass_ratio(tx: Tensor, ty: Tensor, rx: Tensor, ry: Tensor) -> float | None:
+    """|grad T|_1 / |grad R|_1 of one scale, or None where |grad R|_1 vanishes."""
+    l1_r = float(np.abs(rx.data).sum() + np.abs(ry.data).sum())
+    if l1_r < 1e-8:
+        return None
+    return float(np.abs(tx.data).sum() + np.abs(ty.data).sum()) / l1_r
+
+
 def exclusion_lambdas(t_hat: Tensor, r_hat: Tensor, n_scales: int = 2) -> list[float | None]:
     """Per-scale reflection normalization factors |grad T|_1 / |grad R|_1.
 
     None marks a scale whose reflection gradient mass vanishes (the scale
     contributes nothing to the loss).
     """
-    out: list[float | None] = []
-    t, r = t_hat, r_hat
-    for scale in range(n_scales + 1):
-        tx, ty = T.spatial_gradient(t)
-        rx, ry = T.spatial_gradient(r)
-        l1_r = float(np.abs(rx.data).sum() + np.abs(ry.data).sum())
-        if l1_r < 1e-8:
-            out.append(None)
-        else:
-            l1_t = float(np.abs(tx.data).sum() + np.abs(ty.data).sum())
-            out.append(l1_t / l1_r)
-        if scale < n_scales:
-            t, r = T.downsample2x(t), T.downsample2x(r)
-    return out
+    return [_gradient_mass_ratio(*g) for g in _scale_gradients(t_hat, r_hat, n_scales)]
 
 
 def exclusion_loss(t_hat: Tensor, r_hat: Tensor, n_scales: int = 2, lambda_t: float = 0.5,
@@ -172,21 +175,13 @@ def exclusion_loss(t_hat: Tensor, r_hat: Tensor, n_scales: int = 2, lambda_t: fl
         raise ValueError(f"exclusion_loss: spatial dims ({h},{w}) must be divisible by {div}")
 
     loss = None
-    t, r = t_hat, r_hat
-    for scale in range(n_scales + 1):
-        tx, ty = T.spatial_gradient(t)
-        rx, ry = T.spatial_gradient(r)
+    for scale, (tx, ty, rx, ry) in enumerate(_scale_gradients(t_hat, r_hat, n_scales)):
         if lambda_r_values is not None:
             lam_r = lambda_r_values[scale]
         elif fixed_lambda:
             lam_r = lambda_t
         else:
-            l1_r = float(np.abs(rx.data).sum() + np.abs(ry.data).sum())
-            if l1_r < 1e-8:
-                lam_r = None
-            else:
-                l1_t = float(np.abs(tx.data).sum() + np.abs(ty.data).sum())
-                lam_r = l1_t / l1_r  # stop-gradient normalization factor
+            lam_r = _gradient_mass_ratio(tx, ty, rx, ry)  # stop-gradient normalization factor
         if lam_r is not None:
             psi_x = T.mul(T.tanh(T.scalar_mul(T.abs_(tx), lambda_t)),
                           T.tanh(T.scalar_mul(T.abs_(rx), lam_r)))
@@ -194,8 +189,6 @@ def exclusion_loss(t_hat: Tensor, r_hat: Tensor, n_scales: int = 2, lambda_t: fl
                           T.tanh(T.scalar_mul(T.abs_(ry), lam_r)))
             term = T.sqrt(T.frobenius_norm(T.concat_channels(psi_x, psi_y)))
             loss = term if loss is None else T.add(loss, term)
-        if scale < n_scales:
-            t, r = T.downsample2x(t), T.downsample2x(r)
     if loss is None:
         loss = T.scalar(0.0, dtype=t_hat.dtype)
     return T.scalar_mul(loss, 1.0 / (n_scales + 1))

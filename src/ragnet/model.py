@@ -2,7 +2,8 @@
 
 Two-stage layout: a plain U-Net (``g_r``) maps the observation I to a
 reflection estimate, and a dual-encoder U-Net (``g_t``) maps (I, R_hat) to
-the transmission.  Each decoder level of ``g_t`` runs a reflection-aware
+the transmission.  Both run one decoder and differ only in how each level
+merges its skip feature.  Each decoder level of ``g_t`` runs a reflection-aware
 guidance block: the observation/reflection feature difference is concatenated
 with the upsampled decoder feature, a sigmoid mask is predicted from all
 three feature groups through two 1x1 convolutions, and the merged feature
@@ -289,35 +290,47 @@ def _mask_full_width(mask: MaskLevel, c_diff: int, c_dec: int) -> Tensor:
     return T.concat_channels(m_diff, m_dec)
 
 
-def _guided_decoder(net: Network, f_obs: list[Tensor], f_refl: list[Tensor] | None) -> tuple[Tensor, list[MaskLevel]]:
-    """Shared decoder of g_t (f_refl given) and the one-stage model (f_refl None)."""
-    variant = net.config.rag_variant
+def _decoder(net: Network, f_obs: list[Tensor], merge) -> Tensor:
+    """The U-Net decoder of every generator.  Per level, ``merge(level, F_I, F_dec, w, b)``
+    fuses the skip feature F_I with the upsampled F_dec through the merge weights."""
     x = f_obs[4]
-    masks: list[MaskLevel] = []
     for level in (4, 3, 2, 1):
         f_dec = T.conv_transpose2d(x, net[f"dec/l{level}/tconv/weight"], net[f"dec/l{level}/tconv/bias"])
-        f_i = f_obs[level - 1]
-        f_r = f_refl[level - 1] if f_refl is not None else f_dec
-        if variant == "no_mask":
-            f_diff = T.sub(f_i, f_r)
-            x = _conv_relu(T.concat_channels(f_diff, f_dec),
-                           net[f"dec/l{level}/merge/weight"], net[f"dec/l{level}/merge/bias"])
-        else:
-            f_diff, mask = rag_block(net, level, f_i, f_r, f_dec)
-            masks.append(mask)
-            f = T.concat_channels(f_diff, f_dec)
-            m = _mask_full_width(mask, f_diff.shape[1], f_dec.shape[1])
-            x = T.relu(partial_conv(f, m, net[f"dec/l{level}/merge/weight"],
-                                    net[f"dec/l{level}/merge/bias"],
-                                    renorm=(variant != "mask_no_renorm")))
+        x = merge(level, f_obs[level - 1], f_dec,
+                  net[f"dec/l{level}/merge/weight"], net[f"dec/l{level}/merge/bias"])
         for j in range(DEC_TAIL_CONVS[level]):
             x = _conv_relu(x, net[f"dec/l{level}/tail{j}/weight"], net[f"dec/l{level}/tail{j}/bias"])
         if level > 1:
             x = _conv_relu(x, net[f"dec/l{level}/reduce/weight"], net[f"dec/l{level}/reduce/bias"])
     x = _conv_relu(x, net["dec/head/c0/weight"], net["dec/head/c0/bias"])
-    out = T.sigmoid(T.conv2d(x, net["dec/head/c1/weight"], net["dec/head/c1/bias"], stride=1, pad=1))
-    masks.sort(key=lambda m: m.level)
-    return out, masks
+    return T.sigmoid(T.conv2d(x, net["dec/head/c1/weight"], net["dec/head/c1/bias"], stride=1, pad=1))
+
+
+def _guided_decoder(net: Network, f_obs: list[Tensor], f_refl: list[Tensor] | None) -> tuple[Tensor, list[MaskLevel]]:
+    """Decoder of g_t (f_refl given) and the one-stage model (f_refl None, so F_R is F_dec).
+
+    Each level merges through a RAG block and a partial convolution; the
+    ``no_mask`` variant instead convolves concat(F_I - F_R, F_dec).
+    """
+    variant = net.config.rag_variant
+    masks: list[MaskLevel] = []
+
+    def merge(level, f_i, f_dec, w, b):
+        f_r = f_refl[level - 1] if f_refl is not None else f_dec
+        if variant == "no_mask":
+            return _conv_relu(T.concat_channels(T.sub(f_i, f_r), f_dec), w, b)
+        f_diff, mask = rag_block(net, level, f_i, f_r, f_dec)
+        masks.append(mask)
+        f = T.concat_channels(f_diff, f_dec)
+        m = _mask_full_width(mask, f_diff.shape[1], f_dec.shape[1])
+        return T.relu(partial_conv(f, m, w, b, renorm=(variant != "mask_no_renorm")))
+
+    out = _decoder(net, f_obs, merge)
+    return out, masks[::-1]  # merged from level 4 down; returned level 1 first
+
+
+def _plain_merge(level, f_i, f_dec, w, b):
+    return _conv_relu(T.concat_channels(f_i, f_dec), w, b)
 
 
 def forward_gr(net: Network, i_obs: Tensor) -> Tensor:
@@ -325,18 +338,7 @@ def forward_gr(net: Network, i_obs: Tensor) -> Tensor:
     if net.kind != "g_r":
         raise ValueError(f"forward_gr needs a g_r network, got {net.kind!r}")
     _check_spatial(i_obs, "forward_gr")
-    f_obs = _encoder_forward(net, "enc_obs", i_obs, stages=5)
-    x = f_obs[4]
-    for level in (4, 3, 2, 1):
-        f_dec = T.conv_transpose2d(x, net[f"dec/l{level}/tconv/weight"], net[f"dec/l{level}/tconv/bias"])
-        x = _conv_relu(T.concat_channels(f_obs[level - 1], f_dec),
-                       net[f"dec/l{level}/merge/weight"], net[f"dec/l{level}/merge/bias"])
-        for j in range(DEC_TAIL_CONVS[level]):
-            x = _conv_relu(x, net[f"dec/l{level}/tail{j}/weight"], net[f"dec/l{level}/tail{j}/bias"])
-        if level > 1:
-            x = _conv_relu(x, net[f"dec/l{level}/reduce/weight"], net[f"dec/l{level}/reduce/bias"])
-    x = _conv_relu(x, net["dec/head/c0/weight"], net["dec/head/c0/bias"])
-    return T.sigmoid(T.conv2d(x, net["dec/head/c1/weight"], net["dec/head/c1/bias"], stride=1, pad=1))
+    return _decoder(net, _encoder_forward(net, "enc_obs", i_obs, stages=5), _plain_merge)
 
 
 def forward_gt(net: Network, i_obs: Tensor, r_hat: Tensor) -> tuple[Tensor, list[MaskLevel]]:

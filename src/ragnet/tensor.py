@@ -1,11 +1,14 @@
 """Dense NCHW tensors with reverse-mode automatic differentiation.
 
 Every value in the library is a 4-D (batch, channel, height, width) array;
-scalars are shaped (1, 1, 1, 1).  Operations record onto an explicitly opened
-Tape; ``backward`` replays the tape in reverse and accumulates gradients
-additively into every reachable tensor with ``requires_grad``.  Outside a tape
-the same functions run forward-only, which is how oracles, evaluation and
-data preparation avoid graph overhead.
+scalars are shaped (1, 1, 1, 1).  Inside an explicitly opened Tape each
+operation links its output to its parents; ``backward`` walks that graph from
+the loss in reverse creation order and accumulates gradients additively into
+the ``grad`` of every reachable leaf (a tensor no op produced, such as a
+Parameter) with ``requires_grad``.  Op outputs get no ``grad``: their
+gradients live only while ``backward`` runs.  Outside a tape the same
+functions run forward-only, which is how oracles, evaluation and data
+preparation avoid graph overhead.
 
 Computation runs in float32 by default; tests and gradient checks use
 float64.  No broadcasting is performed except tensor-times-python-scalar:
@@ -26,16 +29,14 @@ SCALAR_SHAPE = (1, 1, 1, 1)
 
 
 class Tape:
-    """Ordered record of executed operations for one forward pass.
+    """Context in which operations on gradient-tracking tensors build a graph.
 
-    Nodes are appended in execution order, so the list is already a valid
-    topological order and a single reversed sweep visits each node once.
+    The tape holds no nodes: each output holds its own node, the node holds
+    its parents, and a graph is freed by reference counting once its last
+    tensor is dropped.
     """
 
     _stack: list["Tape"] = []
-
-    def __init__(self):
-        self.nodes: list[_OpNode] = []
 
     def __enter__(self) -> "Tape":
         Tape._stack.append(self)
@@ -72,8 +73,8 @@ class _OpNode:
 class Tensor:
     """A 4-D array with optional gradient tracking.
 
-    Tensors produced by operations are treated as immutable; only ``grad``
-    mutates afterwards (by accumulation during ``backward``).
+    Tensors produced by operations are treated as immutable; only a leaf's
+    ``grad`` mutates afterwards (by accumulation during ``backward``).
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
@@ -148,12 +149,11 @@ class Parameter(Tensor):
 
 
 def _record(op: str, parents, out: Tensor, grad_fn) -> Tensor:
-    """Attach *out* to the active tape when any parent tracks gradients."""
+    """Link *out* to its parents when a tape is active and any parent tracks gradients."""
     tape = Tape.active()
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.node = _OpNode(op, tuple(parents), out, grad_fn)
-        tape.nodes.append(out.node)
     return out
 
 
@@ -566,13 +566,6 @@ def frobenius_norm(x: Tensor) -> Tensor:
     return _reduce("frobenius_norm", x, v, grad_of_x)
 
 
-def reduce(op_kind: str, x: Tensor) -> Tensor:
-    fns = {"sum": reduce_sum, "mean": reduce_mean, "l1_norm": l1_norm, "frobenius_norm": frobenius_norm}
-    if op_kind not in fns:
-        raise ValueError(f"reduce: unknown op_kind {op_kind!r}")
-    return fns[op_kind](x)
-
-
 # ---------------------------------------------------------------------------
 # mask renormalization (the division + zero branch of the partial convolution)
 
@@ -604,10 +597,12 @@ def mask_renorm(y: Tensor, mbar: Tensor, b: Tensor | None, eps: float = 1e-8) ->
 # backward
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every reachable requires_grad tensor.
+    """Populate ``grad`` on every reachable leaf with ``requires_grad``.
 
-    Gradients accumulate additively, both for fan-out inside one graph and
-    across repeated calls; callers zero grads between optimization steps.
+    Leaves are the tensors no recorded op produced (parameters, inputs);
+    op outputs get no ``grad``.  Gradients accumulate additively, both for
+    fan-out inside one graph and across repeated calls; callers zero grads
+    between optimization steps.
     A ``grad_fn`` that returns a gradient whose shape or dtype differs from
     its parent's raises ValueError naming the op.
     """
@@ -628,8 +623,6 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         keep.pop(id(t), None)
-        if t.requires_grad:
-            t.grad = g.copy() if t.grad is None else t.grad + g
         parent_grads = node.grad_fn(g)
         for p, pg in zip(node.parents, parent_grads):
             if p is None or pg is None or not p.requires_grad:
@@ -642,11 +635,11 @@ def backward(loss: Tensor) -> None:
             else:
                 pending[id(p)] = pg
                 keep[id(p)] = p
-    # whatever is left belongs to leaves (tensors not produced on this tape)
+    # whatever is left belongs to leaves; copied because one array can reach
+    # two parents (``add``) and ``grad`` is scaled in place by the optimizer
     for tid, g in pending.items():
         t = keep[tid]
-        if t.requires_grad:
-            t.grad = g.copy() if t.grad is None else t.grad + g
+        t.grad = g.copy() if t.grad is None else t.grad + g
 
 
 def _collect_nodes(loss: Tensor) -> list[_OpNode]:
@@ -714,23 +707,3 @@ def finite_diff_check(fn, inputs: list[Tensor], step: float = 1e-5,
             worst = max(worst, err)
     return worst
 
-
-# ---------------------------------------------------------------------------
-# debug text dump
-
-def dump_text(t: Tensor, path) -> None:
-    """Write a tensor as text: one `N C H W` header line, then row-major values."""
-    n, c, h, w = t.shape
-    with open(path, "w") as f:
-        f.write(f"{n} {c} {h} {w}\n")
-        f.write(" ".join(f"{v:.17g}" for v in t.data.reshape(-1)))
-        f.write("\n")
-
-
-def load_text(path, dtype=np.float64) -> Tensor:
-    with open(path) as f:
-        n, c, h, w = (int(v) for v in f.readline().split())
-        vals = np.array(f.read().split(), dtype=dtype)
-    if vals.size != n * c * h * w:
-        raise ValueError(f"load_text: expected {n * c * h * w} values, found {vals.size}")
-    return Tensor(vals.reshape(n, c, h, w))

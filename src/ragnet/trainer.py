@@ -66,7 +66,7 @@ class AdamState:
         bc2 = 1.0 - cfg.beta2 ** t
         for name, p in params.items():
             if p.grad is None:
-                raise ValueError(f"adam_step: parameter {name!r} has no gradient "
+                raise ValueError(f"Adam step: parameter {name!r} has no gradient "
                                  "(run backward before stepping)")
             g = p.grad
             m = self.m[name]
@@ -76,10 +76,6 @@ class AdamState:
             v *= cfg.beta2
             v += (1.0 - cfg.beta2) * (g * g)
             p.data -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-
-
-def adam_step(params: dict[str, T.Parameter], state: AdamState) -> None:
-    state.step(params)
 
 
 def clip_grad_norm(params: dict[str, T.Parameter], max_norm: float) -> float:
@@ -327,7 +323,7 @@ def train(config: TrainConfig, manifest_path, out_dir, resume_from=None) -> tupl
         state.load(resume_from)
     log_path = os.path.join(out_dir, "train_log.csv")
     log_f = open(log_path, "a" if resume_from is not None else "w")
-    if resume_from is None:
+    if log_f.tell() == 0:  # a fresh run, or a resume into a new directory
         log_f.write("iter,phase,rec,percep,excl,adv,mask,total\n")
 
     seed = config.model.seed

@@ -80,6 +80,17 @@ class TestBackwardContract:
             gc.enable()
         assert x.grad is not None and w.grad is not None
 
+    def test_only_leaves_get_grad(self):
+        x = leaf((1, 2, 4, 4), 10)
+        w = leaf((2, 2, 3, 3), 11)
+        with T.Tape():
+            mid = T.relu(T.conv2d(x, w, None, stride=1, pad=1))
+            loss = T.reduce_sum(T.add(mid, mid))
+            T.backward(loss)
+        assert mid.grad is None and loss.grad is None
+        assert x.grad is not None and w.grad is not None
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
     @pytest.mark.parametrize("bad_grad", [lambda g: (g.astype(np.float32),),
                                           lambda g: (g[:, :, :1],)], ids=["dtype", "shape"])
     def test_parent_gradient_mismatch_names_op(self, bad_grad):

@@ -7,7 +7,8 @@ import pytest
 
 from ragnet import cli
 from ragnet.cli import CONFIG_KEYS, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from ragnet.synthesis import read_ppm
+from ragnet.synthesis import SynthesisParams, read_ppm
+from ragnet.trainer import TrainConfig
 
 
 class TestDefaultsTable:
@@ -27,6 +28,10 @@ class TestDefaultsTable:
         for key, (default, parse, help_text) in CONFIG_KEYS.items():
             assert help_text, key
             assert default is not None, key
+
+    def test_dataclass_defaults_are_the_cli_defaults(self):
+        assert cli.RunConfig({}).train_config() == TrainConfig()
+        assert cli.RunConfig({}).synthesis_params() == SynthesisParams()
 
     def test_help_lists_every_key(self, capsys):
         assert main(["train", "--help"]) == EXIT_OK
@@ -189,3 +194,18 @@ class TestPipeline:
         assert main(["eval", "--ckpt", str(run / "final.bin"),
                      "--data", str(data / "manifest.tsv"), "--out", str(out_p)]) == EXIT_OK
         assert open(out_s / "report.csv").read() == open(out_p / "report.csv").read()
+
+
+def test_eval_no_mask_checkpoint_reports_na(tmp_path):
+    data, run, out = tmp_path / "data", tmp_path / "run", tmp_path / "rep"
+    assert main(["synth", "--n", "2", "--seed", "1", "--patch-size", "16", "--out", str(data)]) == EXIT_OK
+    assert main(["train", "--data", str(data / "manifest.tsv"), "--out", str(run), "--rag-variant", "no_mask",
+                 "--width-multiplier", "0.0625", "--patch-size", "16", "--phase1-epochs", "1",
+                 "--phase2-epochs", "1", "--seed", "1"]) == EXIT_OK
+    assert main(["eval", "--ckpt", str(run / "final.bin"), "--data", str(data / "manifest.tsv"),
+                 "--out", str(out)]) == EXIT_OK
+    rows = [r.split(",") for r in open(out / "report.csv").read().strip().splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(r[3] == "n/a" and r[4] == "n/a" and r[1] != "n/a" for r in rows)
+    assert not list(out.glob("*_mask.pgm"))
+    assert (out / "img0000_panel.ppm").exists()

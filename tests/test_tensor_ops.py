@@ -242,12 +242,6 @@ class TestReduce:
         want = x.sum() / x.size
         assert abs(T.reduce_mean(T.tensor(x)).item() - want) < 1e-12
 
-    def test_reduce_dispatch(self):
-        x = T.tensor(rand((1, 1, 2, 2), 5))
-        assert T.reduce("sum", x).item() == pytest.approx(x.data.sum())
-        with pytest.raises(ValueError):
-            T.reduce("median", x)
-
 
 class TestDeterminism:
     def test_bit_identical_across_runs(self):
@@ -261,17 +255,3 @@ class TestDeterminism:
         a, b = run(), run()
         assert a.tobytes() == b.tobytes()
 
-
-class TestDumpText:
-    def test_round_trip(self, tmp_path):
-        x = T.tensor(rand((2, 1, 3, 2), 55))
-        p = tmp_path / "t.txt"
-        T.dump_text(x, p)
-        back = T.load_text(p)
-        assert back.shape == x.shape
-        np.testing.assert_array_equal(back.data, x.data)
-
-    def test_header(self, tmp_path):
-        p = tmp_path / "t.txt"
-        T.dump_text(T.zeros((1, 2, 3, 4)), p)
-        assert p.read_text().splitlines()[0] == "1 2 3 4"

@@ -240,6 +240,14 @@ class TestTraining:
                              resume_from=mid)
         assert open(final_full, "rb").read() == open(final_res, "rb").read()
 
+    def test_resume_into_new_directory_writes_header(self, tmp_path, tiny_dataset):
+        train(small_config(p1=1, p2=0), tiny_dataset, tmp_path / "first")
+        mid = os.path.join(tmp_path / "first", "ckpt_p1_e001.bin")
+        _, log = train(small_config(p1=1, p2=1), tiny_dataset, tmp_path / "second", resume_from=mid)
+        rows = open(log).read().strip().splitlines()
+        assert rows[0] == "iter,phase,rec,percep,excl,adv,mask,total"
+        assert [r.split(",")[1] for r in rows[1:]] == ["2", "2"]
+
     def test_extractor_never_changes(self, tmp_path, tiny_dataset):
         cfg = small_config(p1=1, p2=1)
         state = TrainerState(cfg)
