@@ -8,8 +8,6 @@ states a value: thresholds phi=0.3, xi=0.01, tau=0.40, loss weights
 ``--key value`` flags.  Unknown keys are rejected.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 I/O failure.
-``RAGNET_THREADS`` caps worker parallelism for per-image work (default 1,
-keeping runs deterministic by default; results are order-stable either way).
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -165,7 +162,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             typed[key] = parse(val) if isinstance(val, str) else val
         except ValueError as e:
             raise ValueError(f"config key {key}: {e}")
-    return RunConfig(typed)
+    cfg = RunConfig(typed)
+    # build every config dataclass, so each command runs all of their range checks
+    cfg.train_config()
+    cfg.synthesis_params()
+    return cfg
 
 
 class _Parser(argparse.ArgumentParser):
@@ -224,21 +225,6 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("RAGNET_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    n = _workers()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # inference plumbing shared by infer / eval / inspect-mask
 
@@ -280,7 +266,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    build_config(args)  # validates any provided keys
+    build_config(args)  # validates every config value
     if not os.path.exists(args.ckpt):
         raise OSError(f"checkpoint not found: {args.ckpt}")
     state = load_models(args.ckpt)
@@ -322,7 +308,7 @@ def cmd_eval(args) -> int:
             mask=mask_mean,
             panel=ME.make_panel(tr.i, r_np, t_np))
 
-    results = _pmap(eval_one, entries)
+    results = [eval_one(entry) for entry in entries]
     files = ME.emit_report(results, args.out)
     finite = [r.psnr for r in results if np.isfinite(r.psnr)]
     if finite:
@@ -332,7 +318,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    build_config(args)  # validates any provided keys
+    build_config(args)  # validates every config value
     results = run_suite()
     width = max(len(r.name) for r in results)
     for r in results:
@@ -346,7 +332,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_inspect_mask(args) -> int:
-    build_config(args)  # validates any provided keys
+    build_config(args)  # validates every config value
     if not os.path.exists(args.ckpt):
         raise OSError(f"checkpoint not found: {args.ckpt}")
     state = load_models(args.ckpt)
@@ -380,23 +366,11 @@ def _tile_channels(data: np.ndarray) -> np.ndarray:
 
 
 def cmd_params(args) -> int:
-    cfg = build_config(args)
-    mc = cfg.model_config()
-    counts = {}
-    gt_cfg = mc
-    if mc.rag_variant == "one_stage":
-        gt_cfg = M.ModelConfig(width_multiplier=mc.width_multiplier, rag_variant="full",
-                               use_adversarial=mc.use_adversarial, seed=mc.seed)
-    for kind in ("g_r", "g_t", "discriminator", "percep_extractor"):
-        counts[kind] = M.count_params(M.build_network(kind, gt_cfg if kind == "g_t" else mc))
-    one_cfg = M.ModelConfig(width_multiplier=mc.width_multiplier, rag_variant="one_stage",
-                            use_adversarial=mc.use_adversarial, seed=mc.seed)
-    counts["one_stage"] = M.count_params(M.build_network("one_stage", one_cfg))
-    total = counts["g_r"] + counts["g_t"]
-    for kind in ("g_r", "g_t", "one_stage", "discriminator", "percep_extractor"):
-        print(f"{kind:16s} {counts[kind]:>12,d}")
-    print(f"{'g_r + g_t':16s} {total:>12,d}")
-    print(f"one_stage / full = {counts['one_stage'] / total:.4f}")
+    mc = build_config(args).model_config()
+    counts = {kind: M.count_params(M.build_network(kind, mc)) for kind in M.NETWORK_KINDS}
+    counts["g_r + g_t"] = counts["g_r"] + counts["g_t"]
+    for name, n in counts.items():
+        print(f"{name:16s} {n:>12,d}")
     return EXIT_OK
 
 

@@ -72,7 +72,7 @@ def run_suite() -> list[CheckResult]:
     _check(results, "elementwise_binary", lambda a, b: T.reduce_sum(T.mul(T.add(a, b), T.sub(a, b))),
            leaves3(lambda i, s: (_leaf(s, 120 + i), _leaf(s, 130 + i))), OP_TOL)
     for name, fn in (("relu", T.relu), ("sigmoid", T.sigmoid), ("tanh", T.tanh),
-                     ("abs", T.abs_), ("clamp01", T.clamp01)):
+                     ("abs", T.abs_), ("clamp01", lambda x: T.clamp(x, 0.0, 1.0))):
         _check(results, name, lambda x, fn=fn: T.reduce_sum(fn(x)),
                leaves3(lambda i, s: (_leaf(s, 140 + i, 0.05, 0.95),)), OP_TOL)
     _check(results, "leaky_relu", lambda x: T.reduce_sum(T.leaky_relu(x)),

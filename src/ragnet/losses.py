@@ -64,20 +64,17 @@ class LossParts:
 class PerceptualExtractor:
     """Frozen seeded five-stage conv pyramid standing in for a pretrained backbone.
 
-    Stage weights default to 1/(C*H*W) of each feature map, so every stage
+    Each stage is weighted by 1/(C*H*W) of its feature map, so every stage
     contributes a mean absolute feature difference.
     """
 
-    def __init__(self, config: ModelConfig, dtype=np.float32, stage_weights: list[float] | None = None):
+    def __init__(self, config: ModelConfig, dtype=np.float32):
         self.net: Network = build_network("percep_extractor", config, dtype=dtype)
-        self.stage_weights = stage_weights
 
     def features(self, x: Tensor) -> list[Tensor]:
         return extract_features(self.net, x)
 
-    def weight_for(self, stage: int, feat: Tensor) -> float:
-        if self.stage_weights is not None:
-            return self.stage_weights[stage]
+    def weight_for(self, feat: Tensor) -> float:
         _, c, h, w = feat.shape
         return 1.0 / (c * h * w)
 
@@ -120,8 +117,8 @@ def perceptual_loss(t_hat: Tensor, t: Tensor, r_hat: Tensor | None, r: Tensor | 
             raise ValueError(f"loss input shapes differ: {pred.shape} vs {gt.shape}")
         f_pred = extractor.features(pred)
         f_gt = extractor.features(gt)
-        for stage, (fp, fg) in enumerate(zip(f_pred, f_gt)):
-            term = T.scalar_mul(T.l1_norm(T.sub(fp, fg)), extractor.weight_for(stage, fp))
+        for fp, fg in zip(f_pred, f_gt):
+            term = T.scalar_mul(T.l1_norm(T.sub(fp, fg)), extractor.weight_for(fp))
             loss = term if loss is None else T.add(loss, term)
     return loss
 

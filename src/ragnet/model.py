@@ -24,8 +24,8 @@ import numpy as np
 import ragnet.tensor as T
 from ragnet.tensor import Parameter, Tensor
 
-RAG_VARIANTS = ("full", "no_mask", "mask_no_renorm", "two_channel_mask", "no_diff", "one_stage")
-NETWORK_KINDS = ("g_r", "g_t", "one_stage", "discriminator", "percep_extractor")
+RAG_VARIANTS = ("full", "no_mask", "mask_no_renorm", "two_channel_mask", "no_diff")
+NETWORK_KINDS = ("g_r", "g_t", "discriminator", "percep_extractor")
 
 # Base channel plan at width 1.  The observation encoder has five stages
 # (64, 64 | 128, 128 | 256, 256x3 | 512, 512x3 | 512x4); the reflection
@@ -120,8 +120,6 @@ def build_network(kind: str, config: ModelConfig, dtype=np.float32) -> Network:
     """
     if kind not in NETWORK_KINDS:
         raise ValueError(f"kind must be one of {NETWORK_KINDS}, got {kind!r}")
-    if kind == "g_t" and config.rag_variant == "one_stage":
-        raise ValueError("rag_variant 'one_stage' builds with kind='one_stage', not 'g_t'")
     net = Network(kind, config)
     s = config.scaled
     if kind == "g_r":
@@ -132,12 +130,7 @@ def build_network(kind: str, config: ModelConfig, dtype=np.float32) -> Network:
         _add_encoder(net, "enc_refl", in_ch=3, stages=4, dtype=dtype)
         _add_decoder(net, dtype=dtype)
         if config.rag_variant != "no_mask":
-            _add_mask_heads(net, n_groups=3, dtype=dtype)
-    elif kind == "one_stage":
-        _add_encoder(net, "enc_obs", in_ch=3, stages=5, dtype=dtype)
-        _add_decoder(net, dtype=dtype)
-        if config.rag_variant != "no_mask":
-            _add_mask_heads(net, n_groups=2, dtype=dtype)
+            _add_mask_heads(net, dtype=dtype)
     elif kind == "discriminator":
         cin = 6
         for j, base in enumerate(DISC_WIDTHS):
@@ -189,12 +182,12 @@ def _add_decoder(net: Network, dtype) -> None:
     net.add("dec/head/c1/bias", (1, 3, 1, 1), "zeros", dtype)
 
 
-def _add_mask_heads(net: Network, n_groups: int, dtype) -> None:
+def _add_mask_heads(net: Network, dtype) -> None:
     s = net.config.scaled
     two_channel = net.config.rag_variant == "two_channel_mask"
     for level in (4, 3, 2, 1):
         c = s(ENC_STAGE_WIDTHS[level - 1])
-        cin = n_groups * c
+        cin = 3 * c  # the mask sees F_I, F_R and F_dec
         cout = 2 if two_channel else 2 * c
         net.add(f"rag/l{level}/m0/weight", (cin, cin, 1, 1), "he", dtype)
         net.add(f"rag/l{level}/m0/bias", (1, cin, 1, 1), "zeros", dtype)
@@ -252,12 +245,7 @@ def partial_conv(f: Tensor, m: Tensor, w: Tensor, b: Tensor, renorm: bool = True
 
 
 def rag_block(net: Network, level: int, f_i: Tensor, f_r: Tensor, f_dec: Tensor) -> tuple[Tensor, MaskLevel]:
-    """Difference feature and mask for one decoder level.
-
-    ``f_r`` is the reflection-encoder feature in the two-stage model and the
-    decoder feature itself in the one-stage model (where the subtraction is
-    F_I - F_dec and the mask sees only two feature groups).
-    """
+    """Difference feature (F_I - F_R; F_I for ``no_diff``) and the mask of one decoder level."""
     if f_i.shape != f_r.shape:
         raise ValueError(f"rag_block: F_I shape {f_i.shape} != F_R shape {f_r.shape}")
     if f_i.shape[2:] != f_dec.shape[2:]:
@@ -265,9 +253,7 @@ def rag_block(net: Network, level: int, f_i: Tensor, f_r: Tensor, f_dec: Tensor)
                          f"!= encoder {f_i.shape[2:]}")
     variant = net.config.rag_variant
     f_diff = f_i if variant == "no_diff" else T.sub(f_i, f_r)
-
-    one_stage = net.kind == "one_stage"
-    h = T.concat_channels(f_i, f_dec) if one_stage else T.concat_channels(T.concat_channels(f_i, f_r), f_dec)
+    h = T.concat_channels(T.concat_channels(f_i, f_r), f_dec)
     h = T.relu(T.conv2d(h, net[f"rag/l{level}/m0/weight"], net[f"rag/l{level}/m0/bias"]))
     m = T.sigmoid(T.conv2d(h, net[f"rag/l{level}/m1/weight"], net[f"rag/l{level}/m1/bias"]))
     c_diff = f_diff.shape[1]
@@ -306,17 +292,15 @@ def _decoder(net: Network, f_obs: list[Tensor], merge) -> Tensor:
     return T.sigmoid(T.conv2d(x, net["dec/head/c1/weight"], net["dec/head/c1/bias"], stride=1, pad=1))
 
 
-def _guided_decoder(net: Network, f_obs: list[Tensor], f_refl: list[Tensor] | None) -> tuple[Tensor, list[MaskLevel]]:
-    """Decoder of g_t (f_refl given) and the one-stage model (f_refl None, so F_R is F_dec).
-
-    Each level merges through a RAG block and a partial convolution; the
-    ``no_mask`` variant instead convolves concat(F_I - F_R, F_dec).
+def _guided_decoder(net: Network, f_obs: list[Tensor], f_refl: list[Tensor]) -> tuple[Tensor, list[MaskLevel]]:
+    """Decoder of g_t.  Each level merges through a RAG block and a partial
+    convolution; the ``no_mask`` variant instead convolves concat(F_I - F_R, F_dec).
     """
     variant = net.config.rag_variant
     masks: list[MaskLevel] = []
 
     def merge(level, f_i, f_dec, w, b):
-        f_r = f_refl[level - 1] if f_refl is not None else f_dec
+        f_r = f_refl[level - 1]
         if variant == "no_mask":
             return _conv_relu(T.concat_channels(T.sub(f_i, f_r), f_dec), w, b)
         f_diff, mask = rag_block(net, level, f_i, f_r, f_dec)
@@ -351,14 +335,6 @@ def forward_gt(net: Network, i_obs: Tensor, r_hat: Tensor) -> tuple[Tensor, list
     f_obs = _encoder_forward(net, "enc_obs", i_obs, stages=5)
     f_refl = _encoder_forward(net, "enc_refl", r_hat, stages=4)
     return _guided_decoder(net, f_obs, f_refl)
-
-
-def forward_one_stage(net: Network, i_obs: Tensor) -> tuple[Tensor, list[MaskLevel]]:
-    if net.kind != "one_stage":
-        raise ValueError(f"forward_one_stage needs a one_stage network, got {net.kind!r}")
-    _check_spatial(i_obs, "forward_one_stage")
-    f_obs = _encoder_forward(net, "enc_obs", i_obs, stages=5)
-    return _guided_decoder(net, f_obs, None)
 
 
 def forward_discriminator(net: Network, i_obs: Tensor, t_candidate: Tensor) -> Tensor:

@@ -497,10 +497,6 @@ def abs_(x: Tensor) -> Tensor:
     return _record("abs", (x,), out, lambda g: (g * np.sign(x.data),))
 
 
-def clamp01(x: Tensor) -> Tensor:
-    return clamp(x, 0.0, 1.0)
-
-
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     out = Tensor(np.clip(x.data, lo, hi))
     inside = (x.data >= lo) & (x.data <= hi)

@@ -225,9 +225,6 @@ class TrainerState:
         self.phase2_done = 0
         self.global_iter = 0
 
-    def trainable(self, name: str) -> dict[str, T.Parameter]:
-        return self.nets[name].params
-
     def zero_grads(self) -> None:
         for net in self.nets.values():
             net.zero_grad()
@@ -283,18 +280,20 @@ class TrainerState:
         self.global_iter = _limbs_to_int(loaded["meta/global_iter"])
 
 
-def model_config_from_checkpoint(path, seed_fallback: int = 0) -> ModelConfig:
+def model_config_from_checkpoint(path) -> ModelConfig:
     """Rebuild the architecture hyperparameters stored in a checkpoint."""
     loaded = load_checkpoint(path)
     try:
         width = float(loaded["meta/width_multiplier"][0])
-        variant = RAG_VARIANTS[int(loaded["meta/variant"][0])]
+        variant = int(loaded["meta/variant"][0])
         use_adv = bool(loaded["meta/use_adversarial"][0])
         seed = _limbs_to_int(loaded["meta/seed"])
     except KeyError as e:
         raise ValueError(f"checkpoint {path}: missing metadata tensor {e}") from e
-    return ModelConfig(width_multiplier=width, rag_variant=variant,
-                       use_adversarial=use_adv, seed=seed or seed_fallback)
+    if not 0 <= variant < len(RAG_VARIANTS):
+        raise ValueError(f"checkpoint {path}: variant index {variant} is outside 0..{len(RAG_VARIANTS) - 1}")
+    return ModelConfig(width_multiplier=width, rag_variant=RAG_VARIANTS[variant],
+                       use_adversarial=use_adv, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +321,14 @@ def train(config: TrainConfig, manifest_path, out_dir, resume_from=None) -> tupl
     if resume_from is not None:
         state.load(resume_from)
     log_path = os.path.join(out_dir, "train_log.csv")
-    log_f = open(log_path, "a" if resume_from is not None else "w")
-    if log_f.tell() == 0:  # a fresh run, or a resume into a new directory
-        log_f.write("iter,phase,rec,percep,excl,adv,mask,total\n")
+    kept: list[str] = []
+    if resume_from is not None and os.path.exists(log_path):
+        # keep the rows up to the resumed iteration; the run writes the later ones again
+        with open(log_path) as f:
+            kept = [row for row in f.readlines()[1:] if int(row.split(",", 1)[0]) <= state.global_iter]
+    log_f = open(log_path, "w")
+    log_f.write("iter,phase,rec,percep,excl,adv,mask,total\n")
+    log_f.writelines(kept)
 
     seed = config.model.seed
     last_ckpt: str | None = None
@@ -390,8 +394,8 @@ def _phase1_step(state: TrainerState, batch, write_row) -> float:
         percep = L.perceptual_loss(r_hat, r_gt, None, None, state.extractor)
         total = L.total_loss(L.LossParts(rec=rec, percep=percep), cfg.weights, use_adversarial=False)
         T.backward(total)
-    clip_grad_norm(state.trainable("g_r"), cfg.clip_grad_norm)
-    state.adam["g_r"].step(state.trainable("g_r"))
+    clip_grad_norm(state.nets["g_r"].params, cfg.clip_grad_norm)
+    state.adam["g_r"].step(state.nets["g_r"].params)
     parts = {"rec": rec.item(), "percep": percep.item()}
     write_row(1, parts, total.item())
     return total.item()
@@ -413,8 +417,8 @@ def _phase2_step(state: TrainerState, batch, has_r: bool, write_row) -> float:
         if use_adv:
             l_d = L.adv_d_loss(state.nets["disc"], i_obs, t_gt, t_hat.detach())
             T.backward(l_d)
-            clip_grad_norm(state.trainable("disc"), cfg.clip_grad_norm)
-            state.adam["disc"].step(state.trainable("disc"))
+            clip_grad_norm(state.nets["disc"].params, cfg.clip_grad_norm)
+            state.adam["disc"].step(state.nets["disc"].params)
             state.nets["disc"].zero_grad()
 
         parts = L.LossParts()
@@ -431,10 +435,10 @@ def _phase2_step(state: TrainerState, batch, has_r: bool, write_row) -> float:
         total = L.total_loss(parts, cfg.weights, use_adversarial=use_adv)
         T.backward(total)
 
-    clip_grad_norm(state.trainable("g_r"), cfg.clip_grad_norm)
-    clip_grad_norm(state.trainable("g_t"), cfg.clip_grad_norm)
-    state.adam["g_r"].step(state.trainable("g_r"))
-    state.adam["g_t"].step(state.trainable("g_t"))
+    clip_grad_norm(state.nets["g_r"].params, cfg.clip_grad_norm)
+    clip_grad_norm(state.nets["g_t"].params, cfg.clip_grad_norm)
+    state.adam["g_r"].step(state.nets["g_r"].params)
+    state.adam["g_t"].step(state.nets["g_t"].params)
     vals = {k: (getattr(parts, k).item() if getattr(parts, k) is not None else 0.0)
             for k in ("rec", "percep", "excl", "adv", "mask")}
     write_row(2, vals, total.item())

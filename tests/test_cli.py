@@ -7,8 +7,9 @@ import pytest
 
 from ragnet import cli
 from ragnet.cli import CONFIG_KEYS, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from ragnet.synthesis import SynthesisParams, read_ppm
-from ragnet.trainer import TrainConfig
+from ragnet.model import NETWORK_KINDS, RAG_VARIANTS, ModelConfig
+from ragnet.synthesis import SynthesisParams, read_ppm, write_ppm
+from ragnet.trainer import TrainConfig, TrainerState, model_config_from_checkpoint, save_checkpoint
 
 
 class TestDefaultsTable:
@@ -112,7 +113,9 @@ class TestParamsCommand:
     def test_prints_counts_and_ratio(self, capsys):
         assert main(["params", "--width-multiplier", "0.125"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "g_r" in out and "one_stage / full" in out
+        counts = {line[:16].strip(): int(line[16:].replace(",", "")) for line in out.strip().splitlines()}
+        assert list(counts) == [*NETWORK_KINDS, "g_r + g_t"]
+        assert counts["g_r + g_t"] == counts["g_r"] + counts["g_t"]
 
 
 class TestGradcheckCommand:
@@ -155,7 +158,6 @@ class TestPipeline:
 
     def test_infer_pads_odd_sizes(self, trained_run, tmp_path):
         root, data, run = trained_run
-        from ragnet.synthesis import write_ppm
         rng = np.random.Generator(np.random.PCG64(3))
         odd = rng.uniform(0, 1, size=(3, 30, 45)).astype(np.float32)
         write_ppm(tmp_path / "odd.ppm", odd)
@@ -185,15 +187,56 @@ class TestPipeline:
         names = sorted(os.listdir(out))
         assert names == [f"mask_l{lv}_{tag}.pgm" for lv in (1, 2, 3, 4) for tag in ("dec", "diff")]
 
-    def test_eval_parallel_matches_serial(self, trained_run, tmp_path, monkeypatch):
-        root, data, run = trained_run
-        out_s, out_p = tmp_path / "ser", tmp_path / "par"
-        assert main(["eval", "--ckpt", str(run / "final.bin"),
-                     "--data", str(data / "manifest.tsv"), "--out", str(out_s)]) == EXIT_OK
-        monkeypatch.setenv("RAGNET_THREADS", "4")
-        assert main(["eval", "--ckpt", str(run / "final.bin"),
-                     "--data", str(data / "manifest.tsv"), "--out", str(out_p)]) == EXIT_OK
-        assert open(out_s / "report.csv").read() == open(out_p / "report.csv").read()
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--ckpt", "{run}/final.bin", "--data", "{data}/manifest.tsv", "--out", "{out}", "--tau", "5"],
+    ["infer", "--ckpt", "{run}/final.bin", "--input", "{data}/I_0000.ppm", "--out", "{out}",
+     "--width-multiplier", "-3", "--phi", "7"],
+    ["gradcheck", "--tau", "5"],
+    ["params", "--rag-variant", "one_stage"],
+    ["train", "--data", "{data}/manifest.tsv", "--out", "{out}", "--rag-variant", "one_stage"],
+], ids=["eval_tau", "infer_width_phi", "gradcheck_tau", "params_one_stage", "train_one_stage"])
+def test_out_of_range_config_exits_2(argv, trained_run, tmp_path, capsys):
+    # every command runs the range checks of every config dataclass before it touches a file
+    _, data, run = trained_run
+    out = tmp_path / "out"
+    assert main([a.format(run=run, data=data, out=out) for a in argv]) == EXIT_VALIDATION
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_checkpoint_with_unknown_variant_exits_2(tmp_path, capsys):
+    ckpt, img = tmp_path / "bad.bin", tmp_path / "img.ppm"
+    tensors = TrainerState(TrainConfig(model=ModelConfig(width_multiplier=1 / 16))).to_tensors()
+    tensors["meta/variant"] = np.array([9.0], dtype=np.float32)
+    save_checkpoint(tensors, ckpt)  # a valid CRC over an out-of-range variant index
+    write_ppm(img, np.zeros((3, 16, 16), dtype=np.float32))
+    with pytest.raises(ValueError, match="variant index 9"):
+        model_config_from_checkpoint(ckpt)
+    assert main(["infer", "--ckpt", str(ckpt), "--input", str(img), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert "variant index 9" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("variants") / "data"
+    assert main(["synth", "--n", "4", "--seed", "1", "--patch-size", "16", "--out", str(data)]) == EXIT_OK
+    return data
+
+
+@pytest.mark.parametrize("variant", RAG_VARIANTS)
+def test_every_variant_runs_end_to_end(variant, tiny_data, tmp_path):
+    manifest, image, ckpt = str(tiny_data / "manifest.tsv"), str(tiny_data / "I_0000.ppm"), str(tmp_path / "final.bin")
+    assert main(["train", "--data", manifest, "--out", str(tmp_path), "--rag-variant", variant,
+                 "--width-multiplier", "0.0625", "--patch-size", "16", "--phase1-epochs", "1",
+                 "--phase2-epochs", "1", "--seed", "1"]) == EXIT_OK
+    assert main(["eval", "--ckpt", ckpt, "--data", manifest, "--out", str(tmp_path / "rep")]) == EXIT_OK
+    assert len(open(tmp_path / "rep" / "report.csv").read().strip().splitlines()) == 1 + 4
+    assert main(["infer", "--ckpt", ckpt, "--input", image, "--out", str(tmp_path / "inf")]) == EXIT_OK
+    assert read_ppm(tmp_path / "inf" / "T_hat.ppm").shape == (1, 3, 16, 16)
+    assert main(["inspect-mask", "--ckpt", ckpt, "--input", image, "--out", str(tmp_path / "masks")]) == EXIT_OK
+    assert len(list((tmp_path / "masks").glob("*.pgm"))) == (0 if variant == "no_mask" else 8)
+
 
 
 def test_eval_no_mask_checkpoint_reports_na(tmp_path):

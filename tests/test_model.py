@@ -73,12 +73,6 @@ class TestBuildAndCount:
         want = encoder_params(s, 5) + encoder_params(s, 4) + decoder_params(s) + mask_head_params(s, 3)
         assert count_params(net) == want
 
-    def test_one_stage_matches_oracle(self):
-        cfg = ModelConfig(width_multiplier=0.125, rag_variant="one_stage")
-        net = build_network("one_stage", cfg)
-        s = cfg.scaled
-        assert count_params(net) == encoder_params(s, 5) + decoder_params(s) + mask_head_params(s, 2)
-
     def test_width_monotonicity(self):
         n8 = count_params(build_network("g_t", ModelConfig(width_multiplier=0.125)))
         n4 = count_params(build_network("g_t", ModelConfig(width_multiplier=0.25)))
@@ -293,24 +287,6 @@ class TestForwardGT:
 
         err = T.finite_diff_check(fn, [i_obs, r_hat], step=1e-5, max_coords=24)
         assert err < 1e-4
-
-
-class TestForwardOneStage:
-    def test_shape_and_masks(self):
-        cfg = ModelConfig(width_multiplier=0.125, rag_variant="one_stage", seed=2)
-        net = build_network("one_stage", cfg, dtype=np.float64)
-        x = T.tensor(rand((1, 3, 32, 32), 70))
-        t_hat, masks = model.forward_one_stage(net, x)
-        assert t_hat.shape == x.shape
-        assert [m.level for m in masks] == [1, 2, 3, 4]
-        for m in masks:
-            assert m.m_diff.data.min() > 0.0 and m.m_diff.data.max() < 1.0
-
-    def test_param_ratio_against_full_model_at_width_1(self):
-        cfg = ModelConfig(width_multiplier=1.0)
-        full = count_params(build_network("g_r", cfg)) + count_params(build_network("g_t", cfg))
-        one = count_params(build_network("one_stage", ModelConfig(width_multiplier=1.0, rag_variant="one_stage")))
-        assert 0.4 < one / full < 0.6
 
 
 class TestDiscriminator:

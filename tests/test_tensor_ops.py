@@ -205,7 +205,7 @@ class TestElementwise:
 
     def test_clamp01(self):
         x = T.tensor(np.array([-0.5, 0.25, 1.5, 1.0]).reshape(1, 1, 2, 2))
-        np.testing.assert_array_equal(T.clamp01(x).data.reshape(-1), [0.0, 0.25, 1.0, 1.0])
+        np.testing.assert_array_equal(T.clamp(x, 0.0, 1.0).data.reshape(-1), [0.0, 0.25, 1.0, 1.0])
 
     def test_leaky_relu(self):
         x = T.tensor(np.array([-1.0, 2.0]).reshape(1, 1, 1, 2))

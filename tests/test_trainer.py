@@ -248,6 +248,13 @@ class TestTraining:
         assert rows[0] == "iter,phase,rec,percep,excl,adv,mask,total"
         assert [r.split(",")[1] for r in rows[1:]] == ["2", "2"]
 
+    def test_resume_in_same_directory_keeps_log_rows_once(self, tmp_path, tiny_dataset):
+        _, log = train(small_config(p1=1, p2=2), tiny_dataset, tmp_path / "run")
+        uninterrupted = open(log, "rb").read()
+        mid = os.path.join(tmp_path / "run", "ckpt_p2_e001.bin")
+        train(small_config(p1=1, p2=2), tiny_dataset, tmp_path / "run", resume_from=mid)
+        assert open(log, "rb").read() == uninterrupted
+
     def test_extractor_never_changes(self, tmp_path, tiny_dataset):
         cfg = small_config(p1=1, p2=1)
         state = TrainerState(cfg)
