@@ -1,0 +1,71 @@
+"""Train the pinned byte-identity runs and print the SHA-256 of what each one writes.
+
+A pure refactor must leave every hash printed here unchanged.  The pinned
+data is ``ragnet synth --n 8 --seed 1 --patch-size 16``; each run trains it
+at width 1/16, 16 px, 1 + 1 epochs, seed 1: once per RAG variant, and once
+more (``full, half has_r=0``) on a manifest whose every second row declares
+no reflection layer.  The ``full`` run is also evaluated over the pinned data.
+
+Usage: PYTHONPATH=src python3 scripts/pinned_runs.py [--out DIR]
+(without ``--out`` the runs go to a temporary directory that is removed).
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+from ragnet.cli import main
+
+VARIANTS = ("full", "no_mask", "mask_no_renorm", "two_channel_mask", "no_diff")
+TRAIN_FLAGS = ["--width-multiplier", "0.0625", "--patch-size", "16", "--phase1-epochs", "1",
+               "--phase2-epochs", "1", "--seed", "1"]
+
+
+def ragnet(*argv: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    if code != 0:
+        sys.exit(f"ragnet {' '.join(argv)} exited {code}")
+
+
+def sha256(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def run_all(root: str) -> None:
+    data = os.path.join(root, "data")
+    ragnet("synth", "--n", "8", "--seed", "1", "--patch-size", "16", "--out", data)
+    manifest = os.path.join(data, "manifest.tsv")
+    half_r = os.path.join(data, "manifest_half_r.tsv")
+    with open(manifest) as src, open(half_r, "w") as dst:
+        for k, row in enumerate(src):
+            dst.write(row.rsplit("\t", 1)[0] + "\t0\n" if k % 2 else row)
+
+    runs = [(v, manifest, ["--rag-variant", v]) for v in VARIANTS]
+    runs.append(("full, half has_r=0", half_r, []))
+    print(f"{'run':20s} {'file':18s} sha256")
+    for k, (name, data_manifest, flags) in enumerate(runs):
+        out = os.path.join(root, f"run{k}")
+        ragnet("train", "--data", data_manifest, "--out", out, *TRAIN_FLAGS, *flags)
+        for fname in ("final.bin", "ckpt_p1_e001.bin", "train_log.csv"):
+            print(f"{name:20s} {fname:18s} {sha256(os.path.join(out, fname))}")
+        if name == "full":
+            report = os.path.join(root, "eval_full")
+            ragnet("eval", "--ckpt", os.path.join(out, "final.bin"), "--data", manifest, "--out", report)
+            print(f"{name:20s} {'eval report.csv':18s} {sha256(os.path.join(report, 'report.csv'))}")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", help="keep the data and runs in this directory")
+    args = parser.parse_args()
+    if args.out:
+        run_all(args.out)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            run_all(tmp)

@@ -229,9 +229,9 @@ def make_parser() -> argparse.ArgumentParser:
 # inference plumbing shared by infer / eval / inspect-mask
 
 def load_models(ckpt_path):
-    model_cfg = TR.model_config_from_checkpoint(ckpt_path)
-    state = TR.TrainerState(TR.TrainConfig(model=model_cfg))
-    state.load(ckpt_path)
+    loaded = TR.load_checkpoint(ckpt_path)
+    state = TR.TrainerState(TR.TrainConfig(model=TR.model_config_from_checkpoint(ckpt_path, loaded)))
+    state.load(ckpt_path, loaded)
     return state
 
 

@@ -10,13 +10,18 @@ resumed from an epoch checkpoint finishes byte-identical to an
 uninterrupted one.
 
 Checkpoint file layout (little-endian): magic ``RAGN``, version u32,
-tensor count u32; per tensor: name length u32, UTF-8 name, rank u32,
-dims u32 x rank, float32 payload; trailing CRC32 of all preceding bytes.
-The training log is a CSV with header ``iter,phase,rec,percep,excl,adv,mask,total``.
+tensor count u32; per tensor, in name order: name length u32, UTF-8 name,
+rank u32, dims u32 x rank (rank 0 is written as rank 1, dims (1,)),
+float32 payload; trailing CRC32 of all preceding bytes.  Integers (counters,
+Adam steps, the seed) are four float32 limbs of 16 bits, low limb first.
+Loaded arrays are read-only views into the one read of the file.
+The training log is a CSV with header ``iter,phase,rec,percep,excl,adv,mask,total``;
+it is flushed before each epoch checkpoint, so it never lags behind one.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -132,26 +137,30 @@ class TrainConfig:
 # checkpoint serialization
 
 def save_checkpoint(tensors: dict[str, np.ndarray], path) -> None:
-    """Write named float32 tensors in the binary RAGN format (sorted by name)."""
-    chunks = [CKPT_MAGIC, struct.pack("<II", CKPT_VERSION, len(tensors))]
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
-        enc = name.encode()
-        chunks.append(struct.pack("<I", len(enc)))
-        chunks.append(enc)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
-    blob = b"".join(chunks)
-    blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
+    """Write named float32 tensors in the binary RAGN format (sorted by name).
+
+    Header pieces and array buffers stream to the file, the CRC folded over them.
+    """
     tmp = str(path) + ".tmp"
+    crc = 0
     with open(tmp, "wb") as f:
-        f.write(blob)
+        def put(buf) -> None:
+            nonlocal crc
+            f.write(buf)
+            crc = zlib.crc32(buf, crc)
+
+        put(CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(tensors)))
+        for name in sorted(tensors):
+            arr = np.ascontiguousarray(tensors[name], dtype="<f4")  # rank 0 becomes shape (1,)
+            enc = name.encode()
+            put(struct.pack(f"<I{len(enc)}sI{arr.ndim}I", len(enc), enc, arr.ndim, *arr.shape))
+            put(memoryview(arr).cast("B"))
+        f.write(struct.pack("<I", crc))
     os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Parse and validate a RAGN checkpoint; raises with offset diagnostics."""
+    """Parse and validate a RAGN checkpoint into read-only views; raises with offset diagnostics."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 16:
@@ -161,36 +170,45 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     version, count = struct.unpack_from("<II", blob, 4)
     if version != CKPT_VERSION:
         raise ValueError(f"checkpoint {path}: unsupported version {version}, expected {CKPT_VERSION}")
-    body, crc_stored = blob[:-4], struct.unpack_from("<I", blob, len(blob) - 4)[0]
-    crc = zlib.crc32(body) & 0xFFFFFFFF
+    end = len(blob) - 4
+    (crc_stored,) = struct.unpack_from("<I", blob, end)
+    crc = zlib.crc32(memoryview(blob)[:end]) & 0xFFFFFFFF
     if crc != crc_stored:
         raise ValueError(f"checkpoint {path}: CRC mismatch (stored {crc_stored:#010x}, computed {crc:#010x})")
-    out: dict[str, np.ndarray] = {}
     off = 12
-    for i in range(count):
-        def need(nbytes, what):
-            if off + nbytes > len(body):
-                raise ValueError(f"checkpoint {path}: truncated at offset {off}: "
-                                 f"expected {nbytes} bytes for {what}, only {len(body) - off} left")
-        need(4, f"tensor {i} name length")
-        (nlen,) = struct.unpack_from("<I", body, off)
-        off += 4
-        need(nlen, f"tensor {i} name")
-        name = body[off:off + nlen].decode()
-        off += nlen
-        need(4, f"{name} rank")
-        (rank,) = struct.unpack_from("<I", body, off)
-        off += 4
-        need(4 * rank, f"{name} dims")
-        dims = struct.unpack_from(f"<{rank}I", body, off)
-        off += 4 * rank
-        nbytes = 4 * int(np.prod(dims)) if rank else 4
-        need(nbytes, f"{name} payload")
-        out[name] = np.frombuffer(body, dtype="<f4", count=nbytes // 4, offset=off).reshape(dims).copy()
+
+    def take(nbytes: int, what: str) -> int:
+        """Offset of the next *nbytes* bytes, which must lie before the CRC."""
+        nonlocal off
+        if off + nbytes > end:
+            raise ValueError(f"checkpoint {path}: truncated at offset {off}: "
+                             f"expected {nbytes} bytes for {what}, only {end - off} left")
         off += nbytes
-    if off != len(body):
-        raise ValueError(f"checkpoint {path}: {len(body) - off} trailing bytes after last tensor")
+        return off - nbytes
+
+    out: dict[str, np.ndarray] = {}
+    for i in range(count):
+        (nlen,) = struct.unpack_from("<I", blob, take(4, f"tensor {i} name length"))
+        start = take(nlen, f"tensor {i} name")
+        name = blob[start:start + nlen].decode()
+        (rank,) = struct.unpack_from("<I", blob, take(4, f"{name} rank"))
+        dims = struct.unpack_from(f"<{rank}I", blob, take(4 * rank, f"{name} dims"))
+        size = math.prod(dims)
+        out[name] = np.frombuffer(blob, "<f4", size, take(4 * size, f"{name} payload")).reshape(dims)
+    if off != end:
+        raise ValueError(f"checkpoint {path}: {end - off} trailing bytes after last tensor")
     return out
+
+
+def _check_shapes(path, loaded: dict[str, np.ndarray], expected: dict[str, np.ndarray]) -> None:
+    missing = sorted(set(expected) - set(loaded))
+    if missing:
+        raise ValueError(f"checkpoint {path}: missing tensors {missing[:5]} "
+                         f"({len(missing)} total); wrong config?")
+    for name, arr in expected.items():
+        if loaded[name].shape != arr.shape:
+            raise ValueError(f"checkpoint {path}: tensor {name} has shape {loaded[name].shape}, "
+                             f"expected {arr.shape}")
 
 
 def _int_to_limbs(v: int) -> np.ndarray:
@@ -203,6 +221,14 @@ def _limbs_to_int(a: np.ndarray) -> int:
     return limbs[0] | (limbs[1] << 16) | (limbs[2] << 32) | (limbs[3] << 48)
 
 
+def _model_tensors(model: ModelConfig) -> dict[str, np.ndarray]:
+    """The ``meta/*`` tensors that hold the architecture hyperparameters."""
+    return {"meta/seed": _int_to_limbs(model.seed),
+            "meta/width_multiplier": np.array([model.width_multiplier], dtype=np.float32),
+            "meta/variant": np.array([RAG_VARIANTS.index(model.rag_variant)], dtype=np.float32),
+            "meta/use_adversarial": np.array([float(model.use_adversarial)], dtype=np.float32)}
+
+
 # ---------------------------------------------------------------------------
 # trainer state
 
@@ -211,18 +237,12 @@ class TrainerState:
 
     def __init__(self, config: TrainConfig):
         self.config = config
-        self.nets: dict[str, Network] = {
-            "g_r": build_network("g_r", config.model),
-            "g_t": build_network("g_t", config.model),
-        }
+        self.nets: dict[str, Network] = {name: build_network(name, config.model) for name in ("g_r", "g_t")}
         if config.model.use_adversarial:
             self.nets["disc"] = build_network("discriminator", config.model)
         self.extractor = L.PerceptualExtractor(config.model)
-        self.adam: dict[str, AdamState] = {
-            name: AdamState(net.params, config.adam) for name, net in self.nets.items()
-        }
-        self.phase1_done = 0
-        self.phase2_done = 0
+        self.adam = {name: AdamState(net.params, config.adam) for name, net in self.nets.items()}
+        self.epochs_done = {1: 0, 2: 0}  # per phase
         self.global_iter = 0
 
     def zero_grads(self) -> None:
@@ -230,70 +250,50 @@ class TrainerState:
             net.zero_grad()
 
     def to_tensors(self) -> dict[str, np.ndarray]:
+        """The checkpoint's name table; the ``model/`` and Adam moment entries are the live arrays."""
         out: dict[str, np.ndarray] = {}
-        for net_name, net in self.nets.items():
+        for net_name, net in [*self.nets.items(), ("percep", self.extractor.net)]:
             for pname, p in net.params.items():
                 out[f"model/{net_name}/{pname}"] = p.data
-        for pname, p in self.extractor.net.params.items():
-            out[f"model/percep/{pname}"] = p.data
         for net_name, st in self.adam.items():
             for pname in st.m:
                 out[f"adam/{net_name}/{pname}/m"] = st.m[pname]
                 out[f"adam/{net_name}/{pname}/v"] = st.v[pname]
             out[f"adam/{net_name}/step"] = _int_to_limbs(st.step_count)
-        out["meta/phase1_done"] = _int_to_limbs(self.phase1_done)
-        out["meta/phase2_done"] = _int_to_limbs(self.phase2_done)
+        for phase, done in self.epochs_done.items():
+            out[f"meta/phase{phase}_done"] = _int_to_limbs(done)
         out["meta/global_iter"] = _int_to_limbs(self.global_iter)
-        out["meta/seed"] = _int_to_limbs(self.config.model.seed)
-        out["meta/width_multiplier"] = np.array([self.config.model.width_multiplier], dtype=np.float32)
-        out["meta/variant"] = np.array([RAG_VARIANTS.index(self.config.model.rag_variant)], dtype=np.float32)
-        out["meta/use_adversarial"] = np.array([float(self.config.model.use_adversarial)], dtype=np.float32)
+        out.update(_model_tensors(self.config.model))
         return out
 
     def save(self, path) -> None:
         save_checkpoint(self.to_tensors(), path)
 
-    def load(self, path) -> None:
-        loaded = load_checkpoint(path)
+    def load(self, path, loaded: dict[str, np.ndarray] | None = None) -> None:
+        """Restore from checkpoint *path*, or from *loaded* when it is already parsed."""
+        if loaded is None:
+            loaded = load_checkpoint(path)
         expected = self.to_tensors()
-        missing = sorted(set(expected) - set(loaded))
-        if missing:
-            raise ValueError(f"checkpoint {path}: missing tensors {missing[:5]} "
-                             f"({len(missing)} total); wrong config?")
+        _check_shapes(path, loaded, expected)
         for name, arr in expected.items():
-            got = loaded[name]
-            if got.shape != arr.shape:
-                raise ValueError(f"checkpoint {path}: tensor {name} has shape {got.shape}, "
-                                 f"expected {arr.shape}")
-        for net_name, net in self.nets.items():
-            for pname, p in net.params.items():
-                p.data[...] = loaded[f"model/{net_name}/{pname}"]
-        for pname, p in self.extractor.net.params.items():
-            p.data[...] = loaded[f"model/percep/{pname}"]
+            arr[...] = loaded[name]
         for net_name, st in self.adam.items():
-            for pname in st.m:
-                st.m[pname][...] = loaded[f"adam/{net_name}/{pname}/m"]
-                st.v[pname][...] = loaded[f"adam/{net_name}/{pname}/v"]
             st.step_count = _limbs_to_int(loaded[f"adam/{net_name}/step"])
-        self.phase1_done = _limbs_to_int(loaded["meta/phase1_done"])
-        self.phase2_done = _limbs_to_int(loaded["meta/phase2_done"])
+        self.epochs_done = {phase: _limbs_to_int(loaded[f"meta/phase{phase}_done"]) for phase in self.epochs_done}
         self.global_iter = _limbs_to_int(loaded["meta/global_iter"])
 
 
-def model_config_from_checkpoint(path) -> ModelConfig:
-    """Rebuild the architecture hyperparameters stored in a checkpoint."""
-    loaded = load_checkpoint(path)
-    try:
-        width = float(loaded["meta/width_multiplier"][0])
-        variant = int(loaded["meta/variant"][0])
-        use_adv = bool(loaded["meta/use_adversarial"][0])
-        seed = _limbs_to_int(loaded["meta/seed"])
-    except KeyError as e:
-        raise ValueError(f"checkpoint {path}: missing metadata tensor {e}") from e
+def model_config_from_checkpoint(path, loaded: dict[str, np.ndarray] | None = None) -> ModelConfig:
+    """Rebuild the architecture hyperparameters stored in checkpoint *path* (or its parse *loaded*)."""
+    if loaded is None:
+        loaded = load_checkpoint(path)
+    _check_shapes(path, loaded, _model_tensors(ModelConfig()))
+    variant = int(loaded["meta/variant"][0])
     if not 0 <= variant < len(RAG_VARIANTS):
         raise ValueError(f"checkpoint {path}: variant index {variant} is outside 0..{len(RAG_VARIANTS) - 1}")
-    return ModelConfig(width_multiplier=width, rag_variant=RAG_VARIANTS[variant],
-                       use_adversarial=use_adv, seed=seed)
+    return ModelConfig(width_multiplier=float(loaded["meta/width_multiplier"][0]),
+                       rag_variant=RAG_VARIANTS[variant], use_adversarial=bool(loaded["meta/use_adversarial"][0]),
+                       seed=_limbs_to_int(loaded["meta/seed"]))
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +311,13 @@ def _batches(pool: list[int], batch_size: int, rng: np.random.Generator):
 
 def train(config: TrainConfig, manifest_path, out_dir, resume_from=None) -> tuple[str, str]:
     """Run (or resume) the two-phase protocol; returns (final checkpoint, log csv)."""
-    entries = read_manifest(manifest_path)
-    triples = [load_triple(e) for e in entries]
+    triples = [load_triple(e) for e in read_manifest(manifest_path)]
     has_r_pool = [i for i, tr in enumerate(triples) if tr.has_reflection_gt]
     no_r_pool = [i for i, tr in enumerate(triples) if not tr.has_reflection_gt]
+    # phase -> (epochs, step, (pool, has_r) groups); phase 1 needs the reflection layer
+    phases = {1: (config.schedule.phase1_epochs, _phase1_step, [(has_r_pool, True)]),
+              2: (config.schedule.phase2_epochs, _phase2_step,
+                  [(has_r_pool, True)] + ([(no_r_pool, False)] if no_r_pool else []))}
 
     os.makedirs(out_dir, exist_ok=True)
     state = TrainerState(config)
@@ -326,77 +329,56 @@ def train(config: TrainConfig, manifest_path, out_dir, resume_from=None) -> tupl
         # keep the rows up to the resumed iteration; the run writes the later ones again
         with open(log_path) as f:
             kept = [row for row in f.readlines()[1:] if int(row.split(",", 1)[0]) <= state.global_iter]
-    log_f = open(log_path, "w")
-    log_f.write("iter,phase,rec,percep,excl,adv,mask,total\n")
-    log_f.writelines(kept)
-
-    seed = config.model.seed
     last_ckpt: str | None = None
+    with open(log_path, "w") as log_f:
+        log_f.write("iter,phase,rec,percep,excl,adv,mask,total\n")
+        log_f.writelines(kept)
 
-    def write_row(phase, parts: dict[str, float], total: float):
-        log_f.write(f"{state.global_iter},{phase},{parts.get('rec', 0.0):.6g},"
-                    f"{parts.get('percep', 0.0):.6g},{parts.get('excl', 0.0):.6g},"
-                    f"{parts.get('adv', 0.0):.6g},{parts.get('mask', 0.0):.6g},{total:.6g}\n")
+        def write_row(phase: int, parts: L.LossParts, total: float) -> None:
+            vals = (getattr(parts, k) for k in ("rec", "percep", "excl", "adv", "mask"))
+            log_f.write(f"{state.global_iter},{phase},"
+                        + "".join(f"{0.0 if v is None else v.item():.6g}," for v in vals) + f"{total:.6g}\n")
 
-    def checkpoint(tag):
-        nonlocal last_ckpt
-        path = os.path.join(out_dir, f"ckpt_{tag}.bin")
-        state.save(path)
-        last_ckpt = path
-        return path
-
-    def guard_finite(value: float):
-        if not np.isfinite(value):
-            log_f.close()
-            raise TrainingDiverged(state.global_iter, last_ckpt)
-
-    try:
-        for epoch in range(state.phase1_done, config.schedule.phase1_epochs):
-            rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "order", 1, epoch)))
-            for batch in _batches(has_r_pool, config.schedule.batch_size, rng):
-                chosen = [triples[i] for i in batch]
-                state.global_iter += 1
-                total = _phase1_step(state, chosen, write_row)
-                guard_finite(total)
-            state.phase1_done = epoch + 1
-            if config.checkpoint_every_epoch:
-                checkpoint(f"p1_e{epoch + 1:03d}")
-
-        for epoch in range(state.phase2_done, config.schedule.phase2_epochs):
-            rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "order", 2, epoch)))
-            groups = [(has_r_pool, True)] + ([(no_r_pool, False)] if no_r_pool else [])
-            for pool, has_r in groups:
-                for batch in _batches(pool, config.schedule.batch_size, rng):
-                    chosen = [triples[i] for i in batch]
-                    state.global_iter += 1
-                    total = _phase2_step(state, chosen, has_r, write_row)
-                    guard_finite(total)
-            state.phase2_done = epoch + 1
-            if config.checkpoint_every_epoch:
-                checkpoint(f"p2_e{epoch + 1:03d}")
-    finally:
-        if not log_f.closed:
-            log_f.close()
+        for phase, (epochs, step, groups) in phases.items():
+            for epoch in range(state.epochs_done[phase], epochs):
+                rng = np.random.Generator(np.random.PCG64(derive_seed(config.model.seed, "order", phase, epoch)))
+                for pool, has_r in groups:
+                    for batch in _batches(pool, config.schedule.batch_size, rng):
+                        state.global_iter += 1
+                        if not np.isfinite(step(state, [triples[i] for i in batch], has_r, write_row)):
+                            raise TrainingDiverged(state.global_iter, last_ckpt)
+                state.epochs_done[phase] = epoch + 1
+                if config.checkpoint_every_epoch:
+                    log_f.flush()  # the log never lags behind a checkpoint
+                    last_ckpt = os.path.join(out_dir, f"ckpt_p{phase}_e{epoch + 1:03d}.bin")
+                    state.save(last_ckpt)
 
     final = os.path.join(out_dir, "final.bin")
     state.save(final)
     return final, log_path
 
 
-def _phase1_step(state: TrainerState, batch, write_row) -> float:
+def _update(state: TrainerState, *names: str) -> None:
+    """Clip each named network's gradients, then take its Adam step."""
+    for name in names:
+        params = state.nets[name].params
+        clip_grad_norm(params, state.config.clip_grad_norm)
+        state.adam[name].step(params)
+
+
+def _phase1_step(state: TrainerState, batch, has_r: bool, write_row) -> float:
+    """One G_R pretraining step; phase 1 draws only triples with a reflection layer (``has_r``)."""
     cfg = state.config
     state.zero_grads()
     i_obs = _stack(batch, "i")
     r_gt = _stack(batch, "r")
     with T.Tape():
         r_hat = forward_gr(state.nets["g_r"], i_obs)
-        rec = L.rec_loss(r_hat, r_gt, normalize=cfg.rec_normalize)
-        percep = L.perceptual_loss(r_hat, r_gt, None, None, state.extractor)
-        total = L.total_loss(L.LossParts(rec=rec, percep=percep), cfg.weights, use_adversarial=False)
+        parts = L.LossParts(rec=L.rec_loss(r_hat, r_gt, normalize=cfg.rec_normalize),
+                            percep=L.perceptual_loss(r_hat, r_gt, None, None, state.extractor))
+        total = L.total_loss(parts, cfg.weights, use_adversarial=False)
         T.backward(total)
-    clip_grad_norm(state.nets["g_r"].params, cfg.clip_grad_norm)
-    state.adam["g_r"].step(state.nets["g_r"].params)
-    parts = {"rec": rec.item(), "percep": percep.item()}
+    _update(state, "g_r")
     write_row(1, parts, total.item())
     return total.item()
 
@@ -417,29 +399,20 @@ def _phase2_step(state: TrainerState, batch, has_r: bool, write_row) -> float:
         if use_adv:
             l_d = L.adv_d_loss(state.nets["disc"], i_obs, t_gt, t_hat.detach())
             T.backward(l_d)
-            clip_grad_norm(state.nets["disc"].params, cfg.clip_grad_norm)
-            state.adam["disc"].step(state.nets["disc"].params)
+            _update(state, "disc")
             state.nets["disc"].zero_grad()
 
-        parts = L.LossParts()
-        if has_r:
-            parts.rec = L.rec_loss(t_hat, t_gt, r_hat, r_gt, normalize=cfg.rec_normalize)
-            parts.percep = L.perceptual_loss(t_hat, t_gt, r_hat, r_gt, state.extractor)
-            parts.mask = L.mask_loss(masks, r_gt, cfg.thresholds, normalize=cfg.mask_normalize)
-        else:
-            parts.rec = L.rec_loss(t_hat, t_gt, normalize=cfg.rec_normalize)
-            parts.percep = L.perceptual_loss(t_hat, t_gt, None, None, state.extractor)
-        parts.excl = L.exclusion_loss(t_hat, r_hat)
-        if use_adv:
-            parts.adv = L.adv_g_loss(state.nets["disc"], i_obs, t_hat)
+        # the terms are recorded in argument order, and backward follows creation order
+        r_pair = r_hat if has_r else None
+        parts = L.LossParts(
+            rec=L.rec_loss(t_hat, t_gt, r_pair, r_gt, normalize=cfg.rec_normalize),
+            percep=L.perceptual_loss(t_hat, t_gt, r_pair, r_gt, state.extractor),
+            mask=L.mask_loss(masks, r_gt, cfg.thresholds, normalize=cfg.mask_normalize) if has_r else None,
+            excl=L.exclusion_loss(t_hat, r_hat),
+            adv=L.adv_g_loss(state.nets["disc"], i_obs, t_hat) if use_adv else None)
         total = L.total_loss(parts, cfg.weights, use_adversarial=use_adv)
         T.backward(total)
 
-    clip_grad_norm(state.nets["g_r"].params, cfg.clip_grad_norm)
-    clip_grad_norm(state.nets["g_t"].params, cfg.clip_grad_norm)
-    state.adam["g_r"].step(state.nets["g_r"].params)
-    state.adam["g_t"].step(state.nets["g_t"].params)
-    vals = {k: (getattr(parts, k).item() if getattr(parts, k) is not None else 0.0)
-            for k in ("rec", "percep", "excl", "adv", "mask")}
-    write_row(2, vals, total.item())
+    _update(state, "g_r", "g_t")
+    write_row(2, parts, total.item())
     return total.item()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ragnet import cli
+from ragnet import trainer as TR
 from ragnet.cli import CONFIG_KEYS, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from ragnet.model import NETWORK_KINDS, RAG_VARIANTS, ModelConfig
 from ragnet.synthesis import SynthesisParams, read_ppm, write_ppm
@@ -215,6 +216,32 @@ def test_checkpoint_with_unknown_variant_exits_2(tmp_path, capsys):
         model_config_from_checkpoint(ckpt)
     assert main(["infer", "--ckpt", str(ckpt), "--input", str(img), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert "variant index 9" in capsys.readouterr().err
+
+
+def test_checkpoint_with_misshapen_metadata_exits_2(tmp_path, capsys):
+    ckpt, img = tmp_path / "bad.bin", tmp_path / "img.ppm"
+    tensors = TrainerState(TrainConfig(model=ModelConfig(width_multiplier=1 / 16))).to_tensors()
+    tensors["meta/seed"] = np.array([1.0], dtype=np.float32)  # the seed is stored as four limbs
+    save_checkpoint(tensors, ckpt)
+    write_ppm(img, np.zeros((3, 16, 16), dtype=np.float32))
+    with pytest.raises(ValueError, match="meta/seed has shape"):
+        model_config_from_checkpoint(ckpt)
+    assert main(["infer", "--ckpt", str(ckpt), "--input", str(img), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert "meta/seed" in capsys.readouterr().err
+
+
+def test_load_models_parses_the_checkpoint_once(tmp_path, monkeypatch):
+    ckpt = tmp_path / "model.bin"
+    saved = TrainerState(TrainConfig(model=ModelConfig(width_multiplier=1 / 16, seed=5)))
+    saved.save(ckpt)
+    calls = []
+    load = TR.load_checkpoint
+    monkeypatch.setattr(TR, "load_checkpoint", lambda path: calls.append(path) or load(path))
+    state = cli.load_models(ckpt)
+    assert calls == [ckpt]
+    assert state.config.model == saved.config.model
+    a, b = saved.to_tensors(), state.to_tensors()
+    assert all(a[k].tobytes() == b[k].tobytes() for k in a)
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 import hashlib
 import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -149,6 +150,28 @@ class TestCheckpointFormat:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
+    def test_layout_bytes_match_the_documented_format(self, tmp_path):
+        tensors = {"z/w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                   "a": np.array(2.5, dtype=np.float32),  # rank 0 is written with rank 1, dims (1,)
+                   "m/b": np.array([-1.0, 0.5, 4.0, 8.0], dtype=np.float32)}
+        want = b"RAGN" + struct.pack("<II", 1, 3)
+        for name, dims, values in (("a", (1,), [2.5]), ("m/b", (4,), [-1.0, 0.5, 4.0, 8.0]),
+                                   ("z/w", (2, 3), [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])):
+            want += struct.pack("<I", len(name)) + name.encode() + struct.pack("<I", len(dims))
+            want += struct.pack(f"<{len(dims)}I", *dims) + struct.pack(f"<{len(values)}f", *values)
+        want += struct.pack("<I", zlib.crc32(want))
+        path = tmp_path / "c.bin"
+        save_checkpoint(tensors, path)
+        assert path.read_bytes() == want
+        assert not os.path.exists(str(path) + ".tmp")
+        assert load_checkpoint(path)["a"].shape == (1,)
+
+    def test_loaded_arrays_are_read_only_views(self, tmp_path):
+        path = tmp_path / "c.bin"
+        save_checkpoint(self._tensors(), path)
+        for arr in load_checkpoint(path).values():
+            assert not arr.flags.writeable and not arr.flags.owndata
+
     def test_limb_encoding_round_trip(self):
         for v in (0, 1, 65535, 2 ** 40 + 12345, 2 ** 63 - 1):
             assert trainer._limbs_to_int(trainer._int_to_limbs(v)) == v
@@ -254,6 +277,47 @@ class TestTraining:
         mid = os.path.join(tmp_path / "run", "ckpt_p2_e001.bin")
         train(small_config(p1=1, p2=2), tiny_dataset, tmp_path / "run", resume_from=mid)
         assert open(log, "rb").read() == uninterrupted
+
+    def test_log_is_flushed_before_each_checkpoint(self, tmp_path, tiny_dataset, monkeypatch):
+        log = tmp_path / "run" / "train_log.csv"
+        seen = []
+        save = trainer.save_checkpoint
+
+        def spy(tensors, path):
+            rows = open(log).read().splitlines()
+            seen.append((os.path.basename(path), len(rows) - 1, trainer._limbs_to_int(tensors["meta/global_iter"])))
+            assert rows[:1] == ["iter,phase,rec,percep,excl,adv,mask,total"]
+            save(tensors, path)
+
+        monkeypatch.setattr(trainer, "save_checkpoint", spy)
+        train(small_config(p1=1, p2=2), tiny_dataset, tmp_path / "run")
+        assert [name for name, _, _ in seen] == ["ckpt_p1_e001.bin", "ckpt_p2_e001.bin", "ckpt_p2_e002.bin",
+                                                 "final.bin"]
+        assert all(n_rows == it for _, n_rows, it in seen), seen
+
+    def test_triples_without_reflection_layer(self, tmp_path, monkeypatch):
+        manifest = make_dataset(8, SynthesisParams(seed=1, patch_size=16), tmp_path / "data")
+        rows = open(manifest).read().splitlines()
+        with open(manifest, "w") as f:  # every second triple declares no reflection layer
+            f.writelines((r.rsplit("\t", 1)[0] + "\t0" if k % 2 else r) + "\n" for k, r in enumerate(rows))
+        phase1_has_r = []
+        phase1_step = trainer._phase1_step
+
+        def spy(state, batch, *rest):
+            phase1_has_r.extend(tr.has_reflection_gt for tr in batch)
+            return phase1_step(state, batch, *rest)
+
+        monkeypatch.setattr(trainer, "_phase1_step", spy)
+        cfg = TrainConfig(model=ModelConfig(width_multiplier=1 / 16, seed=1),
+                          schedule=Schedule(phase1_epochs=1, phase2_epochs=1, batch_size=4))
+        _, log = train(cfg, manifest, tmp_path / "run")
+        assert phase1_has_r == [True] * 4
+        logged = [r.split(",") for r in open(log).read().splitlines()[1:]]
+        # phase 1: the 4 triples with R in one batch; phase 2: that batch, then the 4 without R
+        assert [(r[0], r[1]) for r in logged] == [("1", "1"), ("2", "2"), ("3", "2")]
+        mask = {r[0]: float(r[6]) for r in logged}
+        assert mask["2"] > 0 and mask["3"] == 0
+        assert all(np.isfinite(float(r[-1])) and float(r[-1]) > 0 for r in logged)
 
     def test_extractor_never_changes(self, tmp_path, tiny_dataset):
         cfg = small_config(p1=1, p2=1)
