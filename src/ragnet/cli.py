@@ -237,7 +237,7 @@ def load_models(ckpt_path):
 
 def infer_image(state: TR.TrainerState, img: np.ndarray):
     """Forward both stages on an NCHW image of any size (reflect-padded to /16)."""
-    padded, pads = M.pad_to_multiple(img.astype(np.float32), 16)
+    padded, pads = M.pad_to_multiple(img.astype(np.float32))
     i_t = T.Tensor(padded)
     r_hat = M.forward_gr(state.nets["g_r"], i_t)
     t_hat, masks = M.forward_gt(state.nets["g_t"], i_t, r_hat)
@@ -248,8 +248,6 @@ def infer_image(state: TR.TrainerState, img: np.ndarray):
 
 def cmd_synth(args) -> int:
     cfg = build_config(args)
-    if args.n < 0:
-        raise ValueError(f"--n must be >= 0, got {args.n}")
     manifest = S.make_dataset(args.n, cfg.synthesis_params(), args.out)
     print(f"wrote {args.n} triples; manifest: {manifest}")
     return EXIT_OK

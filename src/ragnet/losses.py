@@ -2,7 +2,8 @@
 
 Reconstruction and perceptual terms compare both predicted layers to ground
 truth; the exclusion term penalizes correlated gradients of the predicted
-transmission and reflection across three scales; the mask term drives the
+transmission and reflection at ``EXCL_SCALES`` + 1 = 3 scales with
+``EXCL_LAMBDA_T`` = 0.5 scaling |grad T|; the mask term drives the
 difference-feature masks toward 0 in heavy-reflection regions and all masks
 toward 1 in near-clean regions; the adversarial pair trains a realness
 critic on (observation, transmission) pairs.
@@ -18,10 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 import ragnet.tensor as T
+from ragnet.metrics import DEFAULT_TAU
 from ragnet.tensor import Tensor
 from ragnet.model import MaskLevel, ModelConfig, Network, build_network, extract_features, forward_discriminator
 
 LOG_CLAMP = 1e-7
+EXCL_SCALES = 2       # the exclusion term halves the resolution twice: three scales
+EXCL_LAMBDA_T = 0.5   # fixed tanh scale of |grad T| in the exclusion term
 
 
 @dataclass
@@ -42,7 +46,7 @@ class LossWeights:
 class MaskLossThresholds:
     phi: float = 0.3    # heavy-reflection cutoff: drive M_diff -> 0 above it
     xi: float = 0.01    # near-clean cutoff: drive all masks -> 1 below it
-    tau: float = 0.40   # evaluation split between weak/strong regions
+    tau: float = DEFAULT_TAU  # evaluation split between weak/strong regions
 
     def __post_init__(self):
         for name, v in (("phi", self.phi), ("xi", self.xi), ("tau", self.tau)):
@@ -68,7 +72,7 @@ class PerceptualExtractor:
     contributes a mean absolute feature difference.
     """
 
-    def __init__(self, config: ModelConfig, dtype=np.float32):
+    def __init__(self, config: ModelConfig, dtype=T.DEFAULT_DTYPE):
         self.net: Network = build_network("percep_extractor", config, dtype=dtype)
 
     def features(self, x: Tensor) -> list[Tensor]:
@@ -123,11 +127,11 @@ def perceptual_loss(t_hat: Tensor, t: Tensor, r_hat: Tensor | None, r: Tensor | 
     return loss
 
 
-def _scale_gradients(t: Tensor, r: Tensor, n_scales: int):
+def _scale_gradients(t: Tensor, r: Tensor):
     """Spatial gradients (tx, ty, rx, ry) at each scale, halving the resolution between scales."""
-    for scale in range(n_scales + 1):
+    for scale in range(EXCL_SCALES + 1):
         yield T.spatial_gradient(t) + T.spatial_gradient(r)
-        if scale < n_scales:
+        if scale < EXCL_SCALES:
             t, r = T.downsample2x(t), T.downsample2x(r)
 
 
@@ -139,22 +143,21 @@ def _gradient_mass_ratio(tx: Tensor, ty: Tensor, rx: Tensor, ry: Tensor) -> floa
     return float(np.abs(tx.data).sum() + np.abs(ty.data).sum()) / l1_r
 
 
-def exclusion_lambdas(t_hat: Tensor, r_hat: Tensor, n_scales: int = 2) -> list[float | None]:
+def exclusion_lambdas(t_hat: Tensor, r_hat: Tensor) -> list[float | None]:
     """Per-scale reflection normalization factors |grad T|_1 / |grad R|_1.
 
     None marks a scale whose reflection gradient mass vanishes (the scale
     contributes nothing to the loss).
     """
-    return [_gradient_mass_ratio(*g) for g in _scale_gradients(t_hat, r_hat, n_scales)]
+    return [_gradient_mass_ratio(*g) for g in _scale_gradients(t_hat, r_hat)]
 
 
-def exclusion_loss(t_hat: Tensor, r_hat: Tensor, n_scales: int = 2, lambda_t: float = 0.5,
-                   fixed_lambda: bool = False,
+def exclusion_loss(t_hat: Tensor, r_hat: Tensor, fixed_lambda: bool = False,
                    lambda_r_values: list[float | None] | None = None) -> Tensor:
     """Multi-scale penalty on correlated gradients of the two predicted layers.
 
-    Per scale: sqrt of the Frobenius norm of
-    tanh(lambda_t * |grad T|) o tanh(lambda_r * |grad R|) with both gradient
+    Per scale: sqrt of the Frobenius norm of tanh(lambda_t * |grad T|) o
+    tanh(lambda_r * |grad R|), lambda_t = ``EXCL_LAMBDA_T``, with both gradient
     components in the norm.  lambda_r normalizes by the gradient-mass ratio
     |grad T|_1 / |grad R|_1 of that scale and is treated as a constant with
     respect to gradients; a scale with vanishing |grad R|_1 contributes 0.
@@ -166,29 +169,29 @@ def exclusion_loss(t_hat: Tensor, r_hat: Tensor, n_scales: int = 2, lambda_t: fl
     """
     if t_hat.shape != r_hat.shape:
         raise ValueError(f"exclusion_loss: shape mismatch {t_hat.shape} vs {r_hat.shape}")
-    div = 2 ** n_scales
+    div = 2 ** EXCL_SCALES
     _, _, h, w = t_hat.shape
     if h % div or w % div:
         raise ValueError(f"exclusion_loss: spatial dims ({h},{w}) must be divisible by {div}")
 
     loss = None
-    for scale, (tx, ty, rx, ry) in enumerate(_scale_gradients(t_hat, r_hat, n_scales)):
+    for scale, (tx, ty, rx, ry) in enumerate(_scale_gradients(t_hat, r_hat)):
         if lambda_r_values is not None:
             lam_r = lambda_r_values[scale]
         elif fixed_lambda:
-            lam_r = lambda_t
+            lam_r = EXCL_LAMBDA_T
         else:
             lam_r = _gradient_mass_ratio(tx, ty, rx, ry)  # stop-gradient normalization factor
         if lam_r is not None:
-            psi_x = T.mul(T.tanh(T.scalar_mul(T.abs_(tx), lambda_t)),
+            psi_x = T.mul(T.tanh(T.scalar_mul(T.abs_(tx), EXCL_LAMBDA_T)),
                           T.tanh(T.scalar_mul(T.abs_(rx), lam_r)))
-            psi_y = T.mul(T.tanh(T.scalar_mul(T.abs_(ty), lambda_t)),
+            psi_y = T.mul(T.tanh(T.scalar_mul(T.abs_(ty), EXCL_LAMBDA_T)),
                           T.tanh(T.scalar_mul(T.abs_(ry), lam_r)))
             term = T.sqrt(T.frobenius_norm(T.concat_channels(psi_x, psi_y)))
             loss = term if loss is None else T.add(loss, term)
     if loss is None:
         loss = T.scalar(0.0, dtype=t_hat.dtype)
-    return T.scalar_mul(loss, 1.0 / (n_scales + 1))
+    return T.scalar_mul(loss, 1.0 / (EXCL_SCALES + 1))
 
 
 def _pool_luminance(r_gt: np.ndarray, level: int) -> np.ndarray:

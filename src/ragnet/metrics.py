@@ -1,12 +1,13 @@
 """Image quality metrics and evaluation reports.
 
-PSNR uses the standard peak-squared definition 10*log10(peak^2 / MSE).
-SSIM is single-scale with the universal constants (11x11 Gaussian window,
-sigma 1.5, K1=0.01, K2=0.03) on the channel-mean grayscale image, averaged
-over valid window positions.  Region-weighted PSNR restricts the MSE to the
-weak- or strong-reflection side of a thresholded full-resolution difference
-mask (threshold 0.40); reflection-detection PSNR compares the predicted
-reflection against the observation-minus-transmission residual.
+Images lie in [0,1], so PSNR is 10*log10(1 / MSE) (peak 1).  SSIM is
+single-scale with the universal constants (11x11 Gaussian window, sigma
+``SSIM_SIGMA`` = 1.5, ``SSIM_K1`` = 0.01, ``SSIM_K2`` = 0.03, peak 1) on the
+channel-mean grayscale image, averaged over valid window positions.
+Region-weighted PSNR restricts the MSE to the weak- or strong-reflection side
+of a thresholded full-resolution difference mask (threshold ``DEFAULT_TAU`` =
+0.40); reflection-detection PSNR compares the predicted reflection against
+the observation-minus-transmission residual.
 """
 
 from __future__ import annotations
@@ -15,15 +16,17 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from ragnet.synthesis import write_pgm, write_ppm
+from ragnet.synthesis import filter_valid, gaussian_kernel, write_pgm, write_ppm
 
 DEFAULT_TAU = 0.40
+SSIM_SIGMA = 1.5
+SSIM_K1 = 0.01
+SSIM_K2 = 0.03
 
 
 def _as_chw(a) -> np.ndarray:
-    arr = a.data if hasattr(a, "data") and not isinstance(a, np.ndarray) else np.asarray(a)
+    arr = np.asarray(a)
     if arr.ndim == 4:
         if arr.shape[0] != 1:
             raise ValueError(f"metrics expect single images, got batch of {arr.shape[0]}")
@@ -35,29 +38,18 @@ def _as_chw(a) -> np.ndarray:
     return arr.astype(np.float64)
 
 
-def psnr(a, b, peak: float = 1.0) -> float:
-    """10*log10(peak^2 / MSE); +inf for identical images."""
+def psnr(a, b) -> float:
+    """10*log10(1 / MSE); +inf for identical images."""
     x, y = _as_chw(a), _as_chw(b)
     if x.shape != y.shape:
         raise ValueError(f"psnr: shape mismatch {x.shape} vs {y.shape}")
     mse = ((x - y) ** 2).mean()
     if mse == 0.0:
         return float("inf")
-    return 10.0 * np.log10(peak * peak / mse)
+    return 10.0 * np.log10(1.0 / mse)
 
 
-def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    xs = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    k = np.exp(-0.5 * (xs / sigma) ** 2)
-    return k / k.sum()
-
-
-def _filter_valid(img: np.ndarray, k: np.ndarray) -> np.ndarray:
-    out = sliding_window_view(img, len(k), axis=0).dot(k)
-    return sliding_window_view(out, len(k), axis=1).dot(k)
-
-
-def ssim(a, b, peak: float = 1.0, k1: float = 0.01, k2: float = 0.03) -> float:
+def ssim(a, b) -> float:
     """Single-scale structural similarity on channel-mean grayscale images."""
     x, y = _as_chw(a), _as_chw(b)
     if x.shape != y.shape:
@@ -66,14 +58,14 @@ def ssim(a, b, peak: float = 1.0, k1: float = 0.01, k2: float = 0.03) -> float:
     h, w = gx.shape
     if h < 11 or w < 11:
         raise ValueError(f"ssim: image ({h},{w}) smaller than the 11x11 window")
-    win = _gaussian_window()
-    mu_x = _filter_valid(gx, win)
-    mu_y = _filter_valid(gy, win)
-    sig_x = _filter_valid(gx * gx, win) - mu_x * mu_x
-    sig_y = _filter_valid(gy * gy, win) - mu_y * mu_y
-    sig_xy = _filter_valid(gx * gy, win) - mu_x * mu_y
-    c1 = (k1 * peak) ** 2
-    c2 = (k2 * peak) ** 2
+    win = gaussian_kernel(SSIM_SIGMA)
+    mu_x = filter_valid(gx, win)
+    mu_y = filter_valid(gy, win)
+    sig_x = filter_valid(gx * gx, win) - mu_x * mu_x
+    sig_y = filter_valid(gy * gy, win) - mu_y * mu_y
+    sig_xy = filter_valid(gx * gy, win) - mu_x * mu_y
+    c1 = SSIM_K1 ** 2
+    c2 = SSIM_K2 ** 2
     num = (2 * mu_x * mu_y + c1) * (2 * sig_xy + c2)
     den = (mu_x ** 2 + mu_y ** 2 + c1) * (sig_x + sig_y + c2)
     return float((num / den).mean())
@@ -83,7 +75,6 @@ def ssim(a, b, peak: float = 1.0, k1: float = 0.01, k2: float = 0.03) -> float:
 class RegionMask:
     """Binary split of the image into weak (m_w) and strong (1-m_w) reflection regions."""
     m_w: np.ndarray  # (H,W) bool
-    tau: float
 
     @property
     def m_s(self) -> np.ndarray:
@@ -93,10 +84,10 @@ class RegionMask:
 def weak_strong_split(m_diff, tau: float = DEFAULT_TAU) -> RegionMask:
     """Threshold the channel-mean of the full-resolution difference mask at tau."""
     m = _as_chw(m_diff).mean(axis=0)
-    return RegionMask(m_w=m > tau, tau=tau)
+    return RegionMask(m_w=m > tau)
 
 
-def region_psnr(t_hat, t_gt, region: np.ndarray, peak: float = 1.0) -> float | None:
+def region_psnr(t_hat, t_gt, region: np.ndarray) -> float | None:
     """PSNR over the selected pixels only; None ("n/a") for an empty region."""
     x, y = _as_chw(t_hat), _as_chw(t_gt)
     if x.shape != y.shape:
@@ -110,7 +101,7 @@ def region_psnr(t_hat, t_gt, region: np.ndarray, peak: float = 1.0) -> float | N
     mse = (((x - y) ** 2) * sel).sum() / count
     if mse == 0.0:
         return float("inf")
-    return 10.0 * np.log10(peak * peak / mse)
+    return 10.0 * np.log10(1.0 / mse)
 
 
 def reflection_detection_psnr(r_hat, i_obs, t_gt) -> float:

@@ -36,7 +36,6 @@ ENC_STAGE_WIDTHS = (64, 128, 256, 512, 512)
 ENC_CONVS_PER_STAGE = (2, 2, 4, 4, 4)
 DEC_TAIL_CONVS = {4: 1, 3: 3, 2: 1, 1: 1}
 DISC_WIDTHS = (64, 128, 256, 512)
-RENORM_EPS = 1e-8
 
 
 @dataclass
@@ -49,9 +48,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.rag_variant not in RAG_VARIANTS:
             raise ValueError(f"rag_variant must be one of {RAG_VARIANTS}, got {self.rag_variant!r}")
-        if self.width_multiplier <= 0 or self.width_multiplier * 64 < 1:
-            raise ValueError(f"width_multiplier {self.width_multiplier} would produce empty layers "
-                             "(need width_multiplier * 64 >= 1)")
+        if not (np.isfinite(self.width_multiplier) and self.width_multiplier * 64 >= 1):
+            raise ValueError(f"width_multiplier {self.width_multiplier} must be finite and "
+                             "at least 1/64 (narrower layers would be empty)")
 
     def scaled(self, base: int) -> int:
         return max(1, int(round(base * self.width_multiplier)))
@@ -111,7 +110,7 @@ def count_params(net: Network) -> int:
 # ---------------------------------------------------------------------------
 # builders
 
-def build_network(kind: str, config: ModelConfig, dtype=np.float32) -> Network:
+def build_network(kind: str, config: ModelConfig, dtype=T.DEFAULT_DTYPE) -> Network:
     """Build a deterministic network of the given kind.
 
     Conv weights use fan-in-scaled normal initialization seeded per parameter
@@ -223,13 +222,12 @@ def _encoder_forward(net: Network, prefix: str, x: Tensor, stages: int) -> list[
     return feats
 
 
-def partial_conv(f: Tensor, m: Tensor, w: Tensor, b: Tensor, renorm: bool = True,
-                 eps: float = RENORM_EPS) -> Tensor:
+def partial_conv(f: Tensor, m: Tensor, w: Tensor, b: Tensor, renorm: bool = True) -> Tensor:
     """Mask-renormalized 3x3 convolution (stride 1, pad 1).
 
-    out = (w * (f o m)) o (1 / mean3x3(m)) + b wherever mean3x3(m) > eps and
-    exactly 0 elsewhere (bias suppressed).  With ``renorm=False`` the
-    division is omitted: out = w * (f o m) + b.
+    out = (w * (f o m)) o (1 / mean3x3(m)) + b wherever mean3x3(m) > eps (that of
+    ``T.mask_renorm``) and exactly 0 elsewhere (bias suppressed).  With
+    ``renorm=False`` the division is omitted: out = w * (f o m) + b.
     """
     if f.shape != m.shape:
         raise ValueError(f"partial_conv: feature shape {f.shape} != mask shape {m.shape}")
@@ -241,7 +239,7 @@ def partial_conv(f: Tensor, m: Tensor, w: Tensor, b: Tensor, renorm: bool = True
         return T.conv2d(fm, w, b, stride=1, pad=1)
     raw = T.conv2d(fm, w, None, stride=1, pad=1)
     mbar = T.mask_mean3x3(m)
-    return T.mask_renorm(raw, mbar, b, eps=eps)
+    return T.mask_renorm(raw, mbar, b)
 
 
 def rag_block(net: Network, level: int, f_i: Tensor, f_r: Tensor, f_dec: Tensor) -> tuple[Tensor, MaskLevel]:
@@ -345,7 +343,7 @@ def forward_discriminator(net: Network, i_obs: Tensor, t_candidate: Tensor) -> T
         raise ValueError(f"forward_discriminator: shapes differ, {i_obs.shape} vs {t_candidate.shape}")
     x = T.concat_channels(i_obs, t_candidate)
     for j in range(len(DISC_WIDTHS)):
-        x = T.leaky_relu(T.conv2d(x, net[f"disc/c{j}/weight"], net[f"disc/c{j}/bias"], stride=2, pad=1), 0.2)
+        x = T.leaky_relu(T.conv2d(x, net[f"disc/c{j}/weight"], net[f"disc/c{j}/bias"], stride=2, pad=1))
     return T.sigmoid(T.reduce_mean(x))
 
 

@@ -46,8 +46,10 @@ class SynthesisParams:
             raise ValueError(f"decay_range must lie in (0,1], got ({lo},{hi})")
         if self.blend_mode not in BLEND_MODES:
             raise ValueError(f"blend_mode must be one of {BLEND_MODES}, got {self.blend_mode!r}")
-        if self.patch_size % 16:
-            raise ValueError(f"patch_size must be divisible by 16, got {self.patch_size}")
+        if self.patch_size < 16 or self.patch_size % 16:
+            raise ValueError(f"patch_size must be a positive multiple of 16, got {self.patch_size}")
+        if self.blur_sigma_range[0] < 0:
+            raise ValueError(f"blur_sigma_range lower bound must be >= 0, got {self.blur_sigma_range[0]}")
         if self.scale_range[0] < 1.0:
             raise ValueError("scale_range lower bound must be >= 1 (patches are cropped from the scaled image)")
 
@@ -78,45 +80,29 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur with kernel truncated at 3*sigma, reflect padding."""
+    """Separable Gaussian blur of the last two axes with kernel truncated at 3*sigma, reflect padding."""
     if sigma <= 0:
         return img.copy()
     k = gaussian_kernel(sigma)
-    radius = len(k) // 2
+    r = len(k) // 2
+    pad = [(0, 0)] * (img.ndim - 2) + [(r, r)] * 2
+    return filter_valid(np.pad(img.astype(np.float64), pad, mode="reflect"), k)
 
-    def blur_axis(a, axis):
-        r = radius
-        out = np.zeros_like(a)
-        n = a.shape[axis]
-        if r < n:  # np.pad reflect needs pad <= dim-1
-            pad = [(0, 0)] * a.ndim
-            pad[axis] = (r, r)
-            ap = np.pad(a, pad, mode="reflect")
-        else:
-            ap = _pad_reflect_long(a, axis, r)
-        sl = [slice(None)] * a.ndim
-        for tap, kv in enumerate(k):
-            sl[axis] = slice(tap, tap + n)
-            out += kv * ap[tuple(sl)]
-        return out
 
-    out = blur_axis(img.astype(np.float64), img.ndim - 2)
-    out = blur_axis(out, img.ndim - 1)
+def filter_valid(img: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Correlate the last two axes of *img* with the 1-D kernel *k*, rows first.
+
+    Only valid windows are kept, so each axis shrinks by len(k) - 1.  Each
+    axis is one multiply-add per tap, in tap order, into a float64 sum.
+    """
+    h, w = img.shape[-2] - len(k) + 1, img.shape[-1] - len(k) + 1
+    rows = np.zeros(img.shape[:-2] + (h, img.shape[-1]))
+    for tap, kv in enumerate(k):
+        rows += kv * img[..., tap:tap + h, :]
+    out = np.zeros(img.shape[:-2] + (h, w))
+    for tap, kv in enumerate(k):
+        out += kv * rows[..., tap:tap + w]
     return out
-
-
-def _pad_reflect_long(a: np.ndarray, axis: int, r: int) -> np.ndarray:
-    """Reflect padding wider than the axis, built by repeated reflection."""
-    while r >= a.shape[axis]:
-        pad = [(0, 0)] * a.ndim
-        pad[axis] = (a.shape[axis] - 1, a.shape[axis] - 1)
-        r -= a.shape[axis] - 1
-        a = np.pad(a, pad, mode="reflect")
-    if r > 0:
-        pad = [(0, 0)] * a.ndim
-        pad[axis] = (r, r)
-        a = np.pad(a, pad, mode="reflect")
-    return a
 
 
 def quantize8(img: np.ndarray) -> np.ndarray:
@@ -211,8 +197,8 @@ def synthesize_reflection(r_src: np.ndarray, params: SynthesisParams, seed: int)
     return decay * gaussian_blur(r_src, sigma)
 
 
-def blend(t: np.ndarray, r: np.ndarray, mode: str, boost: float = 0.5,
-          saturate_threshold: float = 1.3) -> np.ndarray:
+def blend(t: np.ndarray, r: np.ndarray, mode: str, boost: float = SynthesisParams.overexpose_boost,
+          saturate_threshold: float = SynthesisParams.saturate_threshold) -> np.ndarray:
     """Combine transmission and reflection into an observation.
 
     ``linear_clip``: I = clamp01(T + R).  ``overexpose`` additionally boosts
@@ -235,7 +221,8 @@ def blend(t: np.ndarray, r: np.ndarray, mode: str, boost: float = 0.5,
     raise ValueError(f"blend: unknown mode {mode!r}")
 
 
-def saturation_mask(t: np.ndarray, r: np.ndarray, threshold: float = 1.3) -> np.ndarray:
+def saturation_mask(t: np.ndarray, r: np.ndarray,
+                    threshold: float = SynthesisParams.saturate_threshold) -> np.ndarray:
     """Pixels (all channels) whose channel-mean T+R exceeds the threshold."""
     lum = (t + r).mean(axis=-3, keepdims=True)
     return np.broadcast_to(lum > threshold, t.shape)
@@ -272,7 +259,7 @@ def write_ppm(path, img: np.ndarray) -> None:
         img = img[0]
     if img.ndim != 3 or img.shape[0] != 3:
         raise ValueError(f"write_ppm: expected (3,H,W), got {img.shape}")
-    data = quantize8(img) if img.dtype != np.uint8 else img
+    data = quantize8(img)
     _, h, w = data.shape
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode())
@@ -307,7 +294,7 @@ def write_pgm(path, img: np.ndarray) -> None:
     """Binary P5 from a (H,W) float image in [0,1]."""
     if img.ndim != 2:
         raise ValueError(f"write_pgm: expected (H,W), got {img.shape}")
-    data = quantize8(img) if img.dtype != np.uint8 else img
+    data = quantize8(img)
     h, w = data.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode())

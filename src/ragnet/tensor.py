@@ -17,8 +17,6 @@ all shapes must match exactly, which keeps the network wiring shape-exact.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
@@ -31,9 +29,9 @@ SCALAR_SHAPE = (1, 1, 1, 1)
 class Tape:
     """Context in which operations on gradient-tracking tensors build a graph.
 
-    The tape holds no nodes: each output holds its own node, the node holds
-    its parents, and a graph is freed by reference counting once its last
-    tensor is dropped.
+    The tape holds no nodes.  Links point one way only, from each output to
+    its node and from the node to its parents, so the graph is acyclic and
+    is freed by reference counting once its last tensor is dropped.
     """
 
     _stack: list["Tape"] = []
@@ -51,20 +49,18 @@ class Tape:
 
 
 class _OpNode:
-    """One recorded op.  ``out`` is a weak reference to the op's output, so a
-    graph holds no reference cycle (the output already holds its node) and is
-    freed by reference counting as soon as its last tensor is dropped;
-    ``backward`` reaches every node through strong ``parents`` links, which
-    keep each output alive while it runs."""
+    """One recorded op: name, parent tensors, ``grad_fn`` (output gradient to
+    parent gradients) and creation number.  It does not refer to its output,
+    which holds it, so the two form no cycle; ``backward`` keys the output's
+    pending gradient by this node."""
 
-    __slots__ = ("op", "parents", "out", "grad_fn", "seq")
+    __slots__ = ("op", "parents", "grad_fn", "seq")
 
     _counter = 0
 
-    def __init__(self, op, parents, out, grad_fn):
+    def __init__(self, op, parents, grad_fn):
         self.op = op
         self.parents = parents
-        self.out = weakref.ref(out)
         self.grad_fn = grad_fn
         _OpNode._counter += 1
         self.seq = _OpNode._counter
@@ -79,8 +75,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else None)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         if arr.ndim != 4:
@@ -153,15 +149,15 @@ def _record(op: str, parents, out: Tensor, grad_fn) -> Tensor:
     tape = Tape.active()
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out.node = _OpNode(op, tuple(parents), out, grad_fn)
+        out.node = _OpNode(op, tuple(parents), grad_fn)
     return out
 
 
 # ---------------------------------------------------------------------------
 # factories
 
-def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
+def tensor(data, requires_grad: bool = False) -> Tensor:
+    return Tensor(data, requires_grad=requires_grad)
 
 
 def zeros(shape, dtype=DEFAULT_DTYPE, requires_grad: bool = False) -> Tensor:
@@ -363,35 +359,24 @@ def spatial_gradient(x: Tensor) -> tuple[Tensor, Tensor]:
     n, c, h, w = x.shape
     if h < 2 or w < 2:
         raise ValueError(f"spatial_gradient: need H,W >= 2, got ({h},{w})")
-    return _sgrad_x(x), _sgrad_y(x)
+    return _forward_diff(x, 3), _forward_diff(x, 2)
 
 
-def _sgrad_x(x: Tensor) -> Tensor:
-    gx = np.zeros_like(x.data)
-    gx[:, :, :, :-1] = x.data[:, :, :, 1:] - x.data[:, :, :, :-1]
-    out = Tensor(gx)
-
-    def grad_fn(g):
-        dx = np.zeros_like(g)
-        dx[:, :, :, :-1] -= g[:, :, :, :-1]
-        dx[:, :, :, 1:] += g[:, :, :, :-1]
-        return (dx,)
-
-    return _record("sgrad_x", (x,), out, grad_fn)
-
-
-def _sgrad_y(x: Tensor) -> Tensor:
-    gy = np.zeros_like(x.data)
-    gy[:, :, :-1, :] = x.data[:, :, 1:, :] - x.data[:, :, :-1, :]
-    out = Tensor(gy)
+def _forward_diff(x: Tensor, axis: int) -> Tensor:
+    """x[i+1] - x[i] along *axis* (3 records ``sgrad_x``, 2 ``sgrad_y``); the last entry is zero."""
+    lo = (slice(None),) * axis + (slice(None, -1),)
+    hi = (slice(None),) * axis + (slice(1, None),)
+    d = np.zeros_like(x.data)
+    d[lo] = x.data[hi] - x.data[lo]
+    out = Tensor(d)
 
     def grad_fn(g):
         dx = np.zeros_like(g)
-        dx[:, :, :-1, :] -= g[:, :, :-1, :]
-        dx[:, :, 1:, :] += g[:, :, :-1, :]
+        dx[lo] -= g[lo]
+        dx[hi] += g[lo]
         return (dx,)
 
-    return _record("sgrad_y", (x,), out, grad_fn)
+    return _record("sgrad_x" if axis == 3 else "sgrad_y", (x,), out, grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -604,21 +589,14 @@ def backward(loss: Tensor) -> None:
     """
     if loss.shape != SCALAR_SHAPE:
         raise ValueError(f"backward: loss must be scalar (1,1,1,1), got {loss.shape}")
-    if loss.node is None:
-        if loss.requires_grad:
-            g = np.ones_like(loss.data)
-            loss.grad = g if loss.grad is None else loss.grad + g
-        return
-    nodes = _collect_nodes(loss)
-
-    pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    keep: dict[int, Tensor] = {id(loss): loss}
-    for node in reversed(nodes):
-        t = node.out()
-        g = pending.pop(id(t), None)
+    # pending gradients, keyed by node for an op output and by tensor for a leaf
+    pending: dict[_OpNode | Tensor, np.ndarray] = {}
+    if loss.requires_grad:
+        pending[loss if loss.node is None else loss.node] = np.ones_like(loss.data)
+    for node in reversed(_collect_nodes(loss)):
+        g = pending.pop(node, None)
         if g is None:
             continue
-        keep.pop(id(t), None)
         parent_grads = node.grad_fn(g)
         for p, pg in zip(node.parents, parent_grads):
             if p is None or pg is None or not p.requires_grad:
@@ -626,16 +604,12 @@ def backward(loss: Tensor) -> None:
             if pg.shape != p.shape or pg.dtype != p.dtype:
                 raise ValueError(f"backward: {node.op} returned a {pg.dtype} gradient of shape {pg.shape} "
                                  f"for a {p.dtype} parent of shape {p.shape}")
-            if id(p) in pending:
-                pending[id(p)] = pending[id(p)] + pg
-            else:
-                pending[id(p)] = pg
-                keep[id(p)] = p
-    # whatever is left belongs to leaves; copied because one array can reach
-    # two parents (``add``) and ``grad`` is scaled in place by the optimizer
-    for tid, g in pending.items():
-        t = keep[tid]
-        t.grad = g.copy() if t.grad is None else t.grad + g
+            key = p if p.node is None else p.node
+            pending[key] = pending[key] + pg if key in pending else pg
+    # every node was popped, so what is left belongs to leaves; copied because one
+    # array can reach two parents (``add``) and ``grad`` is scaled in place by the optimizer
+    for leaf, g in pending.items():
+        leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
 
 
 def _collect_nodes(loss: Tensor) -> list[_OpNode]:

@@ -7,7 +7,8 @@ when the adversarial term is enabled.  Everything is a pure function of
 (config, dataset, seed): shuffles derive per-epoch seeds, parameters train
 in float32, and checkpoints round-trip bit-exactly, so an interrupted run
 resumed from an epoch checkpoint finishes byte-identical to an
-uninterrupted one.
+uninterrupted one; a resume must keep the checkpoint's ``ModelConfig``.  Each
+network's gradients are clipped to a global L2 norm of ``CLIP_NORM`` = 1.
 
 Checkpoint file layout (little-endian): magic ``RAGN``, version u32,
 tensor count u32; per tensor, in name order: name length u32, UTF-8 name,
@@ -15,7 +16,7 @@ rank u32, dims u32 x rank (rank 0 is written as rank 1, dims (1,)),
 float32 payload; trailing CRC32 of all preceding bytes.  Integers (counters,
 Adam steps, the seed) are four float32 limbs of 16 bits, low limb first.
 Loaded arrays are read-only views into the one read of the file.
-The training log is a CSV with header ``iter,phase,rec,percep,excl,adv,mask,total``;
+The training log is a CSV with header ``iter,phase,<LossParts fields>,total``;
 it is flushed before each epoch checkpoint, so it never lags behind one.
 """
 
@@ -25,7 +26,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from ragnet.synthesis import derive_seed, load_triple, read_manifest
 
 CKPT_MAGIC = b"RAGN"
 CKPT_VERSION = 1
+CLIP_NORM = 1.0  # per-network global gradient-norm cap
 
 
 class TrainingDiverged(RuntimeError):
@@ -52,6 +54,14 @@ class AdamConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self):
+        for name, v in (("lr", self.lr), ("eps", self.eps)):
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"Adam {name} must be finite and > 0, got {v}")
+        for name, v in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0 <= v < 1:
+                raise ValueError(f"Adam {name} must lie in [0,1), got {v}")
 
 
 class AdamState:
@@ -83,8 +93,8 @@ class AdamState:
             p.data -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
 
 
-def clip_grad_norm(params: dict[str, T.Parameter], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``.
+def clip_grad_norm(params: dict[str, T.Parameter]) -> float:
+    """Scale all gradients so their global L2 norm is at most ``CLIP_NORM``; returns the norm before.
 
     Deep ReLU stacks under a fixed learning rate are vulnerable to loss
     spikes (for example the unbounded derivative of the exclusion term's
@@ -97,8 +107,8 @@ def clip_grad_norm(params: dict[str, T.Parameter], max_norm: float) -> float:
         if p.grad is not None:
             sq += float((p.grad.astype(np.float64) ** 2).sum())
     norm = float(np.sqrt(sq))
-    if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
+    if norm > CLIP_NORM:
+        scale = CLIP_NORM / norm
         for p in params.values():
             if p.grad is not None:
                 p.grad *= p.grad.dtype.type(scale)
@@ -129,7 +139,6 @@ class TrainConfig:
     rec_normalize: bool = True     # per-element mean keeps term scales comparable at desk size
     mask_normalize: bool = True
     stop_gradient_r: bool = False  # ablation: block the joint gradient through R_hat
-    clip_grad_norm: float = 1.0    # per-network global-norm cap; <= 0 disables
     checkpoint_every_epoch: bool = True
 
 
@@ -275,6 +284,11 @@ class TrainerState:
             loaded = load_checkpoint(path)
         expected = self.to_tensors()
         _check_shapes(path, loaded, expected)
+        # compared as stored, so a width that float32 rounds still matches itself
+        differ = [n.split("/")[1] for n in _model_tensors(self.config.model)
+                  if loaded[n].tobytes() != expected[n].tobytes()]
+        if differ:
+            raise ValueError(f"checkpoint {path}: its model differs from this run's in {', '.join(differ)}")
         for name, arr in expected.items():
             arr[...] = loaded[name]
         for net_name, st in self.adam.items():
@@ -319,10 +333,10 @@ def train(config: TrainConfig, manifest_path, out_dir, resume_from=None) -> tupl
               2: (config.schedule.phase2_epochs, _phase2_step,
                   [(has_r_pool, True)] + ([(no_r_pool, False)] if no_r_pool else []))}
 
-    os.makedirs(out_dir, exist_ok=True)
     state = TrainerState(config)
     if resume_from is not None:
         state.load(resume_from)
+    os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "train_log.csv")
     kept: list[str] = []
     if resume_from is not None and os.path.exists(log_path):
@@ -331,11 +345,11 @@ def train(config: TrainConfig, manifest_path, out_dir, resume_from=None) -> tupl
             kept = [row for row in f.readlines()[1:] if int(row.split(",", 1)[0]) <= state.global_iter]
     last_ckpt: str | None = None
     with open(log_path, "w") as log_f:
-        log_f.write("iter,phase,rec,percep,excl,adv,mask,total\n")
+        log_f.write(",".join(("iter", "phase", *(f.name for f in fields(L.LossParts)), "total")) + "\n")
         log_f.writelines(kept)
 
         def write_row(phase: int, parts: L.LossParts, total: float) -> None:
-            vals = (getattr(parts, k) for k in ("rec", "percep", "excl", "adv", "mask"))
+            vals = (getattr(parts, f.name) for f in fields(parts))
             log_f.write(f"{state.global_iter},{phase},"
                         + "".join(f"{0.0 if v is None else v.item():.6g}," for v in vals) + f"{total:.6g}\n")
 
@@ -362,7 +376,7 @@ def _update(state: TrainerState, *names: str) -> None:
     """Clip each named network's gradients, then take its Adam step."""
     for name in names:
         params = state.nets[name].params
-        clip_grad_norm(params, state.config.clip_grad_norm)
+        clip_grad_norm(params)
         state.adam[name].step(params)
 
 

@@ -196,7 +196,22 @@ class TestPipeline:
     ["gradcheck", "--tau", "5"],
     ["params", "--rag-variant", "one_stage"],
     ["train", "--data", "{data}/manifest.tsv", "--out", "{out}", "--rag-variant", "one_stage"],
-], ids=["eval_tau", "infer_width_phi", "gradcheck_tau", "params_one_stage", "train_one_stage"])
+    ["train", "--data", "{data}/manifest.tsv", "--out", "{out}", "--lr", "-1"],
+    ["train", "--data", "{data}/manifest.tsv", "--out", "{out}", "--adam-beta1", "2"],
+    ["train", "--data", "{data}/manifest.tsv", "--out", "{out}", "--adam-eps", "0"],
+    ["train", "--data", "{data}/manifest.tsv", "--out", "{out}", "--lr", "nan"],
+    ["train", "--data", "{data}/manifest.tsv", "--out", "{out}", "--adam-beta2", "nan"],
+    ["params", "--width-multiplier", "inf"],
+    ["infer", "--ckpt", "{run}/final.bin", "--input", "{data}/I_0000.ppm", "--out", "{out}",
+     "--width-multiplier", "inf"],
+    ["train", "--data", "{data}/manifest.tsv", "--out", "{out}", "--width-multiplier", "nan"],
+    ["synth", "--n", "1", "--out", "{out}", "--patch-size", "0"],
+    ["synth", "--n", "1", "--out", "{out}", "--patch-size", "-16"],
+    ["synth", "--n", "1", "--out", "{out}", "--blur-sigma-lo", "-3", "--blur-sigma-hi", "-1"],
+], ids=["eval_tau", "infer_width_phi", "gradcheck_tau", "params_one_stage", "train_one_stage",
+        "train_lr_negative", "train_beta1_2", "train_eps_0", "train_lr_nan", "train_beta2_nan",
+        "params_width_inf", "infer_width_inf", "train_width_nan", "synth_patch_0", "synth_patch_negative",
+        "synth_sigma_negative"])
 def test_out_of_range_config_exits_2(argv, trained_run, tmp_path, capsys):
     # every command runs the range checks of every config dataclass before it touches a file
     _, data, run = trained_run
@@ -279,3 +294,35 @@ def test_eval_no_mask_checkpoint_reports_na(tmp_path):
     assert all(r[3] == "n/a" and r[4] == "n/a" and r[1] != "n/a" for r in rows)
     assert not list(out.glob("*_mask.pgm"))
     assert (out / "img0000_panel.ppm").exists()
+
+
+def _train_tiny(data, out, *flags):
+    return main(["train", "--data", str(data / "manifest.tsv"), "--out", str(out), "--width-multiplier", "0.0625",
+                 "--patch-size", "16", "--phase1-epochs", "1", "--seed", "1", *flags])
+
+
+@pytest.mark.parametrize("field, flags", [("variant", ["--rag-variant", "no_diff"]),
+                                         ("use_adversarial", ["--use-adversarial", "false"]),
+                                         ("seed", ["--seed", "9"])], ids=["variant", "use_adversarial", "seed"])
+def test_resume_with_another_model_exits_2(field, flags, tiny_data, tmp_path, capsys):
+    assert _train_tiny(tiny_data, tmp_path / "run", "--phase2-epochs", "2") == EXIT_OK
+    out = tmp_path / "resumed"
+    ckpt = tmp_path / "run" / "ckpt_p2_e001.bin"
+    assert _train_tiny(tiny_data, out, "--phase2-epochs", "2", "--resume", str(ckpt), *flags) == EXIT_VALIDATION
+    assert f"error: checkpoint {ckpt}: its model differs from this run's in {field}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_without_adversarial_term(tiny_data, tmp_path):
+    run = tmp_path / "run"
+    assert _train_tiny(tiny_data, run, "--phase2-epochs", "1", "--use-adversarial", "false") == EXIT_OK
+    ckpt = TR.load_checkpoint(run / "final.bin")
+    assert not [name for name in ckpt if name.startswith(("model/disc/", "adam/disc/"))]
+    assert any(name.startswith("model/g_t/") for name in ckpt)
+    rows = [r.split(",") for r in open(run / "train_log.csv").read().splitlines()]
+    assert rows[0][5] == "adv" and len(rows) > 1
+    assert all(float(r[5]) == 0.0 for r in rows[1:])
+    assert main(["eval", "--ckpt", str(run / "final.bin"), "--data", str(tiny_data / "manifest.tsv"),
+                 "--out", str(tmp_path / "rep")]) == EXIT_OK
+    assert main(["infer", "--ckpt", str(run / "final.bin"), "--input", str(tiny_data / "I_0000.ppm"),
+                 "--out", str(tmp_path / "inf")]) == EXIT_OK

@@ -65,6 +65,24 @@ class TestReflectionSynthesis:
         blurred = gaussian_blur(noise, sigma=2.0)
         assert blurred.var() < noise.var()
 
+    def test_blur_keeps_the_shape_of_a_one_pixel_axis(self):
+        img = np.ones((1, 1, 8))
+        assert gaussian_blur(img, 1.0).shape == img.shape
+
+    def test_blur_wider_than_the_image_matches_closed_form_reflection(self):
+        # sigma 10 gives a 61-tap kernel on a 5x7 image: the padding reflects many times over
+        img = np.random.Generator(np.random.PCG64(8)).uniform(0, 1, (2, 5, 7))
+        k = synthesis.gaussian_kernel(10.0)
+        r = len(k) // 2
+
+        def reflect(i, n):  # mirror without repeating the edge: period 2(n-1)
+            j = (i - r) % (2 * (n - 1))
+            return j if j < n else 2 * (n - 1) - j
+
+        padded = img[:, [reflect(i, 5) for i in range(5 + 2 * r)]][:, :, [reflect(i, 7) for i in range(7 + 2 * r)]]
+        want = sum(k[a] * k[b] * padded[:, a:a + 5, b:b + 7] for a in range(len(k)) for b in range(len(k)))
+        np.testing.assert_allclose(gaussian_blur(img, 10.0), want, rtol=0, atol=1e-12)
+
     def test_kernel_normalized(self):
         for sigma in (0.5, 2.0, 5.0):
             k = synthesis.gaussian_kernel(sigma)

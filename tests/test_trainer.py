@@ -96,6 +96,41 @@ class TestAdam:
         assert run() == run()
 
 
+class TestClipGradNorm:
+    def _params(self, scale):
+        rng = np.random.Generator(np.random.PCG64(11))
+        params = {name: T.Parameter(name, np.zeros(shape, dtype=np.float32))
+                  for name, shape in (("w", (2, 3, 3, 3)), ("b", (1, 2, 1, 1)), ("unused", (1, 1, 1, 1)))}
+        for name in ("w", "b"):
+            params[name].grad = (scale * rng.standard_normal(params[name].shape)).astype(np.float32)
+        return params
+
+    @staticmethod
+    def _norm(params):
+        return float(np.sqrt(sum((p.grad.astype(np.float64) ** 2).sum()
+                                 for p in params.values() if p.grad is not None)))
+
+    def test_above_the_cap_scales_to_the_cap(self):
+        params = self._params(5.0)
+        before = self._norm(params)
+        directions = {k: p.grad / before for k, p in params.items() if p.grad is not None}
+        assert before > trainer.CLIP_NORM
+        assert trainer.clip_grad_norm(params) == before
+        assert self._norm(params) == pytest.approx(trainer.CLIP_NORM, rel=1e-6)
+        for k, d in directions.items():
+            np.testing.assert_allclose(params[k].grad, d * trainer.CLIP_NORM, rtol=1e-6, atol=1e-7)
+        assert params["unused"].grad is None
+
+    def test_below_the_cap_leaves_gradients_unchanged(self):
+        params = self._params(0.01)
+        grads = {k: p.grad.copy() for k, p in params.items() if p.grad is not None}
+        before = self._norm(params)
+        assert before < trainer.CLIP_NORM
+        assert trainer.clip_grad_norm(params) == before
+        for k, g in grads.items():
+            assert params[k].grad.tobytes() == g.tobytes()
+
+
 class TestCheckpointFormat:
     def _tensors(self):
         rng = np.random.Generator(np.random.PCG64(7))
