@@ -39,6 +39,8 @@ class SynthesisParams:
     def __post_init__(self):
         for name in ("blur_sigma_range", "decay_range", "scale_range"):
             lo, hi = getattr(self, name)
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError(f"{name}: bounds must be finite, got ({lo},{hi})")
             if not lo <= hi:
                 raise ValueError(f"{name}: lo ({lo}) must be <= hi ({hi})")
         lo, hi = self.decay_range
@@ -52,6 +54,10 @@ class SynthesisParams:
             raise ValueError(f"blur_sigma_range lower bound must be >= 0, got {self.blur_sigma_range[0]}")
         if self.scale_range[0] < 1.0:
             raise ValueError("scale_range lower bound must be >= 1 (patches are cropped from the scaled image)")
+        if not (np.isfinite(self.overexpose_boost) and self.overexpose_boost >= 0):
+            raise ValueError(f"overexpose_boost must be finite and >= 0, got {self.overexpose_boost}")
+        if not (np.isfinite(self.saturate_threshold) and self.saturate_threshold > 0):
+            raise ValueError(f"saturate_threshold must be finite and > 0, got {self.saturate_threshold}")
 
 
 @dataclass

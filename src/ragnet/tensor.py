@@ -179,22 +179,45 @@ def scalar(value: float, dtype=DEFAULT_DTYPE) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution family
 
+def _phase_slices(size: int, pad: int, s: int) -> list[tuple[slice, slice]]:
+    """For each phase a of one axis padded by *pad* and split with stride *s*:
+    the slice of its phase grid that holds input pixels, and the input slice
+    it holds.  Padded index a + s*i is index i of phase a and input index
+    a + s*i - pad."""
+    out = []
+    for a in range(s):
+        first = (a - pad) % s  # the first input index in phase a
+        i0 = (first + pad) // s
+        out.append((slice(i0, i0 + len(range(first, size, s))), slice(first, None, s)))
+    return out
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
     """Direct 2-D convolution (cross-correlation) with zero padding.
 
     ``w`` is (Cout, Cin, k, k) with k odd or 1; output spatial size is
     floor((H + 2*pad - k)/stride) + 1.
 
-    Layout: the input is copied once into a zero-padded NHWC buffer whose
-    rows are flattened, so pixel (i, j) of image b is row b*Hp*Wp + i*Wp + j
-    and tap (u, v) of every anchor is the contiguous row slice shifted by
-    u*Wp + v.  The convolution is then k*k GEMMs of that slice against
-    w[:, :, u, v].T summed into one accumulator; anchors on pad columns or
-    straddling two images are computed and cropped, and stride > 1
-    subsamples the stride-1 anchor grid.  The tape keeps the padded input
-    buffer (1x the input, not an im2col matrix of k*k times it) and the
-    per-tap weight copy; the backward pass runs the same slices over the
-    output gradient scattered onto the padded grid.
+    Layout: channel-major.  Stride s splits the zero-padded Hp x Wp grid
+    into its s*s phases: phase (a, b) holds padded pixel (a + s*i, b + s*j)
+    at (i, j) of an Hq x Wq = ceil(Hp/s) x ceil(Wp/s) grid.  Each phase is
+    a (Cin, N*Hq*Wq + E) matrix whose column n*Hq*Wq + i*Wq + j is output
+    anchor (i, j) of image n, and the input moves into it whole H x W planes
+    at a time (stride 1 is the one-phase case; a 1x1 conv without padding
+    uses a reshape of the input, a view for one image).  Tap (u, v) of every
+    anchor is the same column of phase (u mod s, v mod s) shifted by
+    sh = (u//s)*Wq + v//s, and the E = max sh trailing zero columns keep
+    every shifted slice full width.  The convolution is k*k GEMMs
+    w[:, :, u, v] @ phase[:, sh:sh + N*Hq*Wq] summed into one contiguous
+    (Cout, N*Hq*Wq) accumulator; the anchors on pad columns or straddling
+    two images are cropped, and the crop swaps the (Cout, N) planes back to
+    NCHW.  Every stride computes only the anchors it keeps.  The tape keeps
+    the phase buffer (1x the padded input, not an im2col matrix of k*k times
+    it) and the per-tap weight copy.  The backward pass places the output
+    gradient on the anchor grid after E leading zero columns, so that each
+    tap's input gradient  w[:, :, u, v].T @ grad  is again a full-width slice
+    summed into a contiguous buffer per phase; the phases are then scattered
+    back and the padding dropped.
     """
     n, ci, h, wd = x.shape
     co, ci_w, kh, kw = w.shape
@@ -214,40 +237,53 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     if ho < 1 or wo < 1:
         raise ValueError(f"conv2d: output spatial size ({ho},{wo}) is empty for input ({h},{wd})")
 
-    hp, wp = h + 2 * pad, wd + 2 * pad
-    xp = np.zeros((n, hp, wp, ci), dtype=x.data.dtype)
-    xp[:, pad:pad + h, pad:pad + wd] = x.data.transpose(0, 2, 3, 1)
-    xf = xp.reshape(n * hp * wp, ci)
-    rows = n * hp * wp - (k - 1) * (wp + 1)  # the anchors whose k*k taps all lie inside xf
+    s = stride
+    hq, wq = -(-(h + 2 * pad) // s), -(-(wd + 2 * pad) // s)
+    cols = n * hq * wq
+    taps = [(u, v, (u % s) * s + v % s, (u // s) * wq + v // s) for u in range(k) for v in range(k)]
+    ext = taps[-1][3]
+    # phase p = a*s + c: its grid slices holding input pixels, and the input slices they hold
+    places = [(a * s + c, pr, pc, xr, xc) for a, (pr, xr) in enumerate(_phase_slices(h, pad, s))
+              for c, (pc, xc) in enumerate(_phase_slices(wd, pad, s))]
+    xt = x.data.transpose(1, 0, 2, 3)  # (Cin, N, H, W), a view
+    if k == 1 and s == 1 and pad == 0:
+        xf = xt.reshape(1, ci, cols)
+    else:
+        xf = np.zeros((s * s, ci, cols + ext), dtype=x.data.dtype)
+        xq = xf[:, :, :cols].reshape(s * s, ci, n, hq, wq)  # splits the last axis only: a view
+        for p, pr, pc, xr, xc in places:
+            xq[p, :, :, pr, pc] = xt[:, :, xr, xc]
     # (k, k, Cout, Cin): one contiguous matrix per tap.  Copied 32 output
     # channels at a time, which keeps the source block in cache and halves
     # the cost of this transposing copy on the 512-channel layers.
     wt = np.empty((k, k, co, ci), dtype=w.data.dtype)
     for o in range(0, co, 32):
         wt[:, :, o:o + 32] = w.data[o:o + 32].transpose(2, 3, 0, 1)
-    taps = [(u, v, u * wp + v) for u in range(k) for v in range(k)]
 
-    acc = np.empty((n * hp * wp, co), dtype=np.result_type(x.data, w.data))
-    tmp = np.empty((rows, co), dtype=acc.dtype)
-    np.matmul(xf[:rows], wt[0, 0].T, out=acc[:rows])
-    for u, v, s in taps[1:]:
-        acc[:rows] += np.matmul(xf[s:s + rows], wt[u, v].T, out=tmp)
-    out_data = acc.reshape(n, hp, wp, co)[:, :stride * ho:stride, :stride * wo:stride].transpose(0, 3, 1, 2)
-    if b is not None:
-        out_data = out_data + b.data
-    out = Tensor(np.ascontiguousarray(out_data))
+    acc = np.empty((co, cols), dtype=np.result_type(x.data, w.data))
+    tmp = np.empty_like(acc)
+    u, v, p, sh = taps[0]
+    np.matmul(wt[u, v], xf[p, :, sh:sh + cols], out=acc)
+    for u, v, p, sh in taps[1:]:
+        acc += np.matmul(wt[u, v], xf[p, :, sh:sh + cols], out=tmp)
+    crop = acc.reshape(co, n, hq, wq)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
+    out = Tensor(np.ascontiguousarray(crop) if b is None else np.add(crop, b.data, order="C"))
 
     def grad_fn(g):
-        gp = np.zeros((n, hp, wp, co), dtype=g.dtype)
-        gp[:, :stride * ho:stride, :stride * wo:stride] = g.transpose(0, 2, 3, 1)
-        gf = gp.reshape(n * hp * wp, co)[:rows]
+        gp = np.zeros((co, ext + cols), dtype=g.dtype)
+        gp[:, ext:].reshape(co, n, hq, wq)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
+        gf = gp[:, ext:]
         dw = np.empty((co, ci, k, k), dtype=np.result_type(g, xf))
-        dxf = np.zeros((n * hp * wp, ci), dtype=np.result_type(g, w.data))
-        tmp = np.empty((rows, ci), dtype=dxf.dtype)
-        for u, v, s in taps:
-            dw[:, :, u, v] = gf.T @ xf[s:s + rows]
-            dxf[s:s + rows] += np.matmul(gf, wt[u, v], out=tmp)
-        dx = np.ascontiguousarray(dxf.reshape(n, hp, wp, ci)[:, pad:pad + h, pad:pad + wd].transpose(0, 3, 1, 2))
+        dxf = np.zeros((s * s, ci, cols), dtype=np.result_type(g, w.data))
+        tmp = np.empty((ci, cols), dtype=dxf.dtype)
+        for u, v, p, sh in taps:
+            dw[:, :, u, v] = (xf[p, :, sh:sh + cols] @ gf.T).T
+            dxf[p] += np.matmul(wt[u, v].T, gp[:, ext - sh:ext - sh + cols], out=tmp)
+        dxq = dxf.reshape(s * s, ci, n, hq, wq)
+        dx = np.empty(x.shape, dtype=dxf.dtype)
+        dxt = dx.transpose(1, 0, 2, 3)
+        for p, pr, pc, xr, xc in places:  # every input pixel lies in exactly one phase
+            dxt[:, :, xr, xc] = dxq[p, :, :, pr, pc]
         db = g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1) if b is not None else None
         return (dx, dw, db) if b is not None else (dx, dw)
 
@@ -295,18 +331,33 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
-    """2x2 max pooling, stride 2; ties go to the first element in row-major scan."""
+    """2x2 max pooling, stride 2; ties go to the first element in row-major scan.
+
+    The forward is the elementwise maximum of the four strided views
+    x[:, :, a::2, b::2].  The backward sends each window's gradient to the
+    first view, in row-major order (a, b) = (0,0), (0,1), (1,0), (1,1), whose
+    value equals the output, and g * 0 to the other three; the tape keeps
+    only the input and the output.  A window holding NaN has a NaN output,
+    which equals none of its elements, so its gradient is dropped rather
+    than routed to the first NaN; a non-finite gradient entry turns the
+    other three entries of its window into NaN (inf * 0).
+    """
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2x2: spatial dims must be even, got ({h},{w})")
-    win = x.data.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
-    idx = np.argmax(win, axis=-1)  # first max in row-major window order
-    out = Tensor(np.take_along_axis(win, idx[..., None], axis=-1)[..., 0])
+    corners = [(slice(None), slice(None), slice(a, None, 2), slice(b, None, 2)) for a in (0, 1) for b in (0, 1)]
+    v = [x.data[q] for q in corners]
+    out_data = np.maximum(np.maximum(v[0], v[1]), np.maximum(v[2], v[3]))
+    out = Tensor(out_data)
 
     def grad_fn(g):
-        dwin = np.zeros_like(win)
-        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-        dx = dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        dx = np.empty_like(x.data)
+        free = np.ones(g.shape, dtype=bool)  # windows whose gradient is not placed yet
+        for q in corners:
+            hit = x.data[q] == out_data
+            hit &= free
+            free &= ~hit
+            np.multiply(g, hit, out=dx[q])
         return (dx,)
 
     return _record("maxpool2x2", (x,), out, grad_fn)
@@ -461,11 +512,8 @@ def relu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     d = x.data
-    s = np.empty_like(d)
-    pos = d >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    e = np.exp(d[~pos])
-    s[~pos] = e / (1.0 + e)
+    e = np.exp(-np.abs(d))  # never overflows
+    s = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(s)
     return _record("sigmoid", (x,), out, lambda g: (g * s * (1.0 - s),))
 

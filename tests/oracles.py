@@ -59,6 +59,21 @@ def maxpool2x2_loops(x):
     return out
 
 
+def maxpool2x2_grad_loops(x, g):
+    # each window's gradient goes to its first maximum in row-major order
+    n, c, h, w = x.shape
+    dx = np.zeros_like(x, dtype=np.float64)
+    for nn in range(n):
+        for cc in range(c):
+            for i in range(h // 2):
+                for j in range(w // 2):
+                    win = [(2 * i + a, 2 * j + b) for a in (0, 1) for b in (0, 1)]
+                    best = max(x[nn, cc, r, q] for r, q in win)
+                    r, q = next(p for p in win if x[nn, cc, p[0], p[1]] == best)
+                    dx[nn, cc, r, q] = g[nn, cc, i, j]
+    return dx
+
+
 def mask_mean3x3_loops(m):
     n, c, h, w = m.shape
     out = np.zeros_like(m, dtype=np.float64)

@@ -103,14 +103,16 @@ class TestBackwardContract:
 
 
 class TestFloat32:
-    @pytest.mark.parametrize("op", ["conv2d", "conv2d_stride2", "mask_mean3x3"])
+    @pytest.mark.parametrize("op", ["conv2d", "conv2d_stride2", "mask_mean3x3", "conv2d_stride2_odd"])
     def test_stencils_keep_float32(self, op):
         x = T.tensor(rand((2, 3, 6, 5), 400).astype(np.float32), requires_grad=True)
         w = T.tensor(rand((4, 3, 3, 3), 401).astype(np.float32), requires_grad=True)
         b = T.tensor(rand((1, 4, 1, 1), 402).astype(np.float32), requires_grad=True)
         fn, leaves = {"conv2d": (lambda: T.conv2d(x, w, b, stride=1, pad=1), [x, w, b]),
                       "conv2d_stride2": (lambda: T.conv2d(x, w, b, stride=2, pad=1), [x, w, b]),
-                      "mask_mean3x3": (lambda: T.mask_mean3x3(x), [x])}[op]
+                      "mask_mean3x3": (lambda: T.mask_mean3x3(x), [x]),
+                      # a 6x5 input at stride 2 without padding: phase grids of unequal sizes
+                      "conv2d_stride2_odd": (lambda: T.conv2d(x, w, b, stride=2, pad=0), [x, w, b])}[op]
         with T.Tape():
             out = fn()
             T.backward(T.reduce_sum(out))
@@ -138,6 +140,17 @@ class TestFiniteDifferences:
         x = leaf((1, 2, 6, 6), 40)
         w = leaf((2, 2, 3, 3), 41)
         self.check(lambda x, w: T.reduce_sum(T.conv2d(x, w, None, stride=2, pad=1)), x, w)
+
+    @pytest.mark.parametrize("shape,wshape,stride,pad", [
+        ((2, 3, 6, 6), (2, 3, 1, 1), 2, 0),
+        ((1, 2, 9, 8), (3, 2, 5, 5), 3, 2),
+        ((3, 2, 5, 7), (2, 2, 3, 3), 2, 0),
+    ])
+    def test_conv2d_phases(self, shape, wshape, stride, pad):
+        x = leaf(shape, 42)
+        w = leaf(wshape, 43)
+        b = leaf((1, wshape[0], 1, 1), 44)
+        self.check(lambda x, w, b: T.reduce_sum(T.tanh(T.conv2d(x, w, b, stride=stride, pad=pad))), x, w, b)
 
     @pytest.mark.parametrize("i,shape", list(enumerate(SHAPES)))
     def test_conv_transpose2d(self, i, shape):

@@ -208,10 +208,16 @@ class TestPipeline:
     ["synth", "--n", "1", "--out", "{out}", "--patch-size", "0"],
     ["synth", "--n", "1", "--out", "{out}", "--patch-size", "-16"],
     ["synth", "--n", "1", "--out", "{out}", "--blur-sigma-lo", "-3", "--blur-sigma-hi", "-1"],
+    ["synth", "--n", "1", "--out", "{out}", "--scale-hi", "inf"],
+    ["synth", "--n", "1", "--out", "{out}", "--blur-sigma-hi", "inf"],
+    ["synth", "--n", "1", "--out", "{out}", "--blend-mode", "overexpose", "--overexpose-boost", "nan"],
+    ["synth", "--n", "1", "--out", "{out}", "--blend-mode", "overexpose", "--overexpose-boost", "-5"],
+    ["synth", "--n", "1", "--out", "{out}", "--blend-mode", "overexpose", "--saturate-threshold", "nan"],
 ], ids=["eval_tau", "infer_width_phi", "gradcheck_tau", "params_one_stage", "train_one_stage",
         "train_lr_negative", "train_beta1_2", "train_eps_0", "train_lr_nan", "train_beta2_nan",
         "params_width_inf", "infer_width_inf", "train_width_nan", "synth_patch_0", "synth_patch_negative",
-        "synth_sigma_negative"])
+        "synth_sigma_negative", "synth_scale_inf", "synth_sigma_inf", "synth_boost_nan", "synth_boost_negative",
+        "synth_saturate_nan"])
 def test_out_of_range_config_exits_2(argv, trained_run, tmp_path, capsys):
     # every command runs the range checks of every config dataclass before it touches a file
     _, data, run = trained_run

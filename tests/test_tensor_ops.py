@@ -9,6 +9,7 @@ from oracles import (
     conv2d_loops,
     conv_transpose2d_loops,
     mask_mean3x3_loops,
+    maxpool2x2_grad_loops,
     maxpool2x2_loops,
 )
 
@@ -42,6 +43,9 @@ class TestConv2d:
         (5, (3, 2, 5, 9), (4, 2, 3, 3), 1, 1),
         (6, (2, 3, 7, 10), (2, 3, 3, 3), 2, 1),
         (7, (2, 2, 4, 5), (3, 2, 1, 1), 1, 1),
+        (8, (2, 3, 6, 6), (2, 3, 1, 1), 2, 0),
+        (9, (1, 2, 9, 8), (3, 2, 5, 5), 3, 2),
+        (10, (3, 2, 5, 7), (2, 2, 3, 3), 2, 0),
     ])
     def test_matches_nested_loop_oracle(self, seed, shape, wshape, stride, pad):
         x = rand(shape, seed)
@@ -120,6 +124,35 @@ class TestMaxpool:
     def test_odd_dims_rejected(self):
         with pytest.raises(ValueError, match="even"):
             T.maxpool2x2(T.zeros((1, 1, 3, 4)))
+
+    @staticmethod
+    def grad(x, g):
+        with T.Tape():
+            xt = T.tensor(x, requires_grad=True)
+            out = T.maxpool2x2(xt)
+            T.backward(T.reduce_sum(T.mul(out, T.tensor(g))))
+        return xt.grad
+
+    def test_constant_input_routes_to_top_left(self):
+        g = rand((2, 3, 4, 4), 7)
+        want = np.zeros((2, 3, 8, 8))
+        want[:, :, ::2, ::2] = g
+        np.testing.assert_array_equal(self.grad(np.full((2, 3, 8, 8), 0.7), g), want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_backward_matches_window_oracle(self, seed):
+        # rounded values put ties, zeros included, inside many windows
+        x = np.maximum(np.round(rand((2, 3, 8, 6), seed) * 2), 0.0)
+        g = rand((2, 3, 4, 3), seed + 50)
+        np.testing.assert_array_equal(self.grad(x, g), maxpool2x2_grad_loops(x, g))
+
+    def test_nan_window_gets_no_gradient(self):
+        x = rand((1, 1, 4, 4), 3)
+        x[0, 0, 1, 0] = np.nan
+        dx = self.grad(x, np.ones((1, 1, 2, 2)))
+        assert np.isnan(T.maxpool2x2(T.tensor(x)).data[0, 0, 0, 0])
+        np.testing.assert_array_equal(dx[0, 0, :2, :2], 0.0)
+        assert dx.sum() == 3.0
 
 
 class TestMaskMean3x3:
