@@ -71,6 +71,12 @@ class Network:
     params: dict[str, Parameter] = field(default_factory=dict)
 
     def add(self, name: str, shape, init: str, dtype) -> Parameter:
+        """Create parameter *name* of *shape* and *dtype* with init ``"zeros"`` or ``"he"``.
+
+        He init draws N(0, 2/fan_in) from a generator seeded by (model seed,
+        network kind, name), scaled in place so that the float64 draw is the
+        only temporary before the cast to *dtype*.
+        """
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
         if init == "zeros":
@@ -79,7 +85,9 @@ class Network:
             fan_in = int(np.prod(shape[1:]))
             std = np.sqrt(2.0 / fan_in)
             rng = np.random.Generator(np.random.PCG64(_param_seed(self.config.seed, self.kind, name)))
-            data = (rng.standard_normal(shape) * std).astype(dtype)
+            z = rng.standard_normal(shape)
+            z *= std
+            data = z.astype(dtype)
         else:
             raise ValueError(f"unknown init {init!r}")
         p = Parameter(name, data)

@@ -272,18 +272,22 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     def grad_fn(g):
         gp = np.zeros((co, ext + cols), dtype=g.dtype)
         gp[:, ext:].reshape(co, n, hq, wq)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
-        gf = gp[:, ext:]
-        dw = np.empty((co, ci, k, k), dtype=np.result_type(g, xf))
-        dxf = np.zeros((s * s, ci, cols), dtype=np.result_type(g, w.data))
-        tmp = np.empty((ci, cols), dtype=dxf.dtype)
-        for u, v, p, sh in taps:
-            dw[:, :, u, v] = (xf[p, :, sh:sh + cols] @ gf.T).T
-            dxf[p] += np.matmul(wt[u, v].T, gp[:, ext - sh:ext - sh + cols], out=tmp)
-        dxq = dxf.reshape(s * s, ci, n, hq, wq)
-        dx = np.empty(x.shape, dtype=dxf.dtype)
-        dxt = dx.transpose(1, 0, 2, 3)
-        for p, pr, pc, xr, xc in places:  # every input pixel lies in exactly one phase
-            dxt[:, :, xr, xc] = dxq[p, :, :, pr, pc]
+        dx = dw = None  # a parent that tracks no gradient gets None, which backward skips
+        if w.requires_grad:
+            gf = gp[:, ext:]
+            dw = np.empty((co, ci, k, k), dtype=np.result_type(g, xf))
+            for u, v, p, sh in taps:
+                dw[:, :, u, v] = (xf[p, :, sh:sh + cols] @ gf.T).T
+        if x.requires_grad:
+            dxf = np.zeros((s * s, ci, cols), dtype=np.result_type(g, w.data))
+            tmp = np.empty((ci, cols), dtype=dxf.dtype)
+            for u, v, p, sh in taps:
+                dxf[p] += np.matmul(wt[u, v].T, gp[:, ext - sh:ext - sh + cols], out=tmp)
+            dxq = dxf.reshape(s * s, ci, n, hq, wq)
+            dx = np.empty(x.shape, dtype=dxf.dtype)
+            dxt = dx.transpose(1, 0, 2, 3)
+            for p, pr, pc, xr, xc in places:  # every input pixel lies in exactly one phase
+                dxt[:, :, xr, xc] = dxq[p, :, :, pr, pc]
         db = g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1) if b is not None else None
         return (dx, dw, db) if b is not None else (dx, dw)
 
@@ -393,14 +397,30 @@ def mask_mean3x3(m: Tensor) -> Tensor:
 
 
 def downsample2x(x: Tensor) -> Tensor:
-    """2x2 average pooling with stride 2."""
+    """2x2 average pooling with stride 2.
+
+    The forward adds the four strided views v_ab = x[:, :, a::2, b::2] and
+    divides by 4.  The sum is grouped as numpy's
+    ``x.reshape(n, c, h/2, 2, w/2, 2).mean(axis=(3, 5))`` groups it, so the
+    two agree bit for bit: (v00 + v01) + (v10 + v11), except at width 2,
+    where each window is four contiguous values that numpy sums in order.
+    The backward writes g / 4 into the same four views of the input gradient.
+    """
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"downsample2x: spatial dims must be even, got ({h},{w})")
-    out = Tensor(x.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5)))
+    v00, v01, v10, v11 = (x.data[:, :, a::2, b::2] for a in (0, 1) for b in (0, 1))
+    out_data = ((v00 + v01) + v10) + v11 if w == 2 else (v00 + v01) + (v10 + v11)
+    out_data /= 4.0
+    out = Tensor(out_data)
 
     def grad_fn(g):
-        return (np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4.0,)
+        q = g / 4.0
+        dx = np.empty((n, c, h, w), dtype=q.dtype)
+        for a in (0, 1):
+            for b in (0, 1):
+                dx[:, :, a::2, b::2] = q
+        return (dx,)
 
     return _record("downsample2x", (x,), out, grad_fn)
 

@@ -65,13 +65,20 @@ class AdamConfig:
 
 
 class AdamState:
-    """First/second moment buffers and step counter for one parameter set."""
+    """First/second moment buffers and step counter for one parameter set.
+
+    The moments come from ``np.zeros``, which gets zeroed memory from the
+    allocator without writing it; a large array is fresh zero pages that the
+    OS makes resident only when they are written.  So the moments hold no
+    memory until the first step (or a checkpoint load) writes them, and a
+    state that never steps, as in inference, keeps only its weights resident.
+    """
 
     def __init__(self, params: dict[str, T.Parameter], cfg: AdamConfig):
         self.cfg = cfg
         self.step_count = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.m = {k: np.zeros(p.shape, p.dtype) for k, p in params.items()}
+        self.v = {k: np.zeros(p.shape, p.dtype) for k, p in params.items()}
 
     def step(self, params: dict[str, T.Parameter]) -> None:
         cfg = self.cfg
@@ -336,6 +343,10 @@ def train(config: TrainConfig, manifest_path, out_dir, resume_from=None) -> tupl
     state = TrainerState(config)
     if resume_from is not None:
         state.load(resume_from)
+    for phase, (epochs, _, groups) in phases.items():
+        if state.epochs_done[phase] < epochs and not any(pool for pool, _ in groups):
+            raise ValueError(f"phase {phase} has epochs to run but no triple to draw: the manifest has "
+                             f"{len(triples)} triples, {len(has_r_pool)} with a reflection layer")
     os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "train_log.csv")
     kept: list[str] = []

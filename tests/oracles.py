@@ -164,3 +164,12 @@ def psnr_direct(a, b, peak=1.0):
     if mse == 0:
         return float("inf")
     return 10.0 * np.log10(peak * peak / mse)
+
+
+def downsample2x_reshape_mean(x):
+    n, c, h, w = x.shape
+    return x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+
+
+def downsample2x_grad_repeat(g):
+    return np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4.0

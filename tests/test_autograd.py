@@ -91,6 +91,25 @@ class TestBackwardContract:
         assert x.grad is not None and w.grad is not None
         assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (3, 2, 1), (3, 2, 0), (1, 1, 0)])
+    def test_conv2d_computes_only_the_gradients_its_parents_track(self, k, stride, pad, dtype):
+        def parent_grads(x_tracks, w_tracks):
+            x = T.Tensor(rand((2, 3, 6, 5), 20).astype(dtype), requires_grad=x_tracks)
+            w = T.Tensor(rand((4, 3, k, k), 21).astype(dtype), requires_grad=w_tracks)
+            b = T.Tensor(rand((1, 4, 1, 1), 22).astype(dtype), requires_grad=True)
+            with T.Tape():
+                out = T.conv2d(x, w, b, stride=stride, pad=pad)
+            return out.node.grad_fn(rand(out.shape, 23).astype(dtype))
+
+        dx, dw, db = parent_grads(True, True)
+        input_fixed = parent_grads(False, True)
+        weight_frozen = parent_grads(True, False)
+        assert input_fixed[0] is None and weight_frozen[1] is None
+        assert input_fixed[1].tobytes() == dw.tobytes()
+        assert weight_frozen[0].tobytes() == dx.tobytes()
+        assert input_fixed[2].tobytes() == weight_frozen[2].tobytes() == db.tobytes()
+
     @pytest.mark.parametrize("bad_grad", [lambda g: (g.astype(np.float32),),
                                           lambda g: (g[:, :, :1],)], ids=["dtype", "shape"])
     def test_parent_gradient_mismatch_names_op(self, bad_grad):

@@ -332,3 +332,18 @@ def test_run_without_adversarial_term(tiny_data, tmp_path):
                  "--out", str(tmp_path / "rep")]) == EXIT_OK
     assert main(["infer", "--ckpt", str(run / "final.bin"), "--input", str(tiny_data / "I_0000.ppm"),
                  "--out", str(tmp_path / "inf")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("manifest, phase", [("empty", 1), ("no_reflection", 1), ("empty_phase2_only", 2)])
+def test_train_with_no_triple_to_draw_exits_2(manifest, phase, tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert main(["synth", "--n", "2", "--seed", "1", "--patch-size", "16", "--out", str(data)]) == EXIT_OK
+    rows = open(data / "manifest.tsv").read().splitlines()
+    with open(data / "manifest.tsv", "w") as f:  # has_r is the last column
+        f.writelines(r.rsplit("\t", 1)[0] + "\t0\n" for r in rows if manifest == "no_reflection")
+    flags = ["--phase1-epochs", "0"] if phase == 2 else []
+    assert _train_tiny(data, out, "--phase2-epochs", "1", *flags) == EXIT_VALIDATION
+    n_triples = 2 if manifest == "no_reflection" else 0
+    assert (f"error: phase {phase} has epochs to run but no triple to draw: the manifest has "
+            f"{n_triples} triples, 0 with a reflection layer\n") in capsys.readouterr().err
+    assert not out.exists()

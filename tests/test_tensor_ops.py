@@ -8,6 +8,8 @@ from oracles import (
     block_mean_loops,
     conv2d_loops,
     conv_transpose2d_loops,
+    downsample2x_grad_repeat,
+    downsample2x_reshape_mean,
     mask_mean3x3_loops,
     maxpool2x2_grad_loops,
     maxpool2x2_loops,
@@ -190,6 +192,20 @@ class TestDownsample2x:
         got = T.downsample2x(T.downsample2x(T.tensor(x)))
         assert got.shape == (1, 3, 2, 2)
         np.testing.assert_allclose(got.data, block_mean_loops(x, 4), atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 2), (2, 3, 6, 2), (2, 3, 8, 6), (4, 3, 64, 64), (1, 5, 14, 30),
+                                       (1, 16, 2, 8)])
+    def test_bytes_match_reshape_mean_and_repeat(self, shape, dtype):
+        seed = sum(shape)
+        x = T.Tensor(rand(shape, seed, lo=-3.0, hi=3.0).astype(dtype), requires_grad=True)
+        with T.Tape():
+            out = T.downsample2x(x)
+        assert out.data.tobytes() == downsample2x_reshape_mean(x.data).tobytes()
+        g = rand(out.shape, seed + 1, lo=-3.0, hi=3.0).astype(dtype)
+        (dx,) = out.node.grad_fn(g)
+        want = downsample2x_grad_repeat(g)
+        assert dx.dtype == want.dtype and dx.tobytes() == want.tobytes()
 
 
 class TestSpatialGradient:

@@ -3,11 +3,14 @@
 import hashlib
 import os
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
 import pytest
 
+import ragnet
 import ragnet.tensor as T
 from ragnet import losses as L
 from ragnet import trainer
@@ -259,6 +262,25 @@ class TestTrainerState:
         # moments triple the stored volume (see decisions ledger)
         params_only = sum(a.size for k, a in tensors.items() if k.startswith("model/")) * 4
         assert params_only < 10 * 1024 * 1024
+
+
+def _reports_rss_anon() -> bool:
+    try:
+        with open("/proc/self/status") as f:
+            return "RssAnon:" in f.read()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _reports_rss_anon(), reason="/proc/self/status reports no RssAnon")
+def test_fresh_state_keeps_little_more_than_its_weights_resident():
+    # measured in a fresh interpreter, where no memory freed by earlier tests is reused
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(ragnet.__file__)), os.path.join(root, "scripts")])
+    proc = subprocess.run([sys.executable, "-c", "from state_footprint import footprint; print(*footprint(0.25))"],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True)
+    growth, weights = map(int, proc.stdout.split())
+    assert growth < 2 * weights, f"RssAnon grew {growth / weights:.2f}x the weight bytes"
 
 
 class TestTraining:
