@@ -230,7 +230,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 def load_models(ckpt_path):
     loaded = TR.load_checkpoint(ckpt_path)
-    state = TR.TrainerState(TR.TrainConfig(model=TR.model_config_from_checkpoint(ckpt_path, loaded)))
+    config = TR.TrainConfig(model=TR.model_config_from_checkpoint(ckpt_path, loaded))
+    state = TR.TrainerState(config, draw_init=False)  # load overwrites every weight
     state.load(ckpt_path, loaded)
     return state
 
@@ -365,7 +366,7 @@ def _tile_channels(data: np.ndarray) -> np.ndarray:
 
 def cmd_params(args) -> int:
     mc = build_config(args).model_config()
-    counts = {kind: M.count_params(M.build_network(kind, mc)) for kind in M.NETWORK_KINDS}
+    counts = {kind: M.count_params(M.build_network(kind, mc, draw_init=False)) for kind in M.NETWORK_KINDS}
     counts["g_r + g_t"] = counts["g_r"] + counts["g_t"]
     for name, n in counts.items():
         print(f"{name:16s} {n:>12,d}")

@@ -72,8 +72,8 @@ class PerceptualExtractor:
     contributes a mean absolute feature difference.
     """
 
-    def __init__(self, config: ModelConfig, dtype=T.DEFAULT_DTYPE):
-        self.net: Network = build_network("percep_extractor", config, dtype=dtype)
+    def __init__(self, config: ModelConfig, dtype=T.DEFAULT_DTYPE, draw_init: bool = True):
+        self.net: Network = build_network("percep_extractor", config, dtype=dtype, draw_init=draw_init)
 
     def features(self, x: Tensor) -> list[Tensor]:
         return extract_features(self.net, x)

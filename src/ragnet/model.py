@@ -17,6 +17,8 @@ All channel widths derive from one base table scaled by
 from __future__ import annotations
 
 import hashlib
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,29 +71,26 @@ class Network:
     kind: str
     config: ModelConfig
     params: dict[str, Parameter] = field(default_factory=dict)
+    # He-init parameters whose weights are still zeros, waiting for ``_draw_he``
+    he_queue: list[Parameter] = field(default_factory=list, repr=False, compare=False)
 
     def add(self, name: str, shape, init: str, dtype) -> Parameter:
         """Create parameter *name* of *shape* and *dtype* with init ``"zeros"`` or ``"he"``.
 
-        He init draws N(0, 2/fan_in) from a generator seeded by (model seed,
-        network kind, name), scaled in place so that the float64 draw is the
-        only temporary before the cast to *dtype*.
+        Every parameter starts as ``np.zeros``; a ``"he"`` one also joins
+        ``he_queue``.  ``build_network`` then draws all queued weights at once
+        on a thread pool, each in chunks through one small float64 buffer, so
+        no whole-parameter temporary exists; the bytes do not depend on the
+        worker count (see ``_draw_he`` and ``_fill_he``).
         """
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        if init == "zeros":
-            data = np.zeros(shape, dtype=dtype)
-        elif init == "he":
-            fan_in = int(np.prod(shape[1:]))
-            std = np.sqrt(2.0 / fan_in)
-            rng = np.random.Generator(np.random.PCG64(_param_seed(self.config.seed, self.kind, name)))
-            z = rng.standard_normal(shape)
-            z *= std
-            data = z.astype(dtype)
-        else:
+        if init not in ("zeros", "he"):
             raise ValueError(f"unknown init {init!r}")
-        p = Parameter(name, data)
+        p = Parameter(name, np.zeros(shape, dtype=dtype))
         self.params[name] = p
+        if init == "he":
+            self.he_queue.append(p)
         return p
 
     def __getitem__(self, name: str) -> Parameter:
@@ -111,6 +110,56 @@ def _param_seed(seed: int, kind: str, name: str) -> int:
     return int.from_bytes(digest, "little")
 
 
+HE_CHUNK = 1 << 16  # normals drawn per call; 512 KB of float64 scratch per worker
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _fill_he(data: np.ndarray, seed: int) -> None:
+    """Fill *data* in place with N(0, 2/fan_in) from a PCG64 generator seeded by *seed*.
+
+    The draw runs in chunks of ``HE_CHUNK``: each is scaled in float64 and cast
+    to ``data.dtype`` on assignment.  Consecutive draws from one generator
+    continue one stream, so the bytes equal those of a single whole-shape
+    float64 draw, scaled and then cast.
+    """
+    std = np.sqrt(2.0 / int(np.prod(data.shape[1:])))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    flat = data.reshape(-1)
+    buf = np.empty(min(flat.size, HE_CHUNK))
+    for start in range(0, flat.size, HE_CHUNK):
+        z = buf[:flat.size - start]
+        rng.standard_normal(out=z)
+        z *= std
+        flat[start:start + z.size] = z
+
+
+def _draw_he(net: Network) -> None:
+    """Draw the weights of every parameter in ``net.he_queue`` and empty the queue.
+
+    Each parameter has its own generator, seeded by (model seed, network kind,
+    name), so the draws are independent of each other.  They run on a thread
+    pool with one worker per usable core, largest parameter first; numpy's
+    normal sampler releases the GIL.  The workers touch only numpy arrays,
+    and the bytes do not depend on the worker count.
+    """
+    jobs = sorted(((p.data, _param_seed(net.config.seed, net.kind, p.name)) for p in net.he_queue),
+                  key=lambda job: job[0].size, reverse=True)
+    net.he_queue = []
+    workers = min(len(jobs), _usable_cpus())
+    if workers <= 1:
+        for job in jobs:
+            _fill_he(*job)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(lambda job: _fill_he(*job), jobs))
+
+
 def count_params(net: Network) -> int:
     return sum(p.data.size for p in net.params.values())
 
@@ -118,12 +167,16 @@ def count_params(net: Network) -> int:
 # ---------------------------------------------------------------------------
 # builders
 
-def build_network(kind: str, config: ModelConfig, dtype=T.DEFAULT_DTYPE) -> Network:
+def build_network(kind: str, config: ModelConfig, dtype=T.DEFAULT_DTYPE, draw_init: bool = True) -> Network:
     """Build a deterministic network of the given kind.
 
-    Conv weights use fan-in-scaled normal initialization seeded per parameter
-    name, so two builds from the same config are bit-identical regardless of
-    construction order.
+    Biases start at zero.  Conv weights get He init, N(0, 2/fan_in), seeded
+    per parameter name, so two builds from the same config are bit-identical
+    regardless of construction order.  The weights are drawn after every
+    parameter is added, on all usable cores in chunks (``_draw_he``); the
+    bytes are the same for any worker count.  With ``draw_init=False`` the
+    weights stay zero and queued in ``he_queue``, for a caller that loads
+    them from a checkpoint next.
     """
     if kind not in NETWORK_KINDS:
         raise ValueError(f"kind must be one of {NETWORK_KINDS}, got {kind!r}")
@@ -153,6 +206,8 @@ def build_network(kind: str, config: ModelConfig, dtype=T.DEFAULT_DTYPE) -> Netw
             net.add(f"feat/s{j}/bias", (1, cout, 1, 1), "zeros", dtype)
             cin = cout
         net.freeze()
+    if draw_init:
+        _draw_he(net)
     return net
 
 

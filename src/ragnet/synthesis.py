@@ -272,21 +272,46 @@ def write_ppm(path, img: np.ndarray) -> None:
         f.write(np.ascontiguousarray(data.transpose(1, 2, 0)).tobytes())
 
 
+def _ppm_header(f, path) -> tuple[int, int, int]:
+    """(width, height, maxval) of a binary P6 file; leaves *f* at the first pixel byte.
+
+    The header is four whitespace-separated tokens (magic, width, height,
+    maxval).  A ``#`` starts a comment that runs to the end of its line and
+    separates tokens like whitespace.  The single whitespace byte after maxval
+    ends the header.  Each token is checked as it is read, so a file that is
+    not a PPM is rejected within its first bytes.
+    """
+    tokens: list[bytes] = []
+    tok = b""
+
+    def bad() -> ValueError:
+        if not tokens:
+            return ValueError(f"read_ppm: {path}: bad magic {tok!r}, expected P6")
+        return ValueError(f"read_ppm: {path}: bad {('width', 'height', 'maxval')[len(tokens) - 1]} {tok!r}")
+
+    while len(tokens) < 4:
+        c = f.read(1)
+        if c == b"#":
+            f.readline()
+            c = b"\n"
+        if not c:
+            raise ValueError(f"read_ppm: {path}: truncated header")
+        if not c.isspace():
+            tok += c
+            if not (tok.isdigit() if tokens else b"P6".startswith(tok)):
+                raise bad()
+        elif tok:
+            if not tokens and tok != b"P6":
+                raise bad()
+            tokens.append(tok)
+            tok = b""
+    return int(tokens[1]), int(tokens[2]), int(tokens[3])
+
+
 def read_ppm(path) -> np.ndarray:
     """(1,3,H,W) float32 in [0,1] from a binary P6 file."""
     with open(path, "rb") as f:
-        magic = f.readline().strip()
-        if magic != b"P6":
-            raise ValueError(f"read_ppm: {path}: bad magic {magic!r}, expected P6")
-        dims = []
-        while len(dims) < 3:
-            line = f.readline()
-            if not line:
-                raise ValueError(f"read_ppm: {path}: truncated header")
-            if line.startswith(b"#"):
-                continue
-            dims.extend(int(v) for v in line.split())
-        w, h, maxval = dims
+        w, h, maxval = _ppm_header(f, path)
         if maxval != 255:
             raise ValueError(f"read_ppm: {path}: maxval {maxval} unsupported")
         raw = f.read(w * h * 3)

@@ -249,14 +249,19 @@ def _model_tensors(model: ModelConfig) -> dict[str, np.ndarray]:
 # trainer state
 
 class TrainerState:
-    """Networks, optimizer states, and schedule position of one training run."""
+    """Networks, optimizer states, and schedule position of one training run.
 
-    def __init__(self, config: TrainConfig):
+    ``draw_init=False`` leaves every weight zero instead of drawing its He
+    init, for a state that ``load`` overwrites next.
+    """
+
+    def __init__(self, config: TrainConfig, draw_init: bool = True):
         self.config = config
-        self.nets: dict[str, Network] = {name: build_network(name, config.model) for name in ("g_r", "g_t")}
+        self.nets: dict[str, Network] = {name: build_network(name, config.model, draw_init=draw_init)
+                                         for name in ("g_r", "g_t")}
         if config.model.use_adversarial:
-            self.nets["disc"] = build_network("discriminator", config.model)
-        self.extractor = L.PerceptualExtractor(config.model)
+            self.nets["disc"] = build_network("discriminator", config.model, draw_init=draw_init)
+        self.extractor = L.PerceptualExtractor(config.model, draw_init=draw_init)
         self.adam = {name: AdamState(net.params, config.adam) for name, net in self.nets.items()}
         self.epochs_done = {1: 0, 2: 0}  # per phase
         self.global_iter = 0
@@ -340,8 +345,10 @@ def train(config: TrainConfig, manifest_path, out_dir, resume_from=None) -> tupl
               2: (config.schedule.phase2_epochs, _phase2_step,
                   [(has_r_pool, True)] + ([(no_r_pool, False)] if no_r_pool else []))}
 
-    state = TrainerState(config)
-    if resume_from is not None:
+    if resume_from is None:
+        state = TrainerState(config)
+    else:
+        state = TrainerState(config, draw_init=False)  # load overwrites every weight
         state.load(resume_from)
     for phase, (epochs, _, groups) in phases.items():
         if state.epochs_done[phase] < epochs and not any(pool for pool, _ in groups):

@@ -173,3 +173,12 @@ def downsample2x_reshape_mean(x):
 
 def downsample2x_grad_repeat(g):
     return np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4.0
+
+
+def he_normal_serial(shape, seed, dtype):
+    """He init drawn in one piece: a whole-shape float64 N(0,1) draw from PCG64(seed),
+    scaled in place by sqrt(2 / fan_in), then cast to *dtype*."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    z = rng.standard_normal(shape)
+    z *= np.sqrt(2.0 / int(np.prod(shape[1:])))
+    return z.astype(dtype)

@@ -167,6 +167,19 @@ class TestPipeline:
                      "--input", str(tmp_path / "odd.ppm"), "--out", str(out)]) == EXIT_OK
         assert read_ppm(out / "T_hat.ppm").shape == (1, 3, 30, 45)
 
+    def test_infer_and_inspect_accept_a_one_line_commented_header(self, trained_run, tmp_path):
+        _, data, run = trained_run
+        standard = data / "I_0000.ppm"
+        pixels = standard.read_bytes().split(b"\n", 3)[3]
+        one_line = tmp_path / "one_line.ppm"
+        one_line.write_bytes(b"P6 # by hand\n32 32 # size\n255\n" + pixels)
+        for name, image in (("std", standard), ("one", one_line)):
+            assert main(["infer", "--ckpt", str(run / "final.bin"), "--input", str(image),
+                         "--out", str(tmp_path / name)]) == EXIT_OK
+        assert (tmp_path / "std" / "T_hat.ppm").read_bytes() == (tmp_path / "one" / "T_hat.ppm").read_bytes()
+        assert main(["inspect-mask", "--ckpt", str(run / "final.bin"), "--input", str(one_line),
+                     "--out", str(tmp_path / "masks")]) == EXIT_OK
+
     def test_eval_writes_report(self, trained_run, tmp_path):
         root, data, run = trained_run
         out = tmp_path / "rep"

@@ -1,12 +1,14 @@
 """Network builders, forward passes, variants, and the partial convolution."""
 
+import threading
+
 import numpy as np
 import pytest
 
 import ragnet.tensor as T
 from ragnet import model
 from ragnet.model import ModelConfig, build_network, count_params, partial_conv
-from oracles import partial_conv_loops
+from oracles import he_normal_serial, partial_conv_loops
 
 
 def rand(shape, seed, lo=0.0, hi=1.0):
@@ -105,6 +107,47 @@ class TestBuildAndCount:
     def test_one_stage_variant_needs_one_stage_kind(self):
         with pytest.raises(ValueError, match="one_stage"):
             build_network("g_t", ModelConfig(rag_variant="one_stage"))
+
+
+class TestHeInit:
+    """Pooled, chunked He init against one whole-shape serial draw, byte for byte."""
+
+    @pytest.mark.parametrize("kind", model.NETWORK_KINDS)
+    def test_every_parameter_matches_serial_draw(self, kind):
+        net = build_network(kind, ModelConfig(width_multiplier=0.25, seed=3))
+        for name, p in net.params.items():
+            if name.endswith("/weight"):
+                want = he_normal_serial(p.shape, model._param_seed(3, kind, name), p.dtype)
+            else:
+                want = np.zeros(p.shape, p.dtype)
+            assert p.data.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_parameter_spanning_chunks(self, dtype):
+        shape = (3, 7, 61, 71)
+        size = int(np.prod(shape))
+        assert size > model.HE_CHUNK and size % model.HE_CHUNK
+        data = np.zeros(shape, dtype)
+        model._fill_he(data, 12345)
+        assert data.tobytes() == he_normal_serial(shape, 12345, dtype).tobytes()
+
+    def test_worker_count_does_not_change_bytes(self, monkeypatch):
+        fill, builds, threads = model._fill_he, {}, {}
+        for workers in (1, 2, 5):
+            seen = threads[workers] = set()
+            monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(model, "_fill_he", lambda data, seed: seen.add(threading.get_ident())
+                                or fill(data, seed))
+            net = build_network("g_t", ModelConfig(width_multiplier=0.25, seed=4))
+            builds[workers] = {name: p.data.tobytes() for name, p in net.params.items()}
+        assert builds[1] == builds[2] == builds[5]
+        main = threading.get_ident()
+        assert threads[1] == {main} and main not in threads[2] | threads[5]
+
+    def test_draw_init_false_leaves_weights_zero_and_queued(self):
+        net = build_network("g_r", ModelConfig(seed=2), draw_init=False)
+        assert all(not p.data.any() for p in net.params.values())
+        assert {p.name for p in net.he_queue} == {n for n in net.params if n.endswith("/weight")}
 
 
 class TestForwardGR:

@@ -164,6 +164,31 @@ class TestPPM:
         with pytest.raises(ValueError, match="magic"):
             read_ppm(path)
 
+    @pytest.mark.parametrize("header", [b"P6 4 4 255\n", b"P6 # by x\n4 4\n255\n", b"P6\n4 4 # size\n255\n",
+                                        b"P6\n# a\n#b\n4\t4\r\n255 ", b"P6\n4 4\n255# maxval\n",
+                                        b"P6#x\n4#w\n4\n255\n"])
+    def test_header_variants(self, tmp_path, header):
+        rng = np.random.Generator(np.random.PCG64(5))
+        img = synthesis.quantize8(rng.uniform(0, 1, (3, 4, 4))).astype(np.float32) / 255.0
+        path = tmp_path / "v.ppm"
+        path.write_bytes(header + synthesis.quantize8(img).transpose(1, 2, 0).tobytes())
+        np.testing.assert_array_equal(read_ppm(path)[0], img)
+
+    @pytest.mark.parametrize("header", [b"", b"P6", b"P6\n4 4\n", b"P6 # 4 4 255\n", b"P6\n4 4\n255"])
+    def test_truncated_header_names_the_file(self, tmp_path, header):
+        path = tmp_path / "cut.ppm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match="cut.ppm: truncated header"):
+            read_ppm(path)
+
+    @pytest.mark.parametrize("header, what", [(b"P65 4 4 255\n", "magic"), (b"P 4 4 255\n", "magic"),
+                                              (b"P6 4 x4 255\n", "height"), (b"P6 4 4 2.5\n", "maxval")])
+    def test_bad_header_token_names_the_file(self, tmp_path, header, what):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(header + bytes(48))
+        with pytest.raises(ValueError, match=f"bad.ppm: bad {what}"):
+            read_ppm(path)
+
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "trunc.ppm"
         path.write_bytes(b"P6\n4 4\n255\n\x00\x00")

@@ -13,7 +13,7 @@ import pytest
 import ragnet
 import ragnet.tensor as T
 from ragnet import losses as L
-from ragnet import trainer
+from ragnet import model, trainer
 from ragnet.model import ModelConfig, forward_gr, forward_gt
 from ragnet.synthesis import SynthesisParams, make_dataset
 from ragnet.trainer import (
@@ -334,6 +334,21 @@ class TestTraining:
         mid = os.path.join(tmp_path / "run", "ckpt_p2_e001.bin")
         train(small_config(p1=1, p2=2), tiny_dataset, tmp_path / "run", resume_from=mid)
         assert open(log, "rb").read() == uninterrupted
+
+    def test_load_paths_draw_no_he_init(self, tmp_path, tiny_dataset, monkeypatch):
+        from ragnet import cli
+        train(small_config(p1=1, p2=0), tiny_dataset, tmp_path / "first")
+        mid = os.path.join(tmp_path / "first", "ckpt_p1_e001.bin")
+        draws = []
+        fill = model._fill_he
+        monkeypatch.setattr(model, "_fill_he", lambda data, seed: draws.append(seed) or fill(data, seed))
+        state = cli.load_models(mid)
+        live, saved = state.to_tensors(), load_checkpoint(mid)
+        assert all(live[k].tobytes() == saved[k].tobytes() for k in saved)
+        train(small_config(p1=1, p2=1), tiny_dataset, tmp_path / "second", resume_from=mid)
+        assert draws == []
+        TrainerState(small_config())  # the spy does see the draws of a fresh state
+        assert draws
 
     def test_log_is_flushed_before_each_checkpoint(self, tmp_path, tiny_dataset, monkeypatch):
         log = tmp_path / "run" / "train_log.csv"
