@@ -71,7 +71,7 @@ class Network:
     kind: str
     config: ModelConfig
     params: dict[str, Parameter] = field(default_factory=dict)
-    # He-init parameters whose weights are still zeros, waiting for ``_draw_he``
+    # He-init parameters added since the last ``build_network`` draw
     he_queue: list[Parameter] = field(default_factory=list, repr=False, compare=False)
 
     def add(self, name: str, shape, init: str, dtype) -> Parameter:
@@ -139,8 +139,8 @@ def _fill_he(data: np.ndarray, seed: int) -> None:
         flat[start:start + z.size] = z
 
 
-def _draw_he(net: Network) -> None:
-    """Draw the weights of every parameter in ``net.he_queue`` and empty the queue.
+def _draw_he(net: Network, queue: list[Parameter]) -> None:
+    """Draw the He weights of every parameter of *net* in *queue*.
 
     Each parameter has its own generator, seeded by (model seed, network kind,
     name), so the draws are independent of each other.  They run on a thread
@@ -148,15 +148,9 @@ def _draw_he(net: Network) -> None:
     normal sampler releases the GIL.  The workers touch only numpy arrays,
     and the bytes do not depend on the worker count.
     """
-    jobs = sorted(((p.data, _param_seed(net.config.seed, net.kind, p.name)) for p in net.he_queue),
+    jobs = sorted(((p.data, _param_seed(net.config.seed, net.kind, p.name)) for p in queue),
                   key=lambda job: job[0].size, reverse=True)
-    net.he_queue = []
-    workers = min(len(jobs), _usable_cpus())
-    if workers <= 1:
-        for job in jobs:
-            _fill_he(*job)
-        return
-    with ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(max(1, min(len(jobs), _usable_cpus()))) as pool:
         list(pool.map(lambda job: _fill_he(*job), jobs))
 
 
@@ -175,8 +169,8 @@ def build_network(kind: str, config: ModelConfig, dtype=T.DEFAULT_DTYPE, draw_in
     regardless of construction order.  The weights are drawn after every
     parameter is added, on all usable cores in chunks (``_draw_he``); the
     bytes are the same for any worker count.  With ``draw_init=False`` the
-    weights stay zero and queued in ``he_queue``, for a caller that loads
-    them from a checkpoint next.
+    weights stay zero and nothing is drawn, for a caller that loads them from
+    a checkpoint next.
     """
     if kind not in NETWORK_KINDS:
         raise ValueError(f"kind must be one of {NETWORK_KINDS}, got {kind!r}")
@@ -206,8 +200,9 @@ def build_network(kind: str, config: ModelConfig, dtype=T.DEFAULT_DTYPE, draw_in
             net.add(f"feat/s{j}/bias", (1, cout, 1, 1), "zeros", dtype)
             cin = cout
         net.freeze()
+    queue, net.he_queue = net.he_queue, []
     if draw_init:
-        _draw_he(net)
+        _draw_he(net, queue)
     return net
 
 

@@ -272,14 +272,18 @@ def write_ppm(path, img: np.ndarray) -> None:
         f.write(np.ascontiguousarray(data.transpose(1, 2, 0)).tobytes())
 
 
+PPM_MAX_DIGITS = 10  # longest width, height or maxval read_ppm accepts
+
+
 def _ppm_header(f, path) -> tuple[int, int, int]:
     """(width, height, maxval) of a binary P6 file; leaves *f* at the first pixel byte.
 
     The header is four whitespace-separated tokens (magic, width, height,
     maxval).  A ``#`` starts a comment that runs to the end of its line and
     separates tokens like whitespace.  The single whitespace byte after maxval
-    ends the header.  Each token is checked as it is read, so a file that is
-    not a PPM is rejected within its first bytes.
+    ends the header.  Each token is checked as it is read, and a number longer
+    than ``PPM_MAX_DIGITS`` is rejected, so a file that is not a PPM is
+    rejected within its first bytes.
     """
     tokens: list[bytes] = []
     tok = b""
@@ -298,7 +302,7 @@ def _ppm_header(f, path) -> tuple[int, int, int]:
             raise ValueError(f"read_ppm: {path}: truncated header")
         if not c.isspace():
             tok += c
-            if not (tok.isdigit() if tokens else b"P6".startswith(tok)):
+            if not (c.isdigit() and len(tok) <= PPM_MAX_DIGITS if tokens else b"P6".startswith(tok)):
                 raise bad()
         elif tok:
             if not tokens and tok != b"P6":

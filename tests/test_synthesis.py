@@ -182,7 +182,9 @@ class TestPPM:
             read_ppm(path)
 
     @pytest.mark.parametrize("header, what", [(b"P65 4 4 255\n", "magic"), (b"P 4 4 255\n", "magic"),
-                                              (b"P6 4 x4 255\n", "height"), (b"P6 4 4 2.5\n", "maxval")])
+                                              (b"P6 4 x4 255\n", "height"), (b"P6 4 4 2.5\n", "maxval"),
+                                              (b"P6 " + b"9" * 5000, "width"),
+                                              (b"P6 4 12345678901 255\n", "height")])
     def test_bad_header_token_names_the_file(self, tmp_path, header, what):
         path = tmp_path / "bad.ppm"
         path.write_bytes(header + bytes(48))
