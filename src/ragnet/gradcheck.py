@@ -56,6 +56,9 @@ def run_suite() -> list[CheckResult]:
     _check(results, "conv2d", lambda x, w, b: T.reduce_sum(T.tanh(T.conv2d(x, w, b, 1, 1))),
            leaves3(lambda i, s: (_leaf(s, 10 + i), _leaf((2, s[1], 3, 3), 20 + i), _leaf((1, 2, 1, 1), 30 + i))),
            OP_TOL)
+    _check(results, "conv2d_relu", lambda x, w, b: T.reduce_sum(T.tanh(T.conv2d(x, w, b, 1, 1, relu=True))),
+           leaves3(lambda i, s: (_leaf(s, 260 + i), _leaf((2, s[1], 3, 3), 270 + i), _leaf((1, 2, 1, 1), 280 + i))),
+           OP_TOL)
     _check(results, "conv2d_stride2", lambda x, w: T.reduce_sum(T.conv2d(x, w, None, 2, 1)),
            [(_leaf((1, 2, 6, 6), 40), _leaf((2, 2, 3, 3), 41))], OP_TOL)
     _check(results, "conv_transpose2d", lambda x, w, b: T.reduce_sum(T.sigmoid(T.conv_transpose2d(x, w, b))),

@@ -265,7 +265,7 @@ def _check_spatial(x: Tensor, op: str) -> None:
 
 
 def _conv_relu(x: Tensor, w: Parameter, b: Parameter) -> Tensor:
-    return T.relu(T.conv2d(x, w, b, stride=1, pad=1))
+    return T.conv2d(x, w, b, stride=1, pad=1, relu=True)
 
 
 def _encoder_forward(net: Network, prefix: str, x: Tensor, stages: int) -> list[Tensor]:
@@ -310,7 +310,7 @@ def rag_block(net: Network, level: int, f_i: Tensor, f_r: Tensor, f_dec: Tensor)
     variant = net.config.rag_variant
     f_diff = f_i if variant == "no_diff" else T.sub(f_i, f_r)
     h = T.concat_channels(T.concat_channels(f_i, f_r), f_dec)
-    h = T.relu(T.conv2d(h, net[f"rag/l{level}/m0/weight"], net[f"rag/l{level}/m0/bias"]))
+    h = T.conv2d(h, net[f"rag/l{level}/m0/weight"], net[f"rag/l{level}/m0/bias"], relu=True)
     m = T.sigmoid(T.conv2d(h, net[f"rag/l{level}/m1/weight"], net[f"rag/l{level}/m1/bias"]))
     c_diff = f_diff.shape[1]
     if variant == "two_channel_mask":

@@ -313,14 +313,22 @@ def _ppm_header(f, path) -> tuple[int, int, int]:
 
 
 def read_ppm(path) -> np.ndarray:
-    """(1,3,H,W) float32 in [0,1] from a binary P6 file."""
+    """(1,3,H,W) float32 in [0,1] from a binary P6 file.
+
+    The header's size is checked against the file before any pixel is read:
+    a zero side, or more pixel bytes than the file holds after the header,
+    is rejected.
+    """
     with open(path, "rb") as f:
         w, h, maxval = _ppm_header(f, path)
         if maxval != 255:
             raise ValueError(f"read_ppm: {path}: maxval {maxval} unsupported")
+        if w == 0 or h == 0:
+            raise ValueError(f"read_ppm: {path}: empty image {w}x{h}")
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if w * h * 3 > left:
+            raise ValueError(f"read_ppm: {path}: expected {w * h * 3} pixel bytes, got {left}")
         raw = f.read(w * h * 3)
-        if len(raw) != w * h * 3:
-            raise ValueError(f"read_ppm: {path}: expected {w * h * 3} pixel bytes, got {len(raw)}")
     arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1)
     return (arr.astype(np.float32) / 255.0)[None]
 

@@ -192,32 +192,53 @@ def _phase_slices(size: int, pad: int, s: int) -> list[tuple[slice, slice]]:
     return out
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
-    """Direct 2-D convolution (cross-correlation) with zero padding.
+# Anchors per block of the conv2d forward, so that its (Cout, block)
+# accumulator stays in cache.  It is a constant, not derived from the core
+# count or the cache size, because OpenBLAS picks its kernel by matrix size:
+# the rounding of conv2d's output depends on the block size.
+CONV_BLOCK = 8192
+
+
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0,
+           relu: bool = False) -> Tensor:
+    """Direct 2-D convolution (cross-correlation) with zero padding, and an
+    optional ReLU.
 
     ``w`` is (Cout, Cin, k, k) with k odd or 1; output spatial size is
-    floor((H + 2*pad - k)/stride) + 1.
+    floor((H + 2*pad - k)/stride) + 1.  ``relu=True`` gives
+    ``relu(conv2d(...))`` bit for bit, output and gradients, as one op: the
+    ReLU is applied in the pass that writes the output, and the tape keeps
+    one activation instead of two.
 
     Layout: channel-major.  Stride s splits the zero-padded Hp x Wp grid
-    into its s*s phases: phase (a, b) holds padded pixel (a + s*i, b + s*j)
+    into its s*s phases: phase (a, c) holds padded pixel (a + s*i, c + s*j)
     at (i, j) of an Hq x Wq = ceil(Hp/s) x ceil(Wp/s) grid.  Each phase is
     a (Cin, N*Hq*Wq + E) matrix whose column n*Hq*Wq + i*Wq + j is output
-    anchor (i, j) of image n, and the input moves into it whole H x W planes
-    at a time (stride 1 is the one-phase case; a 1x1 conv without padding
-    uses a reshape of the input, a view for one image).  Tap (u, v) of every
-    anchor is the same column of phase (u mod s, v mod s) shifted by
-    sh = (u//s)*Wq + v//s, and the E = max sh trailing zero columns keep
-    every shifted slice full width.  The convolution is k*k GEMMs
-    w[:, :, u, v] @ phase[:, sh:sh + N*Hq*Wq] summed into one contiguous
-    (Cout, N*Hq*Wq) accumulator; the anchors on pad columns or straddling
-    two images are cropped, and the crop swaps the (Cout, N) planes back to
-    NCHW.  Every stride computes only the anchors it keeps.  The tape keeps
-    the phase buffer (1x the padded input, not an im2col matrix of k*k times
-    it) and the per-tap weight copy.  The backward pass places the output
-    gradient on the anchor grid after E leading zero columns, so that each
-    tap's input gradient  w[:, :, u, v].T @ grad  is again a full-width slice
-    summed into a contiguous buffer per phase; the phases are then scattered
-    back and the padding dropped.
+    anchor (i, j) of image n, filled whole H x W planes at a time (stride 1
+    is the one-phase case; a 1x1 conv without padding uses a reshape of the
+    input, a view for one image).  Tap (u, v) of every anchor is the same
+    column of phase (u mod s, v mod s) shifted by sh = (u//s)*Wq + v//s, and
+    the E = max sh trailing zero columns keep every shifted slice full width.
+
+    The forward runs over blocks of whole anchor rows of about
+    ``CONV_BLOCK`` anchors: whole images while one fits (their Hq - Ho
+    bottom rows are computed and cropped), else kept rows of one image.
+    Every stride computes only the anchors of its own grid.  Per block and
+    per phase row a = u mod s, the k taps v of the kernel rows u = a + s*t
+    are copied into one (k*Cin, block + t_max*Wq) stack, which kernel row u
+    reads t anchor rows down.  A block is thus k GEMMs, one per (Cout, k*Cin)
+    kernel row of a (k, Cout, k*Cin) weight copy, summed into a (Cout, block)
+    accumulator that stays in cache.  The cropped block plus the bias, and
+    with ``relu=True`` its ReLU, is written straight into the NCHW output.
+
+    The tape keeps the phase buffer (1x the padded input), the weight copy
+    and, with ``relu=True``, the output array it already holds.  The
+    backward pass masks the output gradient by ``out > 0`` when
+    ``relu=True``, then places it on the anchor grid after E leading zero
+    columns, so that each tap's input gradient w[:, :, u, v].T @ grad (a
+    column block of the weight copy) is again a full-width slice summed into
+    a contiguous buffer per phase; the phases are then scattered back and
+    the padding dropped.
     """
     n, ci, h, wd = x.shape
     co, ci_w, kh, kw = w.shape
@@ -253,23 +274,60 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         xq = xf[:, :, :cols].reshape(s * s, ci, n, hq, wq)  # splits the last axis only: a view
         for p, pr, pc, xr, xc in places:
             xq[p, :, :, pr, pc] = xt[:, :, xr, xc]
-    # (k, k, Cout, Cin): one contiguous matrix per tap.  Copied 32 output
-    # channels at a time, which keeps the source block in cache and halves
-    # the cost of this transposing copy on the 512-channel layers.
-    wt = np.empty((k, k, co, ci), dtype=w.data.dtype)
+    # (k, Cout, k*Cin): kernel row u as one matrix, columns tap-major.  Copied
+    # 32 output channels at a time, which keeps the source block in cache and
+    # halves the cost of this transposing copy on the 512-channel layers.
+    wk = np.empty((k, co, k * ci), dtype=w.data.dtype)
+    wk4 = wk.reshape(k, co, k, ci)
     for o in range(0, co, 32):
-        wt[:, :, o:o + 32] = w.data[o:o + 32].transpose(2, 3, 0, 1)
+        wk4[:, o:o + 32] = w.data[o:o + 32].transpose(2, 0, 3, 1)
 
-    acc = np.empty((co, cols), dtype=np.result_type(x.data, w.data))
+    # blocks (n0, n1, i0, i1): anchor rows i0..i1 of images n0..n1; whole
+    # images while one fits the budget, else kept rows of one image
+    rows = max(1, CONV_BLOCK // wq)
+    if rows >= hq:
+        per = rows // hq
+        blocks = [(n0, min(n0 + per, n), 0, hq) for n0 in range(0, n, per)]
+    else:
+        blocks = [(nn, nn + 1, i0, min(i0 + rows, ho)) for nn in range(n) for i0 in range(0, ho, rows)]
+    most = max(((n1 - n0 - 1) * hq + i1 - i0) * wq for n0, n1, i0, i1 in blocks)
+    acc = np.empty((co, most), dtype=np.result_type(x.data, w.data))
     tmp = np.empty_like(acc)
-    u, v, p, sh = taps[0]
-    np.matmul(wt[u, v], xf[p, :, sh:sh + cols], out=acc)
-    for u, v, p, sh in taps[1:]:
-        acc += np.matmul(wt[u, v], xf[p, :, sh:sh + cols], out=tmp)
-    crop = acc.reshape(co, n, hq, wq)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
-    out = Tensor(np.ascontiguousarray(crop) if b is None else np.add(crop, b.data, order="C"))
+    stack = np.empty((k * ci, most + (-(-k // s) - 1) * wq), dtype=xf.dtype)
+    out_data = np.empty((n, co, ho, wo), dtype=acc.dtype if b is None else np.result_type(acc, b.data))
+    for n0, n1, i0, i1 in blocks:
+        start = (n0 * hq + i0) * wq
+        size = ((n1 - n0 - 1) * hq + i1 - i0) * wq
+        acc_b, tmp_b = acc[:, :size], tmp[:, :size]
+        for a in range(min(s, k)):  # phase row a serves kernel rows u = a + s*t
+            us = range(a, k, s)
+            span = size + (len(us) - 1) * wq
+            if k == 1:
+                st = xf[0, :, start:start + span]  # a single tap needs no stack
+            else:
+                st = stack[:, :span]
+                for v in range(k):
+                    o = start + v // s
+                    st[v * ci:(v + 1) * ci] = xf[a * s + v % s, :, o:o + span]
+            for t, u in enumerate(us):
+                if u == 0:
+                    np.matmul(wk[0], st[:, :size], out=acc_b)
+                else:
+                    acc_b += np.matmul(wk[u], st[:, t * wq:t * wq + size], out=tmp_b)
+        kept = min(i1, ho) - i0
+        crop = acc_b.reshape(co, n1 - n0, i1 - i0, wq)[:, :, :kept, :wo]
+        dst = out_data[n0:n1, :, i0:i0 + kept].transpose(1, 0, 2, 3)
+        if b is None:
+            dst[...] = crop
+        else:
+            np.add(crop, b.data.reshape(co, 1, 1, 1), out=dst)
+        if relu:
+            np.maximum(dst, 0, out=dst)
+    out = Tensor(out_data)
 
     def grad_fn(g):
+        if relu:
+            g = g * (out_data > 0)
         gp = np.zeros((co, ext + cols), dtype=g.dtype)
         gp[:, ext:].reshape(co, n, hq, wq)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
         dx = dw = None  # a parent that tracks no gradient gets None, which backward skips
@@ -282,7 +340,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
             dxf = np.zeros((s * s, ci, cols), dtype=np.result_type(g, w.data))
             tmp = np.empty((ci, cols), dtype=dxf.dtype)
             for u, v, p, sh in taps:
-                dxf[p] += np.matmul(wt[u, v].T, gp[:, ext - sh:ext - sh + cols], out=tmp)
+                dxf[p] += np.matmul(wk[u, :, v * ci:(v + 1) * ci].T, gp[:, ext - sh:ext - sh + cols], out=tmp)
             dxq = dxf.reshape(s * s, ci, n, hq, wq)
             dx = np.empty(x.shape, dtype=dxf.dtype)
             dxt = dx.transpose(1, 0, 2, 3)

@@ -121,8 +121,33 @@ class TestBackwardContract:
                 T.backward(loss)
 
 
+class TestFusedRelu:
+    """``conv2d(..., relu=True)`` is ``relu(conv2d(...))`` bit for bit, forward and backward."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (3, 2, 1), (3, 2, 0), (1, 1, 0), (5, 1, 2)])
+    def test_equals_relu_of_conv2d(self, k, stride, pad, dtype):
+        def run(fused):
+            x = T.Tensor(rand((3, 4, 7, 6), 30).astype(dtype), requires_grad=True)
+            w = T.Tensor(rand((5, 4, k, k), 31).astype(dtype), requires_grad=True)
+            b = T.Tensor(rand((1, 5, 1, 1), 32).astype(dtype), requires_grad=True)
+            with T.Tape():
+                if fused:
+                    out = T.conv2d(x, w, b, stride=stride, pad=pad, relu=True)
+                else:
+                    out = T.relu(T.conv2d(x, w, b, stride=stride, pad=pad))
+                T.backward(T.reduce_sum(T.mul(out, T.Tensor(rand(out.shape, 33).astype(dtype)))))
+            return [out.data.tobytes()] + [t.grad.tobytes() for t in (x, w, b)]
+
+        fused, plain = run(True), run(False)
+        assert fused == plain
+        out = np.frombuffer(fused[0], dtype=dtype)
+        assert (out == 0).any() and (out > 0).any()
+
+
 class TestFloat32:
-    @pytest.mark.parametrize("op", ["conv2d", "conv2d_stride2", "mask_mean3x3", "conv2d_stride2_odd"])
+    @pytest.mark.parametrize("op", ["conv2d", "conv2d_stride2", "mask_mean3x3", "conv2d_stride2_odd",
+                                    "conv2d_relu"])
     def test_stencils_keep_float32(self, op):
         x = T.tensor(rand((2, 3, 6, 5), 400).astype(np.float32), requires_grad=True)
         w = T.tensor(rand((4, 3, 3, 3), 401).astype(np.float32), requires_grad=True)
@@ -131,7 +156,8 @@ class TestFloat32:
                       "conv2d_stride2": (lambda: T.conv2d(x, w, b, stride=2, pad=1), [x, w, b]),
                       "mask_mean3x3": (lambda: T.mask_mean3x3(x), [x]),
                       # a 6x5 input at stride 2 without padding: phase grids of unequal sizes
-                      "conv2d_stride2_odd": (lambda: T.conv2d(x, w, b, stride=2, pad=0), [x, w, b])}[op]
+                      "conv2d_stride2_odd": (lambda: T.conv2d(x, w, b, stride=2, pad=0), [x, w, b]),
+                      "conv2d_relu": (lambda: T.conv2d(x, w, b, stride=1, pad=1, relu=True), [x, w, b])}[op]
         with T.Tape():
             out = fn()
             T.backward(T.reduce_sum(out))

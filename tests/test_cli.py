@@ -180,6 +180,17 @@ class TestPipeline:
         assert main(["inspect-mask", "--ckpt", str(run / "final.bin"), "--input", str(one_line),
                      "--out", str(tmp_path / "masks")]) == EXIT_OK
 
+    @pytest.mark.parametrize("header", [b"P6 99999 99999 255\n", b"P6 9999999999 9999999999 255\n",
+                                        b"P6 0 4 255\n", b"P6 4 0 255\n"])
+    def test_infer_rejects_a_size_the_file_cannot_hold(self, trained_run, tmp_path, capsys, header):
+        _, _, run = trained_run
+        image, out = tmp_path / "big.ppm", tmp_path / "out"
+        image.write_bytes(header + bytes(5))  # 24 bytes in all for the first header
+        assert main(["infer", "--ckpt", str(run / "final.bin"), "--input", str(image),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert f"read_ppm: {image}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_writes_report(self, trained_run, tmp_path):
         root, data, run = trained_run
         out = tmp_path / "rep"

@@ -1,12 +1,13 @@
 """Network builders, forward passes, variants, and the partial convolution."""
 
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import ragnet.tensor as T
-from ragnet import model
+from ragnet import cli, model
 from ragnet.model import ModelConfig, build_network, count_params, partial_conv
 from oracles import he_normal_serial, partial_conv_loops
 
@@ -168,6 +169,42 @@ class TestForwardGR:
         net = build_network("g_r", ModelConfig(width_multiplier=0.125))
         with pytest.raises(ValueError, match="divisible by 16"):
             model.forward_gr(net, T.zeros((1, 3, 30, 32)))
+
+    def test_tape_holds_no_relu_node(self):
+        net = build_network("g_r", ModelConfig(width_multiplier=1 / 16, seed=3))
+        with T.Tape():
+            out = model.forward_gr(net, T.tensor(rand((1, 3, 16, 16), 6).astype(np.float32)))
+        ops = [node.op for node in T._collect_nodes(out)]
+        convs = [name for name, p in net.params.items() if name.endswith("weight") and "tconv" not in name]
+        assert "relu" not in ops
+        assert ops.count("conv2d") == len(convs)
+
+
+class TestFloat32Contract:
+    def test_infer_image_float32_tracks_float64(self):
+        """Both stages on a float32 state stay close to the same weights in float64.
+
+        At aedd1c2, before conv2d's row blocks and fused ReLU, the largest
+        differences here were 2.8e-7 (R_hat), 1.2e-7 (T_hat) and 1.4e-7 (any
+        mask); the bounds are ten times those.
+        """
+        cfg = ModelConfig(width_multiplier=1 / 16, seed=0)
+        nets32 = {k: build_network(k, cfg) for k in ("g_r", "g_t")}
+        nets64 = {k: build_network(k, cfg, dtype=np.float64, draw_init=False) for k in nets32}
+        for k, net in nets32.items():
+            for name, p in net.params.items():
+                nets64[k][name].data[...] = p.data
+        img = np.random.Generator(np.random.PCG64(5)).uniform(0, 1, (1, 3, 32, 48)).astype(np.float32)
+        r32, t32, masks32, _ = cli.infer_image(SimpleNamespace(nets=nets32), img)
+        r64, t64, masks64, _ = cli.infer_image(SimpleNamespace(nets=nets64), img)
+        assert r32.dtype == t32.dtype == np.float32 and t64.dtype == np.float64
+        assert np.abs(r32 - r64).max() < 2.8e-6
+        assert np.abs(t32 - t64).max() < 1.2e-6
+        assert len(masks32) == 4
+        for a, b in zip(masks32, masks64):
+            assert a.m_diff.dtype == np.float32
+            assert np.abs(a.m_diff.data - b.m_diff.data).max() < 1.4e-6
+            assert np.abs(a.m_dec.data - b.m_dec.data).max() < 1.4e-6
 
 
 class TestPartialConv:

@@ -21,6 +21,22 @@ def rand(shape, seed, lo=-1.0, hi=1.0):
     return rng.uniform(lo, hi, size=shape).astype(np.float64)
 
 
+# (seed, input shape, weight shape, stride, pad) of the conv2d oracle checks
+ORACLE_CASES = [
+    (0, (2, 3, 7, 7), (4, 3, 3, 3), 1, 1),
+    (1, (1, 2, 8, 6), (3, 2, 3, 3), 2, 1),
+    (2, (1, 4, 5, 5), (2, 4, 1, 1), 1, 0),
+    (3, (2, 1, 9, 9), (1, 1, 5, 5), 2, 2),
+    (4, (1, 3, 6, 6), (5, 3, 3, 3), 1, 0),
+    (5, (3, 2, 5, 9), (4, 2, 3, 3), 1, 1),
+    (6, (2, 3, 7, 10), (2, 3, 3, 3), 2, 1),
+    (7, (2, 2, 4, 5), (3, 2, 1, 1), 1, 1),
+    (8, (2, 3, 6, 6), (2, 3, 1, 1), 2, 0),
+    (9, (1, 2, 9, 8), (3, 2, 5, 5), 3, 2),
+    (10, (3, 2, 5, 7), (2, 2, 3, 3), 2, 0),
+]
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         x = T.ones((1, 1, 3, 3), dtype=np.float64)
@@ -36,19 +52,7 @@ class TestConv2d:
         assert out.shape == (1, 3, 4, 4)
         np.testing.assert_array_equal(out.data, 0.0)
 
-    @pytest.mark.parametrize("seed,shape,wshape,stride,pad", [
-        (0, (2, 3, 7, 7), (4, 3, 3, 3), 1, 1),
-        (1, (1, 2, 8, 6), (3, 2, 3, 3), 2, 1),
-        (2, (1, 4, 5, 5), (2, 4, 1, 1), 1, 0),
-        (3, (2, 1, 9, 9), (1, 1, 5, 5), 2, 2),
-        (4, (1, 3, 6, 6), (5, 3, 3, 3), 1, 0),
-        (5, (3, 2, 5, 9), (4, 2, 3, 3), 1, 1),
-        (6, (2, 3, 7, 10), (2, 3, 3, 3), 2, 1),
-        (7, (2, 2, 4, 5), (3, 2, 1, 1), 1, 1),
-        (8, (2, 3, 6, 6), (2, 3, 1, 1), 2, 0),
-        (9, (1, 2, 9, 8), (3, 2, 5, 5), 3, 2),
-        (10, (3, 2, 5, 7), (2, 2, 3, 3), 2, 0),
-    ])
+    @pytest.mark.parametrize("seed,shape,wshape,stride,pad", ORACLE_CASES)
     def test_matches_nested_loop_oracle(self, seed, shape, wshape, stride, pad):
         x = rand(shape, seed)
         w = rand(wshape, seed + 100)
@@ -67,6 +71,30 @@ class TestConv2d:
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             T.conv2d(T.zeros((1, 1, 4, 4)), T.zeros((1, 1, 4, 4)), None)
+
+
+class TestConv2dBlocks:
+    """The forward's row blocks, made small so that every oracle case runs in several.
+
+    With budget B a block holds max(1, B // Wq) anchor rows: B = 1 gives
+    one-row blocks; B = 20 blocks of 2 rows of 9 on a 7x7 input at pad 1
+    (the last block partial); B = 160 pairs of whole 7x11 images out of a
+    batch of 3 (the last pair partial); B = 37 sits between.  The cases
+    include batch 3, stride 2 on odd sides, and k = 1 and k = 5.
+    """
+
+    @pytest.mark.parametrize("budget", [1, 20, 37, 160])
+    @pytest.mark.parametrize("seed,shape,wshape,stride,pad", ORACLE_CASES)
+    def test_blocks_match_nested_loop_oracle(self, monkeypatch, budget, seed, shape, wshape, stride, pad):
+        monkeypatch.setattr(T, "CONV_BLOCK", budget)
+        x = rand(shape, seed)
+        w = rand(wshape, seed + 100)
+        b = rand((wshape[0],), seed + 200)
+        for relu in (False, True):
+            got = T.conv2d(T.tensor(x), T.tensor(w), T.tensor(b.reshape(1, -1, 1, 1)),
+                           stride=stride, pad=pad, relu=relu)
+            want = conv2d_loops(x, w, b, stride=stride, pad=pad)
+            np.testing.assert_allclose(got.data, np.maximum(want, 0) if relu else want, atol=1e-10, rtol=0)
 
 
 class TestConvTranspose2d:
