@@ -61,6 +61,12 @@ def run_suite() -> list[CheckResult]:
            OP_TOL)
     _check(results, "conv2d_stride2", lambda x, w: T.reduce_sum(T.conv2d(x, w, None, 2, 1)),
            [(_leaf((1, 2, 6, 6), 40), _leaf((2, 2, 3, 3), 41))], OP_TOL)
+    # the RAG mask heads m0/m1 are 1x1 convs
+    _check(results, "conv2d_1x1", lambda x, w, b: T.reduce_sum(T.tanh(T.conv2d(x, w, b))),
+           [(_leaf((2, 3, 4, 5), 42), _leaf((2, 3, 1, 1), 43), _leaf((1, 2, 1, 1), 44))], OP_TOL)
+    # a stride that does not divide the kernel: phases with sub-kernels of unequal sizes
+    _check(results, "conv2d_k5_stride3", lambda x, w, b: T.reduce_sum(T.tanh(T.conv2d(x, w, b, 3, 2))),
+           [(_leaf((1, 2, 9, 8), 45), _leaf((3, 2, 5, 5), 46), _leaf((1, 3, 1, 1), 47))], OP_TOL)
     _check(results, "conv_transpose2d", lambda x, w, b: T.reduce_sum(T.sigmoid(T.conv_transpose2d(x, w, b))),
            leaves3(lambda i, s: (_leaf(s, 50 + i), _leaf((s[1], 2, 2, 2), 60 + i), _leaf((1, 2, 1, 1), 70 + i))),
            OP_TOL)

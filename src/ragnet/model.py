@@ -280,12 +280,16 @@ def _encoder_forward(net: Network, prefix: str, x: Tensor, stages: int) -> list[
     return feats
 
 
-def partial_conv(f: Tensor, m: Tensor, w: Tensor, b: Tensor, renorm: bool = True) -> Tensor:
+def partial_conv(f: Tensor, m: Tensor, w: Tensor, b: Tensor, renorm: bool = True,
+                 relu: bool = False) -> Tensor:
     """Mask-renormalized 3x3 convolution (stride 1, pad 1).
 
     out = (w * (f o m)) o (1 / mean3x3(m)) + b wherever mean3x3(m) > eps (that of
     ``T.mask_renorm``) and exactly 0 elsewhere (bias suppressed).  With
     ``renorm=False`` the division is omitted: out = w * (f o m) + b.
+    ``relu=True`` applies a ReLU inside the op that writes the output
+    (``mask_renorm``, or ``conv2d`` without renormalization), bit for bit
+    ``relu(partial_conv(...))``.
     """
     if f.shape != m.shape:
         raise ValueError(f"partial_conv: feature shape {f.shape} != mask shape {m.shape}")
@@ -294,10 +298,10 @@ def partial_conv(f: Tensor, m: Tensor, w: Tensor, b: Tensor, renorm: bool = True
                          f"renormalization, got {w.shape[1]}->{w.shape[0]}")
     fm = T.mul(f, m)
     if not renorm:
-        return T.conv2d(fm, w, b, stride=1, pad=1)
+        return T.conv2d(fm, w, b, stride=1, pad=1, relu=relu)
     raw = T.conv2d(fm, w, None, stride=1, pad=1)
     mbar = T.mask_mean3x3(m)
-    return T.mask_renorm(raw, mbar, b)
+    return T.mask_renorm(raw, mbar, b, relu=relu)
 
 
 def rag_block(net: Network, level: int, f_i: Tensor, f_r: Tensor, f_dec: Tensor) -> tuple[Tensor, MaskLevel]:
@@ -363,7 +367,7 @@ def _guided_decoder(net: Network, f_obs: list[Tensor], f_refl: list[Tensor]) -> 
         masks.append(mask)
         f = T.concat_channels(f_diff, f_dec)
         m = _mask_full_width(mask, f_diff.shape[1], f_dec.shape[1])
-        return T.relu(partial_conv(f, m, w, b, renorm=(variant != "mask_no_renorm")))
+        return partial_conv(f, m, w, b, renorm=(variant != "mask_no_renorm"), relu=True)
 
     out = _decoder(net, f_obs, merge)
     return out, masks[::-1]  # merged from level 4 down; returned level 1 first

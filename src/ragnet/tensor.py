@@ -192,10 +192,11 @@ def _phase_slices(size: int, pad: int, s: int) -> list[tuple[slice, slice]]:
     return out
 
 
-# Anchors per block of the conv2d forward, so that its (Cout, block)
-# accumulator stays in cache.  It is a constant, not derived from the core
-# count or the cache size, because OpenBLAS picks its kernel by matrix size:
-# the rounding of conv2d's output depends on the block size.
+# Anchors per row block of conv2d, forward and backward, so that its (Cout,
+# block) and (Cin, block) accumulators stay in cache.  It is a constant, not
+# derived from the core count or the cache size, because OpenBLAS picks its
+# kernel by matrix size: the rounding of conv2d's results depends on the
+# block size.
 CONV_BLOCK = 8192
 
 
@@ -233,12 +234,28 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
 
     The tape keeps the phase buffer (1x the padded input), the weight copy
     and, with ``relu=True``, the output array it already holds.  The
-    backward pass masks the output gradient by ``out > 0`` when
-    ``relu=True``, then places it on the anchor grid after E leading zero
-    columns, so that each tap's input gradient w[:, :, u, v].T @ grad (a
-    column block of the weight copy) is again a full-width slice summed into
-    a contiguous buffer per phase; the phases are then scattered back and
-    the padding dropped.
+    backward pass writes the output gradient, masked by ``out > 0`` when
+    ``relu=True``, onto the anchor grid after E leading zero columns; every
+    other column of that (Cout, E + N*Hq*Wq) buffer is 0, and db is its row
+    sum.  It then runs over the forward's row blocks, extended to all Hq
+    anchor rows because input pixels also lie on the rows the forward crops:
+
+    - dw: per phase row a, the forward's (k*Cin, block) stack is rebuilt
+      from the phase buffer, and kernel row u = a + s*t adds
+      ``stack[:, t rows down] @ g_block.T`` to a (k, k*Cin, Cout) buffer.
+    - dx: phase (a, c) of the padded input gradient is the stride-1
+      correlation sum over t, r of w[:, :, a + s*t, c + s*r].T @ g shifted
+      t anchor rows and r columns back.  Per block and column phase c, the
+      kr taps r are a (kr*Cout, block + t_max*Wq) stack of the gradient, so
+      that row t of the sub-kernel is one (Cin, kr*Cout) GEMM against the
+      stack t rows up, summed into a (Cin, block) accumulator whose rows
+      holding input pixels are written straight into dx.  The weights are
+      the forward's copy, not ``w.data``, which the optimizer updates in
+      place before a later backward.
+
+    A shifted window that leaves the block crosses only cropped anchors or
+    the leading zero columns, where the gradient is 0, so the blocks sum to
+    the exact gradient.
     """
     n, ci, h, wd = x.shape
     co, ci_w, kh, kw = w.shape
@@ -261,8 +278,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     s = stride
     hq, wq = -(-(h + 2 * pad) // s), -(-(wd + 2 * pad) // s)
     cols = n * hq * wq
-    taps = [(u, v, (u % s) * s + v % s, (u // s) * wq + v // s) for u in range(k) for v in range(k)]
-    ext = taps[-1][3]
+    tall = (k - 1) // s  # the kernel rows of one phase row, less one
+    ext = tall * wq + tall  # the largest tap shift
     # phase p = a*s + c: its grid slices holding input pixels, and the input slices they hold
     places = [(a * s + c, pr, pc, xr, xc) for a, (pr, xr) in enumerate(_phase_slices(h, pad, s))
               for c, (pc, xc) in enumerate(_phase_slices(wd, pad, s))]
@@ -282,33 +299,40 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     for o in range(0, co, 32):
         wk4[:, o:o + 32] = w.data[o:o + 32].transpose(2, 0, 3, 1)
 
-    # blocks (n0, n1, i0, i1): anchor rows i0..i1 of images n0..n1; whole
-    # images while one fits the budget, else kept rows of one image
-    rows = max(1, CONV_BLOCK // wq)
-    if rows >= hq:
-        per = rows // hq
-        blocks = [(n0, min(n0 + per, n), 0, hq) for n0 in range(0, n, per)]
-    else:
-        blocks = [(nn, nn + 1, i0, min(i0 + rows, ho)) for nn in range(n) for i0 in range(0, ho, rows)]
-    most = max(((n1 - n0 - 1) * hq + i1 - i0) * wq for n0, n1, i0, i1 in blocks)
+    def row_blocks(last):
+        """Blocks (n0, n1, i0, i1, start, size): anchor rows i0..i1 of images
+        n0..n1, their first anchor and their anchor count.  Whole images while
+        one fits ``CONV_BLOCK``, else rows of one image up to row *last*."""
+        rows = max(1, CONV_BLOCK // wq)
+        if rows >= hq:
+            per = rows // hq
+            spans = [(n0, min(n0 + per, n), 0, hq) for n0 in range(0, n, per)]
+        else:
+            spans = [(nn, nn + 1, i0, min(i0 + rows, last)) for nn in range(n) for i0 in range(0, last, rows)]
+        return [(n0, n1, i0, i1, (n0 * hq + i0) * wq, ((n1 - n0 - 1) * hq + i1 - i0) * wq)
+                for n0, n1, i0, i1 in spans]
+
+    def x_stack(buf, start, a, span):
+        """The taps v of phase row a, *span* anchors from anchor *start*, as rows v*Cin..(v+1)*Cin."""
+        if k == 1:
+            return xf[0, :, start:start + span]  # a single tap needs no stack
+        st = buf[:k * ci, :span]
+        for v in range(k):
+            o = start + v // s
+            st[v * ci:(v + 1) * ci] = xf[a * s + v % s, :, o:o + span]
+        return st
+
+    blocks = row_blocks(ho)
+    most = max(size for *_, size in blocks)
     acc = np.empty((co, most), dtype=np.result_type(x.data, w.data))
     tmp = np.empty_like(acc)
-    stack = np.empty((k * ci, most + (-(-k // s) - 1) * wq), dtype=xf.dtype)
+    stack = np.empty((k * ci, most + tall * wq), dtype=xf.dtype)
     out_data = np.empty((n, co, ho, wo), dtype=acc.dtype if b is None else np.result_type(acc, b.data))
-    for n0, n1, i0, i1 in blocks:
-        start = (n0 * hq + i0) * wq
-        size = ((n1 - n0 - 1) * hq + i1 - i0) * wq
+    for n0, n1, i0, i1, start, size in blocks:
         acc_b, tmp_b = acc[:, :size], tmp[:, :size]
         for a in range(min(s, k)):  # phase row a serves kernel rows u = a + s*t
             us = range(a, k, s)
-            span = size + (len(us) - 1) * wq
-            if k == 1:
-                st = xf[0, :, start:start + span]  # a single tap needs no stack
-            else:
-                st = stack[:, :span]
-                for v in range(k):
-                    o = start + v // s
-                    st[v * ci:(v + 1) * ci] = xf[a * s + v % s, :, o:o + span]
+            st = x_stack(stack, start, a, size + (len(us) - 1) * wq)
             for t, u in enumerate(us):
                 if u == 0:
                     np.matmul(wk[0], st[:, :size], out=acc_b)
@@ -324,29 +348,77 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         if relu:
             np.maximum(dst, 0, out=dst)
     out = Tensor(out_data)
+    alive = out_data if relu else None  # the tape keeps the output only to mask by it
 
     def grad_fn(g):
-        if relu:
-            g = g * (out_data > 0)
+        # the output gradient on the anchor grid after E leading zero columns
         gp = np.zeros((co, ext + cols), dtype=g.dtype)
-        gp[:, ext:].reshape(co, n, hq, wq)[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
+        gq = gp[:, ext:].reshape(co, n, hq, wq)[:, :, :ho, :wo]
+        if relu:
+            np.multiply(g.transpose(1, 0, 2, 3), alive.transpose(1, 0, 2, 3) > 0, out=gq)
+        else:
+            gq[...] = g.transpose(1, 0, 2, 3)
         dx = dw = None  # a parent that tracks no gradient gets None, which backward skips
+        bwd_blocks = row_blocks(hq)  # input pixels lie on every anchor row
+        span = max(size for *_, size in bwd_blocks) + tall * wq
+        # one buffer for a block's input stack (dw), then its gradient stack
+        # (dx): a call touches fewer fresh pages than with one buffer each
+        buf = np.empty((max(k * ci, -(-k // s) * co), span), dtype=np.result_type(xf, gp))
         if w.requires_grad:
-            gf = gp[:, ext:]
-            dw = np.empty((co, ci, k, k), dtype=np.result_type(g, xf))
-            for u, v, p, sh in taps:
-                dw[:, :, u, v] = (xf[p, :, sh:sh + cols] @ gf.T).T
+            dwk = np.empty((k, k * ci, co), dtype=np.result_type(g, xf))  # dw of kernel row u, (v, Cin) x Cout
+            part = np.empty((k * ci, co), dtype=dwk.dtype)
         if x.requires_grad:
-            dxf = np.zeros((s * s, ci, cols), dtype=np.result_type(g, w.data))
-            tmp = np.empty((ci, cols), dtype=dxf.dtype)
-            for u, v, p, sh in taps:
-                dxf[p] += np.matmul(wk[u, :, v * ci:(v + 1) * ci].T, gp[:, ext - sh:ext - sh + cols], out=tmp)
-            dxq = dxf.reshape(s * s, ci, n, hq, wq)
-            dx = np.empty(x.shape, dtype=dxf.dtype)
+            # with k < s the phases a or c >= k hold no tap, and their pixels get 0
+            dx = (np.zeros if k < s else np.empty)(x.shape, dtype=np.result_type(g, wk))
             dxt = dx.transpose(1, 0, 2, 3)
-            for p, pr, pc, xr, xc in places:  # every input pixel lies in exactly one phase
-                dxt[:, :, xr, xc] = dxq[p, :, :, pr, pc]
-        db = g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1) if b is not None else None
+            # tap row u, column phase c: (Cin, kr*Cout), column block r the tap v = c + s*r
+            wkt = wk.reshape(k, co, k, ci).transpose(0, 3, 2, 1)
+            wt = [[np.ascontiguousarray(wkt[u, :, c::s]).reshape(ci, -1) for c in range(min(s, k))]
+                  for u in range(k)]
+            dacc = np.empty((ci, span), dtype=dx.dtype)
+            dtmp = np.empty_like(dacc)
+        for bi, (n0, n1, i0, i1, start, size) in enumerate(bwd_blocks):
+            if w.requires_grad:
+                # kernel row u = a + s*t: its stacked taps times the block's gradient
+                gb = gp[:, ext + start:ext + start + size]
+                for a in range(min(s, k)):
+                    us = range(a, k, s)
+                    st = x_stack(buf, start, a, size + (len(us) - 1) * wq)
+                    for t, u in enumerate(us):
+                        if bi == 0:
+                            np.matmul(st[:, t * wq:t * wq + size], gb.T, out=dwk[u])
+                        else:
+                            dwk[u] += np.matmul(st[:, t * wq:t * wq + size], gb.T, out=part)
+            if x.requires_grad:
+                # phase (a, c) of dx: the taps u = a + s*t, v = c + s*r times
+                # the gradient t anchor rows and r columns back
+                acc_b, tmp_b = dacc[:, :size], dtmp[:, :size]
+                o = ext + start - tall * wq  # the stack's first column in gp
+                for c in range(min(s, k)):
+                    kr = len(range(c, k, s))
+                    if kr == 1:
+                        gs = gp[:, o:o + size + tall * wq]  # a single tap column needs no stack
+                    else:
+                        gs = buf[:kr * co, :size + tall * wq]
+                        for r in range(kr):
+                            gs[r * co:(r + 1) * co] = gp[:, o - r:o - r + size + tall * wq]
+                    for a in range(min(s, k)):
+                        for t, u in enumerate(range(a, k, s)):
+                            sl = gs[:, (tall - t) * wq:(tall - t) * wq + size]
+                            if t == 0:
+                                np.matmul(wt[u][c], sl, out=acc_b)
+                            else:
+                                acc_b += np.matmul(wt[u][c], sl, out=tmp_b)
+                        # the block's rows of phase (a, c) that hold input pixels, straight into dx
+                        _, pr, pc, xr, xc = places[a * s + c]
+                        r0, r1 = max(pr.start, i0), min(pr.stop, i1)
+                        if r0 < r1:
+                            rows_x = slice(xr.start + s * (r0 - pr.start), xr.start + s * (r1 - pr.start), s)
+                            block = acc_b.reshape(ci, n1 - n0, i1 - i0, wq)
+                            dxt[:, n0:n1, rows_x, xc] = block[:, :, r0 - i0:r1 - i0, pc]
+        if w.requires_grad:
+            dw = dwk.reshape(k, k, ci, co).transpose(3, 2, 0, 1)
+        db = gp.sum(axis=1).reshape(1, co, 1, 1) if b is not None else None
         return (dx, dw, db) if b is not None else (dx, dw)
 
     parents = (x, w, b) if b is not None else (x, w)
@@ -676,8 +748,13 @@ def frobenius_norm(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # mask renormalization (the division + zero branch of the partial convolution)
 
-def mask_renorm(y: Tensor, mbar: Tensor, b: Tensor | None, eps: float = 1e-8) -> Tensor:
-    """Per-entry y/mbar + bias where mbar > eps, else exactly 0 (bias suppressed)."""
+def mask_renorm(y: Tensor, mbar: Tensor, b: Tensor | None, eps: float = 1e-8,
+                relu: bool = False) -> Tensor:
+    """Per-entry y/mbar + bias where mbar > eps, else exactly 0 (bias suppressed).
+
+    ``relu=True`` gives ``relu(mask_renorm(...))`` bit for bit, output and
+    gradients, as one op, as in ``conv2d``.
+    """
     if y.shape != mbar.shape:
         raise ValueError(f"mask_renorm: shape mismatch {y.shape} vs {mbar.shape}")
     co = y.shape[1]
@@ -688,9 +765,14 @@ def mask_renorm(y: Tensor, mbar: Tensor, b: Tensor | None, eps: float = 1e-8) ->
     out_data = y.data * inv
     if b is not None:
         out_data = out_data + b.data * active
+    if relu:
+        np.maximum(out_data, 0, out=out_data)
     out = Tensor(out_data)
+    alive = out_data if relu else None  # the tape keeps the output only to mask by it
 
     def grad_fn(g):
+        if relu:
+            g = g * (alive > 0)
         dy = g * inv
         dmbar = -g * y.data * inv * inv
         db = (g * active).sum(axis=(0, 2, 3)).reshape(1, co, 1, 1) if b is not None else None

@@ -29,6 +29,32 @@ def conv2d_loops(x, w, b=None, stride=1, pad=0):
     return out
 
 
+def conv2d_grad_loops(x, w, g, stride=1, pad=0):
+    """(dx, dw, db) of conv2d for the output gradient *g*: every output entry
+    sends g times each weight to the input pixel it read, and g times each
+    input pixel to the weight that read it; reads of the zero padding are dropped."""
+    n, ci, h, wd = x.shape
+    co, _, k, _ = w.shape
+    _, _, ho, wo = g.shape
+    dx = np.zeros((n, ci, h, wd), dtype=np.float64)
+    dw = np.zeros((co, ci, k, k), dtype=np.float64)
+    db = np.zeros(co, dtype=np.float64)
+    for nn in range(n):
+        for oc in range(co):
+            for i in range(ho):
+                for j in range(wo):
+                    gv = g[nn, oc, i, j]
+                    db[oc] += gv
+                    for c in range(ci):
+                        for u in range(k):
+                            for v in range(k):
+                                r, q = i * stride + u - pad, j * stride + v - pad
+                                if 0 <= r < h and 0 <= q < wd:
+                                    dx[nn, c, r, q] += gv * w[oc, c, u, v]
+                                    dw[oc, c, u, v] += gv * x[nn, c, r, q]
+    return dx, dw, db
+
+
 def conv_transpose2d_loops(x, w, b=None):
     # fixed kernel 2, stride 2
     n, ci, h, wd = x.shape

@@ -253,6 +253,29 @@ class TestPartialConv:
         want = T.conv2d(T.mul(f, m), w, b, stride=1, pad=1)
         np.testing.assert_array_equal(got.data, want.data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("renorm", [True, False])
+    def test_fused_relu_equals_relu_of_partial_conv(self, renorm, dtype):
+        """The guided decoder's merge: one op, bit for bit the separate ReLU."""
+        def run(fused):
+            f = T.Tensor(rand((2, 4, 6, 5), 30, -1, 1).astype(dtype), requires_grad=True)
+            m = T.Tensor(rand((2, 4, 6, 5), 31).astype(dtype), requires_grad=True)
+            m.data[0, :, :3] = 0.0  # a region where mean3x3(m) is 0: output and bias held at 0
+            w = T.Tensor(rand((4, 4, 3, 3), 32, -1, 1).astype(dtype), requires_grad=True)
+            b = T.Tensor(rand((1, 4, 1, 1), 33, -1, 1).astype(dtype), requires_grad=True)
+            with T.Tape():
+                if fused:
+                    out = partial_conv(f, m, w, b, renorm=renorm, relu=True)
+                else:
+                    out = T.relu(partial_conv(f, m, w, b, renorm=renorm))
+                T.backward(T.reduce_sum(T.mul(out, T.Tensor(rand(out.shape, 34, -1, 1).astype(dtype)))))
+            return [out.data.tobytes()] + [t.grad.tobytes() for t in (f, m, w, b)]
+
+        fused, plain = run(True), run(False)
+        assert fused == plain
+        out = np.frombuffer(fused[0], dtype=dtype)
+        assert (out == 0).any() and (out > 0).any()
+
     def test_grad_through_renormalization(self):
         f = T.tensor(rand((1, 2, 4, 4), 24, -1, 1), requires_grad=True)
         m = T.tensor(rand((1, 2, 4, 4), 25, 0.2, 0.9), requires_grad=True)
@@ -366,6 +389,14 @@ class TestForwardGT:
 
         err = T.finite_diff_check(fn, [i_obs, r_hat], step=1e-5, max_coords=24)
         assert err < 1e-4
+
+    @pytest.mark.parametrize("variant", ["full", "mask_no_renorm"])
+    def test_guided_decoder_tape_holds_no_relu_node(self, variant):
+        net = build_network("g_t", ModelConfig(width_multiplier=1 / 16, rag_variant=variant, seed=3))
+        img = T.tensor(rand((1, 3, 16, 16), 6).astype(np.float32))
+        with T.Tape():
+            out, _ = model.forward_gt(net, img, img)
+        assert "relu" not in [node.op for node in T._collect_nodes(out)]
 
 
 class TestDiscriminator:

@@ -6,6 +6,7 @@ import pytest
 import ragnet.tensor as T
 from oracles import (
     block_mean_loops,
+    conv2d_grad_loops,
     conv2d_loops,
     conv_transpose2d_loops,
     downsample2x_grad_repeat,
@@ -95,6 +96,46 @@ class TestConv2dBlocks:
                            stride=stride, pad=pad, relu=relu)
             want = conv2d_loops(x, w, b, stride=stride, pad=pad)
             np.testing.assert_allclose(got.data, np.maximum(want, 0) if relu else want, atol=1e-10, rtol=0)
+
+
+class TestConv2dBackwardBlocks:
+    """The backward's row blocks, at the budgets of ``TestConv2dBlocks``:
+    dx, dw and db of every oracle case against the nested-loop oracle, with
+    the output gradient masked by the ReLU where ``relu=True``."""
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("budget", [1, 20, 37, 160])
+    @pytest.mark.parametrize("seed,shape,wshape,stride,pad", ORACLE_CASES)
+    def test_gradients_match_nested_loop_oracle(self, monkeypatch, budget, relu, seed, shape, wshape, stride, pad):
+        monkeypatch.setattr(T, "CONV_BLOCK", budget)
+        x = rand(shape, seed)
+        w = rand(wshape, seed + 100)
+        b = rand((wshape[0],), seed + 200)
+        xt, wt, bt = (T.tensor(a, requires_grad=True) for a in (x, w, b.reshape(1, -1, 1, 1)))
+        with T.Tape():
+            out = T.conv2d(xt, wt, bt, stride=stride, pad=pad, relu=relu)
+            g = rand(out.shape, seed + 300)
+            T.backward(T.reduce_sum(T.mul(out, T.tensor(g))))
+        if relu:
+            g = g * (conv2d_loops(x, w, b, stride=stride, pad=pad) > 0)
+        dx, dw, db = conv2d_grad_loops(x, w, g, stride=stride, pad=pad)
+        np.testing.assert_allclose(xt.grad, dx, atol=1e-10, rtol=0)
+        np.testing.assert_allclose(wt.grad, dw, atol=1e-10, rtol=0)
+        np.testing.assert_allclose(bt.grad.reshape(-1), db, atol=1e-10, rtol=0)
+
+    def test_dx_uses_the_weights_of_the_forward(self):
+        """The optimizer updates weights in place between steps; a backward
+        run after that still differentiates the forward that was taped."""
+        x = T.tensor(rand((2, 3, 7, 7), 40), requires_grad=True)
+        w = T.tensor(rand((4, 3, 3, 3), 41), requires_grad=True)
+        g = T.tensor(rand((2, 4, 7, 7), 42))
+        with T.Tape():
+            loss = T.reduce_sum(T.mul(T.conv2d(x, w, None, stride=1, pad=1), g))
+        w0 = w.data.copy()
+        w.data += 1.0
+        T.backward(loss)
+        dx, _, _ = conv2d_grad_loops(x.data, w0, g.data, stride=1, pad=1)
+        np.testing.assert_allclose(x.grad, dx, atol=1e-10, rtol=0)
 
 
 class TestConvTranspose2d:
