@@ -5,6 +5,9 @@ data is ``ragnet synth --n 8 --seed 1 --patch-size 16``; each run trains it
 at width 1/16, 16 px, 1 + 1 epochs, seed 1: once per RAG variant, and once
 more (``full, half has_r=0``) on a manifest whose every second row declares
 no reflection layer.  The ``full`` run is also evaluated over the pinned data.
+The last two lines hash synthesized data: the pinned data, and
+``ragnet synth --n 2 --seed 1 --patch-size 224``, whose scenes span several
+row blocks of the blur filter.
 
 Usage: PYTHONPATH=src python3 scripts/pinned_runs.py [--out DIR]
 (without ``--out`` the runs go to a temporary directory that is removed).
@@ -37,9 +40,20 @@ def sha256(path: str) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
+def sha256_dir(path: str) -> str:
+    """SHA-256 over the sorted file names and contents of a directory."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(path)):
+        h.update(name.encode())
+        with open(os.path.join(path, name), "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()
+
+
 def run_all(root: str) -> None:
     data = os.path.join(root, "data")
     ragnet("synth", "--n", "8", "--seed", "1", "--patch-size", "16", "--out", data)
+    data_sha = sha256_dir(data)
     manifest = os.path.join(data, "manifest.tsv")
     half_r = os.path.join(data, "manifest_half_r.tsv")
     with open(manifest) as src, open(half_r, "w") as dst:
@@ -58,6 +72,10 @@ def run_all(root: str) -> None:
             report = os.path.join(root, "eval_full")
             ragnet("eval", "--ckpt", os.path.join(out, "final.bin"), "--data", manifest, "--out", report)
             print(f"{name:20s} {'eval report.csv':18s} {sha256(os.path.join(report, 'report.csv'))}")
+    data224 = os.path.join(root, "data224")
+    ragnet("synth", "--n", "2", "--seed", "1", "--patch-size", "224", "--out", data224)
+    print(f"{'synth n 8, 16 px':20s} {'data directory':18s} {data_sha}")
+    print(f"{'synth n 2, 224 px':20s} {'data directory':18s} {sha256_dir(data224)}")
 
 
 if __name__ == "__main__":

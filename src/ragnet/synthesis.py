@@ -23,6 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 BLEND_MODES = ("linear_clip", "overexpose")
+# Limit, in pixels, on the two image sides that SynthesisParams set: the
+# pre-crop scene (patch_size x scale) and the patch padded for its reflection
+# blur (patch_size + 2 ceil(3 sigma)).  At this side one float64 RGB image is
+# 400 MB, so larger settings are rejected before any array is made.
+MAX_SIDE = 4096
 
 
 @dataclass
@@ -54,6 +59,15 @@ class SynthesisParams:
             raise ValueError(f"blur_sigma_range lower bound must be >= 0, got {self.blur_sigma_range[0]}")
         if self.scale_range[0] < 1.0:
             raise ValueError("scale_range lower bound must be >= 1 (patches are cropped from the scaled image)")
+        sigma_hi, scale_hi = self.blur_sigma_range[1], self.scale_range[1]
+        if sigma_hi > self.patch_size:
+            raise ValueError(f"blur_sigma_range upper bound {sigma_hi} exceeds patch_size {self.patch_size}")
+        if self.patch_size * scale_hi > MAX_SIDE:
+            raise ValueError(f"pre-crop side patch_size x scale_range upper bound = {self.patch_size * scale_hi:g} "
+                             f"exceeds the {MAX_SIDE} px limit")
+        if self.patch_size + 2 * np.ceil(3.0 * sigma_hi) > MAX_SIDE:
+            raise ValueError(f"blur padding of sigma {sigma_hi} takes patch_size {self.patch_size} "
+                             f"past the {MAX_SIDE} px limit")
         if not (np.isfinite(self.overexpose_boost) and self.overexpose_boost >= 0):
             raise ValueError(f"overexpose_boost must be finite and >= 0, got {self.overexpose_boost}")
         if not (np.isfinite(self.saturate_threshold) and self.saturate_threshold > 0):
@@ -95,19 +109,40 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     return filter_valid(np.pad(img.astype(np.float64), pad, mode="reflect"), k)
 
 
+# Input values (float64) per row-block budget of filter_valid, so that a
+# block's sums and products stay in the L2 cache.  The block size does not
+# change the result: every output value takes the same multiply-adds in the
+# same order whatever the block.
+FILTER_BLOCK = 32 * 1024
+
+
 def filter_valid(img: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Correlate the last two axes of *img* with the 1-D kernel *k*, rows first.
 
-    Only valid windows are kept, so each axis shrinks by len(k) - 1.  Each
-    axis is one multiply-add per tap, in tap order, into a float64 sum.
+    Only valid windows are kept, so each axis shrinks by len(k) - 1.  The
+    output is made in blocks of rows that span all leading planes.  A budget
+    is the number of rows whose input, over all planes, fits ``FILTER_BLOCK``
+    values (at least one row).  The output rows are split into as many equal
+    blocks as whole budgets fit in them (the last block may be shorter), so a
+    block holds one to two budgets, or the whole output when that is smaller
+    than one budget.  Per block, the vertical pass adds one product per tap,
+    in tap order, into a zeroed float64 sum; the horizontal pass then adds its
+    products, in tap order, straight into the output rows.  So every output
+    value is the same sum, in the same order, whatever the block size.
     """
-    h, w = img.shape[-2] - len(k) + 1, img.shape[-1] - len(k) + 1
-    rows = np.zeros(img.shape[:-2] + (h, img.shape[-1]))
-    for tap, kv in enumerate(k):
-        rows += kv * img[..., tap:tap + h, :]
-    out = np.zeros(img.shape[:-2] + (h, w))
-    for tap, kv in enumerate(k):
-        out += kv * rows[..., tap:tap + w]
+    lead, wide = img.shape[:-2], img.shape[-1]
+    h, w = img.shape[-2] - len(k) + 1, wide - len(k) + 1
+    out = np.zeros(lead + (h, w))
+    fit = max(1, FILTER_BLOCK // max(1, int(np.prod(lead)) * wide))
+    m = max(1, -(-h // max(1, h // fit)))  # rows per block
+    for r0 in range(0, h, m):
+        n = min(m, h - r0)
+        rows = np.zeros(lead + (n, wide))
+        for tap, kv in enumerate(k):
+            rows += kv * img[..., r0 + tap:r0 + tap + n, :]
+        dst = out[..., r0:r0 + n, :]
+        for tap, kv in enumerate(k):
+            dst += kv * rows[..., tap:tap + w]
     return out
 
 
@@ -128,27 +163,30 @@ def _base_image(rng: np.random.Generator, size: int) -> np.ndarray:
     img = gaussian_blur(img, sigma=max(1.0, reps / 2.0))
 
     # global illumination gradient
-    yy, xx = np.mgrid[0:size, 0:size] / max(1, size - 1)
+    yy, xx = (g / max(1, size - 1) for g in np.ogrid[0:size, 0:size])
     theta = rng.uniform(0, 2 * np.pi)
     ramp = (np.cos(theta) * xx + np.sin(theta) * yy) * rng.uniform(0.1, 0.5)
     img += ramp[None, :, :]
 
-    # a few solid shapes with alpha blending
+    # a few solid shapes with alpha blending, each over its bounding box only
     for _ in range(int(rng.integers(2, 5))):
         color = rng.uniform(0.0, 1.0, size=3)
         alpha = rng.uniform(0.4, 0.9)
         if rng.uniform() < 0.5:
             cy, cx = rng.uniform(0, size, size=2)
             rad = rng.uniform(size * 0.08, size * 0.3)
-            mask = ((np.mgrid[0:size, 0:size][0] - cy) ** 2 +
-                    (np.mgrid[0:size, 0:size][1] - cx) ** 2) <= rad * rad
+            # a one-pixel margin keeps every pixel the disc test accepts inside the box
+            ys, xs = (slice(max(0, int(np.floor(c - rad)) - 1), min(size, int(np.ceil(c + rad)) + 2))
+                      for c in (cy, cx))
+            yy, xx = np.ogrid[ys, xs]
+            mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= rad * rad
         else:
             y0, x0 = rng.integers(0, size, size=2)
             hgt = int(rng.uniform(size * 0.1, size * 0.5))
             wid = int(rng.uniform(size * 0.1, size * 0.5))
-            mask = np.zeros((size, size), dtype=bool)
-            mask[y0:y0 + hgt, x0:x0 + wid] = True
-        img = np.where(mask[None, :, :], (1 - alpha) * img + alpha * color[:, None, None], img)
+            ys, xs, mask = slice(y0, y0 + hgt), slice(x0, x0 + wid), True
+        box = img[:, ys, xs]
+        box[...] = np.where(mask, (1 - alpha) * box + alpha * color[:, None, None], box)
 
     lo, hi = img.min(), img.max()
     if hi - lo > 1e-9:

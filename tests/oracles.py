@@ -208,3 +208,17 @@ def he_normal_serial(shape, seed, dtype):
     z = rng.standard_normal(shape)
     z *= np.sqrt(2.0 / int(np.prod(shape[1:])))
     return z.astype(dtype)
+
+
+def filter_valid_whole_plane(img, k):
+    """Separable valid correlation of the last two axes with the 1-D kernel *k*,
+    rows first, each pass over whole planes: per tap, one product added into a
+    zeroed float64 sum, in tap order."""
+    h, w = img.shape[-2] - len(k) + 1, img.shape[-1] - len(k) + 1
+    rows = np.zeros(img.shape[:-2] + (h, img.shape[-1]))
+    for tap, kv in enumerate(k):
+        rows += kv * img[..., tap:tap + h, :]
+    out = np.zeros(img.shape[:-2] + (h, w))
+    for tap, kv in enumerate(k):
+        out += kv * rows[..., tap:tap + w]
+    return out

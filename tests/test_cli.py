@@ -251,6 +251,33 @@ def test_out_of_range_config_exits_2(argv, trained_run, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["synth", "--n", "1"],
+    ["train", "--data", "{data}/manifest.tsv"],
+    ["infer", "--ckpt", "{run}/final.bin", "--input", "{data}/I_0000.ppm"],
+])
+@pytest.mark.parametrize("flags", [
+    ["--blur-sigma-lo", "1e6", "--blur-sigma-hi", "1e6"],  # a blur wider than the patch
+    ["--blur-sigma-hi", "33"],
+    ["--scale-lo", "1e7", "--scale-hi", "1e7"],  # pre-crop sides past synthesis.MAX_SIDE
+    ["--patch-size", "4096"],
+    ["--patch-size", "2048", "--scale-hi", "1", "--blur-sigma-hi", "2048"],  # blur padding past MAX_SIDE
+], ids=["sigma_1e6", "sigma_above_patch", "scale_1e7", "patch_4096_scale_2", "padded_blur"])
+def test_finite_but_huge_synthesis_sizes_exit_2(command, flags, trained_run, tmp_path, capsys):
+    # rejected by the range checks, before any array is sized from them
+    _, data, run = trained_run
+    out = tmp_path / "out"
+    argv = [a.format(run=run, data=data) for a in command] + ["--out", str(out)] + flags
+    assert main(argv) == EXIT_VALIDATION
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_synthesis_sizes_are_accepted():
+    SynthesisParams(patch_size=2048, blur_sigma_range=(2.0, 340.0))
+    SynthesisParams(patch_size=16, blur_sigma_range=(16.0, 16.0), scale_range=(256.0, 256.0))
+
+
 def test_checkpoint_with_unknown_variant_exits_2(tmp_path, capsys):
     ckpt, img = tmp_path / "bad.bin", tmp_path / "img.ppm"
     tensors = TrainerState(TrainConfig(model=ModelConfig(width_multiplier=1 / 16))).to_tensors()

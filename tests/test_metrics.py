@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ragnet import metrics
+from ragnet import metrics, synthesis
 from ragnet.metrics import (
     ImageResult,
     emit_report,
@@ -14,7 +14,7 @@ from ragnet.metrics import (
     ssim,
     weak_strong_split,
 )
-from oracles import psnr_direct
+from oracles import filter_valid_whole_plane, psnr_direct
 
 
 def rand(shape, seed, lo=0.0, hi=1.0):
@@ -75,6 +75,16 @@ class TestSSIM:
         for seed in range(5):
             v = ssim(rand((3, 12, 12), seed), rand((3, 12, 12), seed + 100))
             assert -1.0 <= v <= 1.0
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_row_blocks_match_the_whole_plane_filter(self, monkeypatch, rows):
+        # SSIM filters 2-D planes; its value must not depend on the row blocks
+        a, b = rand((3, 40, 29), 14), rand((3, 40, 29), 15)
+        with monkeypatch.context() as m:
+            m.setattr(metrics, "filter_valid", filter_valid_whole_plane)
+            want = ssim(a, b)
+        monkeypatch.setattr(synthesis, "FILTER_BLOCK", rows * 29)
+        assert ssim(a, b) == want
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError, match="11x11"):

@@ -1,5 +1,6 @@
 """Synthetic data generation: determinism, ranges, blend identities, dataset files."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -19,6 +20,7 @@ from ragnet.synthesis import (
     synthesize_reflection,
     write_ppm,
 )
+from oracles import filter_valid_whole_plane
 
 
 class TestBasePair:
@@ -88,6 +90,32 @@ class TestReflectionSynthesis:
             k = synthesis.gaussian_kernel(sigma)
             assert len(k) == 2 * int(np.ceil(3 * sigma)) + 1
             assert abs(k.sum() - 1.0) < 1e-12
+
+
+class TestFilterBlocks:
+    """``filter_valid``'s row blocks against the whole-plane oracle, byte for byte.
+
+    The block budget is one input row of every plane (17 blocks of one row),
+    three rows (blocks of 4, the last of 1), seven rows (blocks of 9 and 8),
+    or more than the whole input (one block).  The 29- and 61-tap kernels are
+    wider than the 17 x 9 output, as when a blur wider than the image reads
+    its reflect padding.  The inputs have no leading axis (as in SSIM), one or
+    three planes, or a 2 x 3 batch.
+    """
+
+    @pytest.mark.parametrize("rows", [1, 3, 7, None])
+    @pytest.mark.parametrize("taps", [1, 3, 29, 61])
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 3)])
+    def test_blocks_match_whole_plane_oracle(self, monkeypatch, rows, taps, lead):
+        rng = np.random.Generator(np.random.PCG64(taps))
+        k = rng.uniform(0.0, 1.0, taps)
+        img = rng.uniform(-1.0, 1.0, lead + (17 + taps - 1, 9 + taps - 1))
+        budget = img.size + 1 if rows is None else rows * int(np.prod(lead)) * img.shape[-1]
+        monkeypatch.setattr(synthesis, "FILTER_BLOCK", budget)
+        got = synthesis.filter_valid(img, k)
+        want = filter_valid_whole_plane(img, k)
+        assert got.shape == want.shape == lead + (17, 9)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBlend:
@@ -222,6 +250,28 @@ class TestMakeDataset:
             # both sides are 8-bit quantized; the identity holds to 1/255
             assert np.abs(tr.i - want).max() <= 1 / 255 + 1e-7
             assert entry.has_reflection_gt
+
+    @pytest.mark.parametrize("n, params, want", [
+        # pre-crop scenes of 164 and 182 px: two and three row blocks per scene blur
+        (2, SynthesisParams(seed=3, patch_size=96),
+         "ed018e88ff4c864343b44ab6a07f31a018cde67f218b6f096a3f82ecedf7439f"),
+        (3, SynthesisParams(seed=5, patch_size=32, blend_mode="overexpose"),
+         "6d3e93344241db7be88ac24024623a3e666d1a5e0a7ea4165638557523c74c6c"),
+        (2, SynthesisParams(seed=11, patch_size=112, blend_mode="overexpose", blur_sigma_range=(1.0, 9.0)),
+         "aecc51c6141885015fd70ba8566646ba5e801705833b0a418c31d8cbbf02cb2f"),
+    ], ids=["linear_clip_96", "overexpose_32", "overexpose_112_wide_blur"])
+    def test_bytes_match_the_pinned_hash(self, tmp_path, n, params, want):
+        # SHA-256 over the sorted file names and contents, pinned from the
+        # whole-plane filter and full-image shape blending; the files are 8-bit
+        # quantized, so a last-bit difference in np.exp between CPUs would
+        # change a byte only where a value lies within rounding error of a
+        # quantization step
+        make_dataset(n, params, tmp_path)
+        h = hashlib.sha256()
+        for name in sorted(os.listdir(tmp_path)):
+            h.update(name.encode())
+            h.update((tmp_path / name).read_bytes())
+        assert h.hexdigest() == want
 
     def test_manifest_fields(self, tmp_path):
         p = SynthesisParams(seed=2, blend_mode="overexpose")
