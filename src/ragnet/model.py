@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,6 +104,21 @@ class Network:
     def freeze(self) -> None:
         for p in self.params.values():
             p.requires_grad = False
+
+    @contextmanager
+    def frozen(self):
+        """A block in which no parameter tracks gradients; each gets its flag back at exit.
+
+        An op reads its parents' flags again in the backward pass, so a
+        ``backward`` that should skip these parameters runs inside the block.
+        """
+        flags = {p: p.requires_grad for p in self.params.values()}
+        self.freeze()
+        try:
+            yield self
+        finally:
+            for p, flag in flags.items():
+                p.requires_grad = flag
 
 
 def _param_seed(seed: int, kind: str, name: str) -> int:

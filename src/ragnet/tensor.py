@@ -213,36 +213,43 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
 
     Layout: channel-major.  Stride s splits the zero-padded Hp x Wp grid
     into its s*s phases: phase (a, c) holds padded pixel (a + s*i, c + s*j)
-    at (i, j) of an Hq x Wq = ceil(Hp/s) x ceil(Wp/s) grid.  Each phase is
-    a (Cin, N*Hq*Wq + E) matrix whose column n*Hq*Wq + i*Wq + j is output
-    anchor (i, j) of image n, filled whole H x W planes at a time (stride 1
-    is the one-phase case; a 1x1 conv without padding uses a reshape of the
-    input, a view for one image).  Tap (u, v) of every anchor is the same
-    column of phase (u mod s, v mod s) shifted by sh = (u//s)*Wq + v//s, and
-    the E = max sh trailing zero columns keep every shifted slice full width.
+    at (i, j) of an Hq x Wq = ceil(Hp/s) x ceil(Wp/s) grid, and its column
+    n*Hq*Wq + i*Wq + j is output anchor (i, j) of image n (stride 1 is the
+    one-phase case).  Tap (u, v) of every anchor is the same column of phase
+    (u mod s, v mod s) shifted by (u//s)*Wq + v//s.  No phase is ever built
+    whole; only the row blocks below hold parts of them.
 
     The forward runs over blocks of whole anchor rows of about
     ``CONV_BLOCK`` anchors: whole images while one fits (their Hq - Ho
     bottom rows are computed and cropped), else kept rows of one image.
     Every stride computes only the anchors of its own grid.  Per block and
     per phase row a = u mod s, the k taps v of the kernel rows u = a + s*t
-    are copied into one (k*Cin, block + t_max*Wq) stack, which kernel row u
-    reads t anchor rows down.  A block is thus k GEMMs, one per (Cout, k*Cin)
-    kernel row of a (k, Cout, k*Cin) weight copy, summed into a (Cout, block)
-    accumulator that stays in cache.  The cropped block plus the bias, and
-    with ``relu=True`` its ReLU, is written straight into the NCHW output.
+    are written into one (k*Cin, block + t_max*Wq) stack, which kernel row u
+    reads t anchor rows down.  The stack is filled straight from the NCHW
+    input: a tap v < s is a strided copy of the block's input rows, with 0
+    where it reads padding, and tap v >= s is tap v mod s shifted v//s
+    columns.  Columns that only cropped anchors read (rows past the image,
+    or a shift that wraps into the next row) hold 0.  A 1x1 conv without
+    padding reads a one-image block as a view of the input.  A block is
+    thus k GEMMs, one per (Cout, k*Cin) kernel row of a (k, Cout, k*Cin)
+    weight copy, summed into a (Cout, block) accumulator that stays in
+    cache.  The cropped block plus the bias, and with ``relu=True`` its
+    ReLU, is written straight into the NCHW output.
 
-    The tape keeps the phase buffer (1x the padded input), the weight copy
+    The tape keeps no copy of the input: only the parents, the weight copy
     and, with ``relu=True``, the output array it already holds.  The
     backward pass writes the output gradient, masked by ``out > 0`` when
-    ``relu=True``, onto the anchor grid after E leading zero columns; every
-    other column of that (Cout, E + N*Hq*Wq) buffer is 0, and db is its row
-    sum.  It then runs over the forward's row blocks, extended to all Hq
-    anchor rows because input pixels also lie on the rows the forward crops:
+    ``relu=True``, onto the anchor grid after E = (t_max*Wq + t_max)
+    leading zero columns; every other column of that (Cout, E + N*Hq*Wq)
+    buffer is 0, and db is its row sum.  It then runs over the forward's
+    row blocks, extended to all Hq anchor rows because input pixels also
+    lie on the rows the forward crops:
 
-    - dw: per phase row a, the forward's (k*Cin, block) stack is rebuilt
-      from the phase buffer, and kernel row u = a + s*t adds
+    - dw: per phase row a, the forward's (k*Cin, block) stack is filled
+      again from the input, and kernel row u = a + s*t adds
       ``stack[:, t rows down] @ g_block.T`` to a (k, k*Cin, Cout) buffer.
+      A stack column that holds 0 instead of an input pixel meets a
+      cropped anchor, whose gradient is 0.
     - dx: phase (a, c) of the padded input gradient is the stride-1
       correlation sum over t, r of w[:, :, a + s*t, c + s*r].T @ g shifted
       t anchor rows and r columns back.  Per block and column phase c, the
@@ -284,13 +291,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     places = [(a * s + c, pr, pc, xr, xc) for a, (pr, xr) in enumerate(_phase_slices(h, pad, s))
               for c, (pc, xc) in enumerate(_phase_slices(wd, pad, s))]
     xt = x.data.transpose(1, 0, 2, 3)  # (Cin, N, H, W), a view
-    if k == 1 and s == 1 and pad == 0:
-        xf = xt.reshape(1, ci, cols)
-    else:
-        xf = np.zeros((s * s, ci, cols + ext), dtype=x.data.dtype)
-        xq = xf[:, :, :cols].reshape(s * s, ci, n, hq, wq)  # splits the last axis only: a view
-        for p, pr, pc, xr, xc in places:
-            xq[p, :, :, pr, pc] = xt[:, :, xr, xc]
     # (k, Cout, k*Cin): kernel row u as one matrix, columns tap-major.  Copied
     # 32 output channels at a time, which keeps the source block in cache and
     # halves the cost of this transposing copy on the 512-channel layers.
@@ -312,28 +312,54 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         return [(n0, n1, i0, i1, (n0 * hq + i0) * wq, ((n1 - n0 - 1) * hq + i1 - i0) * wq)
                 for n0, n1, i0, i1 in spans]
 
-    def x_stack(buf, start, a, span):
-        """The taps v of phase row a, *span* anchors from anchor *start*, as rows v*Cin..(v+1)*Cin."""
-        if k == 1:
-            return xf[0, :, start:start + span]  # a single tap needs no stack
-        st = buf[:k * ci, :span]
-        for v in range(k):
-            o = start + v // s
-            st[v * ci:(v + 1) * ci] = xf[a * s + v % s, :, o:o + span]
-        return st
+    def in_rows(p, r0, r1):
+        """The input rows held by grid rows r0..r1 of phase p, which must all hold input pixels."""
+        _, pr, _, xr, _ = places[p]
+        return slice(xr.start + s * (r0 - pr.start), xr.start + s * (r1 - pr.start), s)
+
+    def x_stack(buf, block, a):
+        """Tap v of phase row a as rows v*Cin..(v+1)*Cin of *buf*, filled from
+        the input: column j is column start + v//s + j of phase (a, v mod s),
+        over the block's anchors and the rows below that its lower kernel rows
+        read, or 0 where only cropped anchors read it."""
+        n0, n1, i0, i1, _, size = block
+        if k == 1 and s == 1 and pad == 0 and n1 - n0 == 1:
+            return x.data[n0, :, i0:i1].reshape(ci, size)  # a single tap on one image: a view
+        down = len(range(a, k, s)) - 1  # the kernel rows of phase row a, less one
+        span = size + down * wq
+        rb = min(i1 + down, hq) - i0  # the rows of each image that kept anchors read
+        st = buf[:k * ci, :span + tall]
+        for c in range(min(s, k)):
+            # tap c of phase (a, c), and the tall columns beyond that taps c + s*r read shifted
+            p, pr, pc, _, xc = places[a * s + c]
+            lead = st[c * ci:(c + 1) * ci]
+            lead[:, (n1 - n0) * rb * wq:] = 0  # read by cropped anchors only
+            grid = lead[:, :(n1 - n0) * rb * wq].reshape(ci, n1 - n0, rb, wq)
+            r0 = min(max(pr.start, i0), i0 + rb)
+            r1 = max(min(pr.stop, i0 + rb), r0)  # rows r0..r1 hold input pixels, the others padding
+            grid[:, :, :r0 - i0] = 0
+            grid[:, :, r1 - i0:] = 0
+            body = grid[:, :, r0 - i0:r1 - i0]
+            body[..., :pc.start] = 0
+            body[..., pc.stop:] = 0
+            body[..., pc] = xt[:, n0:n1, in_rows(p, r0, r1), xc]
+        for v in range(s, k):  # tap v is tap v mod s, v//s columns on
+            c, o = v % s, v // s
+            st[v * ci:(v + 1) * ci, :span] = st[c * ci:(c + 1) * ci, o:o + span]
+        return st[:, :span]
 
     blocks = row_blocks(ho)
     most = max(size for *_, size in blocks)
     acc = np.empty((co, most), dtype=np.result_type(x.data, w.data))
     tmp = np.empty_like(acc)
-    stack = np.empty((k * ci, most + tall * wq), dtype=xf.dtype)
+    stack = np.empty((k * ci, most + ext), dtype=x.data.dtype)
     out_data = np.empty((n, co, ho, wo), dtype=acc.dtype if b is None else np.result_type(acc, b.data))
-    for n0, n1, i0, i1, start, size in blocks:
+    for block in blocks:
+        n0, n1, i0, i1, _, size = block
         acc_b, tmp_b = acc[:, :size], tmp[:, :size]
         for a in range(min(s, k)):  # phase row a serves kernel rows u = a + s*t
-            us = range(a, k, s)
-            st = x_stack(stack, start, a, size + (len(us) - 1) * wq)
-            for t, u in enumerate(us):
+            st = x_stack(stack, block, a)
+            for t, u in enumerate(range(a, k, s)):
                 if u == 0:
                     np.matmul(wk[0], st[:, :size], out=acc_b)
                 else:
@@ -363,9 +389,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         span = max(size for *_, size in bwd_blocks) + tall * wq
         # one buffer for a block's input stack (dw), then its gradient stack
         # (dx): a call touches fewer fresh pages than with one buffer each
-        buf = np.empty((max(k * ci, -(-k // s) * co), span), dtype=np.result_type(xf, gp))
+        buf = np.empty((max(k * ci, -(-k // s) * co), span + tall), dtype=np.result_type(x.data, gp))
         if w.requires_grad:
-            dwk = np.empty((k, k * ci, co), dtype=np.result_type(g, xf))  # dw of kernel row u, (v, Cin) x Cout
+            dwk = np.empty((k, k * ci, co), dtype=np.result_type(g, x.data))  # dw of kernel row u, (v, Cin) x Cout
             part = np.empty((k * ci, co), dtype=dwk.dtype)
         if x.requires_grad:
             # with k < s the phases a or c >= k hold no tap, and their pixels get 0
@@ -377,14 +403,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
                   for u in range(k)]
             dacc = np.empty((ci, span), dtype=dx.dtype)
             dtmp = np.empty_like(dacc)
-        for bi, (n0, n1, i0, i1, start, size) in enumerate(bwd_blocks):
+        for bi, block in enumerate(bwd_blocks):
+            n0, n1, i0, i1, start, size = block
             if w.requires_grad:
                 # kernel row u = a + s*t: its stacked taps times the block's gradient
                 gb = gp[:, ext + start:ext + start + size]
                 for a in range(min(s, k)):
-                    us = range(a, k, s)
-                    st = x_stack(buf, start, a, size + (len(us) - 1) * wq)
-                    for t, u in enumerate(us):
+                    st = x_stack(buf, block, a)
+                    for t, u in enumerate(range(a, k, s)):
                         if bi == 0:
                             np.matmul(st[:, t * wq:t * wq + size], gb.T, out=dwk[u])
                         else:
@@ -410,15 +436,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
                             else:
                                 acc_b += np.matmul(wt[u][c], sl, out=tmp_b)
                         # the block's rows of phase (a, c) that hold input pixels, straight into dx
-                        _, pr, pc, xr, xc = places[a * s + c]
+                        p, pr, pc, _, xc = places[a * s + c]
                         r0, r1 = max(pr.start, i0), min(pr.stop, i1)
                         if r0 < r1:
-                            rows_x = slice(xr.start + s * (r0 - pr.start), xr.start + s * (r1 - pr.start), s)
-                            block = acc_b.reshape(ci, n1 - n0, i1 - i0, wq)
-                            dxt[:, n0:n1, rows_x, xc] = block[:, :, r0 - i0:r1 - i0, pc]
+                            grid = acc_b.reshape(ci, n1 - n0, i1 - i0, wq)
+                            dxt[:, n0:n1, in_rows(p, r0, r1), xc] = grid[:, :, r0 - i0:r1 - i0, pc]
         if w.requires_grad:
             dw = dwk.reshape(k, k, ci, co).transpose(3, 2, 0, 1)
-        db = gp.sum(axis=1).reshape(1, co, 1, 1) if b is not None else None
+        db = gp.sum(axis=1).reshape(1, co, 1, 1) if b is not None and b.requires_grad else None
         return (dx, dw, db) if b is not None else (dx, dw)
 
     parents = (x, w, b) if b is not None else (x, w)
@@ -753,15 +778,22 @@ def mask_renorm(y: Tensor, mbar: Tensor, b: Tensor | None, eps: float = 1e-8,
     """Per-entry y/mbar + bias where mbar > eps, else exactly 0 (bias suppressed).
 
     ``relu=True`` gives ``relu(mask_renorm(...))`` bit for bit, output and
-    gradients, as one op, as in ``conv2d``.
+    gradients, as one op, as in ``conv2d``.  The tape keeps nothing but the
+    parents and, with ``relu=True``, the output: the backward pass recomputes
+    the reciprocal and the mask > eps from ``mbar``.
     """
     if y.shape != mbar.shape:
         raise ValueError(f"mask_renorm: shape mismatch {y.shape} vs {mbar.shape}")
     co = y.shape[1]
     if b is not None and b.shape != (1, co, 1, 1):
         raise ValueError(f"mask_renorm: bias shape {b.shape} != (1,{co},1,1)")
-    active = mbar.data > eps
-    inv = np.where(active, 1.0 / np.where(active, mbar.data, 1.0), 0.0)
+
+    def reciprocal():
+        """(1/mbar where mbar > eps else 0, mbar > eps)"""
+        active = mbar.data > eps
+        return np.where(active, 1.0 / np.where(active, mbar.data, 1.0), 0.0), active
+
+    inv, active = reciprocal()
     out_data = y.data * inv
     if b is not None:
         out_data = out_data + b.data * active
@@ -771,6 +803,7 @@ def mask_renorm(y: Tensor, mbar: Tensor, b: Tensor | None, eps: float = 1e-8,
     alive = out_data if relu else None  # the tape keeps the output only to mask by it
 
     def grad_fn(g):
+        inv, active = reciprocal()
         if relu:
             g = g * (alive > 0)
         dy = g * inv

@@ -22,7 +22,9 @@ it is flushed before each epoch checkpoint, so it never lags behind one.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
 import os
 import struct
 import zlib
@@ -64,21 +66,37 @@ class AdamConfig:
                 raise ValueError(f"Adam {name} must lie in [0,1), got {v}")
 
 
+def _zero_pages(arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Zero arrays shaped and typed like *arrays*, as views of one private
+    anonymous mapping, each starting on a 64-byte boundary."""
+    offsets, end = [], 0
+    for a in arrays:
+        end = -(-end // 64) * 64
+        offsets.append(end)
+        end += a.nbytes
+    raw = np.frombuffer(mmap.mmap(-1, max(end, 1), flags=mmap.MAP_PRIVATE), dtype=np.uint8)
+    return [raw[o:o + a.nbytes].view(a.dtype).reshape(a.shape) for o, a in zip(offsets, arrays)]
+
+
 class AdamState:
     """First/second moment buffers and step counter for one parameter set.
 
-    The moments come from ``np.zeros``, which gets zeroed memory from the
-    allocator without writing it; a large array is fresh zero pages that the
-    OS makes resident only when they are written.  So the moments hold no
-    memory until the first step (or a checkpoint load) writes them, and a
-    state that never steps, as in inference, keeps only its weights resident.
+    The moments are views of one fresh anonymous mapping (``_zero_pages``),
+    whose pages read as zero and become resident only when written.  So the
+    moments hold no memory until the first step (or a checkpoint load)
+    writes them, and a state that never steps, as in inference, keeps only
+    its weights resident.  ``np.zeros`` keeps that promise only while the
+    allocator hands out fresh memory: a state built after another one was
+    freed got the freed pages back, which calloc must clear, and so made
+    resident.
     """
 
     def __init__(self, params: dict[str, T.Parameter], cfg: AdamConfig):
         self.cfg = cfg
         self.step_count = 0
-        self.m = {k: np.zeros(p.shape, p.dtype) for k, p in params.items()}
-        self.v = {k: np.zeros(p.shape, p.dtype) for k, p in params.items()}
+        zeros = _zero_pages([p.data for p in params.values()] * 2)
+        self.m = dict(zip(params, zeros[:len(params)]))
+        self.v = dict(zip(params, zeros[len(params):]))
 
     def step(self, params: dict[str, T.Parameter]) -> None:
         cfg = self.cfg
@@ -86,6 +104,8 @@ class AdamState:
         t = self.step_count
         bc1 = 1.0 - cfg.beta1 ** t
         bc2 = 1.0 - cfg.beta2 ** t
+        largest = max((p.data.size for p in params.values()), default=0)
+        scratch: dict[np.dtype, np.ndarray] = {}  # two flat buffers per dtype, reused by every parameter
         for name, p in params.items():
             if p.grad is None:
                 raise ValueError(f"Adam step: parameter {name!r} has no gradient "
@@ -93,11 +113,21 @@ class AdamState:
             g = p.grad
             m = self.m[name]
             v = self.v[name]
+            if p.dtype not in scratch:
+                scratch[p.dtype] = np.empty((2, largest), dtype=p.dtype)
+            num, den = (row[:p.data.size].reshape(p.shape) for row in scratch[p.dtype])
+            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;  p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)
             m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
+            m += np.multiply(1.0 - cfg.beta1, g, out=num)
             v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            p.data -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            np.multiply(g, g, out=den)
+            v += np.multiply(1.0 - cfg.beta2, den, out=den)
+            np.divide(m, bc1, out=num)
+            np.multiply(cfg.lr, num, out=num)
+            np.divide(v, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += cfg.eps
+            p.data -= np.divide(num, den, out=num)
 
 
 def clip_grad_norm(params: dict[str, T.Parameter]) -> float:
@@ -434,16 +464,18 @@ def _phase2_step(state: TrainerState, batch, has_r: bool, write_row) -> float:
             _update(state, "disc")
             state.nets["disc"].zero_grad()
 
-        # the terms are recorded in argument order, and backward follows creation order
+        # the terms are recorded in argument order, and backward follows creation order;
+        # D's weights track no gradient in the generator's term, so its backward skips their dw
         r_pair = r_hat if has_r else None
-        parts = L.LossParts(
-            rec=L.rec_loss(t_hat, t_gt, r_pair, r_gt, normalize=cfg.rec_normalize),
-            percep=L.perceptual_loss(t_hat, t_gt, r_pair, r_gt, state.extractor),
-            mask=L.mask_loss(masks, r_gt, cfg.thresholds, normalize=cfg.mask_normalize) if has_r else None,
-            excl=L.exclusion_loss(t_hat, r_hat),
-            adv=L.adv_g_loss(state.nets["disc"], i_obs, t_hat) if use_adv else None)
-        total = L.total_loss(parts, cfg.weights, use_adversarial=use_adv)
-        T.backward(total)
+        with state.nets["disc"].frozen() if use_adv else contextlib.nullcontext():
+            parts = L.LossParts(
+                rec=L.rec_loss(t_hat, t_gt, r_pair, r_gt, normalize=cfg.rec_normalize),
+                percep=L.perceptual_loss(t_hat, t_gt, r_pair, r_gt, state.extractor),
+                mask=L.mask_loss(masks, r_gt, cfg.thresholds, normalize=cfg.mask_normalize) if has_r else None,
+                excl=L.exclusion_loss(t_hat, r_hat),
+                adv=L.adv_g_loss(state.nets["disc"], i_obs, t_hat) if use_adv else None)
+            total = L.total_loss(parts, cfg.weights, use_adversarial=use_adv)
+            T.backward(total)
 
     _update(state, "g_r", "g_t")
     write_row(2, parts, total.item())

@@ -1,6 +1,7 @@
 """Reverse-mode gradients checked against central finite differences."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -143,6 +144,40 @@ class TestFusedRelu:
         assert fused == plain
         out = np.frombuffer(fused[0], dtype=dtype)
         assert (out == 0).any() and (out > 0).any()
+
+
+class TestTapeRetention:
+    """What a recorded op keeps alive beyond its output, traced at (2, 8, 64, 64) -> 8 in float32."""
+
+    @staticmethod
+    def retained(op):
+        """Bytes that *op* () leaves allocated beyond the data of the tensor it returns."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = op()
+            return tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_conv2d_keeps_no_copy_of_its_input(self, relu):
+        x = T.Tensor(rand((2, 8, 64, 64), 500).astype(np.float32), requires_grad=True)
+        w = T.Tensor(rand((8, 8, 3, 3), 501).astype(np.float32), requires_grad=True)
+        b = T.Tensor(rand((1, 8, 1, 1), 502).astype(np.float32), requires_grad=True)
+        with T.Tape():
+            kept = self.retained(lambda: T.conv2d(x, w, b, pad=1, relu=relu))
+        assert kept < x.data.nbytes / 2
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_mask_renorm_keeps_no_reciprocal(self, relu):
+        y = T.Tensor(rand((2, 8, 64, 64), 510).astype(np.float32), requires_grad=True)
+        mbar = T.Tensor(rand((2, 8, 64, 64), 511, 0.0, 1.0).astype(np.float32), requires_grad=True)
+        b = T.Tensor(rand((1, 8, 1, 1), 512).astype(np.float32), requires_grad=True)
+        with T.Tape():
+            kept = self.retained(lambda: T.mask_renorm(y, mbar, b, relu=relu))
+        assert kept < y.data.nbytes / 2
 
 
 class TestFloat32:

@@ -418,6 +418,16 @@ class TestDiscriminator:
                                           T.tensor(rand((1, 3, 32, 32), 83)))
         assert out.item() == 0.5
 
+    def test_frozen_block_restores_each_flag(self):
+        net = build_network("discriminator", ModelConfig(width_multiplier=0.125))
+        net["disc/c0/bias"].requires_grad = False
+        flags = {name: p.requires_grad for name, p in net.params.items()}
+        with pytest.raises(RuntimeError):
+            with net.frozen():
+                assert not any(p.requires_grad for p in net.params.values())
+                raise RuntimeError
+        assert {name: p.requires_grad for name, p in net.params.items()} == flags
+
     def test_shape_mismatch_rejected(self):
         net = build_network("discriminator", ModelConfig(width_multiplier=0.125))
         with pytest.raises(ValueError, match="shapes"):

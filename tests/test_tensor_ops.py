@@ -138,6 +138,54 @@ class TestConv2dBackwardBlocks:
         np.testing.assert_allclose(x.grad, dx, atol=1e-10, rtol=0)
 
 
+class _NaNEmpty:
+    """numpy, except that ``empty`` and ``empty_like`` fill float arrays with NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float, **kw):
+        out = np.empty(shape, dtype=dtype, **kw)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    @staticmethod
+    def empty_like(a, dtype=None, **kw):
+        out = np.empty_like(a, dtype=dtype, **kw)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+
+class TestConv2dReadsOnlyWhatItWrote:
+    """conv2d with every ``empty`` buffer NaN-filled: a stack column, an
+    accumulator entry or a padding zero that the op reads before writing
+    would turn up as NaN instead of hiding behind fresh zero pages."""
+
+    @pytest.mark.parametrize("budget", [1, 20, 37, 160])
+    @pytest.mark.parametrize("seed,shape,wshape,stride,pad", ORACLE_CASES)
+    def test_forward_and_backward_match_oracle(self, monkeypatch, budget, seed, shape, wshape, stride, pad):
+        monkeypatch.setattr(T, "CONV_BLOCK", budget)
+        monkeypatch.setattr(T, "np", _NaNEmpty())
+        x = rand(shape, seed)
+        w = rand(wshape, seed + 100)
+        b = rand((wshape[0],), seed + 200)
+        want = conv2d_loops(x, w, b, stride=stride, pad=pad)
+        for relu in (False, True):
+            xt, wt, bt = (T.tensor(a, requires_grad=True) for a in (x, w, b.reshape(1, -1, 1, 1)))
+            with T.Tape():
+                out = T.conv2d(xt, wt, bt, stride=stride, pad=pad, relu=relu)
+                g = rand(out.shape, seed + 300)
+                T.backward(T.reduce_sum(T.mul(out, T.tensor(g))))
+            np.testing.assert_allclose(out.data, np.maximum(want, 0) if relu else want, atol=1e-10, rtol=0)
+            dx, dw, db = conv2d_grad_loops(x, w, g * (want > 0) if relu else g, stride=stride, pad=pad)
+            np.testing.assert_allclose(xt.grad, dx, atol=1e-10, rtol=0)
+            np.testing.assert_allclose(wt.grad, dw, atol=1e-10, rtol=0)
+            np.testing.assert_allclose(bt.grad.reshape(-1), db, atol=1e-10, rtol=0)
+
+
 class TestConvTranspose2d:
     def test_tiles_2x2_blocks(self):
         v = 0.37

@@ -1,5 +1,6 @@
 """Adam updates, checkpoint format, training determinism, and resume."""
 
+import gc
 import hashlib
 import os
 import struct
@@ -85,6 +86,33 @@ class TestAdam:
         st = AdamState(params, AdamConfig())
         with pytest.raises(ValueError, match="'w'"):
             st.step(params)
+
+    def test_fresh_moments_are_untouched_pages(self):
+        """A state built where a freed one's memory can be recycled still
+        holds its moments as pages that no write has made resident."""
+        if not os.access("/proc/self/pagemap", os.R_OK):
+            pytest.skip("needs /proc/self/pagemap")
+        page = os.sysconf("SC_PAGE_SIZE")
+
+        def resident_pages(arrays):
+            with open("/proc/self/pagemap", "rb") as f:
+                count = 0
+                for a in arrays:
+                    first = a.__array_interface__["data"][0] // page
+                    last = (a.__array_interface__["data"][0] + a.nbytes - 1) // page
+                    f.seek(8 * first)
+                    entries = np.frombuffer(f.read(8 * (last - first + 1)), dtype="<u8")
+                    count += int((entries >> np.uint64(63)).sum())
+            return count
+
+        cfg = small_config()
+        for _ in range(2):  # the second state is built after the first one was freed
+            state = TrainerState(cfg)
+            moments = [a for st in state.adam.values() for d in (st.m, st.v) for a in d.values()]
+            assert resident_pages(moments) == 0
+            assert all((a == 0).all() for a in moments[:3])
+            del state, moments
+            gc.collect()
 
     def test_deterministic_over_ten_steps(self):
         def run():
@@ -439,6 +467,24 @@ class TestTraining:
         assert all(p.dtype == np.float32 for net in state.nets.values() for p in net.params.values())
         assert len(handed) == sum(len(net.params) for net in state.nets.values())
         assert [name for name, dtype in handed if dtype != np.float32] == []
+
+    def test_phase2_step_leaves_no_discriminator_grads(self, tmp_path):
+        """The generator's term runs D with frozen weights, so its backward
+        computes no dw or db for D; D steps on its own term and tracks again after."""
+        from ragnet.synthesis import load_triple, read_manifest
+
+        manifest = make_dataset(2, SynthesisParams(seed=3, patch_size=16), tmp_path)
+        triples = [load_triple(e) for e in read_manifest(manifest)]
+        cfg = TrainConfig(model=ModelConfig(width_multiplier=1 / 16, seed=0, use_adversarial=True),
+                          schedule=Schedule(phase1_epochs=0, phase2_epochs=1, batch_size=2))
+        state = TrainerState(cfg)
+        disc = state.nets["disc"].params.values()
+        before = [p.data.copy() for p in disc]
+        trainer._phase2_step(state, triples, True, lambda *a: None)
+        assert [p.name for p in disc if p.grad is not None] == []
+        assert all(p.requires_grad for p in disc)
+        assert any((p.data != b).any() for p, b in zip(disc, before))
+        assert all(p.grad is not None for name in ("g_r", "g_t") for p in state.nets[name].params.values())
 
     def test_discriminator_step_leaves_generator_grads_untouched(self, tiny_dataset):
         from ragnet.synthesis import load_triple, read_manifest
