@@ -54,6 +54,8 @@ class ModelConfig:
         if not (np.isfinite(self.width_multiplier) and self.width_multiplier * 64 >= 1):
             raise ValueError(f"width_multiplier {self.width_multiplier} must be finite and "
                              "at least 1/64 (narrower layers would be empty)")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2**64), which a checkpoint stores, got {self.seed}")
 
     def scaled(self, base: int) -> int:
         return max(1, int(round(base * self.width_multiplier)))
@@ -61,10 +63,15 @@ class ModelConfig:
 
 @dataclass
 class MaskLevel:
-    """Masks of one decoder level; level 1 is full resolution, level 4 is H/8."""
+    """Masks of one decoder level; level 1 is full resolution, level 4 is H/8.
+
+    ``m`` is the mask head's sigmoid output when a RAG block made one:
+    ``m_diff`` and ``m_dec`` are its leading and trailing channels.
+    """
     level: int
     m_diff: Tensor
     m_dec: Tensor
+    m: Tensor | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -306,6 +313,10 @@ def partial_conv(f: Tensor, m: Tensor, w: Tensor, b: Tensor, renorm: bool = True
     ``relu=True`` applies a ReLU inside the op that writes the output
     (``mask_renorm``, or ``conv2d`` without renormalization), bit for bit
     ``relu(partial_conv(...))``.
+
+    The mask is used as given, held once: no op here copies it.  f o m is
+    dropped as soon as the convolution has read it, so outside a tape it is
+    freed before the mask mean and the renormalization allocate theirs.
     """
     if f.shape != m.shape:
         raise ValueError(f"partial_conv: feature shape {f.shape} != mask shape {m.shape}")
@@ -316,12 +327,20 @@ def partial_conv(f: Tensor, m: Tensor, w: Tensor, b: Tensor, renorm: bool = True
     if not renorm:
         return T.conv2d(fm, w, b, stride=1, pad=1, relu=relu)
     raw = T.conv2d(fm, w, None, stride=1, pad=1)
+    del fm
     mbar = T.mask_mean3x3(m)
     return T.mask_renorm(raw, mbar, b, relu=relu)
 
 
 def rag_block(net: Network, level: int, f_i: Tensor, f_r: Tensor, f_dec: Tensor) -> tuple[Tensor, MaskLevel]:
-    """Difference feature (F_I - F_R; F_I for ``no_diff``) and the mask of one decoder level."""
+    """Difference feature (F_I - F_R; F_I for ``no_diff``) and the mask of one decoder level.
+
+    The mask head is two 1x1 convs, the second with its sigmoid fused into
+    the output write.  Each mask is held once: the returned ``MaskLevel``
+    carries that sigmoid output as ``m``, for the merge to use whole, and
+    ``m_diff`` and ``m_dec`` slice its channels, as views where the slice
+    is contiguous (a batch of one) and as copies otherwise.
+    """
     if f_i.shape != f_r.shape:
         raise ValueError(f"rag_block: F_I shape {f_i.shape} != F_R shape {f_r.shape}")
     if f_i.shape[2:] != f_dec.shape[2:]:
@@ -331,25 +350,17 @@ def rag_block(net: Network, level: int, f_i: Tensor, f_r: Tensor, f_dec: Tensor)
     f_diff = f_i if variant == "no_diff" else T.sub(f_i, f_r)
     h = T.concat_channels(T.concat_channels(f_i, f_r), f_dec)
     h = T.conv2d(h, net[f"rag/l{level}/m0/weight"], net[f"rag/l{level}/m0/bias"], relu=True)
-    m = T.sigmoid(T.conv2d(h, net[f"rag/l{level}/m1/weight"], net[f"rag/l{level}/m1/bias"]))
-    c_diff = f_diff.shape[1]
-    if variant == "two_channel_mask":
-        m_diff = T.slice_channels(m, 0, 1)
-        m_dec = T.slice_channels(m, 1, 2)
-    else:
-        m_diff = T.slice_channels(m, 0, c_diff)
-        m_dec = T.slice_channels(m, c_diff, m.shape[1])
-    return f_diff, MaskLevel(level, m_diff, m_dec)
+    m = T.conv2d(h, net[f"rag/l{level}/m1/weight"], net[f"rag/l{level}/m1/bias"], sigmoid=True)
+    split = 1 if variant == "two_channel_mask" else f_diff.shape[1]
+    return f_diff, MaskLevel(level, T.slice_channels(m, 0, split), T.slice_channels(m, split, m.shape[1]), m)
 
 
 def _mask_full_width(mask: MaskLevel, c_diff: int, c_dec: int) -> Tensor:
-    """Per-feature mask matching concat(F_diff, F_dec); one-channel masks broadcast."""
-    m_diff, m_dec = mask.m_diff, mask.m_dec
-    if m_diff.shape[1] == 1 and c_diff > 1:
-        m_diff = T.repeat_channels(m_diff, c_diff)
-    if m_dec.shape[1] == 1 and c_dec > 1:
-        m_dec = T.repeat_channels(m_dec, c_dec)
-    return T.concat_channels(m_diff, m_dec)
+    """Per-feature mask matching concat(F_diff, F_dec): the sigmoid output
+    itself where it is that wide, else its one-channel masks broadcast."""
+    if mask.m.shape[1] == c_diff + c_dec:
+        return mask.m
+    return T.concat_channels(T.repeat_channels(mask.m_diff, c_diff), T.repeat_channels(mask.m_dec, c_dec))
 
 
 def _decoder(net: Network, f_obs: list[Tensor], merge) -> Tensor:
@@ -365,7 +376,7 @@ def _decoder(net: Network, f_obs: list[Tensor], merge) -> Tensor:
         if level > 1:
             x = _conv_relu(x, net[f"dec/l{level}/reduce/weight"], net[f"dec/l{level}/reduce/bias"])
     x = _conv_relu(x, net["dec/head/c0/weight"], net["dec/head/c0/bias"])
-    return T.sigmoid(T.conv2d(x, net["dec/head/c1/weight"], net["dec/head/c1/bias"], stride=1, pad=1))
+    return T.conv2d(x, net["dec/head/c1/weight"], net["dec/head/c1/bias"], stride=1, pad=1, sigmoid=True)
 
 
 def _guided_decoder(net: Network, f_obs: list[Tensor], f_refl: list[Tensor]) -> tuple[Tensor, list[MaskLevel]]:
@@ -381,9 +392,9 @@ def _guided_decoder(net: Network, f_obs: list[Tensor], f_refl: list[Tensor]) -> 
             return _conv_relu(T.concat_channels(T.sub(f_i, f_r), f_dec), w, b)
         f_diff, mask = rag_block(net, level, f_i, f_r, f_dec)
         masks.append(mask)
-        f = T.concat_channels(f_diff, f_dec)
         m = _mask_full_width(mask, f_diff.shape[1], f_dec.shape[1])
-        return partial_conv(f, m, w, b, renorm=(variant != "mask_no_renorm"), relu=True)
+        return partial_conv(T.concat_channels(f_diff, f_dec), m, w, b,
+                            renorm=(variant != "mask_no_renorm"), relu=True)
 
     out = _decoder(net, f_obs, merge)
     return out, masks[::-1]  # merged from level 4 down; returned level 1 first

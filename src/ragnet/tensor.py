@@ -201,15 +201,18 @@ CONV_BLOCK = 8192
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0,
-           relu: bool = False) -> Tensor:
+           relu: bool = False, sigmoid: bool = False) -> Tensor:
     """Direct 2-D convolution (cross-correlation) with zero padding, and an
-    optional ReLU.
+    optional ReLU or sigmoid.
 
     ``w`` is (Cout, Cin, k, k) with k odd or 1; output spatial size is
     floor((H + 2*pad - k)/stride) + 1.  ``relu=True`` gives
     ``relu(conv2d(...))`` bit for bit, output and gradients, as one op: the
     ReLU is applied in the pass that writes the output, and the tape keeps
-    one activation instead of two.
+    one activation instead of two.  ``sigmoid=True`` gives
+    ``sigmoid(conv2d(...))`` the same way: each row block is squashed in the
+    output it was just written to, with the formula of ``sigmoid``, so no
+    pre-activation plane exists.  The two cannot be combined.
 
     Layout: channel-major.  Stride s splits the zero-padded Hp x Wp grid
     into its s*s phases: phase (a, c) holds padded pixel (a + s*i, c + s*j)
@@ -233,17 +236,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     padding reads a one-image block as a view of the input.  A block is
     thus k GEMMs, one per (Cout, k*Cin) kernel row of a (k, Cout, k*Cin)
     weight copy, summed into a (Cout, block) accumulator that stays in
-    cache.  The cropped block plus the bias, and with ``relu=True`` its
-    ReLU, is written straight into the NCHW output.
+    cache.  The cropped block plus the bias, and with ``relu=True`` or
+    ``sigmoid=True`` its activation, is written straight into the NCHW
+    output.
 
     The tape keeps no copy of the input: only the parents, the weight copy
-    and, with ``relu=True``, the output array it already holds.  The
-    backward pass writes the output gradient, masked by ``out > 0`` when
-    ``relu=True``, onto the anchor grid after E = (t_max*Wq + t_max)
-    leading zero columns; every other column of that (Cout, E + N*Hq*Wq)
-    buffer is 0, and db is its row sum.  It then runs over the forward's
-    row blocks, extended to all Hq anchor rows because input pixels also
-    lie on the rows the forward crops:
+    and, with ``relu=True`` or ``sigmoid=True``, the output array it already
+    holds.  The backward pass writes the output gradient, masked by
+    ``out > 0`` when ``relu=True``, or as ``g * out * (1 - out)`` in the
+    order of ``sigmoid``'s backward when ``sigmoid=True``, onto the anchor
+    grid after E = (t_max*Wq + t_max) leading zero columns; every other
+    column of that (Cout, E + N*Hq*Wq) buffer is 0, and db is its row sum.
+    It then runs over the forward's row blocks, extended to all Hq anchor
+    rows because input pixels also lie on the rows the forward crops:
 
     - dw: per phase row a, the forward's (k*Cin, block) stack is filled
       again from the input, and kernel row u = a + s*t adds
@@ -275,6 +280,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         raise ValueError(f"conv2d: input has {ci} channels but weight expects {ci_w}")
     if pad < 0:
         raise ValueError(f"conv2d: pad must be >= 0, got {pad}")
+    if relu and sigmoid:
+        raise ValueError("conv2d: relu and sigmoid cannot be combined")
     if b is not None and b.shape != (1, co, 1, 1):
         raise ValueError(f"conv2d: bias shape {b.shape} != (1,{co},1,1)")
     ho = (h + 2 * pad - k) // stride + 1
@@ -373,8 +380,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
             np.add(crop, b.data.reshape(co, 1, 1, 1), out=dst)
         if relu:
             np.maximum(dst, 0, out=dst)
+        elif sigmoid:
+            _sigmoid_into(dst, dst)
     out = Tensor(out_data)
-    alive = out_data if relu else None  # the tape keeps the output only to mask by it
+    alive = out_data if relu or sigmoid else None  # the tape keeps the output only for its derivative
 
     def grad_fn(g):
         # the output gradient on the anchor grid after E leading zero columns
@@ -382,6 +391,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         gq = gp[:, ext:].reshape(co, n, hq, wq)[:, :, :ho, :wo]
         if relu:
             np.multiply(g.transpose(1, 0, 2, 3), alive.transpose(1, 0, 2, 3) > 0, out=gq)
+        elif sigmoid:
+            _sigmoid_grad(g.transpose(1, 0, 2, 3), alive.transpose(1, 0, 2, 3), out=gq)
         else:
             gq[...] = g.transpose(1, 0, 2, 3)
         dx = dw = None  # a parent that tracks no gradient gets None, which backward skips
@@ -527,17 +538,28 @@ def mask_mean3x3(m: Tensor) -> Tensor:
 
     Border values are attenuated by the missing zero-padded neighbors
     (edges 6/9, corners 4/9 for an all-ones input).  Computed as a separable
-    box sum over one zero-padded copy: three row-shifted adds, then three
-    column-shifted adds, then the division, all in the input's dtype.  The
-    tape keeps nothing: the op is self-adjoint, so the backward pass is the
-    same averaging applied to the incoming gradient.
+    box sum, all in the input's dtype: the three-row sums (up + centre) +
+    down go into one (n, c, h, w+2) buffer whose first and last columns are
+    0, then the three-column sums of that buffer into the output, which is
+    divided by 9.  No zero-padded copy of the input is made; the first and
+    last rows add their padding neighbour as an explicit ``+ 0.0``, which
+    turns a -0 into +0 as the padded sum does.  The tape keeps nothing: the
+    op is self-adjoint, so the backward pass is the same averaging applied
+    to the incoming gradient.
     """
     def avg9(a):
         n, c, h, w = a.shape
-        ap = np.zeros((n, c, h + 2, w + 2), dtype=a.dtype)
-        ap[:, :, 1:-1, 1:-1] = a
-        rows = ap[:, :, :-2] + ap[:, :, 1:-1]
-        rows += ap[:, :, 2:]
+        rows = np.empty((n, c, h, w + 2), dtype=a.dtype)
+        rows[..., 0] = 0
+        rows[..., -1] = 0
+        r = rows[..., 1:-1]
+        np.add(a[:, :, :-2], a[:, :, 1:-1], out=r[:, :, 1:-1])
+        r[:, :, 1:-1] += a[:, :, 2:]
+        np.add(a[:, :, 0], 0.0, out=r[:, :, 0])  # the padding row above
+        r[:, :, 0] += a[:, :, 1] if h > 1 else 0.0
+        if h > 1:
+            np.add(a[:, :, -2], a[:, :, -1], out=r[:, :, -1])
+            r[:, :, -1] += 0.0  # the padding row below
         box = rows[..., :-2] + rows[..., 1:-1]
         box += rows[..., 2:]
         box /= 9.0
@@ -625,7 +647,7 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
     n, c, h, w = x.shape
     if not (0 <= start < stop <= c):
         raise ValueError(f"slice_channels: range [{start},{stop}) invalid for {c} channels")
-    out = Tensor(x.data[:, start:stop].copy())
+    out = Tensor(x.data[:, start:stop])  # a view where the slice is contiguous, else a copy
 
     def grad_fn(g):
         dx = np.zeros_like(x.data)
@@ -685,12 +707,38 @@ def relu(x: Tensor) -> Tensor:
     return _record("relu", (x,), out, lambda g: (g * (x.data > 0),))
 
 
+def _sigmoid_into(d: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write sigmoid(d) into *out*, which may be *d* itself, with the formula
+    of ``sigmoid``, and return it.  The denominator is the one scratch buffer."""
+    den = np.abs(d)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    np.minimum(d, 0, out=out)
+    np.exp(out, out=out)
+    out /= den
+    return out
+
+
+def _sigmoid_grad(g: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """g * s * (1 - s), the gradient through a sigmoid whose output is *s*, in that order."""
+    out = np.multiply(g, s, out=out)
+    out *= 1.0 - s
+    return out
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    e = np.exp(-np.abs(d))  # never overflows
-    s = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """Logistic sigmoid s = exp(min(x, 0)) / (1 + exp(-|x|)).
+
+    That is 1 / (1 + e) for x >= 0 and e / (1 + e) for x < 0, with
+    e = exp(-|x|), which never overflows.  One expression gives both
+    branches, so no ``np.where`` picks between them: on data of random sign
+    that selection alone costs several times the whole formula.  The tape
+    keeps the output, and the backward is g * s * (1 - s).
+    """
+    s = _sigmoid_into(x.data, np.empty_like(x.data))
     out = Tensor(s)
-    return _record("sigmoid", (x,), out, lambda g: (g * s * (1.0 - s),))
+    return _record("sigmoid", (x,), out, lambda g: (_sigmoid_grad(g, s),))
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -778,9 +826,12 @@ def mask_renorm(y: Tensor, mbar: Tensor, b: Tensor | None, eps: float = 1e-8,
     """Per-entry y/mbar + bias where mbar > eps, else exactly 0 (bias suppressed).
 
     ``relu=True`` gives ``relu(mask_renorm(...))`` bit for bit, output and
-    gradients, as one op, as in ``conv2d``.  The tape keeps nothing but the
-    parents and, with ``relu=True``, the output: the backward pass recomputes
-    the reciprocal and the mask > eps from ``mbar``.
+    gradients, as one op, as in ``conv2d``.  The output is built in one
+    buffer: the reciprocal, times y, plus the bias where mbar > eps and plus
+    ``b * 0`` elsewhere, as ``y * inv + b * active`` adds it, so signed
+    zeros and NaNs come out alike.  The tape keeps nothing but the parents
+    and, with ``relu=True``, the output: the backward pass recomputes the
+    reciprocal and the mask > eps from ``mbar``.
     """
     if y.shape != mbar.shape:
         raise ValueError(f"mask_renorm: shape mismatch {y.shape} vs {mbar.shape}")
@@ -789,14 +840,17 @@ def mask_renorm(y: Tensor, mbar: Tensor, b: Tensor | None, eps: float = 1e-8,
         raise ValueError(f"mask_renorm: bias shape {b.shape} != (1,{co},1,1)")
 
     def reciprocal():
-        """(1/mbar where mbar > eps else 0, mbar > eps)"""
+        """(1/mbar where mbar > eps else 0, mbar > eps), the first in a fresh buffer"""
         active = mbar.data > eps
-        return np.where(active, 1.0 / np.where(active, mbar.data, 1.0), 0.0), active
+        inv = np.zeros(mbar.shape, dtype=mbar.dtype)
+        np.divide(1.0, mbar.data, out=inv, where=active)
+        return inv, active
 
-    inv, active = reciprocal()
-    out_data = y.data * inv
+    out_data, active = reciprocal()
+    out_data *= y.data
     if b is not None:
-        out_data = out_data + b.data * active
+        np.add(out_data, b.data, out=out_data, where=active)
+        np.add(out_data, b.data * 0.0, out=out_data, where=np.logical_not(active, out=active))
     if relu:
         np.maximum(out_data, 0, out=out_data)
     out = Tensor(out_data)

@@ -222,3 +222,55 @@ def filter_valid_whole_plane(img, k):
     for tap, kv in enumerate(k):
         out += kv * rows[..., tap:tap + w]
     return out
+
+
+# Whole-plane formulas of the elementwise mask ops, kept as byte-exact
+# references for the library's buffer-reusing forms: the same arithmetic in
+# the same order, written with np.where and a zero-padded copy.
+
+def sigmoid_where(d):
+    """Logistic sigmoid: 1/(1+e) where d >= 0, else e/(1+e), with e = exp(-|d|)."""
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def sigmoid_grad_where(g, s):
+    """Gradient through a sigmoid with output *s*: g * s * (1 - s)."""
+    return g * s * (1.0 - s)
+
+
+def mask_mean3x3_padded(a):
+    """Zero-padded 3x3 box sum over one padded copy, rows then columns, divided by 9."""
+    n, c, h, w = a.shape
+    ap = np.zeros((n, c, h + 2, w + 2), dtype=a.dtype)
+    ap[:, :, 1:-1, 1:-1] = a
+    rows = ap[:, :, :-2] + ap[:, :, 1:-1]
+    rows += ap[:, :, 2:]
+    box = rows[..., :-2] + rows[..., 1:-1]
+    box += rows[..., 2:]
+    box /= 9.0
+    return box
+
+
+def mask_renorm_where(y, mbar, b, eps=1e-8, relu=False):
+    """y/mbar + b where mbar > eps, else y*0 + b*0, optionally through a ReLU."""
+    active = mbar > eps
+    inv = np.where(active, 1.0 / np.where(active, mbar, 1.0), 0.0)
+    out = y * inv
+    if b is not None:
+        out = out + b * active
+    if relu:
+        out = np.maximum(out, 0)
+    return out
+
+
+def mask_renorm_grad_where(y, mbar, b, g, eps=1e-8, relu=False):
+    """(dy, dmbar, db) of ``mask_renorm_where`` for the output gradient *g*."""
+    active = mbar > eps
+    inv = np.where(active, 1.0 / np.where(active, mbar, 1.0), 0.0)
+    if relu:
+        g = g * (mask_renorm_where(y, mbar, b, eps, relu=True) > 0)
+    dy = g * inv
+    dmbar = -g * y * inv * inv
+    db = (g * active).sum(axis=(0, 2, 3)).reshape(b.shape) if b is not None else None
+    return dy, dmbar, db

@@ -1,6 +1,8 @@
 """CLI subcommands, exit codes, config parsing, and the defaults table."""
 
+import gc
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,11 +239,14 @@ class TestPipeline:
     ["synth", "--n", "1", "--out", "{out}", "--blend-mode", "overexpose", "--overexpose-boost", "nan"],
     ["synth", "--n", "1", "--out", "{out}", "--blend-mode", "overexpose", "--overexpose-boost", "-5"],
     ["synth", "--n", "1", "--out", "{out}", "--blend-mode", "overexpose", "--saturate-threshold", "nan"],
+    ["train", "--data", "{data}/manifest.tsv", "--out", "{out}", "--adam-eps", "1e-300"],
+    ["train", "--data", "{data}/manifest.tsv", "--out", "{out}", "--seed", "-5"],
+    ["train", "--data", "{data}/manifest.tsv", "--out", "{out}", "--seed", str(1 << 64)],
 ], ids=["eval_tau", "infer_width_phi", "gradcheck_tau", "params_one_stage", "train_one_stage",
         "train_lr_negative", "train_beta1_2", "train_eps_0", "train_lr_nan", "train_beta2_nan",
         "params_width_inf", "infer_width_inf", "train_width_nan", "synth_patch_0", "synth_patch_negative",
         "synth_sigma_negative", "synth_scale_inf", "synth_sigma_inf", "synth_boost_nan", "synth_boost_negative",
-        "synth_saturate_nan"])
+        "synth_saturate_nan", "train_eps_float32_zero", "train_seed_negative", "train_seed_2_64"])
 def test_out_of_range_config_exits_2(argv, trained_run, tmp_path, capsys):
     # every command runs the range checks of every config dataclass before it touches a file
     _, data, run = trained_run
@@ -314,6 +319,22 @@ def test_load_models_parses_the_checkpoint_once(tmp_path, monkeypatch):
     assert state.config.model == saved.config.model
     a, b = saved.to_tensors(), state.to_tensors()
     assert all(a[k].tobytes() == b[k].tobytes() for k in a)
+
+
+def test_inference_peaks_below_eleven_level1_merge_maps():
+    # a level-1 merge map is the float32 (1, 2*c1, H, W) tensor the guided merge
+    # convolves: each mask and each temporary of the merge is held once
+    state = TrainerState(TrainConfig(model=ModelConfig(width_multiplier=0.125)))
+    img = np.random.Generator(np.random.PCG64(7)).uniform(0, 1, (1, 3, 256, 256)).astype(np.float32)
+    merge_map = 2 * state.config.model.scaled(64) * 256 * 256 * 4
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cli.infer_image(state, img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * merge_map
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,8 @@
 """Forward-path checks of the tensor operations against brute-force oracles."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,8 +15,13 @@ from oracles import (
     downsample2x_grad_repeat,
     downsample2x_reshape_mean,
     mask_mean3x3_loops,
+    mask_mean3x3_padded,
+    mask_renorm_grad_where,
+    mask_renorm_where,
     maxpool2x2_grad_loops,
     maxpool2x2_loops,
+    sigmoid_grad_where,
+    sigmoid_where,
 )
 
 
@@ -184,6 +192,38 @@ class TestConv2dReadsOnlyWhatItWrote:
             np.testing.assert_allclose(xt.grad, dx, atol=1e-10, rtol=0)
             np.testing.assert_allclose(wt.grad, dw, atol=1e-10, rtol=0)
             np.testing.assert_allclose(bt.grad.reshape(-1), db, atol=1e-10, rtol=0)
+
+
+class TestConv2dFusedSigmoid:
+    """``conv2d(..., sigmoid=True)`` is ``sigmoid(conv2d(...))`` bit for bit, output
+    and every gradient, at every row-block size, with NaN-filled ``empty`` buffers."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("budget", [1, 20, 37, 160])
+    @pytest.mark.parametrize("seed,shape,wshape,stride,pad", ORACLE_CASES)
+    def test_equals_sigmoid_of_conv2d(self, monkeypatch, dtype, budget, seed, shape, wshape, stride, pad):
+        monkeypatch.setattr(T, "CONV_BLOCK", budget)
+        monkeypatch.setattr(T, "np", _NaNEmpty())
+
+        def run(fused):
+            # weights scaled by 3 so that some outputs saturate the sigmoid
+            x, w, b = (T.Tensor(a.astype(dtype), requires_grad=True)
+                       for a in (rand(shape, seed), 3.0 * rand(wshape, seed + 100),
+                                 rand((1, wshape[0], 1, 1), seed + 200)))
+            with T.Tape():
+                if fused:
+                    out = T.conv2d(x, w, b, stride=stride, pad=pad, sigmoid=True)
+                else:
+                    out = T.sigmoid(T.conv2d(x, w, b, stride=stride, pad=pad))
+                T.backward(T.reduce_sum(T.mul(out, T.Tensor(rand(out.shape, seed + 300).astype(dtype)))))
+            return [out.data.tobytes()] + [t.grad.tobytes() for t in (x, w, b)]
+
+        assert run(True) == run(False)
+
+    def test_relu_and_sigmoid_cannot_be_combined(self):
+        x, w = T.zeros((1, 1, 3, 3)), T.zeros((1, 1, 3, 3))
+        with pytest.raises(ValueError, match="relu and sigmoid"):
+            T.conv2d(x, w, pad=1, relu=True, sigmoid=True)
 
 
 class TestConvTranspose2d:
@@ -421,3 +461,110 @@ class TestDeterminism:
         a, b = run(), run()
         assert a.tobytes() == b.tobytes()
 
+
+def with_specials(x, seed):
+    """*x* with +-0, +-inf, +-max, +-tiny, +-smallest subnormal, values near
+    exp's overflow and one NaN planted at seeded positions."""
+    fi = np.finfo(x.dtype)
+    specials = [0.0, -0.0, np.inf, -np.inf, fi.max, -fi.max, fi.tiny, -fi.tiny,
+                fi.smallest_subnormal, -fi.smallest_subnormal, 1e30, -1e30, 88.7, -88.7, 745.0, -745.0, np.nan]
+    out = x.copy()
+    flat = out.reshape(-1)
+    at = np.random.Generator(np.random.PCG64(seed)).choice(flat.size, size=len(specials), replace=False)
+    flat[at] = specials
+    return out
+
+
+def assert_same_bits(got, want):
+    """Equal dtype and shape, NaN at the same entries and every other entry equal byte for byte."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, inf * 0 and exp overflow, on purpose
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestMaskOpsMatchWholePlaneFormulas:
+    """``sigmoid``, ``mask_mean3x3`` and ``mask_renorm`` compute, forward and
+    backward, the bytes of their whole-plane ``np.where`` / padded-copy
+    formulas in ``oracles``, on special values too, with NaN-filled
+    ``empty`` buffers."""
+
+    @pytest.fixture(autouse=True)
+    def nan_empty(self, monkeypatch):
+        monkeypatch.setattr(T, "np", _NaNEmpty())
+
+    def test_sigmoid(self, dtype):
+        rng = np.random.Generator(np.random.PCG64(600))
+        # magnitudes from 1e-8 to 1e3, both signs, then the special values
+        x = (rng.standard_normal((2, 5, 100, 100)) * 10.0 ** rng.uniform(-8, 3, (2, 5, 100, 100))).astype(dtype)
+        x = with_specials(x, 601)
+        with T.Tape():
+            out = T.sigmoid(T.Tensor(x, requires_grad=True))
+        want = sigmoid_where(x)
+        assert_same_bits(out.data, want)
+        g = with_specials(rand(x.shape, 602).astype(dtype), 603)
+        assert_same_bits(out.node.grad_fn(g)[0], sigmoid_grad_where(g, want))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 6), (1, 2, 1, 4), (1, 1, 4, 1), (1, 1, 2, 3), (1, 1, 1, 1)])
+    @pytest.mark.parametrize("fill", ["specials", "negative_zeros"])
+    def test_mask_mean3x3(self, dtype, shape, fill):
+        if fill == "specials":
+            m = with_specials(rand((2, 3, 5, 6), 610).astype(dtype), 611)[:shape[0], :shape[1], :shape[2], :shape[3]]
+        else:
+            m = np.full(shape, -0.0, dtype=dtype)  # a padded sum turns each into +0
+        with T.Tape():
+            out = T.mask_mean3x3(T.Tensor(m, requires_grad=True))
+        assert_same_bits(out.data, mask_mean3x3_padded(np.ascontiguousarray(m)))
+        g = with_specials(rand((2, 3, 5, 6), 612).astype(dtype), 613)[:shape[0], :shape[1], :shape[2], :shape[3]]
+        g = np.ascontiguousarray(g)
+        assert_same_bits(out.node.grad_fn(g)[0], mask_mean3x3_padded(g))
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_mask_renorm(self, dtype, relu):
+        shape = (2, 4, 6, 7)
+        eps = 1e-8
+        y = with_specials(rand(shape, 620).astype(dtype), 621)
+        mbar = rand(shape, 622, 0.0, 1.0).astype(dtype)
+        at_eps = dtype(eps)  # the comparison mbar > eps runs in mbar's dtype
+        low = [at_eps, np.nextafter(at_eps, dtype(0)), np.nextafter(at_eps, dtype(1)), 0.0, -0.0, -0.5,
+               np.finfo(dtype).smallest_subnormal, np.inf, -np.inf, np.nan]
+        mbar.reshape(-1)[np.random.Generator(np.random.PCG64(623)).choice(mbar.size, 40, replace=False)] = low * 4
+        mbar[1, 2, :3] = 0.0  # a suppressed block
+        # y*0 + b*0 on a suppressed entry: a positive b turns -0 into +0, inf into NaN
+        b = np.array([-1.5, -0.0, 0.75, np.inf], dtype=dtype).reshape(1, shape[1], 1, 1)
+        yt, mt, bt = (T.Tensor(a, requires_grad=True) for a in (y, mbar, b))
+        with T.Tape():
+            out = T.mask_renorm(yt, mt, bt, eps=eps, relu=relu)
+        assert_same_bits(out.data, mask_renorm_where(y, mbar, b, eps, relu))
+        g = with_specials(rand(shape, 625).astype(dtype), 626)
+        for got, want in zip(out.node.grad_fn(g), mask_renorm_grad_where(y, mbar, b, g, eps, relu)):
+            assert_same_bits(got, want)
+
+
+class TestOpPeakMemory:
+    """The traced peak of one forward, in multiples of its output bytes, at (1, 16, 64, 64) float32."""
+
+    @staticmethod
+    def peak_ratio(op):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = op()
+            return (tracemalloc.get_traced_memory()[1] - before) / out.data.nbytes
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("op", ["sigmoid", "mask_mean3x3", "mask_renorm", "mask_renorm_relu"])
+    def test_peak_within_two_and_a_half_outputs(self, op):
+        shape = (1, 16, 64, 64)
+        x = T.tensor(rand(shape, 630, -6, 6).astype(np.float32))
+        m = T.tensor(rand(shape, 631, 0.0, 1.0).astype(np.float32))
+        b = T.tensor(rand((1, 16, 1, 1), 632).astype(np.float32))
+        fn = {"sigmoid": lambda: T.sigmoid(x),
+              "mask_mean3x3": lambda: T.mask_mean3x3(m),
+              "mask_renorm": lambda: T.mask_renorm(x, m, b),
+              "mask_renorm_relu": lambda: T.mask_renorm(x, m, b, relu=True)}[op]
+        assert self.peak_ratio(fn) <= 2.5
