@@ -34,7 +34,7 @@ from ragnet.trainer import TrainConfig, TrainerState
 
 LIMIT = 1.25  # resident growth allowed, in multiples of the weight bytes
 SIDE = 224  # the inference image side
-MERGE_MAPS = 10  # traced inference peak allowed, in level-1 merge maps
+MERGE_MAPS = 8  # traced inference peak allowed, in level-1 merge maps
 MB = 1 << 20
 
 

@@ -69,11 +69,12 @@ CONFIG_FIELDS: dict[str, tuple[type, str, str]] = {
     "blur_sigma_hi": (S.SynthesisParams, "blur_sigma_range", "reflection blur sigma, upper bound (pixels)"),
     "decay_lo": (S.SynthesisParams, "decay_range", "reflection intensity decay, lower bound"),
     "decay_hi": (S.SynthesisParams, "decay_range", "reflection intensity decay, upper bound"),
-    "blend_mode": (S.SynthesisParams, "blend_mode", "synthesis blend: linear_clip or overexpose"),
+    "blend_mode": (S.SynthesisParams, "blend_mode",
+                   "synthesis blend: linear_clip, I = clamp01(T+R); or overexpose, which also sets to 1 "
+                   "every pixel whose channel-mean T+R exceeds saturate_threshold"),
     "patch_size": (S.SynthesisParams, "patch_size", "synthesized patch size (desk default; published protocol: 224)"),
     "scale_lo": (S.SynthesisParams, "scale_range", "pre-crop scale range lower bound (x patch_size)"),
     "scale_hi": (S.SynthesisParams, "scale_range", "pre-crop scale range upper bound (x patch_size)"),
-    "overexpose_boost": (S.SynthesisParams, "overexpose_boost", "highlight boost factor of the overexpose blend"),
     "saturate_threshold": (S.SynthesisParams, "saturate_threshold", "mean T+R level that hard-saturates a pixel"),
     "rec_normalize": (TR.TrainConfig, "rec_normalize", "mean-normalize l1 reconstruction terms"),
     "mask_normalize": (TR.TrainConfig, "mask_normalize", "mean-normalize mask loss selections"),

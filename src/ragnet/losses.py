@@ -38,8 +38,10 @@ class LossWeights:
 
     def __post_init__(self):
         for name, v in self.__dict__.items():
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"loss weight {name} must be finite and >= 0, got {v}")
+            with np.errstate(over="ignore"):  # the losses are float32
+                v32 = np.float32(v)
+            if not (np.isfinite(v32) and v >= 0):
+                raise ValueError(f"loss weight {name} must be finite and >= 0 in float32, got {v}")
 
 
 @dataclass
@@ -152,8 +154,7 @@ def exclusion_lambdas(t_hat: Tensor, r_hat: Tensor) -> list[float | None]:
     return [_gradient_mass_ratio(*g) for g in _scale_gradients(t_hat, r_hat)]
 
 
-def exclusion_loss(t_hat: Tensor, r_hat: Tensor, fixed_lambda: bool = False,
-                   lambda_r_values: list[float | None] | None = None) -> Tensor:
+def exclusion_loss(t_hat: Tensor, r_hat: Tensor, lambda_r_values: list[float | None] | None = None) -> Tensor:
     """Multi-scale penalty on correlated gradients of the two predicted layers.
 
     Per scale: sqrt of the Frobenius norm of tanh(lambda_t * |grad T|) o
@@ -162,10 +163,9 @@ def exclusion_loss(t_hat: Tensor, r_hat: Tensor, fixed_lambda: bool = False,
     |grad T|_1 / |grad R|_1 of that scale and is treated as a constant with
     respect to gradients; a scale with vanishing |grad R|_1 contributes 0.
 
-    ``fixed_lambda`` pins lambda_r = lambda_t, making the loss symmetric
-    under argument swap.  ``lambda_r_values`` supplies frozen per-scale
-    factors (from :func:`exclusion_lambdas`) so finite-difference probes can
-    hold the stop-gradient factor constant while perturbing the inputs.
+    ``lambda_r_values`` supplies frozen per-scale factors (from
+    :func:`exclusion_lambdas`) so finite-difference probes can hold the
+    stop-gradient factor constant while perturbing the inputs.
     """
     if t_hat.shape != r_hat.shape:
         raise ValueError(f"exclusion_loss: shape mismatch {t_hat.shape} vs {r_hat.shape}")
@@ -178,8 +178,6 @@ def exclusion_loss(t_hat: Tensor, r_hat: Tensor, fixed_lambda: bool = False,
     for scale, (tx, ty, rx, ry) in enumerate(_scale_gradients(t_hat, r_hat)):
         if lambda_r_values is not None:
             lam_r = lambda_r_values[scale]
-        elif fixed_lambda:
-            lam_r = EXCL_LAMBDA_T
         else:
             lam_r = _gradient_mass_ratio(tx, ty, rx, ry)  # stop-gradient normalization factor
         if lam_r is not None:

@@ -39,6 +39,10 @@ ENC_STAGE_WIDTHS = (64, 128, 256, 512, 512)
 ENC_CONVS_PER_STAGE = (2, 2, 4, 4, 4)
 DEC_TAIL_CONVS = {4: 1, 3: 3, 2: 1, 1: 1}
 DISC_WIDTHS = (64, 128, 256, 512)
+# Limit on ModelConfig.width_multiplier.  At this width the largest weight,
+# dec/l4/merge, is 604 MB of float32 and G_R + G_T hold 2.0 G parameters, so
+# wider settings are rejected before any layer is made.
+MAX_WIDTH = 4.0
 
 
 @dataclass
@@ -54,6 +58,8 @@ class ModelConfig:
         if not (np.isfinite(self.width_multiplier) and self.width_multiplier * 64 >= 1):
             raise ValueError(f"width_multiplier {self.width_multiplier} must be finite and "
                              "at least 1/64 (narrower layers would be empty)")
+        if self.width_multiplier > MAX_WIDTH:
+            raise ValueError(f"width_multiplier {self.width_multiplier} exceeds the {MAX_WIDTH:g} limit")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2**64), which a checkpoint stores, got {self.seed}")
 
@@ -314,8 +320,9 @@ def partial_conv(f: Tensor, m: Tensor, w: Tensor, b: Tensor, renorm: bool = True
     (``mask_renorm``, or ``conv2d`` without renormalization), bit for bit
     ``relu(partial_conv(...))``.
 
-    The mask is used as given, held once: no op here copies it.  f o m is
-    dropped as soon as the convolution has read it, so outside a tape it is
+    The mask is used as given, held once: no op here copies it.  f is
+    dropped once f o m is made, and f o m once the convolution has read it,
+    so outside a tape, when the caller keeps no reference to f, both are
     freed before the mask mean and the renormalization allocate theirs.
     """
     if f.shape != m.shape:
@@ -324,6 +331,7 @@ def partial_conv(f: Tensor, m: Tensor, w: Tensor, b: Tensor, renorm: bool = True
         raise ValueError(f"partial_conv: weight must preserve channels for the per-channel "
                          f"renormalization, got {w.shape[1]}->{w.shape[0]}")
     fm = T.mul(f, m)
+    del f
     if not renorm:
         return T.conv2d(fm, w, b, stride=1, pad=1, relu=relu)
     raw = T.conv2d(fm, w, None, stride=1, pad=1)
@@ -347,10 +355,11 @@ def rag_block(net: Network, level: int, f_i: Tensor, f_r: Tensor, f_dec: Tensor)
         raise ValueError(f"rag_block: decoder feature spatial size {f_dec.shape[2:]} "
                          f"!= encoder {f_i.shape[2:]}")
     variant = net.config.rag_variant
-    f_diff = f_i if variant == "no_diff" else T.sub(f_i, f_r)
     h = T.concat_channels(T.concat_channels(f_i, f_r), f_dec)
     h = T.conv2d(h, net[f"rag/l{level}/m0/weight"], net[f"rag/l{level}/m0/bias"], relu=True)
     m = T.conv2d(h, net[f"rag/l{level}/m1/weight"], net[f"rag/l{level}/m1/bias"], sigmoid=True)
+    # made after the mask head, so it is not alive during the head's convs
+    f_diff = f_i if variant == "no_diff" else T.sub(f_i, f_r)
     split = 1 if variant == "two_channel_mask" else f_diff.shape[1]
     return f_diff, MaskLevel(level, T.slice_channels(m, 0, split), T.slice_channels(m, split, m.shape[1]), m)
 
@@ -365,11 +374,18 @@ def _mask_full_width(mask: MaskLevel, c_diff: int, c_dec: int) -> Tensor:
 
 def _decoder(net: Network, f_obs: list[Tensor], merge) -> Tensor:
     """The U-Net decoder of every generator.  Per level, ``merge(level, F_I, F_dec, w, b)``
-    fuses the skip feature F_I with the upsampled F_dec through the merge weights."""
-    x = f_obs[4]
+    fuses the skip feature F_I with the upsampled F_dec through the merge weights.
+
+    It empties *f_obs*, popping each feature as it reads it.  In the merge's
+    call, F_I is popped, and F_dec is made from the level's input, popped in
+    turn from a one-slot list.  So no name here holds any of the three
+    through the merge, and outside a tape each is freed after its last read.
+    """
+    x = f_obs.pop()
     for level in (4, 3, 2, 1):
-        f_dec = T.conv_transpose2d(x, net[f"dec/l{level}/tconv/weight"], net[f"dec/l{level}/tconv/bias"])
-        x = merge(level, f_obs[level - 1], f_dec,
+        x = [x]  # the slot the upsampling empties
+        x = merge(level, f_obs.pop(),
+                  T.conv_transpose2d(x.pop(), net[f"dec/l{level}/tconv/weight"], net[f"dec/l{level}/tconv/bias"]),
                   net[f"dec/l{level}/merge/weight"], net[f"dec/l{level}/merge/bias"])
         for j in range(DEC_TAIL_CONVS[level]):
             x = _conv_relu(x, net[f"dec/l{level}/tail{j}/weight"], net[f"dec/l{level}/tail{j}/bias"])
@@ -382,15 +398,17 @@ def _decoder(net: Network, f_obs: list[Tensor], merge) -> Tensor:
 def _guided_decoder(net: Network, f_obs: list[Tensor], f_refl: list[Tensor]) -> tuple[Tensor, list[MaskLevel]]:
     """Decoder of g_t.  Each level merges through a RAG block and a partial
     convolution; the ``no_mask`` variant instead convolves concat(F_I - F_R, F_dec).
+    Like ``_decoder`` with *f_obs*, it empties *f_refl*: the merge pops F_R
+    in the RAG block's call, and drops F_I once that block returns.
     """
     variant = net.config.rag_variant
     masks: list[MaskLevel] = []
 
     def merge(level, f_i, f_dec, w, b):
-        f_r = f_refl[level - 1]
         if variant == "no_mask":
-            return _conv_relu(T.concat_channels(T.sub(f_i, f_r), f_dec), w, b)
-        f_diff, mask = rag_block(net, level, f_i, f_r, f_dec)
+            return _conv_relu(T.concat_channels(T.sub(f_i, f_refl.pop()), f_dec), w, b)
+        f_diff, mask = rag_block(net, level, f_i, f_refl.pop(), f_dec)
+        del f_i
         masks.append(mask)
         m = _mask_full_width(mask, f_diff.shape[1], f_dec.shape[1])
         return partial_conv(T.concat_channels(f_diff, f_dec), m, w, b,

@@ -3,9 +3,9 @@
 Reflections are built the classic way: a source image is Gaussian-smoothed
 and attenuated by a random intensity decay, then combined with the
 transmission.  ``linear_clip`` blends by the plain additive model
-I = clamp01(T + R); ``overexpose`` adds a highlight boost and hard-saturates
-bright pixels so the additive relation deliberately fails where T + R is
-large, mimicking real over-exposed reflections.
+I = clamp01(T + R); ``overexpose`` also sets to 1 every pixel whose
+channel-mean T + R exceeds ``saturate_threshold``, so the additive relation
+fails there as it does in real over-exposed reflections.
 
 Procedurally generated scenes (smoothed random fields + gradients +
 geometric shapes) stand in for natural-image datasets, keeping the package
@@ -38,7 +38,6 @@ class SynthesisParams:
     patch_size: int = 32
     scale_range: tuple[float, float] = (1.0, 2.0)
     seed: int = 0
-    overexpose_boost: float = 0.5
     saturate_threshold: float = 1.3
 
     def __post_init__(self):
@@ -68,8 +67,6 @@ class SynthesisParams:
         if self.patch_size + 2 * np.ceil(3.0 * sigma_hi) > MAX_SIDE:
             raise ValueError(f"blur padding of sigma {sigma_hi} takes patch_size {self.patch_size} "
                              f"past the {MAX_SIDE} px limit")
-        if not (np.isfinite(self.overexpose_boost) and self.overexpose_boost >= 0):
-            raise ValueError(f"overexpose_boost must be finite and >= 0, got {self.overexpose_boost}")
         if not (np.isfinite(self.saturate_threshold) and self.saturate_threshold > 0):
             raise ValueError(f"saturate_threshold must be finite and > 0, got {self.saturate_threshold}")
 
@@ -241,27 +238,25 @@ def synthesize_reflection(r_src: np.ndarray, params: SynthesisParams, seed: int)
     return decay * gaussian_blur(r_src, sigma)
 
 
-def blend(t: np.ndarray, r: np.ndarray, mode: str, boost: float = SynthesisParams.overexpose_boost,
+def blend(t: np.ndarray, r: np.ndarray, mode: str,
           saturate_threshold: float = SynthesisParams.saturate_threshold) -> np.ndarray:
     """Combine transmission and reflection into an observation.
 
-    ``linear_clip``: I = clamp01(T + R).  ``overexpose`` additionally boosts
-    the excess above 1 and hard-saturates pixels whose mean summed intensity
-    exceeds the threshold, so I - R != T on such regions.
+    ``linear_clip``: I = clamp01(T + R).  ``overexpose``: the same, with every
+    channel set to 1 at pixels whose channel-mean T + R exceeds
+    *saturate_threshold* (``saturation_mask``), so I - R != T there.  A
+    threshold of 2 or more saturates nothing and gives ``linear_clip``'s bytes.
     """
     if t.shape != r.shape:
         raise ValueError(f"blend: shape mismatch {t.shape} vs {r.shape}")
     for name, a in (("t", t), ("r", r)):
         if a.min() < 0.0 or a.max() > 1.0:
             raise ValueError(f"blend: {name} values must lie in [0,1], got [{a.min()},{a.max()}]")
-    s = t + r
+    i = np.clip(t + r, 0.0, 1.0)
     if mode == "linear_clip":
-        return np.clip(s, 0.0, 1.0)
+        return i
     if mode == "overexpose":
-        out = np.clip(s + boost * np.maximum(0.0, s - 1.0), 0.0, 1.0)
-        sat = saturation_mask(t, r, saturate_threshold)
-        out = np.where(sat, 1.0, out)
-        return out
+        return np.where(saturation_mask(t, r, saturate_threshold), 1.0, i)
     raise ValueError(f"blend: unknown mode {mode!r}")
 
 
@@ -288,7 +283,7 @@ def generate_triple(params: SynthesisParams, seed: int) -> ImageTriple:
     r = synthesize_reflection(crop(r_src), params, seed)
     t = quantize8(t).astype(np.float64) / 255.0
     r = quantize8(r).astype(np.float64) / 255.0
-    i = blend(t, r, params.blend_mode, params.overexpose_boost, params.saturate_threshold)
+    i = blend(t, r, params.blend_mode, params.saturate_threshold)
     i = quantize8(i).astype(np.float64) / 255.0
     to4 = lambda a: a[None].astype(np.float32)
     return ImageTriple(to4(i), to4(t), to4(r), params.blend_mode, seed)

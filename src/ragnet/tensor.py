@@ -781,9 +781,21 @@ def sqrt(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    out = Tensor(np.where(x.data > 0, x.data, slope * x.data))
-    return _record("leaky_relu", (x,), out,
-                   lambda g: (g * np.where(x.data > 0, 1.0, slope).astype(x.data.dtype),))
+    """x where x > 0, else slope * x, formed as max(x, slope * x) for 0 < slope <= 1.
+
+    A slope of 0 is excluded: 0 * inf is NaN, which the max would pass on.
+    """
+    if not 0 < slope <= 1:
+        raise ValueError(f"leaky_relu: slope must lie in (0, 1], got {slope}")
+    out = slope * x.data
+    np.maximum(x.data, out, out=out)
+
+    def grad_fn(g):
+        dx = g * slope
+        np.copyto(dx, g, where=x.data > 0)
+        return (dx,)
+
+    return _record("leaky_relu", (x,), Tensor(out), grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -59,10 +59,10 @@ class AdamConfig:
 
     def __post_init__(self):
         for name, v in (("lr", self.lr), ("eps", self.eps)):
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"Adam {name} must be finite and > 0, got {v}")
-        if not np.float32(self.eps) > 0:  # the moments and parameters are float32
-            raise ValueError(f"Adam eps {self.eps} rounds to 0 in float32")
+            with np.errstate(over="ignore"):  # the moments and parameters are float32
+                v32 = np.float32(v)
+            if not (np.isfinite(v32) and v32 > 0):
+                raise ValueError(f"Adam {name} must be finite and > 0 in float32, got {v}")
         for name, v in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0 <= v < 1:
                 raise ValueError(f"Adam {name} must lie in [0,1), got {v}")

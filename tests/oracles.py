@@ -154,7 +154,7 @@ def partial_conv_loops(f, m, w, b, eps=1e-8, renorm=True):
     return out
 
 
-def exclusion_loss_script(t, r, n_scales=2, lambda_t=0.5, fixed_lambda=False):
+def exclusion_loss_script(t, r, n_scales=2, lambda_t=0.5):
     """Standalone scripted multi-scale gradient-correlation penalty."""
     def grads(a):
         gx = np.zeros_like(a)
@@ -176,7 +176,7 @@ def exclusion_loss_script(t, r, n_scales=2, lambda_t=0.5, fixed_lambda=False):
         if l1_r < 1e-8:
             t, r = down(t), down(r)
             continue
-        lam_r = lambda_t if fixed_lambda else l1_t / l1_r
+        lam_r = l1_t / l1_r
         psi_x = np.tanh(lambda_t * np.abs(tx)) * np.tanh(lam_r * np.abs(rx))
         psi_y = np.tanh(lambda_t * np.abs(ty)) * np.tanh(lam_r * np.abs(ry))
         fro = np.sqrt((psi_x ** 2).sum() + (psi_y ** 2).sum())
@@ -274,3 +274,13 @@ def mask_renorm_grad_where(y, mbar, b, g, eps=1e-8, relu=False):
     dmbar = -g * y * inv * inv
     db = (g * active).sum(axis=(0, 2, 3)).reshape(b.shape) if b is not None else None
     return dy, dmbar, db
+
+
+def leaky_relu_where(x, slope=0.2):
+    """x where x > 0, else slope * x."""
+    return np.where(x > 0, x, slope * x)
+
+
+def leaky_relu_grad_where(x, g, slope=0.2):
+    """Gradient through ``leaky_relu_where``: g where x > 0, else g * slope, in x's dtype."""
+    return g * np.where(x > 0, 1.0, slope).astype(x.dtype)

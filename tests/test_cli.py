@@ -236,17 +236,21 @@ class TestPipeline:
     ["synth", "--n", "1", "--out", "{out}", "--blur-sigma-lo", "-3", "--blur-sigma-hi", "-1"],
     ["synth", "--n", "1", "--out", "{out}", "--scale-hi", "inf"],
     ["synth", "--n", "1", "--out", "{out}", "--blur-sigma-hi", "inf"],
-    ["synth", "--n", "1", "--out", "{out}", "--blend-mode", "overexpose", "--overexpose-boost", "nan"],
-    ["synth", "--n", "1", "--out", "{out}", "--blend-mode", "overexpose", "--overexpose-boost", "-5"],
     ["synth", "--n", "1", "--out", "{out}", "--blend-mode", "overexpose", "--saturate-threshold", "nan"],
     ["train", "--data", "{data}/manifest.tsv", "--out", "{out}", "--adam-eps", "1e-300"],
     ["train", "--data", "{data}/manifest.tsv", "--out", "{out}", "--seed", "-5"],
     ["train", "--data", "{data}/manifest.tsv", "--out", "{out}", "--seed", str(1 << 64)],
+    ["train", "--data", "{data}/manifest.tsv", "--out", "{out}", "--adam-eps", "1e300"],
+    ["train", "--data", "{data}/manifest.tsv", "--out", "{out}", "--lr", "1e300"],
+    ["train", "--data", "{data}/manifest.tsv", "--out", "{out}", "--lambda-percep", "1e300"],
+    ["synth", "--n", "1", "--out", "{out}", "--width-multiplier", "400"],
+    ["synth", "--n", "1", "--out", "{out}", "--width-multiplier", "1e300"],
 ], ids=["eval_tau", "infer_width_phi", "gradcheck_tau", "params_one_stage", "train_one_stage",
         "train_lr_negative", "train_beta1_2", "train_eps_0", "train_lr_nan", "train_beta2_nan",
         "params_width_inf", "infer_width_inf", "train_width_nan", "synth_patch_0", "synth_patch_negative",
-        "synth_sigma_negative", "synth_scale_inf", "synth_sigma_inf", "synth_boost_nan", "synth_boost_negative",
-        "synth_saturate_nan", "train_eps_float32_zero", "train_seed_negative", "train_seed_2_64"])
+        "synth_sigma_negative", "synth_scale_inf", "synth_sigma_inf", "synth_saturate_nan",
+        "train_eps_float32_zero", "train_seed_negative", "train_seed_2_64", "train_eps_float32_inf",
+        "train_lr_float32_inf", "train_lambda_percep_float32_inf", "synth_width_400", "synth_width_1e300"])
 def test_out_of_range_config_exits_2(argv, trained_run, tmp_path, capsys):
     # every command runs the range checks of every config dataclass before it touches a file
     _, data, run = trained_run
@@ -335,6 +339,33 @@ def test_inference_peaks_below_eleven_level1_merge_maps():
     finally:
         tracemalloc.stop()
     assert peak < 11 * merge_map
+
+
+def test_inference_peaks_below_eight_and_a_half_level1_merge_maps():
+    # the decoder pops each feature it reads and hands F_I and F_dec to the merge
+    # without keeping them, and partial_conv drops its input once f o m is made
+    state = TrainerState(TrainConfig(model=ModelConfig(width_multiplier=0.125)))
+    img = np.random.Generator(np.random.PCG64(7)).uniform(0, 1, (1, 3, 256, 256)).astype(np.float32)
+    merge_map = 2 * state.config.model.scaled(64) * 256 * 256 * 4
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cli.infer_image(state, img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * merge_map
+
+
+def test_overexpose_boost_is_no_key(tmp_path, capsys):
+    assert "overexpose_boost" not in CONFIG_KEYS
+    out = tmp_path / "out"
+    assert main(["synth", "--n", "1", "--out", str(out), "--overexpose-boost", "0.5"]) == EXIT_USAGE
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("overexpose_boost = 0.5\n")
+    assert main(["synth", "--n", "1", "--out", str(out), "--config", str(cfgfile)]) == EXIT_VALIDATION
+    assert "overexpose_boost" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

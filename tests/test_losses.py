@@ -116,8 +116,9 @@ class TestExclusionLoss:
 
     def test_swap_symmetry_with_fixed_lambda(self):
         t, r = tt((1, 3, 8, 8), 50), tt((1, 3, 8, 8), 51)
-        a = exclusion_loss(t, r, fixed_lambda=True).item()
-        b = exclusion_loss(r, t, fixed_lambda=True).item()
+        lams = [losses.EXCL_LAMBDA_T] * (losses.EXCL_SCALES + 1)
+        a = exclusion_loss(t, r, lambda_r_values=lams).item()
+        b = exclusion_loss(r, t, lambda_r_values=lams).item()
         assert abs(a - b) < 1e-10
 
     def test_indivisible_dims_rejected(self):
@@ -314,7 +315,8 @@ class TestLossGradients:
     def test_exclusion_fixed_lambda(self):
         th = tt((1, 3, 8, 8), 84, grad=True)
         rh = tt((1, 3, 8, 8), 85, grad=True)
-        err = T.finite_diff_check(lambda th, rh: exclusion_loss(th, rh, fixed_lambda=True),
+        lams = [losses.EXCL_LAMBDA_T] * (losses.EXCL_SCALES + 1)
+        err = T.finite_diff_check(lambda th, rh: exclusion_loss(th, rh, lambda_r_values=lams),
                                   [th, rh], max_coords=32)
         assert err < 1e-5
 

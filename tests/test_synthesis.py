@@ -146,6 +146,22 @@ class TestBlend:
         with pytest.raises(ValueError, match="0,1"):
             blend(np.full((3, 2, 2), 1.5), np.zeros((3, 2, 2)), "linear_clip")
 
+    @pytest.mark.parametrize("threshold", [0.5, 1.3, 2.0])
+    def test_overexpose_is_linear_clip_with_saturated_pixels_set_to_1(self, threshold):
+        # 8-bit T and R as generate_triple blends them; T + R > 1 on about half the values
+        rng = np.random.Generator(np.random.PCG64(70))
+        t, r = (rng.integers(0, 256, (1, 3, 48, 48)) / 255.0 for _ in range(2))
+        assert 0.4 < (t + r > 1).mean() < 0.6
+        sat = synthesis.saturation_mask(t, r, threshold)
+        linear = blend(t, r, "linear_clip")
+        got = blend(t, r, "overexpose", saturate_threshold=threshold)
+        want = np.where(sat, 1.0, linear)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        if threshold >= 2.0:
+            assert not sat.any() and got.tobytes() == linear.tobytes()
+        else:
+            assert 0 < sat.mean() < 1
+
 
 class TestTriple:
     def test_linear_clip_exact_blend_identity(self):

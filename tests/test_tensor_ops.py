@@ -14,6 +14,8 @@ from oracles import (
     conv_transpose2d_loops,
     downsample2x_grad_repeat,
     downsample2x_reshape_mean,
+    leaky_relu_grad_where,
+    leaky_relu_where,
     mask_mean3x3_loops,
     mask_mean3x3_padded,
     mask_renorm_grad_where,
@@ -541,6 +543,31 @@ class TestMaskOpsMatchWholePlaneFormulas:
         g = with_specials(rand(shape, 625).astype(dtype), 626)
         for got, want in zip(out.node.grad_fn(g), mask_renorm_grad_where(y, mbar, b, g, eps, relu)):
             assert_same_bits(got, want)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0, on purpose
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestLeakyReluMatchesWhereForm:
+    """``leaky_relu``'s max form and its backward give the bytes of the
+    ``np.where`` forms in ``oracles``, on random data and special values."""
+
+    @pytest.mark.parametrize("slope", [0.2, 0.01, 1.0])
+    def test_forward_and_backward(self, dtype, slope):
+        rng = np.random.Generator(np.random.PCG64(640))
+        # both signs, magnitudes from 1e-40 (subnormal in float32) to 1e30, then the special values
+        x = (rng.standard_normal((2, 3, 40, 40)) * 10.0 ** rng.uniform(-40, 30, (2, 3, 40, 40))).astype(dtype)
+        x = with_specials(x, 641)
+        with T.Tape():
+            out = T.leaky_relu(T.Tensor(x, requires_grad=True), slope)
+        assert_same_bits(out.data, leaky_relu_where(x, slope))
+        assert np.isnan(out.data[np.isnan(x)]).all() and np.isnan(x).any()
+        g = with_specials(rand(x.shape, 642).astype(dtype), 643)
+        assert_same_bits(out.node.grad_fn(g)[0], leaky_relu_grad_where(x, g, slope))
+
+    @pytest.mark.parametrize("slope", [0.0, -0.2, 1.5, np.nan])
+    def test_slope_outside_range_rejected(self, dtype, slope):
+        with pytest.raises(ValueError, match="slope"):
+            T.leaky_relu(T.Tensor(np.ones((1, 1, 2, 2), dtype=dtype)), slope)
 
 
 class TestOpPeakMemory:
