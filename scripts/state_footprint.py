@@ -1,5 +1,6 @@
 """Check that a fresh paper-width TrainerState holds little more than its
-weights, and that one inference with such a state holds few merge-sized arrays.
+weights, that one inference with such a state holds few merge-sized arrays,
+and that loading a checkpoint for inference keeps little more than G_R and G_T.
 
 Builds a width-1.0 ``TrainerState`` (G_R, G_T, the discriminator, the
 perceptual extractor and one Adam state per trained network), prints the
@@ -16,6 +17,13 @@ counts numpy's own requests, in level-1 merge maps: the float32
 above ``MERGE_MAPS`` of them.  Unlike resident memory, this count does not
 depend on the allocator.
 
+Last, a fresh process, whose allocator has not freed the memory of the
+checks above, saves a width-``LOAD_WIDTH`` checkpoint to a temporary
+directory, calls ``cli.load_models`` on it and reports how much ``RssAnon``
+the call kept, against the bytes of the G_R and G_T weights it returns.  The
+check fails above ``LIMIT`` times those bytes: the file's discriminator,
+perceptual-net and Adam payloads must not stay resident.
+
 Exits 1 when a check fails.  Linux only; it exits 2 where ``RssAnon`` is
 not reported.
 
@@ -23,18 +31,22 @@ Usage: PYTHONPATH=src python3 scripts/state_footprint.py
 """
 
 import gc
+import multiprocessing
+import os
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 
-from ragnet.cli import infer_image
+from ragnet.cli import infer_image, load_models
 from ragnet.model import ModelConfig
-from ragnet.trainer import TrainConfig, TrainerState
+from ragnet.trainer import TrainConfig, TrainerState, weight_tensors
 
 LIMIT = 1.25  # resident growth allowed, in multiples of the weight bytes
 SIDE = 224  # the inference image side
 MERGE_MAPS = 8  # traced inference peak allowed, in level-1 merge maps
+LOAD_WIDTH = 0.5  # width of the checkpoint that load_models reads
 MB = 1 << 20
 
 
@@ -73,6 +85,18 @@ def inference_maps(width: float, side: int) -> tuple[int, float]:
     return peak, peak / (2 * state.config.model.scaled(64) * side * side * 4)
 
 
+def load_footprint(width: float) -> tuple[int, int]:
+    """(RssAnon kept by ``load_models``, G_R + G_T weight bytes) for a fresh checkpoint at *width*."""
+    with tempfile.TemporaryDirectory() as d:
+        ckpt = os.path.join(d, "model.bin")
+        TrainerState(TrainConfig(model=ModelConfig(width_multiplier=width))).save(ckpt)
+        gc.collect()
+        before = rss_anon_bytes()
+        state = load_models(ckpt)
+        kept = rss_anon_bytes() - before
+    return kept, sum(a.nbytes for a in weight_tensors(state.nets).values())
+
+
 def main() -> int:
     if rss_anon_bytes() is None:
         print("state_footprint: /proc/self/status reports no RssAnon", file=sys.stderr)
@@ -84,7 +108,12 @@ def main() -> int:
     peak, maps = inference_maps(1.0, SIDE)
     print(f"{SIDE}x{SIDE} inference: traced peak {peak / MB:.1f} MB "
           f"({maps:.2f} level-1 merge maps, limit {MERGE_MAPS})")
-    return 0 if ratio <= LIMIT and maps <= MERGE_MAPS else 1
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        kept, g_weights = pool.apply(load_footprint, (LOAD_WIDTH,))
+    load_ratio = kept / g_weights
+    print(f"width-{LOAD_WIDTH} load_models: G_R + G_T weights {g_weights / MB:.1f} MB, RssAnon kept "
+          f"{kept / MB:.1f} MB ({load_ratio:.2f}x the weights, limit {LIMIT}x)")
+    return 0 if ratio <= LIMIT and maps <= MERGE_MAPS and load_ratio <= LIMIT else 1
 
 
 if __name__ == "__main__":

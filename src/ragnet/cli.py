@@ -227,17 +227,34 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# inference plumbing shared by infer / eval / inspect-mask
+# inference plumbing shared by infer / eval / inspect-mask: inference runs
+# G_R and G_T only, so it loads neither the discriminator, the perceptual
+# net nor the Adam moments that a checkpoint also holds
 
-def load_models(ckpt_path):
+@dataclasses.dataclass
+class InferenceState:
+    """The two generators of a checkpoint and the config they were built from."""
+    config: TR.TrainConfig
+    nets: dict[str, M.Network]
+
+
+def load_models(ckpt_path) -> InferenceState:
+    """G_R and G_T from checkpoint *ckpt_path*, parsed once and checked.
+
+    The file's CRC, layout and ``meta/*`` entries are validated, and each
+    ``model/g_r/*`` and ``model/g_t/*`` entry must exist with its network's
+    shape (``ValueError`` naming the tensor otherwise).  The networks are
+    built without their He init and filled from those entries; the other
+    payloads are read but never copied.
+    """
     loaded = TR.load_checkpoint(ckpt_path)
     config = TR.TrainConfig(model=TR.model_config_from_checkpoint(ckpt_path, loaded))
-    state = TR.TrainerState(config, draw_init=False)  # load overwrites every weight
-    state.load(ckpt_path, loaded)
-    return state
+    nets = {name: M.build_network(name, config.model, draw_init=False) for name in ("g_r", "g_t")}
+    TR.load_weights(ckpt_path, loaded, nets)
+    return InferenceState(config, nets)
 
 
-def infer_image(state: TR.TrainerState, img: np.ndarray):
+def infer_image(state: InferenceState | TR.TrainerState, img: np.ndarray):
     """Forward both stages on an NCHW image of any size (reflect-padded to /16)."""
     padded, pads = M.pad_to_multiple(img.astype(np.float32))
     i_t = T.Tensor(padded)

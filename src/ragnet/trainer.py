@@ -269,6 +269,20 @@ def _limbs_to_int(a: np.ndarray) -> int:
     return limbs[0] | (limbs[1] << 16) | (limbs[2] << 32) | (limbs[3] << 48)
 
 
+def weight_tensors(nets: dict[str, Network]) -> dict[str, np.ndarray]:
+    """The ``model/{net}/{param}`` entries of the checkpoint's name table: the live weights of *nets*."""
+    return {f"model/{net_name}/{pname}": p.data for net_name, net in nets.items() for pname, p in net.params.items()}
+
+
+def load_weights(path, loaded: dict[str, np.ndarray], nets: dict[str, Network]) -> None:
+    """Copy the weights of *nets* from *loaded*, the parse of checkpoint *path*,
+    after checking their names and shapes."""
+    expected = weight_tensors(nets)
+    _check_shapes(path, loaded, expected)
+    for name, arr in expected.items():
+        arr[...] = loaded[name]
+
+
 def _model_tensors(model: ModelConfig) -> dict[str, np.ndarray]:
     """The ``meta/*`` tensors that hold the architecture hyperparameters."""
     return {"meta/seed": _int_to_limbs(model.seed),
@@ -284,7 +298,8 @@ class TrainerState:
     """Networks, optimizer states, and schedule position of one training run.
 
     ``draw_init=False`` leaves every weight zero instead of drawing its He
-    init, for a state that ``load`` overwrites next.
+    init, for a state that ``load`` overwrites next; resuming a run is its
+    only such use.  Inference loads G_R and G_T alone (``cli.load_models``).
     """
 
     def __init__(self, config: TrainConfig, draw_init: bool = True):
@@ -304,10 +319,7 @@ class TrainerState:
 
     def to_tensors(self) -> dict[str, np.ndarray]:
         """The checkpoint's name table; the ``model/`` and Adam moment entries are the live arrays."""
-        out: dict[str, np.ndarray] = {}
-        for net_name, net in [*self.nets.items(), ("percep", self.extractor.net)]:
-            for pname, p in net.params.items():
-                out[f"model/{net_name}/{pname}"] = p.data
+        out = weight_tensors({**self.nets, "percep": self.extractor.net})
         for net_name, st in self.adam.items():
             for pname in st.m:
                 out[f"adam/{net_name}/{pname}/m"] = st.m[pname]

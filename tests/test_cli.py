@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from ragnet import cli
+from ragnet import losses as L
+from ragnet import model as M
 from ragnet import trainer as TR
 from ragnet.cli import CONFIG_KEYS, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from ragnet.model import NETWORK_KINDS, RAG_VARIANTS, ModelConfig
@@ -321,8 +323,11 @@ def test_load_models_parses_the_checkpoint_once(tmp_path, monkeypatch):
     state = cli.load_models(ckpt)
     assert calls == [ckpt]
     assert state.config.model == saved.config.model
-    a, b = saved.to_tensors(), state.to_tensors()
-    assert all(a[k].tobytes() == b[k].tobytes() for k in a)
+    assert set(state.nets) == {"g_r", "g_t"}
+    assert not any(hasattr(state, name) for name in ("adam", "extractor"))
+    a, b = saved.to_tensors(), TR.weight_tensors(state.nets)
+    assert sorted(b) == sorted(k for k in a if k.startswith(("model/g_r/", "model/g_t/")))
+    assert all(a[k].tobytes() == b[k].tobytes() for k in b)
 
 
 def test_inference_peaks_below_eleven_level1_merge_maps():
@@ -435,6 +440,61 @@ def test_run_without_adversarial_term(tiny_data, tmp_path):
                  "--out", str(tmp_path / "rep")]) == EXIT_OK
     assert main(["infer", "--ckpt", str(run / "final.bin"), "--input", str(tiny_data / "I_0000.ppm"),
                  "--out", str(tmp_path / "inf")]) == EXIT_OK
+
+
+def _inference_outputs(state, img) -> list[np.ndarray]:
+    r_np, t_np, masks, _ = cli.infer_image(state, img)
+    return [r_np, t_np, *(m.data for ml in masks for m in (ml.m_diff, ml.m_dec, ml.m))]
+
+
+@pytest.mark.parametrize("variant", ["full", "no_mask", "two_channel_mask", "trained_without_adversarial"])
+def test_load_models_infers_the_bytes_of_a_full_state(variant, tiny_data, tmp_path):
+    if variant == "trained_without_adversarial":
+        assert _train_tiny(tiny_data, tmp_path, "--phase2-epochs", "1", "--use-adversarial", "false") == EXIT_OK
+        ckpt = tmp_path / "final.bin"
+    else:
+        ckpt = tmp_path / "model.bin"
+        TrainerState(TrainConfig(model=ModelConfig(width_multiplier=1 / 16, rag_variant=variant, seed=3))).save(ckpt)
+    loaded = TR.load_checkpoint(ckpt)
+    full = TrainerState(TrainConfig(model=model_config_from_checkpoint(ckpt, loaded)), draw_init=False)
+    full.load(ckpt, loaded)
+    img = np.random.Generator(np.random.PCG64(4)).uniform(0, 1, (1, 3, 20, 27)).astype(np.float32)
+    got, want = _inference_outputs(cli.load_models(ckpt), img), _inference_outputs(full, img)
+    assert len(got) == len(want) == (2 if variant == "no_mask" else 2 + 3 * 4)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("fault", ["missing", "misshapen"])
+@pytest.mark.parametrize("command", ["infer", "eval", "inspect-mask"])
+def test_checkpoint_with_a_bad_g_t_tensor_exits_2(command, fault, tiny_data, tmp_path, capsys):
+    ckpt, out = tmp_path / "bad.bin", tmp_path / "out"
+    tensors = TrainerState(TrainConfig(model=ModelConfig(width_multiplier=1 / 16))).to_tensors()
+    name = next(k for k in sorted(tensors) if k.startswith("model/g_t/"))
+    if fault == "missing":
+        del tensors[name]
+    else:
+        tensors[name] = np.zeros(tensors[name].shape + (1,), dtype=np.float32)
+    save_checkpoint(tensors, ckpt)  # a valid CRC over the faulty table
+    source = ["--data", str(tiny_data / "manifest.tsv")] if command == "eval" else \
+        ["--input", str(tiny_data / "I_0000.ppm")]
+    assert main([command, "--ckpt", str(ckpt), *source, "--out", str(out)]) == EXIT_VALIDATION
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_load_models_builds_only_the_generators(tmp_path, monkeypatch):
+    ckpt = tmp_path / "model.bin"
+    TrainerState(TrainConfig(model=ModelConfig(width_multiplier=1 / 16, use_adversarial=True))).save(ckpt)
+    kinds, adams = [], []
+    build, adam_init = M.build_network, TR.AdamState.__init__
+    for module in (M, TR, L):  # each module that calls build_network holds its own name for it
+        monkeypatch.setattr(module, "build_network", lambda kind, *a, **kw: kinds.append(kind) or build(kind, *a, **kw))
+    monkeypatch.setattr(TR.AdamState, "__init__", lambda self, *a: adams.append(a) or adam_init(self, *a))
+    state = cli.load_models(ckpt)
+    assert sorted(kinds) == ["g_r", "g_t"] and adams == []
+    TrainerState(state.config, draw_init=False)  # the spies see what a full state builds
+    assert {"discriminator", "percep_extractor"} <= set(kinds) and len(adams) == 3
 
 
 @pytest.mark.parametrize("manifest, phase", [("empty", 1), ("no_reflection", 1), ("empty_phase2_only", 2)])

@@ -371,8 +371,10 @@ class TestTraining:
         fill = model._fill_he
         monkeypatch.setattr(model, "_fill_he", lambda data, seed: draws.append(seed) or fill(data, seed))
         state = cli.load_models(mid)
-        live, saved = state.to_tensors(), load_checkpoint(mid)
-        assert all(live[k].tobytes() == saved[k].tobytes() for k in saved)
+        live, saved = trainer.weight_tensors(state.nets), load_checkpoint(mid)
+        assert sorted(live) == sorted(k for k in saved if k.startswith(("model/g_r/", "model/g_t/")))
+        assert all(live[k].tobytes() == saved[k].tobytes() for k in live)
+        assert set(state.nets) == {"g_r", "g_t"} and not hasattr(state, "adam")
         train(small_config(p1=1, p2=1), tiny_dataset, tmp_path / "second", resume_from=mid)
         assert draws == []
         TrainerState(small_config())  # the spy does see the draws of a fresh state
