@@ -4,7 +4,9 @@ A pure refactor must leave every hash printed here unchanged.  The pinned
 data is ``ragnet synth --n 8 --seed 1 --patch-size 16``; each run trains it
 at width 1/16, 16 px, 1 + 1 epochs, seed 1: once per RAG variant, and once
 more (``full, half has_r=0``) on a manifest whose every second row declares
-no reflection layer.  The ``full`` run is also evaluated over the pinned data.
+no reflection layer.  The ``full`` run is also evaluated over the pinned data,
+and its ``final.bin`` runs ``ragnet infer`` and ``ragnet inspect-mask`` on the
+pinned ``I_0000.ppm``; each of the two output directories is hashed.
 The last two lines hash synthesized data: the pinned data, and
 ``ragnet synth --n 2 --seed 1 --patch-size 224``, whose scenes span several
 row blocks of the blur filter.
@@ -72,6 +74,11 @@ def run_all(root: str) -> None:
             report = os.path.join(root, "eval_full")
             ragnet("eval", "--ckpt", os.path.join(out, "final.bin"), "--data", manifest, "--out", report)
             print(f"{name:20s} {'eval report.csv':18s} {sha256(os.path.join(report, 'report.csv'))}")
+            for command in ("infer", "inspect-mask"):
+                outputs = os.path.join(root, f"{command}_full")
+                ragnet(command, "--ckpt", os.path.join(out, "final.bin"),
+                       "--input", os.path.join(data, "I_0000.ppm"), "--out", outputs)
+                print(f"{name:20s} {command + ' dir':18s} {sha256_dir(outputs)}")
     data224 = os.path.join(root, "data224")
     ragnet("synth", "--n", "2", "--seed", "1", "--patch-size", "224", "--out", data224)
     print(f"{'synth n 8, 16 px':20s} {'data directory':18s} {data_sha}")

@@ -66,7 +66,7 @@ def footprint(width: float) -> tuple[int, int]:
     before = rss_anon_bytes()
     state = TrainerState(TrainConfig(model=ModelConfig(width_multiplier=width)))
     growth = rss_anon_bytes() - before
-    nets = [*state.nets.values(), state.extractor.net]
+    nets = [*state.nets.values(), state.percep]
     return growth, sum(p.data.nbytes for net in nets for p in net.params.values())
 
 

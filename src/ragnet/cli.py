@@ -255,7 +255,7 @@ def load_models(ckpt_path) -> InferenceState:
 
 
 def infer_image(state: InferenceState | TR.TrainerState, img: np.ndarray):
-    """Forward both stages on an NCHW image of any size (reflect-padded to /16)."""
+    """Forward both stages on an NCHW image of any size, reflect-padded to multiples of ``M.SIDE_MULTIPLE``."""
     padded, pads = M.pad_to_multiple(img.astype(np.float32))
     i_t = T.Tensor(padded)
     r_hat = M.forward_gr(state.nets["g_r"], i_t)

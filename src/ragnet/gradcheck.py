@@ -116,9 +116,9 @@ def run_suite() -> list[CheckResult]:
     _check(results, "rec_loss", lambda th: L.rec_loss(th, gt),
            [(_leaf((1, 3, 8, 8), 231, 0, 1),)], LOSS_TOL)
 
-    extractor = L.PerceptualExtractor(M.ModelConfig(width_multiplier=0.125, seed=9), dtype=np.float64)
+    percep = M.build_network("percep_extractor", M.ModelConfig(width_multiplier=0.125, seed=9), dtype=np.float64)
     gt32 = T.tensor(np.random.Generator(np.random.PCG64(232)).uniform(0, 1, (1, 3, 32, 32)))
-    _check(results, "perceptual_loss", lambda th: L.perceptual_loss(th, gt32, None, None, extractor),
+    _check(results, "perceptual_loss", lambda th: L.perceptual_loss(th, gt32, None, None, percep),
            [(_leaf((1, 3, 32, 32), 233, 0, 1),)], LOSS_TOL, max_coords=24)
 
     th0 = _leaf((1, 3, 8, 8), 234, 0, 1)

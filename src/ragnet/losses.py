@@ -14,14 +14,14 @@ The combined objective is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 import ragnet.tensor as T
 from ragnet.metrics import DEFAULT_TAU
 from ragnet.tensor import Tensor
-from ragnet.model import MaskLevel, ModelConfig, Network, build_network, extract_features, forward_discriminator
+from ragnet.model import MaskLevel, Network, extract_features, forward_discriminator
 
 LOG_CLAMP = 1e-7
 EXCL_SCALES = 2       # the exclusion term halves the resolution twice: three scales
@@ -60,29 +60,12 @@ class MaskLossThresholds:
 
 @dataclass
 class LossParts:
+    """The five terms; each is weighted by the ``LossWeights`` field of its name."""
     rec: Tensor | None = None
     percep: Tensor | None = None
     excl: Tensor | None = None
     adv: Tensor | None = None
     mask: Tensor | None = None
-
-
-class PerceptualExtractor:
-    """Frozen seeded five-stage conv pyramid standing in for a pretrained backbone.
-
-    Each stage is weighted by 1/(C*H*W) of its feature map, so every stage
-    contributes a mean absolute feature difference.
-    """
-
-    def __init__(self, config: ModelConfig, dtype=T.DEFAULT_DTYPE, draw_init: bool = True):
-        self.net: Network = build_network("percep_extractor", config, dtype=dtype, draw_init=draw_init)
-
-    def features(self, x: Tensor) -> list[Tensor]:
-        return extract_features(self.net, x)
-
-    def weight_for(self, feat: Tensor) -> float:
-        _, c, h, w = feat.shape
-        return 1.0 / (c * h * w)
 
 
 def _l1_diff(a: Tensor, b: Tensor, normalize: bool) -> Tensor:
@@ -110,8 +93,10 @@ def rec_loss(t_hat: Tensor, t: Tensor, r_hat: Tensor | None = None, r: Tensor | 
 
 
 def perceptual_loss(t_hat: Tensor, t: Tensor, r_hat: Tensor | None, r: Tensor | None,
-                    extractor: PerceptualExtractor) -> Tensor:
-    """Stage-weighted l1 distance between frozen feature pyramids."""
+                    percep: Network) -> Tensor:
+    """Stage-weighted l1 distance between the feature pyramids of *percep*, the frozen seeded
+    ``percep_extractor`` network that stands in for a pretrained backbone.  Each stage is weighted
+    by 1/(C*H*W) of its feature map, so every stage contributes a mean absolute feature difference."""
     pairs = [(t_hat, t)]
     if r_hat is not None:
         if r is None:
@@ -121,10 +106,9 @@ def perceptual_loss(t_hat: Tensor, t: Tensor, r_hat: Tensor | None, r: Tensor | 
     for pred, gt in pairs:
         if pred.shape != gt.shape:
             raise ValueError(f"loss input shapes differ: {pred.shape} vs {gt.shape}")
-        f_pred = extractor.features(pred)
-        f_gt = extractor.features(gt)
-        for fp, fg in zip(f_pred, f_gt):
-            term = T.scalar_mul(T.l1_norm(T.sub(fp, fg)), extractor.weight_for(fp))
+        for fp, fg in zip(extract_features(percep, pred), extract_features(percep, gt)):
+            _, c, h, w = fp.shape
+            term = T.scalar_mul(T.l1_norm(T.sub(fp, fg)), 1.0 / (c * h * w))
             loss = term if loss is None else T.add(loss, term)
     return loss
 
@@ -276,18 +260,14 @@ def adv_g_loss(d_net: Network, i_obs: Tensor, t_fake: Tensor) -> Tensor:
     return _neg_log(forward_discriminator(d_net, i_obs, t_fake))
 
 
-def total_loss(parts: LossParts, weights: LossWeights, use_adversarial: bool = True) -> Tensor:
-    """Weighted sum of the available parts, in fixed left-to-right order."""
+def total_loss(parts: LossParts, weights: LossWeights) -> Tensor:
+    """Sum of each part times its same-named weight, in ``LossParts`` field order; a None part is skipped."""
     total = None
-    order = [(parts.rec, weights.rec), (parts.percep, weights.percep),
-             (parts.excl, weights.excl)]
-    if use_adversarial:
-        order.append((parts.adv, weights.adv))
-    order.append((parts.mask, weights.mask))
-    for part, lam in order:
+    for f in fields(LossParts):
+        part = getattr(parts, f.name)
         if part is None:
             continue
-        term = T.scalar_mul(part, lam)
+        term = T.scalar_mul(part, getattr(weights, f.name))
         total = term if total is None else T.add(total, term)
     if total is None:
         raise ValueError("total_loss: no loss parts given")

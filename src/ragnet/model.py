@@ -43,6 +43,7 @@ DISC_WIDTHS = (64, 128, 256, 512)
 # dec/l4/merge, is 604 MB of float32 and G_R + G_T hold 2.0 G parameters, so
 # wider settings are rejected before any layer is made.
 MAX_WIDTH = 4.0
+SIDE_MULTIPLE = 16  # four 2x2 poolings: a generator's input sides must be multiples of 2**4
 
 
 @dataclass
@@ -82,30 +83,21 @@ class MaskLevel:
 
 @dataclass
 class Network:
+    """Named parameters of *dtype* in the order added; each layer is ``{name}/weight`` and ``{name}/bias``."""
     kind: str
     config: ModelConfig
+    dtype: type
     params: dict[str, Parameter] = field(default_factory=dict)
-    # He-init parameters added since the last ``build_network`` draw
-    he_queue: list[Parameter] = field(default_factory=list, repr=False, compare=False)
 
-    def add(self, name: str, shape, init: str, dtype) -> Parameter:
-        """Create parameter *name* of *shape* and *dtype* with init ``"zeros"`` or ``"he"``.
+    def layer(self, name: str, cout: int, cin: int, k: int) -> None:
+        """Add a zero ``{name}/weight`` of shape (cout, cin, k, k), then a zero ``{name}/bias`` (1, cout, 1, 1).
 
-        Every parameter starts as ``np.zeros``; a ``"he"`` one also joins
-        ``he_queue``.  ``build_network`` then draws all queued weights at once
-        on a thread pool, each in chunks through one small float64 buffer, so
-        no whole-parameter temporary exists; the bytes do not depend on the
-        worker count (see ``_draw_he`` and ``_fill_he``).
+        A transposed conv's weight is (Cin, Cout, 2, 2); every one here keeps its width, so (c, c, 2, 2) serves.
         """
-        if name in self.params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        if init not in ("zeros", "he"):
-            raise ValueError(f"unknown init {init!r}")
-        p = Parameter(name, np.zeros(shape, dtype=dtype))
-        self.params[name] = p
-        if init == "he":
-            self.he_queue.append(p)
-        return p
+        if f"{name}/weight" in self.params:
+            raise ValueError(f"duplicate layer name {name!r}")
+        for pname, shape in ((f"{name}/weight", (cout, cin, k, k)), (f"{name}/bias", (1, cout, 1, 1))):
+            self.params[pname] = Parameter(pname, np.zeros(shape, dtype=self.dtype))
 
     def __getitem__(self, name: str) -> Parameter:
         return self.params[name]
@@ -168,16 +160,17 @@ def _fill_he(data: np.ndarray, seed: int) -> None:
         flat[start:start + z.size] = z
 
 
-def _draw_he(net: Network, queue: list[Parameter]) -> None:
-    """Draw the He weights of every parameter of *net* in *queue*.
+def _draw_he(net: Network) -> None:
+    """Draw the He init of every ``*/weight`` parameter of *net*.
 
-    Each parameter has its own generator, seeded by (model seed, network kind,
+    Each weight has its own generator, seeded by (model seed, network kind,
     name), so the draws are independent of each other.  They run on a thread
     pool with one worker per usable core, largest parameter first; numpy's
     normal sampler releases the GIL.  The workers touch only numpy arrays,
     and the bytes do not depend on the worker count.
     """
-    jobs = sorted(((p.data, _param_seed(net.config.seed, net.kind, p.name)) for p in queue),
+    jobs = sorted(((p.data, _param_seed(net.config.seed, net.kind, name))
+                   for name, p in net.params.items() if name.endswith("/weight")),
                   key=lambda job: job[0].size, reverse=True)
     with ThreadPoolExecutor(max(1, min(len(jobs), _usable_cpus()))) as pool:
         list(pool.map(lambda job: _fill_he(*job), jobs))
@@ -191,94 +184,80 @@ def count_params(net: Network) -> int:
 # builders
 
 def build_network(kind: str, config: ModelConfig, dtype=T.DEFAULT_DTYPE, draw_init: bool = True) -> Network:
-    """Build a deterministic network of the given kind.
+    """Build a deterministic network of the given kind, every parameter of *dtype*.
 
-    Biases start at zero.  Conv weights get He init, N(0, 2/fan_in), seeded
-    per parameter name, so two builds from the same config are bit-identical
-    regardless of construction order.  The weights are drawn after every
-    parameter is added, on all usable cores in chunks (``_draw_he``); the
-    bytes are the same for any worker count.  With ``draw_init=False`` the
-    weights stay zero and nothing is drawn, for a caller that loads them from
-    a checkpoint next.
+    Biases start at zero.  Every ``*/weight`` gets He init, N(0, 2/fan_in),
+    seeded per parameter name, so two builds from the same config are
+    bit-identical regardless of construction order.  The weights are drawn
+    after every layer is added, on all usable cores, each in chunks through
+    one small float64 buffer (``_draw_he``, ``_fill_he``); the bytes are the
+    same for any worker count.  With ``draw_init=False`` the weights stay
+    zero and nothing is drawn, for a caller that loads them from a
+    checkpoint next.  ``percep_extractor``, the perceptual loss's fixed
+    feature pyramid, is built frozen.
     """
     if kind not in NETWORK_KINDS:
         raise ValueError(f"kind must be one of {NETWORK_KINDS}, got {kind!r}")
-    net = Network(kind, config)
+    net = Network(kind, config, dtype)
     s = config.scaled
     if kind == "g_r":
-        _add_encoder(net, "enc_obs", in_ch=3, stages=5, dtype=dtype)
-        _add_decoder(net, dtype=dtype)
+        _add_encoder(net, "enc_obs", in_ch=3, stages=5)
+        _add_decoder(net)
     elif kind == "g_t":
-        _add_encoder(net, "enc_obs", in_ch=3, stages=5, dtype=dtype)
-        _add_encoder(net, "enc_refl", in_ch=3, stages=4, dtype=dtype)
-        _add_decoder(net, dtype=dtype)
+        _add_encoder(net, "enc_obs", in_ch=3, stages=5)
+        _add_encoder(net, "enc_refl", in_ch=3, stages=4)
+        _add_decoder(net)
         if config.rag_variant != "no_mask":
-            _add_mask_heads(net, dtype=dtype)
+            _add_mask_heads(net)
     elif kind == "discriminator":
         cin = 6
         for j, base in enumerate(DISC_WIDTHS):
-            cout = s(base)
-            net.add(f"disc/c{j}/weight", (cout, cin, 3, 3), "he", dtype)
-            net.add(f"disc/c{j}/bias", (1, cout, 1, 1), "zeros", dtype)
-            cin = cout
+            net.layer(f"disc/c{j}", s(base), cin, 3)
+            cin = s(base)
     elif kind == "percep_extractor":
         cin = 3
         for j, base in enumerate(ENC_STAGE_WIDTHS):
-            cout = s(base)
-            net.add(f"feat/s{j}/weight", (cout, cin, 3, 3), "he", dtype)
-            net.add(f"feat/s{j}/bias", (1, cout, 1, 1), "zeros", dtype)
-            cin = cout
+            net.layer(f"feat/s{j}", s(base), cin, 3)
+            cin = s(base)
         net.freeze()
-    queue, net.he_queue = net.he_queue, []
     if draw_init:
-        _draw_he(net, queue)
+        _draw_he(net)
     return net
 
 
-def _add_encoder(net: Network, prefix: str, in_ch: int, stages: int, dtype) -> None:
+def _add_encoder(net: Network, prefix: str, in_ch: int, stages: int) -> None:
     s = net.config.scaled
     cin = in_ch
     for stage in range(stages):
         cout = s(ENC_STAGE_WIDTHS[stage])
         for idx in range(ENC_CONVS_PER_STAGE[stage]):
-            net.add(f"{prefix}/s{stage}/c{idx}/weight", (cout, cin, 3, 3), "he", dtype)
-            net.add(f"{prefix}/s{stage}/c{idx}/bias", (1, cout, 1, 1), "zeros", dtype)
+            net.layer(f"{prefix}/s{stage}/c{idx}", cout, cin, 3)
             cin = cout
 
 
-def _add_decoder(net: Network, dtype) -> None:
+def _add_decoder(net: Network) -> None:
     s = net.config.scaled
     for level in (4, 3, 2, 1):
         c = s(ENC_STAGE_WIDTHS[level - 1])
-        net.add(f"dec/l{level}/tconv/weight", (c, c, 2, 2), "he", dtype)
-        net.add(f"dec/l{level}/tconv/bias", (1, c, 1, 1), "zeros", dtype)
-        net.add(f"dec/l{level}/merge/weight", (2 * c, 2 * c, 3, 3), "he", dtype)
-        net.add(f"dec/l{level}/merge/bias", (1, 2 * c, 1, 1), "zeros", dtype)
+        net.layer(f"dec/l{level}/tconv", c, c, 2)
+        net.layer(f"dec/l{level}/merge", 2 * c, 2 * c, 3)
         for j in range(DEC_TAIL_CONVS[level]):
-            net.add(f"dec/l{level}/tail{j}/weight", (2 * c, 2 * c, 3, 3), "he", dtype)
-            net.add(f"dec/l{level}/tail{j}/bias", (1, 2 * c, 1, 1), "zeros", dtype)
+            net.layer(f"dec/l{level}/tail{j}", 2 * c, 2 * c, 3)
         if level > 1:
-            cnext = s(ENC_STAGE_WIDTHS[level - 2])
-            net.add(f"dec/l{level}/reduce/weight", (cnext, 2 * c, 3, 3), "he", dtype)
-            net.add(f"dec/l{level}/reduce/bias", (1, cnext, 1, 1), "zeros", dtype)
+            net.layer(f"dec/l{level}/reduce", s(ENC_STAGE_WIDTHS[level - 2]), 2 * c, 3)
     c1 = s(ENC_STAGE_WIDTHS[0])
-    net.add("dec/head/c0/weight", (c1, 2 * c1, 3, 3), "he", dtype)
-    net.add("dec/head/c0/bias", (1, c1, 1, 1), "zeros", dtype)
-    net.add("dec/head/c1/weight", (3, c1, 3, 3), "he", dtype)
-    net.add("dec/head/c1/bias", (1, 3, 1, 1), "zeros", dtype)
+    net.layer("dec/head/c0", c1, 2 * c1, 3)
+    net.layer("dec/head/c1", 3, c1, 3)
 
 
-def _add_mask_heads(net: Network, dtype) -> None:
+def _add_mask_heads(net: Network) -> None:
     s = net.config.scaled
     two_channel = net.config.rag_variant == "two_channel_mask"
     for level in (4, 3, 2, 1):
         c = s(ENC_STAGE_WIDTHS[level - 1])
         cin = 3 * c  # the mask sees F_I, F_R and F_dec
-        cout = 2 if two_channel else 2 * c
-        net.add(f"rag/l{level}/m0/weight", (cin, cin, 1, 1), "he", dtype)
-        net.add(f"rag/l{level}/m0/bias", (1, cin, 1, 1), "zeros", dtype)
-        net.add(f"rag/l{level}/m1/weight", (cout, cin, 1, 1), "he", dtype)
-        net.add(f"rag/l{level}/m1/bias", (1, cout, 1, 1), "zeros", dtype)
+        net.layer(f"rag/l{level}/m0", cin, cin, 1)
+        net.layer(f"rag/l{level}/m1", 2 if two_channel else 2 * c, cin, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +265,9 @@ def _add_mask_heads(net: Network, dtype) -> None:
 
 def _check_spatial(x: Tensor, op: str) -> None:
     _, _, h, w = x.shape
-    if h % 16 or w % 16:
-        need_h = (16 - h % 16) % 16
-        need_w = (16 - w % 16) % 16
-        raise ValueError(f"{op}: spatial dims ({h},{w}) must be divisible by 16; "
-                         f"pad by ({need_h},{need_w}) first (reflect padding recommended)")
+    if h % SIDE_MULTIPLE or w % SIDE_MULTIPLE:
+        raise ValueError(f"{op}: spatial dims ({h},{w}) must be divisible by {SIDE_MULTIPLE}; "
+                         f"pad by ({-h % SIDE_MULTIPLE},{-w % SIDE_MULTIPLE}) first (reflect padding recommended)")
 
 
 def _conv_relu(x: Tensor, w: Parameter, b: Parameter) -> Tensor:
@@ -470,7 +447,7 @@ def extract_features(net: Network, x: Tensor) -> list[Tensor]:
 # ---------------------------------------------------------------------------
 # inference-size helpers
 
-def pad_to_multiple(img: np.ndarray, multiple: int = 16) -> tuple[np.ndarray, tuple[int, int]]:
+def pad_to_multiple(img: np.ndarray, multiple: int = SIDE_MULTIPLE) -> tuple[np.ndarray, tuple[int, int]]:
     """Reflect-pad an NCHW array so H and W become multiples of ``multiple``."""
     _, _, h, w = img.shape
     ph = (multiple - h % multiple) % multiple

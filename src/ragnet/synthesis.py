@@ -76,8 +76,6 @@ class ImageTriple:
     i: np.ndarray  # (1,3,s,s) in [0,1]
     t: np.ndarray
     r: np.ndarray
-    blend_mode: str
-    seed: int
     has_reflection_gt: bool = True
 
 
@@ -286,7 +284,7 @@ def generate_triple(params: SynthesisParams, seed: int) -> ImageTriple:
     i = blend(t, r, params.blend_mode, params.saturate_threshold)
     i = quantize8(i).astype(np.float64) / 255.0
     to4 = lambda a: a[None].astype(np.float32)
-    return ImageTriple(to4(i), to4(t), to4(r), params.blend_mode, seed)
+    return ImageTriple(to4(i), to4(t), to4(r))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +402,7 @@ def make_dataset(n: int, params: SynthesisParams, out_dir) -> str:
                 write_ppm(os.path.join(out_dir, fname), img)
                 names[tag] = fname
             lines.append(f"{idx}\t{names['I']}\t{names['T']}\t{names['R']}\t"
-                         f"{triple.blend_mode}\t{sample_seed}\t{int(triple.has_reflection_gt)}\n")
+                         f"{params.blend_mode}\t{sample_seed}\t{int(triple.has_reflection_gt)}\n")
         manifest = os.path.join(out_dir, "manifest.tsv")
         with open(manifest, "w") as f:
             f.writelines(lines)
@@ -429,4 +427,4 @@ def read_manifest(path) -> list[ManifestEntry]:
 
 def load_triple(entry: ManifestEntry) -> ImageTriple:
     return ImageTriple(read_ppm(entry.i_file), read_ppm(entry.t_file), read_ppm(entry.r_file),
-                       entry.blend_mode, entry.seed, entry.has_reflection_gt)
+                       entry.has_reflection_gt)

@@ -11,8 +11,9 @@ functions run forward-only, which is how oracles, evaluation and data
 preparation avoid graph overhead.
 
 Computation runs in float32 by default; tests and gradient checks use
-float64.  No broadcasting is performed except tensor-times-python-scalar:
-all shapes must match exactly, which keeps the network wiring shape-exact.
+float64.  No broadcasting is performed: all shapes must match exactly, which
+keeps the network wiring shape-exact, and a Python scalar enters only through
+``scalar_mul`` and ``scalar_add``.
 """
 
 from __future__ import annotations
@@ -101,31 +102,6 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return scalar_add(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return scalar_add(self, -float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scalar_mul(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"

@@ -264,9 +264,12 @@ def _int_to_limbs(v: int) -> np.ndarray:
     return np.array([(u >> s) & 0xFFFF for s in (0, 16, 32, 48)], dtype=np.float32)
 
 
-def _limbs_to_int(a: np.ndarray) -> int:
-    limbs = [int(round(float(x))) for x in a.reshape(-1)]
-    return limbs[0] | (limbs[1] << 16) | (limbs[2] << 32) | (limbs[3] << 48)
+def _limbs_to_int(a: np.ndarray, name: str, path) -> int:
+    """The integer stored as tensor *name* of checkpoint *path*: four integer limbs in [0, 65535]."""
+    limbs = a.reshape(-1).tolist()
+    if not all(x.is_integer() and 0 <= x <= 0xFFFF for x in limbs):
+        raise ValueError(f"checkpoint {path}: tensor {name} holds {limbs}, not four integer limbs in [0, 65535]")
+    return sum(int(x) << 16 * k for k, x in enumerate(limbs))
 
 
 def weight_tensors(nets: dict[str, Network]) -> dict[str, np.ndarray]:
@@ -308,7 +311,7 @@ class TrainerState:
                                          for name in ("g_r", "g_t")}
         if config.model.use_adversarial:
             self.nets["disc"] = build_network("discriminator", config.model, draw_init=draw_init)
-        self.extractor = L.PerceptualExtractor(config.model, draw_init=draw_init)
+        self.percep = build_network("percep_extractor", config.model, draw_init=draw_init)
         self.adam = {name: AdamState(net.params, config.adam) for name, net in self.nets.items()}
         self.epochs_done = {1: 0, 2: 0}  # per phase
         self.global_iter = 0
@@ -319,7 +322,7 @@ class TrainerState:
 
     def to_tensors(self) -> dict[str, np.ndarray]:
         """The checkpoint's name table; the ``model/`` and Adam moment entries are the live arrays."""
-        out = weight_tensors({**self.nets, "percep": self.extractor.net})
+        out = weight_tensors({**self.nets, "percep": self.percep})
         for net_name, st in self.adam.items():
             for pname in st.m:
                 out[f"adam/{net_name}/{pname}/m"] = st.m[pname]
@@ -334,10 +337,9 @@ class TrainerState:
     def save(self, path) -> None:
         save_checkpoint(self.to_tensors(), path)
 
-    def load(self, path, loaded: dict[str, np.ndarray] | None = None) -> None:
-        """Restore from checkpoint *path*, or from *loaded* when it is already parsed."""
-        if loaded is None:
-            loaded = load_checkpoint(path)
+    def load(self, path) -> None:
+        """Restore from checkpoint *path*."""
+        loaded = load_checkpoint(path)
         expected = self.to_tensors()
         _check_shapes(path, loaded, expected)
         # compared as stored, so a width that float32 rounds still matches itself
@@ -347,10 +349,11 @@ class TrainerState:
             raise ValueError(f"checkpoint {path}: its model differs from this run's in {', '.join(differ)}")
         for name, arr in expected.items():
             arr[...] = loaded[name]
+        read_int = lambda name: _limbs_to_int(loaded[name], name, path)
         for net_name, st in self.adam.items():
-            st.step_count = _limbs_to_int(loaded[f"adam/{net_name}/step"])
-        self.epochs_done = {phase: _limbs_to_int(loaded[f"meta/phase{phase}_done"]) for phase in self.epochs_done}
-        self.global_iter = _limbs_to_int(loaded["meta/global_iter"])
+            st.step_count = read_int(f"adam/{net_name}/step")
+        self.epochs_done = {phase: read_int(f"meta/phase{phase}_done") for phase in self.epochs_done}
+        self.global_iter = read_int("meta/global_iter")
 
 
 def model_config_from_checkpoint(path, loaded: dict[str, np.ndarray] | None = None) -> ModelConfig:
@@ -358,12 +361,14 @@ def model_config_from_checkpoint(path, loaded: dict[str, np.ndarray] | None = No
     if loaded is None:
         loaded = load_checkpoint(path)
     _check_shapes(path, loaded, _model_tensors(ModelConfig()))
-    variant = int(loaded["meta/variant"][0])
-    if not 0 <= variant < len(RAG_VARIANTS):
-        raise ValueError(f"checkpoint {path}: variant index {variant} is outside 0..{len(RAG_VARIANTS) - 1}")
+    variant, adv = float(loaded["meta/variant"][0]), float(loaded["meta/use_adversarial"][0])
+    if not (variant.is_integer() and 0 <= variant < len(RAG_VARIANTS)):
+        raise ValueError(f"checkpoint {path}: meta/variant index {variant:g} is not in 0..{len(RAG_VARIANTS) - 1}")
+    if adv not in (0.0, 1.0):
+        raise ValueError(f"checkpoint {path}: meta/use_adversarial is {adv:g}, not 0 or 1")
     return ModelConfig(width_multiplier=float(loaded["meta/width_multiplier"][0]),
-                       rag_variant=RAG_VARIANTS[variant], use_adversarial=bool(loaded["meta/use_adversarial"][0]),
-                       seed=_limbs_to_int(loaded["meta/seed"]))
+                       rag_variant=RAG_VARIANTS[int(variant)], use_adversarial=bool(adv),
+                       seed=_limbs_to_int(loaded["meta/seed"], "meta/seed", path))
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +415,16 @@ def train(config: TrainConfig, manifest_path, out_dir, resume_from=None) -> tupl
         log_f.write(",".join(("iter", "phase", *(f.name for f in fields(L.LossParts)), "total")) + "\n")
         log_f.writelines(kept)
 
-        def write_row(phase: int, parts: L.LossParts, total: float) -> None:
-            vals = (getattr(parts, f.name) for f in fields(parts))
-            log_f.write(f"{state.global_iter},{phase},"
-                        + "".join(f"{0.0 if v is None else v.item():.6g}," for v in vals) + f"{total:.6g}\n")
-
         for phase, (epochs, step, groups) in phases.items():
             for epoch in range(state.epochs_done[phase], epochs):
                 rng = np.random.Generator(np.random.PCG64(derive_seed(config.model.seed, "order", phase, epoch)))
                 for pool, has_r in groups:
                     for batch in _batches(pool, config.schedule.batch_size, rng):
                         state.global_iter += 1
-                        if not np.isfinite(step(state, [triples[i] for i in batch], has_r, write_row)):
+                        # no name holds the step's tensors, so its graph is freed once the row is written
+                        loss = _write_row(log_f, state.global_iter, phase,
+                                          *step(state, [triples[i] for i in batch], has_r))
+                        if not np.isfinite(loss):
                             raise TrainingDiverged(state.global_iter, last_ckpt)
                 state.epochs_done[phase] = epoch + 1
                 if config.checkpoint_every_epoch:
@@ -434,6 +437,13 @@ def train(config: TrainConfig, manifest_path, out_dir, resume_from=None) -> tupl
     return final, log_path
 
 
+def _write_row(log_f, iteration: int, phase: int, parts: L.LossParts, total: T.Tensor) -> float:
+    """Write the log row of one step; returns its total loss."""
+    vals = [0.0 if v is None else v.item() for v in [*(getattr(parts, f.name) for f in fields(parts)), total]]
+    log_f.write(f"{iteration},{phase}," + ",".join(f"{v:.6g}" for v in vals) + "\n")
+    return vals[-1]
+
+
 def _update(state: TrainerState, *names: str) -> None:
     """Clip each named network's gradients, then take its Adam step."""
     for name in names:
@@ -442,7 +452,7 @@ def _update(state: TrainerState, *names: str) -> None:
         state.adam[name].step(params)
 
 
-def _phase1_step(state: TrainerState, batch, has_r: bool, write_row) -> float:
+def _phase1_step(state: TrainerState, batch, has_r: bool) -> tuple[L.LossParts, T.Tensor]:
     """One G_R pretraining step; phase 1 draws only triples with a reflection layer (``has_r``)."""
     cfg = state.config
     state.zero_grads()
@@ -451,15 +461,14 @@ def _phase1_step(state: TrainerState, batch, has_r: bool, write_row) -> float:
     with T.Tape():
         r_hat = forward_gr(state.nets["g_r"], i_obs)
         parts = L.LossParts(rec=L.rec_loss(r_hat, r_gt, normalize=cfg.rec_normalize),
-                            percep=L.perceptual_loss(r_hat, r_gt, None, None, state.extractor))
-        total = L.total_loss(parts, cfg.weights, use_adversarial=False)
+                            percep=L.perceptual_loss(r_hat, r_gt, None, None, state.percep))
+        total = L.total_loss(parts, cfg.weights)
         T.backward(total)
     _update(state, "g_r")
-    write_row(1, parts, total.item())
-    return total.item()
+    return parts, total
 
 
-def _phase2_step(state: TrainerState, batch, has_r: bool, write_row) -> float:
+def _phase2_step(state: TrainerState, batch, has_r: bool) -> tuple[L.LossParts, T.Tensor]:
     cfg = state.config
     use_adv = cfg.model.use_adversarial
     state.zero_grads()
@@ -484,13 +493,12 @@ def _phase2_step(state: TrainerState, batch, has_r: bool, write_row) -> float:
         with state.nets["disc"].frozen() if use_adv else contextlib.nullcontext():
             parts = L.LossParts(
                 rec=L.rec_loss(t_hat, t_gt, r_pair, r_gt, normalize=cfg.rec_normalize),
-                percep=L.perceptual_loss(t_hat, t_gt, r_pair, r_gt, state.extractor),
+                percep=L.perceptual_loss(t_hat, t_gt, r_pair, r_gt, state.percep),
                 mask=L.mask_loss(masks, r_gt, cfg.thresholds, normalize=cfg.mask_normalize) if has_r else None,
                 excl=L.exclusion_loss(t_hat, r_hat),
                 adv=L.adv_g_loss(state.nets["disc"], i_obs, t_hat) if use_adv else None)
-            total = L.total_loss(parts, cfg.weights, use_adversarial=use_adv)
+            total = L.total_loss(parts, cfg.weights)
             T.backward(total)
 
     _update(state, "g_r", "g_t")
-    write_row(2, parts, total.item())
-    return total.item()
+    return parts, total

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from ragnet import cli
-from ragnet import losses as L
 from ragnet import model as M
 from ragnet import trainer as TR
 from ragnet.cli import CONFIG_KEYS, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
@@ -324,7 +323,7 @@ def test_load_models_parses_the_checkpoint_once(tmp_path, monkeypatch):
     assert calls == [ckpt]
     assert state.config.model == saved.config.model
     assert set(state.nets) == {"g_r", "g_t"}
-    assert not any(hasattr(state, name) for name in ("adam", "extractor"))
+    assert not any(hasattr(state, name) for name in ("adam", "percep"))
     a, b = saved.to_tensors(), TR.weight_tensors(state.nets)
     assert sorted(b) == sorted(k for k in a if k.startswith(("model/g_r/", "model/g_t/")))
     assert all(a[k].tobytes() == b[k].tobytes() for k in b)
@@ -427,6 +426,25 @@ def test_resume_with_another_model_exits_2(field, flags, tiny_data, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, name, value", [
+    ("infer", "meta/seed", np.inf), ("infer", "meta/seed", 0.5), ("infer", "meta/variant", np.inf),
+    ("infer", "meta/variant", 2.5), ("infer", "meta/use_adversarial", 0.5),
+    ("train", "adam/g_r/step", np.inf), ("train", "meta/global_iter", np.inf), ("train", "meta/phase1_done", -1.0)])
+def test_checkpoint_with_a_corrupt_integer_exits_2(command, name, value, tiny_data, tmp_path, capsys):
+    ckpt, out = tmp_path / "bad.bin", tmp_path / "out"
+    tensors = TrainerState(TrainConfig(model=ModelConfig(width_multiplier=1 / 16, seed=1))).to_tensors()
+    tensors[name] = np.full_like(tensors[name], value)
+    save_checkpoint(tensors, ckpt)  # a valid CRC over the corrupt value
+    if command == "train":  # the state matches the run's model, so only the corrupt value can stop it
+        code = _train_tiny(tiny_data, out, "--phase2-epochs", "1", "--resume", str(ckpt))
+    else:
+        code = main(["infer", "--ckpt", str(ckpt), "--input", str(tiny_data / "I_0000.ppm"), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {ckpt}: ") and name in err
+    assert not out.exists()
+
+
 def test_run_without_adversarial_term(tiny_data, tmp_path):
     run = tmp_path / "run"
     assert _train_tiny(tiny_data, run, "--phase2-epochs", "1", "--use-adversarial", "false") == EXIT_OK
@@ -455,9 +473,8 @@ def test_load_models_infers_the_bytes_of_a_full_state(variant, tiny_data, tmp_pa
     else:
         ckpt = tmp_path / "model.bin"
         TrainerState(TrainConfig(model=ModelConfig(width_multiplier=1 / 16, rag_variant=variant, seed=3))).save(ckpt)
-    loaded = TR.load_checkpoint(ckpt)
-    full = TrainerState(TrainConfig(model=model_config_from_checkpoint(ckpt, loaded)), draw_init=False)
-    full.load(ckpt, loaded)
+    full = TrainerState(TrainConfig(model=model_config_from_checkpoint(ckpt)), draw_init=False)
+    full.load(ckpt)
     img = np.random.Generator(np.random.PCG64(4)).uniform(0, 1, (1, 3, 20, 27)).astype(np.float32)
     got, want = _inference_outputs(cli.load_models(ckpt), img), _inference_outputs(full, img)
     assert len(got) == len(want) == (2 if variant == "no_mask" else 2 + 3 * 4)
@@ -488,7 +505,7 @@ def test_load_models_builds_only_the_generators(tmp_path, monkeypatch):
     TrainerState(TrainConfig(model=ModelConfig(width_multiplier=1 / 16, use_adversarial=True))).save(ckpt)
     kinds, adams = [], []
     build, adam_init = M.build_network, TR.AdamState.__init__
-    for module in (M, TR, L):  # each module that calls build_network holds its own name for it
+    for module in (M, TR):  # each module that calls build_network holds its own name for it
         monkeypatch.setattr(module, "build_network", lambda kind, *a, **kw: kinds.append(kind) or build(kind, *a, **kw))
     monkeypatch.setattr(TR.AdamState, "__init__", lambda self, *a: adams.append(a) or adam_init(self, *a))
     state = cli.load_models(ckpt)

@@ -1,5 +1,7 @@
 """Loss values against direct oracles, identities, and gradient checks."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from ragnet.losses import (
     LossParts,
     LossWeights,
     MaskLossThresholds,
-    PerceptualExtractor,
     adv_d_loss,
     adv_g_loss,
     exclusion_loss,
@@ -18,7 +19,7 @@ from ragnet.losses import (
     rec_loss,
     total_loss,
 )
-from ragnet.model import MaskLevel, ModelConfig, build_network, forward_discriminator
+from ragnet.model import MaskLevel, ModelConfig, build_network, extract_features, forward_discriminator
 from oracles import exclusion_loss_script
 
 
@@ -67,7 +68,7 @@ class TestRecLoss:
 
 @pytest.fixture(scope="module")
 def extractor():
-    return PerceptualExtractor(ModelConfig(width_multiplier=0.125, seed=11), dtype=np.float64)
+    return build_network("percep_extractor", ModelConfig(width_multiplier=0.125, seed=11), dtype=np.float64)
 
 
 class TestPerceptualLoss:
@@ -84,8 +85,8 @@ class TestPerceptualLoss:
         rh, r = tt((1, 3, 32, 32), 25), tt((1, 3, 32, 32), 26)
         want = 0.0
         for pred, gt in ((th, t), (rh, r)):
-            fp = extractor.features(pred)
-            fg = extractor.features(gt)
+            fp = extract_features(extractor, pred)
+            fg = extract_features(extractor, gt)
             for stage, (a, b) in enumerate(zip(fp, fg)):
                 k = 1.0 / (a.shape[1] * a.shape[2] * a.shape[3])
                 want += k * np.abs(a.data - b.data).sum()
@@ -93,7 +94,7 @@ class TestPerceptualLoss:
         assert abs(got - want) < 1e-8
 
     def test_extractor_parameters_frozen(self, extractor):
-        assert all(not p.requires_grad for p in extractor.net.params.values())
+        assert all(not p.requires_grad for p in extractor.params.values())
 
 
 class TestExclusionLoss:
@@ -280,7 +281,8 @@ class TestTotalLoss:
         parts = self.scalars(0.3, 0.7, 1.5, 9.9, 0.2)
         w0 = LossWeights(adv=0.0)
         a = total_loss(parts, w0).item()
-        b = total_loss(parts, self.W, use_adversarial=False).item()
+        parts.adv = None
+        b = total_loss(parts, self.W).item()
         assert a == b
 
     def test_linear_in_each_part(self):
@@ -290,6 +292,10 @@ class TestTotalLoss:
             setattr(bumped, name, T.scalar(2.0, dtype=np.float64))
             delta = total_loss(bumped, self.W).item() - total_loss(base, self.W).item()
             assert delta == pytest.approx(lam, abs=1e-12)
+
+    def test_parts_and_weights_share_field_names_in_order(self):
+        # total_loss weights each part by the same-named weight, summing in field order
+        assert [f.name for f in fields(LossParts)] == [f.name for f in fields(LossWeights)]
 
     def test_missing_parts_skipped(self):
         parts = LossParts(rec=T.scalar(2.0, dtype=np.float64))

@@ -147,7 +147,6 @@ class TestHeInit:
     def test_draw_init_false_leaves_weights_zero(self):
         net = build_network("g_r", ModelConfig(seed=2), draw_init=False)
         assert all(not p.data.any() for p in net.params.values())
-        assert net.he_queue == []
 
 
 class TestForwardGR:

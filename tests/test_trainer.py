@@ -240,7 +240,7 @@ class TestCheckpointFormat:
 
     def test_limb_encoding_round_trip(self):
         for v in (0, 1, 65535, 2 ** 40 + 12345, 2 ** 63 - 1):
-            assert trainer._limbs_to_int(trainer._int_to_limbs(v)) == v
+            assert trainer._limbs_to_int(trainer._int_to_limbs(v), "meta/seed", "c.bin") == v
 
 
 class TestTrainerState:
@@ -387,7 +387,8 @@ class TestTraining:
 
         def spy(tensors, path):
             rows = open(log).read().splitlines()
-            seen.append((os.path.basename(path), len(rows) - 1, trainer._limbs_to_int(tensors["meta/global_iter"])))
+            it = trainer._limbs_to_int(tensors["meta/global_iter"], "meta/global_iter", path)
+            seen.append((os.path.basename(path), len(rows) - 1, it))
             assert rows[:1] == ["iter,phase,rec,percep,excl,adv,mask,total"]
             save(tensors, path)
 
@@ -425,12 +426,12 @@ class TestTraining:
         cfg = small_config(p1=1, p2=1)
         state = TrainerState(cfg)
         before = hashlib.sha256(b"".join(p.data.tobytes()
-                                         for p in state.extractor.net.params.values())).hexdigest()
+                                         for p in state.percep.params.values())).hexdigest()
         train(cfg, tiny_dataset, tmp_path / "run")
         after_state = TrainerState(cfg)
         after_state.load(os.path.join(tmp_path / "run", "final.bin"))
         after = hashlib.sha256(b"".join(p.data.tobytes()
-                                        for p in after_state.extractor.net.params.values())).hexdigest()
+                                        for p in after_state.percep.params.values())).hexdigest()
         assert before == after
 
     def test_nan_loss_aborts_with_iteration(self, tmp_path, tiny_dataset):
@@ -465,7 +466,7 @@ class TestTraining:
             adam_step(self, params)
 
         monkeypatch.setattr(AdamState, "step", spy)
-        trainer._phase2_step(state, triples, True, lambda *a: None)
+        trainer._phase2_step(state, triples, True)
         assert all(p.dtype == np.float32 for net in state.nets.values() for p in net.params.values())
         assert len(handed) == sum(len(net.params) for net in state.nets.values())
         assert [name for name, dtype in handed if dtype != np.float32] == []
@@ -482,7 +483,7 @@ class TestTraining:
         state = TrainerState(cfg)
         disc = state.nets["disc"].params.values()
         before = [p.data.copy() for p in disc]
-        trainer._phase2_step(state, triples, True, lambda *a: None)
+        trainer._phase2_step(state, triples, True)
         assert [p.name for p in disc if p.grad is not None] == []
         assert all(p.requires_grad for p in disc)
         assert any((p.data != b).any() for p, b in zip(disc, before))
