@@ -17,12 +17,13 @@ counts numpy's own requests, in level-1 merge maps: the float32
 above ``MERGE_MAPS`` of them.  Unlike resident memory, this count does not
 depend on the allocator.
 
-Last, a fresh process, whose allocator has not freed the memory of the
-checks above, saves a width-``LOAD_WIDTH`` checkpoint to a temporary
-directory, calls ``cli.load_models`` on it and reports how much ``RssAnon``
-the call kept, against the bytes of the G_R and G_T weights it returns.  The
-check fails above ``LIMIT`` times those bytes: the file's discriminator,
-perceptual-net and Adam payloads must not stay resident.
+Last, one fresh process saves a width-``LOAD_WIDTH`` checkpoint to a
+temporary directory, and a second one, whose allocator holds no freed
+memory of this or the checks above, calls ``cli.load_models`` on it and
+reports how much ``RssAnon`` the call kept, against the bytes of the G_R
+and G_T weights it returns.  The check fails above ``LIMIT`` times those
+bytes: the file's discriminator, perceptual-net and Adam payloads must not
+stay resident.
 
 Exits 1 when a check fails.  Linux only; it exits 2 where ``RssAnon`` is
 not reported.
@@ -85,16 +86,23 @@ def inference_maps(width: float, side: int) -> tuple[int, float]:
     return peak, peak / (2 * state.config.model.scaled(64) * side * side * 4)
 
 
-def load_footprint(width: float) -> tuple[int, int]:
-    """(RssAnon kept by ``load_models``, G_R + G_T weight bytes) for a fresh checkpoint at *width*."""
-    with tempfile.TemporaryDirectory() as d:
-        ckpt = os.path.join(d, "model.bin")
-        TrainerState(TrainConfig(model=ModelConfig(width_multiplier=width))).save(ckpt)
-        gc.collect()
-        before = rss_anon_bytes()
-        state = load_models(ckpt)
-        kept = rss_anon_bytes() - before
+def save_state(width: float, ckpt: str) -> None:
+    """Save a fresh ``TrainerState`` at *width* to *ckpt*."""
+    TrainerState(TrainConfig(model=ModelConfig(width_multiplier=width))).save(ckpt)
+
+
+def load_footprint(ckpt: str) -> tuple[int, int]:
+    """(RssAnon kept by ``load_models`` of *ckpt*, G_R + G_T weight bytes)."""
+    before = rss_anon_bytes()
+    state = load_models(ckpt)
+    kept = rss_anon_bytes() - before
     return kept, sum(a.nbytes for a in weight_tensors(state.nets).values())
+
+
+def in_fresh_process(fn, *args):
+    """*fn*(*args*) in a new interpreter, which exits when it returns."""
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.apply(fn, args)
 
 
 def main() -> int:
@@ -108,8 +116,10 @@ def main() -> int:
     peak, maps = inference_maps(1.0, SIDE)
     print(f"{SIDE}x{SIDE} inference: traced peak {peak / MB:.1f} MB "
           f"({maps:.2f} level-1 merge maps, limit {MERGE_MAPS})")
-    with multiprocessing.get_context("spawn").Pool(1) as pool:
-        kept, g_weights = pool.apply(load_footprint, (LOAD_WIDTH,))
+    with tempfile.TemporaryDirectory() as d:
+        ckpt = os.path.join(d, "model.bin")
+        in_fresh_process(save_state, LOAD_WIDTH, ckpt)
+        kept, g_weights = in_fresh_process(load_footprint, ckpt)
     load_ratio = kept / g_weights
     print(f"width-{LOAD_WIDTH} load_models: G_R + G_T weights {g_weights / MB:.1f} MB, RssAnon kept "
           f"{kept / MB:.1f} MB ({load_ratio:.2f}x the weights, limit {LIMIT}x)")

@@ -67,7 +67,7 @@ def run_suite() -> list[CheckResult]:
     # the RAG mask heads m0/m1 are 1x1 convs
     _check(results, "conv2d_1x1", lambda x, w, b: T.reduce_sum(T.tanh(T.conv2d(x, w, b))),
            [(_leaf((2, 3, 4, 5), 42), _leaf((2, 3, 1, 1), 43), _leaf((1, 2, 1, 1), 44))], OP_TOL)
-    # a stride that does not divide the kernel: phases with sub-kernels of unequal sizes
+    # a stride that does not divide the kernel: 5-tap windows 3 apart read some pixels once, some twice
     _check(results, "conv2d_k5_stride3", lambda x, w, b: T.reduce_sum(T.tanh(T.conv2d(x, w, b, 3, 2))),
            [(_leaf((1, 2, 9, 8), 45), _leaf((3, 2, 5, 5), 46), _leaf((1, 3, 1, 1), 47))], OP_TOL)
     _check(results, "conv_transpose2d", lambda x, w, b: T.reduce_sum(T.sigmoid(T.conv_transpose2d(x, w, b))),

@@ -155,19 +155,6 @@ def scalar(value: float, dtype=DEFAULT_DTYPE) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution family
 
-def _phase_slices(size: int, pad: int, s: int) -> list[tuple[slice, slice]]:
-    """For each phase a of one axis padded by *pad* and split with stride *s*:
-    the slice of its phase grid that holds input pixels, and the input slice
-    it holds.  Padded index a + s*i is index i of phase a and input index
-    a + s*i - pad."""
-    out = []
-    for a in range(s):
-        first = (a - pad) % s  # the first input index in phase a
-        i0 = (first + pad) // s
-        out.append((slice(i0, i0 + len(range(first, size, s))), slice(first, None, s)))
-    return out
-
-
 # Anchors per row block of conv2d, forward and backward, so that its (Cout,
 # block) and (Cin, block) accumulators stay in cache.  It is a constant, not
 # derived from the core count or the cache size, because OpenBLAS picks its
@@ -190,53 +177,48 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     output it was just written to, with the formula of ``sigmoid``, so no
     pre-activation plane exists.  The two cannot be combined.
 
-    Layout: channel-major.  Stride s splits the zero-padded Hp x Wp grid
-    into its s*s phases: phase (a, c) holds padded pixel (a + s*i, c + s*j)
-    at (i, j) of an Hq x Wq = ceil(Hp/s) x ceil(Wp/s) grid, and its column
-    n*Hq*Wq + i*Wq + j is output anchor (i, j) of image n (stride 1 is the
-    one-phase case).  Tap (u, v) of every anchor is the same column of phase
-    (u mod s, v mod s) shifted by (u//s)*Wq + v//s.  No phase is ever built
-    whole; only the row blocks below hold parts of them.
+    Layout: channel-major.  The conv is computed at stride 1 on the
+    zero-padded Hp x Wp grid: column n*Hp*Wp + i*Wp + j is anchor (i, j) of
+    image n, and tap (u, v) of every anchor is the same column shifted by
+    u*Wp + v.  Stride s keeps the stride-1 result at every s-th anchor,
+    ``out[:, :, ::s, ::s]``, and its backward writes the output gradient
+    onto those anchors of an otherwise zero stride-1 gradient.  The padded
+    grid is never built whole; only the row blocks below hold parts of it.
 
     The forward runs over blocks of whole anchor rows of about
-    ``CONV_BLOCK`` anchors: whole images while one fits (their Hq - Ho
-    bottom rows are computed and cropped), else kept rows of one image.
-    Every stride computes only the anchors of its own grid.  Per block and
-    per phase row a = u mod s, the k taps v of the kernel rows u = a + s*t
-    are written into one (k*Cin, block + t_max*Wq) stack, which kernel row u
-    reads t anchor rows down.  The stack is filled straight from the NCHW
-    input: a tap v < s is a strided copy of the block's input rows, with 0
-    where it reads padding, and tap v >= s is tap v mod s shifted v//s
-    columns.  Columns that only cropped anchors read (rows past the image,
-    or a shift that wraps into the next row) hold 0.  A 1x1 conv without
-    padding reads a one-image block as a view of the input.  A block is
-    thus k GEMMs, one per (Cout, k*Cin) kernel row of a (k, Cout, k*Cin)
-    weight copy, summed into a (Cout, block) accumulator that stays in
-    cache.  The cropped block plus the bias, and with ``relu=True`` or
-    ``sigmoid=True`` its activation, is written straight into the NCHW
-    output.
+    ``CONV_BLOCK`` anchors: whole images while one fits (their k - 1 bottom
+    rows are computed and cropped), else kept rows of one image.  Per
+    block, the k taps v are written into one (k*Cin, block + (k-1)*Wp)
+    stack, which kernel row u reads u anchor rows down.  The stack is filled
+    straight from the NCHW input: tap 0 is a copy of the block's input rows,
+    with 0 where it reads padding, and tap v is tap 0 shifted v columns.
+    Columns that only cropped anchors read (rows past the image, or a shift
+    that wraps into the next row) hold 0.  A 1x1 conv without padding reads
+    a one-image block as a view of the input.  A block is thus k GEMMs, one
+    per (Cout, k*Cin) kernel row of a (k, Cout, k*Cin) weight copy, summed
+    into a (Cout, block) accumulator that stays in cache.  The cropped block
+    plus the bias, and with ``relu=True`` or ``sigmoid=True`` its
+    activation, is written straight into the NCHW output.
 
     The tape keeps no copy of the input: only the parents, the weight copy
     and, with ``relu=True`` or ``sigmoid=True``, the output array it already
     holds.  The backward pass writes the output gradient, masked by
     ``out > 0`` when ``relu=True``, or as ``g * out * (1 - out)`` in the
     order of ``sigmoid``'s backward when ``sigmoid=True``, onto the anchor
-    grid after E = (t_max*Wq + t_max) leading zero columns; every other
-    column of that (Cout, E + N*Hq*Wq) buffer is 0, and db is its row sum.
-    It then runs over the forward's row blocks, extended to all Hq anchor
-    rows because input pixels also lie on the rows the forward crops:
+    grid after E = ((k-1)*Wp + k-1) leading zero columns; every other column
+    of that (Cout, E + N*Hp*Wp) buffer is 0, and db is its row sum.  It then
+    runs over the forward's row blocks, extended to all Hp anchor rows
+    because input pixels also lie on the rows the forward crops:
 
-    - dw: per phase row a, the forward's (k*Cin, block) stack is filled
-      again from the input, and kernel row u = a + s*t adds
-      ``stack[:, t rows down] @ g_block.T`` to a (k, k*Cin, Cout) buffer.
-      A stack column that holds 0 instead of an input pixel meets a
-      cropped anchor, whose gradient is 0.
-    - dx: phase (a, c) of the padded input gradient is the stride-1
-      correlation sum over t, r of w[:, :, a + s*t, c + s*r].T @ g shifted
-      t anchor rows and r columns back.  Per block and column phase c, the
-      kr taps r are a (kr*Cout, block + t_max*Wq) stack of the gradient, so
-      that row t of the sub-kernel is one (Cin, kr*Cout) GEMM against the
-      stack t rows up, summed into a (Cin, block) accumulator whose rows
+    - dw: the forward's (k*Cin, block) stack is filled again from the
+      input, and kernel row u adds ``stack[:, u rows down] @ g_block.T`` to
+      a (k, k*Cin, Cout) buffer.  A stack column that holds 0 instead of an
+      input pixel meets a cropped anchor, whose gradient is 0.
+    - dx: the padded input gradient is the correlation sum over u, v of
+      w[:, :, u, v].T @ g shifted u anchor rows and v columns back.  Per
+      block, the k taps v are a (k*Cout, block + (k-1)*Wp) stack of the
+      gradient, so that kernel row u is one (Cin, k*Cout) GEMM against the
+      stack u rows up, summed into a (Cin, block) accumulator whose rows
       holding input pixels are written straight into dx.  The weights are
       the forward's copy, not ``w.data``, which the optimizer updates in
       place before a later backward.
@@ -256,23 +238,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         raise ValueError(f"conv2d: input has {ci} channels but weight expects {ci_w}")
     if pad < 0:
         raise ValueError(f"conv2d: pad must be >= 0, got {pad}")
+    if stride < 1:
+        raise ValueError(f"conv2d: stride must be >= 1, got {stride}")
     if relu and sigmoid:
         raise ValueError("conv2d: relu and sigmoid cannot be combined")
     if b is not None and b.shape != (1, co, 1, 1):
         raise ValueError(f"conv2d: bias shape {b.shape} != (1,{co},1,1)")
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (wd + 2 * pad - k) // stride + 1
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    ho, wo = hp - k + 1, wp - k + 1  # the stride-1 output
     if ho < 1 or wo < 1:
         raise ValueError(f"conv2d: output spatial size ({ho},{wo}) is empty for input ({h},{wd})")
 
-    s = stride
-    hq, wq = -(-(h + 2 * pad) // s), -(-(wd + 2 * pad) // s)
-    cols = n * hq * wq
-    tall = (k - 1) // s  # the kernel rows of one phase row, less one
-    ext = tall * wq + tall  # the largest tap shift
-    # phase p = a*s + c: its grid slices holding input pixels, and the input slices they hold
-    places = [(a * s + c, pr, pc, xr, xc) for a, (pr, xr) in enumerate(_phase_slices(h, pad, s))
-              for c, (pc, xc) in enumerate(_phase_slices(wd, pad, s))]
+    tall = k - 1
+    ext = tall * wp + tall  # the largest tap shift
     xt = x.data.transpose(1, 0, 2, 3)  # (Cin, N, H, W), a view
     # (k, Cout, k*Cin): kernel row u as one matrix, columns tap-major.  Copied
     # 32 output channels at a time, which keeps the source block in cache and
@@ -286,49 +264,39 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         """Blocks (n0, n1, i0, i1, start, size): anchor rows i0..i1 of images
         n0..n1, their first anchor and their anchor count.  Whole images while
         one fits ``CONV_BLOCK``, else rows of one image up to row *last*."""
-        rows = max(1, CONV_BLOCK // wq)
-        if rows >= hq:
-            per = rows // hq
-            spans = [(n0, min(n0 + per, n), 0, hq) for n0 in range(0, n, per)]
+        rows = max(1, CONV_BLOCK // wp)
+        if rows >= hp:
+            per = rows // hp
+            spans = [(n0, min(n0 + per, n), 0, hp) for n0 in range(0, n, per)]
         else:
             spans = [(nn, nn + 1, i0, min(i0 + rows, last)) for nn in range(n) for i0 in range(0, last, rows)]
-        return [(n0, n1, i0, i1, (n0 * hq + i0) * wq, ((n1 - n0 - 1) * hq + i1 - i0) * wq)
+        return [(n0, n1, i0, i1, (n0 * hp + i0) * wp, ((n1 - n0 - 1) * hp + i1 - i0) * wp)
                 for n0, n1, i0, i1 in spans]
 
-    def in_rows(p, r0, r1):
-        """The input rows held by grid rows r0..r1 of phase p, which must all hold input pixels."""
-        _, pr, _, xr, _ = places[p]
-        return slice(xr.start + s * (r0 - pr.start), xr.start + s * (r1 - pr.start), s)
-
-    def x_stack(buf, block, a):
-        """Tap v of phase row a as rows v*Cin..(v+1)*Cin of *buf*, filled from
-        the input: column j is column start + v//s + j of phase (a, v mod s),
-        over the block's anchors and the rows below that its lower kernel rows
-        read, or 0 where only cropped anchors read it."""
+    def x_stack(buf, block):
+        """Tap v as rows v*Cin..(v+1)*Cin of *buf*, filled from the input:
+        column j is padded column start + v + j, over the block's anchors and
+        the rows below that its lower kernel rows read, or 0 where only
+        cropped anchors read it."""
         n0, n1, i0, i1, _, size = block
-        if k == 1 and s == 1 and pad == 0 and n1 - n0 == 1:
+        if k == 1 and pad == 0 and n1 - n0 == 1:
             return x.data[n0, :, i0:i1].reshape(ci, size)  # a single tap on one image: a view
-        down = len(range(a, k, s)) - 1  # the kernel rows of phase row a, less one
-        span = size + down * wq
-        rb = min(i1 + down, hq) - i0  # the rows of each image that kept anchors read
+        span = size + tall * wp
+        rb = min(i1 + tall, hp) - i0  # the rows of each image that kept anchors read
         st = buf[:k * ci, :span + tall]
-        for c in range(min(s, k)):
-            # tap c of phase (a, c), and the tall columns beyond that taps c + s*r read shifted
-            p, pr, pc, _, xc = places[a * s + c]
-            lead = st[c * ci:(c + 1) * ci]
-            lead[:, (n1 - n0) * rb * wq:] = 0  # read by cropped anchors only
-            grid = lead[:, :(n1 - n0) * rb * wq].reshape(ci, n1 - n0, rb, wq)
-            r0 = min(max(pr.start, i0), i0 + rb)
-            r1 = max(min(pr.stop, i0 + rb), r0)  # rows r0..r1 hold input pixels, the others padding
-            grid[:, :, :r0 - i0] = 0
-            grid[:, :, r1 - i0:] = 0
-            body = grid[:, :, r0 - i0:r1 - i0]
-            body[..., :pc.start] = 0
-            body[..., pc.stop:] = 0
-            body[..., pc] = xt[:, n0:n1, in_rows(p, r0, r1), xc]
-        for v in range(s, k):  # tap v is tap v mod s, v//s columns on
-            c, o = v % s, v // s
-            st[v * ci:(v + 1) * ci, :span] = st[c * ci:(c + 1) * ci, o:o + span]
+        lead = st[:ci]
+        lead[:, (n1 - n0) * rb * wp:] = 0  # read by cropped anchors only
+        grid = lead[:, :(n1 - n0) * rb * wp].reshape(ci, n1 - n0, rb, wp)
+        r0 = min(max(pad, i0), i0 + rb)
+        r1 = max(min(pad + h, i0 + rb), r0)  # rows r0..r1 hold input pixels, the others padding
+        grid[:, :, :r0 - i0] = 0
+        grid[:, :, r1 - i0:] = 0
+        body = grid[:, :, r0 - i0:r1 - i0]
+        body[..., :pad] = 0
+        body[..., pad + wd:] = 0
+        body[..., pad:pad + wd] = xt[:, n0:n1, r0 - pad:r1 - pad]
+        for v in range(1, k):  # tap v is tap 0, v columns on
+            st[v * ci:(v + 1) * ci, :span] = st[:ci, v:v + span]
         return st[:, :span]
 
     blocks = row_blocks(ho)
@@ -340,15 +308,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     for block in blocks:
         n0, n1, i0, i1, _, size = block
         acc_b, tmp_b = acc[:, :size], tmp[:, :size]
-        for a in range(min(s, k)):  # phase row a serves kernel rows u = a + s*t
-            st = x_stack(stack, block, a)
-            for t, u in enumerate(range(a, k, s)):
-                if u == 0:
-                    np.matmul(wk[0], st[:, :size], out=acc_b)
-                else:
-                    acc_b += np.matmul(wk[u], st[:, t * wq:t * wq + size], out=tmp_b)
+        st = x_stack(stack, block)
+        np.matmul(wk[0], st[:, :size], out=acc_b)
+        for u in range(1, k):  # kernel row u reads u anchor rows down
+            acc_b += np.matmul(wk[u], st[:, u * wp:u * wp + size], out=tmp_b)
         kept = min(i1, ho) - i0
-        crop = acc_b.reshape(co, n1 - n0, i1 - i0, wq)[:, :, :kept, :wo]
+        crop = acc_b.reshape(co, n1 - n0, i1 - i0, wp)[:, :, :kept, :wo]
         dst = out_data[n0:n1, :, i0:i0 + kept].transpose(1, 0, 2, 3)
         if b is None:
             dst[...] = crop
@@ -358,13 +323,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
             np.maximum(dst, 0, out=dst)
         elif sigmoid:
             _sigmoid_into(dst, dst)
-    out = Tensor(out_data)
-    alive = out_data if relu or sigmoid else None  # the tape keeps the output only for its derivative
+    out = Tensor(out_data[:, :, ::stride, ::stride])  # every stride-th anchor; Tensor makes a strided view contiguous
+    alive = out.data if relu or sigmoid else None  # the tape keeps the output only for its derivative
 
     def grad_fn(g):
-        # the output gradient on the anchor grid after E leading zero columns
-        gp = np.zeros((co, ext + cols), dtype=g.dtype)
-        gq = gp[:, ext:].reshape(co, n, hq, wq)[:, :, :ho, :wo]
+        # the output gradient on every stride-th anchor after E leading zero columns
+        gp = np.zeros((co, ext + n * hp * wp), dtype=g.dtype)
+        gq = gp[:, ext:].reshape(co, n, hp, wp)[:, :, :ho:stride, :wo:stride]
         if relu:
             np.multiply(g.transpose(1, 0, 2, 3), alive.transpose(1, 0, 2, 3) > 0, out=gq)
         elif sigmoid:
@@ -372,62 +337,50 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         else:
             gq[...] = g.transpose(1, 0, 2, 3)
         dx = dw = None  # a parent that tracks no gradient gets None, which backward skips
-        bwd_blocks = row_blocks(hq)  # input pixels lie on every anchor row
-        span = max(size for *_, size in bwd_blocks) + tall * wq
+        bwd_blocks = row_blocks(hp)  # input pixels lie on every anchor row
+        span = max(size for *_, size in bwd_blocks) + tall * wp
         # one buffer for a block's input stack (dw), then its gradient stack
         # (dx): a call touches fewer fresh pages than with one buffer each
-        buf = np.empty((max(k * ci, -(-k // s) * co), span + tall), dtype=np.result_type(x.data, gp))
+        buf = np.empty((k * max(ci, co), span + tall), dtype=np.result_type(x.data, gp))
         if w.requires_grad:
             dwk = np.empty((k, k * ci, co), dtype=np.result_type(g, x.data))  # dw of kernel row u, (v, Cin) x Cout
             part = np.empty((k * ci, co), dtype=dwk.dtype)
         if x.requires_grad:
-            # with k < s the phases a or c >= k hold no tap, and their pixels get 0
-            dx = (np.zeros if k < s else np.empty)(x.shape, dtype=np.result_type(g, wk))
+            dx = np.empty(x.shape, dtype=np.result_type(g, wk))
             dxt = dx.transpose(1, 0, 2, 3)
-            # tap row u, column phase c: (Cin, kr*Cout), column block r the tap v = c + s*r
-            wkt = wk.reshape(k, co, k, ci).transpose(0, 3, 2, 1)
-            wt = [[np.ascontiguousarray(wkt[u, :, c::s]).reshape(ci, -1) for c in range(min(s, k))]
-                  for u in range(k)]
+            # kernel row u as one (Cin, k*Cout) matrix, column block v the tap v
+            wt = np.ascontiguousarray(wk.reshape(k, co, k, ci).transpose(0, 3, 2, 1)).reshape(k, ci, k * co)
             dacc = np.empty((ci, span), dtype=dx.dtype)
             dtmp = np.empty_like(dacc)
         for bi, block in enumerate(bwd_blocks):
             n0, n1, i0, i1, start, size = block
             if w.requires_grad:
-                # kernel row u = a + s*t: its stacked taps times the block's gradient
+                # kernel row u: its stacked taps times the block's gradient
                 gb = gp[:, ext + start:ext + start + size]
-                for a in range(min(s, k)):
-                    st = x_stack(buf, block, a)
-                    for t, u in enumerate(range(a, k, s)):
-                        if bi == 0:
-                            np.matmul(st[:, t * wq:t * wq + size], gb.T, out=dwk[u])
-                        else:
-                            dwk[u] += np.matmul(st[:, t * wq:t * wq + size], gb.T, out=part)
-            if x.requires_grad:
-                # phase (a, c) of dx: the taps u = a + s*t, v = c + s*r times
-                # the gradient t anchor rows and r columns back
-                acc_b, tmp_b = dacc[:, :size], dtmp[:, :size]
-                o = ext + start - tall * wq  # the stack's first column in gp
-                for c in range(min(s, k)):
-                    kr = len(range(c, k, s))
-                    if kr == 1:
-                        gs = gp[:, o:o + size + tall * wq]  # a single tap column needs no stack
+                st = x_stack(buf, block)
+                for u in range(k):
+                    if bi == 0:
+                        np.matmul(st[:, u * wp:u * wp + size], gb.T, out=dwk[u])
                     else:
-                        gs = buf[:kr * co, :size + tall * wq]
-                        for r in range(kr):
-                            gs[r * co:(r + 1) * co] = gp[:, o - r:o - r + size + tall * wq]
-                    for a in range(min(s, k)):
-                        for t, u in enumerate(range(a, k, s)):
-                            sl = gs[:, (tall - t) * wq:(tall - t) * wq + size]
-                            if t == 0:
-                                np.matmul(wt[u][c], sl, out=acc_b)
-                            else:
-                                acc_b += np.matmul(wt[u][c], sl, out=tmp_b)
-                        # the block's rows of phase (a, c) that hold input pixels, straight into dx
-                        p, pr, pc, _, xc = places[a * s + c]
-                        r0, r1 = max(pr.start, i0), min(pr.stop, i1)
-                        if r0 < r1:
-                            grid = acc_b.reshape(ci, n1 - n0, i1 - i0, wq)
-                            dxt[:, n0:n1, in_rows(p, r0, r1), xc] = grid[:, :, r0 - i0:r1 - i0, pc]
+                        dwk[u] += np.matmul(st[:, u * wp:u * wp + size], gb.T, out=part)
+            if x.requires_grad:
+                # dx: the taps (u, v) times the gradient u anchor rows and v columns back
+                acc_b, tmp_b = dacc[:, :size], dtmp[:, :size]
+                o = ext + start - tall * wp  # the stack's first column in gp
+                if k == 1:
+                    gs = gp[:, o:o + size]  # a single tap column needs no stack
+                else:
+                    gs = buf[:k * co, :size + tall * wp]
+                    for v in range(k):
+                        gs[v * co:(v + 1) * co] = gp[:, o - v:o - v + size + tall * wp]
+                np.matmul(wt[0], gs[:, tall * wp:tall * wp + size], out=acc_b)
+                for u in range(1, k):
+                    acc_b += np.matmul(wt[u], gs[:, (tall - u) * wp:(tall - u) * wp + size], out=tmp_b)
+                # the block's rows that hold input pixels, straight into dx
+                r0, r1 = max(pad, i0), min(pad + h, i1)
+                if r0 < r1:
+                    grid = acc_b.reshape(ci, n1 - n0, i1 - i0, wp)
+                    dxt[:, n0:n1, r0 - pad:r1 - pad] = grid[:, :, r0 - i0:r1 - i0, pad:pad + wd]
         if w.requires_grad:
             dw = dwk.reshape(k, k, ci, co).transpose(3, 2, 0, 1)
         db = gp.sum(axis=1).reshape(1, co, 1, 1) if b is not None and b.requires_grad else None

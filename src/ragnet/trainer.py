@@ -407,9 +407,11 @@ def train(config: TrainConfig, manifest_path, out_dir, resume_from=None) -> tupl
     log_path = os.path.join(out_dir, "train_log.csv")
     kept: list[str] = []
     if resume_from is not None and os.path.exists(log_path):
-        # keep the rows up to the resumed iteration; the run writes the later ones again
+        # keep the whole rows up to the resumed iteration; the run writes the
+        # later ones again, and a row that a kill cut short has no newline
         with open(log_path) as f:
-            kept = [row for row in f.readlines()[1:] if int(row.split(",", 1)[0]) <= state.global_iter]
+            kept = [row for row in f.readlines()[1:]
+                    if row.endswith("\n") and int(row.split(",", 1)[0]) <= state.global_iter]
     last_ckpt: str | None = None
     with open(log_path, "w") as log_f:
         log_f.write(",".join(("iter", "phase", *(f.name for f in fields(L.LossParts)), "total")) + "\n")

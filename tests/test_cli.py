@@ -261,6 +261,32 @@ def test_out_of_range_config_exits_2(argv, trained_run, tmp_path, capsys):
     assert not out.exists()
 
 
+# values every config key is probed with: zero, signs, fractions, the
+# non-finite floats, extremes, subnormals, text, the empty string, a boolean
+# and an integer past 64 bits
+CONFIG_PROBES = ["0", "-1", "1", "0.5", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "1e-45", "abc", "",
+                 "true", "99999999999999999999"]
+
+
+def test_every_config_key_accepts_or_rejects_each_probe_cleanly():
+    # build_config either returns or raises ValueError, which main maps to
+    # exit 2; it builds the config dataclasses, not a network.  The flags take
+    # the --key=value form: argparse reads "--lr -1e-3" as two flags (exit 1).
+    parser = cli.make_parser()
+    escaped = []
+    for key in CONFIG_KEYS:
+        for value in CONFIG_PROBES:
+            args = parser.parse_args(["params", f"--{key.replace('_', '-')}={value}"])
+            try:
+                cli.build_config(args)
+            except ValueError:
+                pass
+            except Exception as e:  # any other exception escapes main
+                escaped.append((key, value, repr(e)))
+    assert len(CONFIG_KEYS) == 31
+    assert escaped == []
+
+
 @pytest.mark.parametrize("command", [
     ["synth", "--n", "1"],
     ["train", "--data", "{data}/manifest.tsv"],

@@ -228,6 +228,41 @@ class TestConv2dFusedSigmoid:
             T.conv2d(x, w, pad=1, relu=True, sigmoid=True)
 
 
+class TestConv2dStride:
+    """Stride s is the stride-1 conv kept at every s-th anchor, bit for bit:
+    the output is the stride-1 output's ``[:, :, ::s, ::s]``, and ``grad_fn(g)``
+    is the stride-1 ``grad_fn`` of g written onto those anchors of a zero
+    array, for dx, dw and db.  Budget 20 splits the anchor rows into blocks."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("budget", [20, 8192])
+    @pytest.mark.parametrize("act", [{}, {"relu": True}, {"sigmoid": True}], ids=["plain", "relu", "sigmoid"])
+    @pytest.mark.parametrize("shape,wshape,stride,pad", [
+        ((2, 3, 7, 10), (4, 3, 3, 3), 2, 1),
+        ((2, 3, 6, 7), (2, 3, 1, 1), 2, 0),
+        ((1, 2, 9, 8), (3, 2, 5, 5), 3, 2),
+    ], ids=["k3_s2", "k1_s2", "k5_s3"])
+    def test_equals_subsampled_stride1(self, monkeypatch, dtype, budget, act, shape, wshape, stride, pad):
+        monkeypatch.setattr(T, "CONV_BLOCK", budget)
+        x, w, b = (T.Tensor(a.astype(dtype), requires_grad=True)
+                   for a in (rand(shape, 0), rand(wshape, 1), rand((1, wshape[0], 1, 1), 2)))
+        with T.Tape():
+            strided = T.conv2d(x, w, b, stride=stride, pad=pad, **act)
+            dense = T.conv2d(x, w, b, stride=1, pad=pad, **act)
+        assert_same_bits(strided.data, dense.data[:, :, ::stride, ::stride])
+        g = rand(strided.shape, 3).astype(dtype)
+        g_dense = np.zeros(dense.shape, dtype=dtype)
+        g_dense[:, :, ::stride, ::stride] = g
+        for got, want in zip(strided.node.grad_fn(g), dense.node.grad_fn(g_dense)):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_1_is_rejected(self, stride):
+        x, w = T.zeros((1, 1, 5, 5)), T.zeros((1, 1, 3, 3))
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            T.conv2d(x, w, pad=1, stride=stride)
+
+
 class TestConvTranspose2d:
     def test_tiles_2x2_blocks(self):
         v = 0.37

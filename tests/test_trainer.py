@@ -363,6 +363,20 @@ class TestTraining:
         train(small_config(p1=1, p2=2), tiny_dataset, tmp_path / "run", resume_from=mid)
         assert open(log, "rb").read() == uninterrupted
 
+    def test_resume_in_same_directory_drops_a_row_cut_short(self, tmp_path, tiny_dataset):
+        # the log is flushed only before a checkpoint, so a kill can leave
+        # part of a later row: here "1", the first byte of row 17, which
+        # reads as iteration 1 of the 16 the checkpoint has run
+        _, log = train(small_config(p1=2, p2=1, batch=1), tiny_dataset, tmp_path / "run")  # 8 steps an epoch
+        uninterrupted = open(log, "rb").read()
+        lines = uninterrupted.splitlines(keepends=True)
+        with open(log, "wb") as f:
+            f.writelines(lines[:17])  # the header and rows 1-16
+            f.write(lines[17][:1])
+        mid = os.path.join(tmp_path / "run", "ckpt_p1_e002.bin")
+        train(small_config(p1=2, p2=1, batch=1), tiny_dataset, tmp_path / "run", resume_from=mid)
+        assert open(log, "rb").read() == uninterrupted
+
     def test_load_paths_draw_no_he_init(self, tmp_path, tiny_dataset, monkeypatch):
         from ragnet import cli
         train(small_config(p1=1, p2=0), tiny_dataset, tmp_path / "first")
