@@ -24,8 +24,8 @@ import sys
 import tempfile
 
 from ragnet.cli import main
+from ragnet.model import RAG_VARIANTS
 
-VARIANTS = ("full", "no_mask", "mask_no_renorm", "two_channel_mask", "no_diff")
 TRAIN_FLAGS = ["--width-multiplier", "0.0625", "--patch-size", "16", "--phase1-epochs", "1",
                "--phase2-epochs", "1", "--seed", "1"]
 
@@ -62,7 +62,7 @@ def run_all(root: str) -> None:
         for k, row in enumerate(src):
             dst.write(row.rsplit("\t", 1)[0] + "\t0\n" if k % 2 else row)
 
-    runs = [(v, manifest, ["--rag-variant", v]) for v in VARIANTS]
+    runs = [(v, manifest, ["--rag-variant", v]) for v in RAG_VARIANTS]
     runs.append(("full, half has_r=0", half_r, []))
     print(f"{'run':20s} {'file':18s} sha256")
     for k, (name, data_manifest, flags) in enumerate(runs):

@@ -76,8 +76,6 @@ CONFIG_FIELDS: dict[str, tuple[type, str, str]] = {
     "scale_lo": (S.SynthesisParams, "scale_range", "pre-crop scale range lower bound (x patch_size)"),
     "scale_hi": (S.SynthesisParams, "scale_range", "pre-crop scale range upper bound (x patch_size)"),
     "saturate_threshold": (S.SynthesisParams, "saturate_threshold", "mean T+R level that hard-saturates a pixel"),
-    "rec_normalize": (TR.TrainConfig, "rec_normalize", "mean-normalize l1 reconstruction terms"),
-    "mask_normalize": (TR.TrainConfig, "mask_normalize", "mean-normalize mask loss selections"),
     "stop_gradient_r": (TR.TrainConfig, "stop_gradient_r",
                         "block joint-phase gradients through the reflection estimate"),
 }

@@ -68,27 +68,20 @@ class LossParts:
     mask: Tensor | None = None
 
 
-def _l1_diff(a: Tensor, b: Tensor, normalize: bool) -> Tensor:
+def _l1_diff(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"loss input shapes differ: {a.shape} vs {b.shape}")
-    term = T.l1_norm(T.sub(a, b))
-    if normalize:
-        term = T.scalar_mul(term, 1.0 / a.data.size)
-    return term
+    return T.scalar_mul(T.l1_norm(T.sub(a, b)), 1.0 / a.data.size)
 
 
-def rec_loss(t_hat: Tensor, t: Tensor, r_hat: Tensor | None = None, r: Tensor | None = None,
-             normalize: bool = False) -> Tensor:
-    """Pixel-wise l1 on the transmission, plus the reflection when available.
-
-    The default is the literal un-normalized l1 sum; ``normalize=True``
-    switches to a per-element mean so the loss scale is resolution-free.
-    """
-    loss = _l1_diff(t_hat, t, normalize)
+def rec_loss(t_hat: Tensor, t: Tensor, r_hat: Tensor | None = None, r: Tensor | None = None) -> Tensor:
+    """Pixel-wise l1 on the transmission, plus the reflection when available,
+    each as a per-element mean so that the loss scale is resolution-free."""
+    loss = _l1_diff(t_hat, t)
     if r_hat is not None:
         if r is None:
             raise ValueError("rec_loss: r_hat given without its ground truth r")
-        loss = T.add(loss, _l1_diff(r_hat, r, normalize))
+        loss = T.add(loss, _l1_diff(r_hat, r))
     return loss
 
 
@@ -185,33 +178,27 @@ def _pool_luminance(r_gt: np.ndarray, level: int) -> np.ndarray:
     return lum
 
 
-def _region_l1(x: Tensor, region: np.ndarray, normalize: bool, dtype) -> Tensor:
-    """l1 norm of *x* over the pixels of *region*, summed or averaged.
+def _region_l1(x: Tensor, region: np.ndarray, dtype) -> Tensor:
+    """Mean absolute value of *x* over the pixels of *region*.
 
     *region* is an (N,1,H,W) boolean map broadcast over the channels of *x*;
-    in normalized mode the sum is divided by the count of selected entries,
-    as a Python float so that a float32 *x* keeps a float32 loss.
+    the sum is divided by the count of selected entries, as a Python float
+    so that a float32 *x* keeps a float32 loss.
     """
     sel = np.broadcast_to(region, (region.shape[0], x.shape[1]) + region.shape[2:])
     w = T.tensor(np.ascontiguousarray(sel.astype(dtype)))
-    term = T.l1_norm(T.mul(x, w))
-    if normalize:
-        term = T.scalar_mul(term, 1.0 / int(sel.sum()))
-    return term
+    return T.scalar_mul(T.l1_norm(T.mul(x, w)), 1.0 / int(sel.sum()))
 
 
-def mask_loss(masks: list[MaskLevel], r_gt: Tensor, thresholds: MaskLossThresholds,
-              normalize: bool = True) -> Tensor:
+def mask_loss(masks: list[MaskLevel], r_gt: Tensor, thresholds: MaskLossThresholds) -> Tensor:
     """Mask supervision from the ground-truth reflection intensity.
 
     Heavy regions (intensity > phi) pull the per-level difference masks
     M_diff toward 0; near-clean regions (intensity < xi) pull the full mask
-    [M_diff, M_dec] toward 1, as one region in both modes; intermediate
-    regions are unconstrained.  The intensity map is the channel mean of the
-    reflection, average-pooled to each level.  With ``normalize`` each
-    selected region contributes its mean rather than the raw sum, decoupling
-    the loss scale from resolution (the raw-sum mode remains available for
-    oracle comparisons); ``normalize`` changes only the divisor.
+    [M_diff, M_dec] toward 1, as one region; intermediate regions are
+    unconstrained.  The intensity map is the channel mean of the reflection,
+    average-pooled to each level.  Each selected region contributes its
+    mean rather than the raw sum, decoupling the loss scale from resolution.
 
     M_diff and M_dec have equal channel counts in every variant, so this
     clean-region mean equals the average of a mean over M_diff and a mean
@@ -225,12 +212,12 @@ def mask_loss(masks: list[MaskLevel], r_gt: Tensor, thresholds: MaskLossThreshol
         heavy = lum > thresholds.phi
         weak = lum < thresholds.xi
         if heavy.any():
-            term = _region_l1(ml.m_diff, heavy, normalize, dtype)
+            term = _region_l1(ml.m_diff, heavy, dtype)
             loss = term if loss is None else T.add(loss, term)
         if weak.any():
             full_mask = T.concat_channels(ml.m_diff, ml.m_dec)
             ones = T.ones(full_mask.shape, dtype=full_mask.dtype)
-            term = _region_l1(T.sub(full_mask, ones), weak, normalize, dtype)
+            term = _region_l1(T.sub(full_mask, ones), weak, dtype)
             loss = term if loss is None else T.add(loss, term)
     if loss is None:
         loss = T.scalar(0.0, dtype=dtype)

@@ -163,6 +163,85 @@ def scalar(value: float, dtype=DEFAULT_DTYPE) -> Tensor:
 CONV_BLOCK = 8192
 
 
+def _row_blocks(n, hp, wp, last):
+    """Blocks (n0, n1, i0, i1, start, size): anchor rows i0..i1 of images
+    n0..n1, their first anchor and their anchor count.  Whole images while
+    one fits ``CONV_BLOCK``, else rows of one image up to row *last*."""
+    rows = max(1, CONV_BLOCK // wp)
+    if rows >= hp:
+        per = rows // hp
+        spans = [(n0, min(n0 + per, n), 0, hp) for n0 in range(0, n, per)]
+    else:
+        spans = [(nn, nn + 1, i0, min(i0 + rows, last)) for nn in range(n) for i0 in range(0, last, rows)]
+    return [(n0, n1, i0, i1, (n0 * hp + i0) * wp, ((n1 - n0 - 1) * hp + i1 - i0) * wp)
+            for n0, n1, i0, i1 in spans]
+
+
+def _stack(buf, xt, pad, k, block):
+    """Tap v as rows v*C..(v+1)*C of *buf*, filled from the (C, N, H, W)
+    array *xt* zero-padded by *pad*: column j is padded column start + v + j,
+    over the block's anchors and the rows below that its lower kernel rows
+    read, or 0 where only cropped anchors read it."""
+    c, _, h, wd = xt.shape
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    n0, n1, i0, i1, _, size = block
+    if k == 1 and pad == 0 and n1 - n0 == 1:
+        return xt[:, n0, i0:i1].reshape(c, size)  # a single tap on one image: a view
+    tall = k - 1
+    span = size + tall * wp
+    rb = min(i1 + tall, hp) - i0  # the rows of each image that kept anchors read
+    st = buf[:k * c, :span + tall]
+    lead = st[:c]
+    lead[:, (n1 - n0) * rb * wp:] = 0  # read by cropped anchors only
+    grid = lead[:, :(n1 - n0) * rb * wp].reshape(c, n1 - n0, rb, wp)
+    r0 = min(max(pad, i0), i0 + rb)
+    r1 = max(min(pad + h, i0 + rb), r0)  # rows r0..r1 hold input pixels, the others padding
+    grid[:, :, :r0 - i0] = 0
+    grid[:, :, r1 - i0:] = 0
+    body = grid[:, :, r0 - i0:r1 - i0]
+    body[..., :pad] = 0
+    body[..., pad + wd:] = 0
+    body[..., pad:pad + wd] = xt[:, n0:n1, r0 - pad:r1 - pad]
+    for v in range(1, k):  # tap v is tap 0, v columns on
+        st[v * c:(v + 1) * c, :span] = st[:c, v:v + span]
+    return st[:, :span]
+
+
+def _correlate(xt, pad, wk, out, buf=None, bias=None, relu=False, sigmoid=False):
+    """*out* (N, Cout, Ho, Wo) = the (C, N, H, W) array *xt*, zero-padded by
+    *pad*, correlated with kernel rows *wk* (k, Cout, k*C), plus *bias* and
+    the activation; the stacks use *buf* if it is large enough."""
+    c, n, h, wd = xt.shape
+    k, co = wk.shape[:2]
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    ho, wo = hp - k + 1, wp - k + 1
+    blocks = _row_blocks(n, hp, wp, ho)
+    most = max(size for *_, size in blocks)
+    cols = most + (k - 1) * (wp + 1)  # the largest stack and its tap shift
+    if buf is None or buf.shape[0] < k * c or buf.shape[1] < cols:
+        buf = np.empty((k * c, cols), dtype=xt.dtype)
+    acc = np.empty((co, most), dtype=np.result_type(xt, wk))
+    tmp = np.empty_like(acc)
+    for block in blocks:
+        n0, n1, i0, i1, _, size = block
+        acc_b, tmp_b = acc[:, :size], tmp[:, :size]
+        st = _stack(buf, xt, pad, k, block)
+        np.matmul(wk[0], st[:, :size], out=acc_b)
+        for u in range(1, k):  # kernel row u reads u anchor rows down
+            acc_b += np.matmul(wk[u], st[:, u * wp:u * wp + size], out=tmp_b)
+        kept = min(i1, ho) - i0
+        crop = acc_b.reshape(co, n1 - n0, i1 - i0, wp)[:, :, :kept, :wo]
+        dst = out[n0:n1, :, i0:i0 + kept].transpose(1, 0, 2, 3)
+        if bias is None:
+            dst[...] = crop
+        else:
+            np.add(crop, bias.reshape(co, 1, 1, 1), out=dst)
+        if relu:
+            np.maximum(dst, 0, out=dst)
+        elif sigmoid:
+            _sigmoid_into(dst, dst)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0,
            relu: bool = False, sigmoid: bool = False) -> Tensor:
     """Direct 2-D convolution (cross-correlation) with zero padding, and an
@@ -185,16 +264,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     onto those anchors of an otherwise zero stride-1 gradient.  The padded
     grid is never built whole; only the row blocks below hold parts of it.
 
-    The forward runs over blocks of whole anchor rows of about
-    ``CONV_BLOCK`` anchors: whole images while one fits (their k - 1 bottom
-    rows are computed and cropped), else kept rows of one image.  Per
-    block, the k taps v are written into one (k*Cin, block + (k-1)*Wp)
-    stack, which kernel row u reads u anchor rows down.  The stack is filled
-    straight from the NCHW input: tap 0 is a copy of the block's input rows,
-    with 0 where it reads padding, and tap v is tap 0 shifted v columns.
-    Columns that only cropped anchors read (rows past the image, or a shift
-    that wraps into the next row) hold 0.  A 1x1 conv without padding reads
-    a one-image block as a view of the input.  A block is thus k GEMMs, one
+    One blocked correlation computes the forward and dx.  It runs over
+    blocks of whole anchor rows of about ``CONV_BLOCK`` anchors: whole
+    images while one fits (their k - 1 bottom rows are computed and
+    cropped), else kept rows of one image.  Per block, the k taps v are
+    written into one (k*Cin, block + (k-1)*Wp) stack, which kernel row u
+    reads u anchor rows down.  The stack is filled straight from the
+    channel-major input: tap 0 is a copy of the block's input rows, with 0
+    where it reads padding, and tap v is tap 0 shifted v columns.  Columns
+    that only cropped anchors read (rows past the image, or a shift that
+    wraps into the next row) hold 0.  A 1x1 conv without padding reads a
+    one-image block as a view of the input.  A block is thus k GEMMs, one
     per (Cout, k*Cin) kernel row of a (k, Cout, k*Cin) weight copy, summed
     into a (Cout, block) accumulator that stays in cache.  The cropped block
     plus the bias, and with ``relu=True`` or ``sigmoid=True`` its
@@ -206,26 +286,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     ``out > 0`` when ``relu=True``, or as ``g * out * (1 - out)`` in the
     order of ``sigmoid``'s backward when ``sigmoid=True``, onto the anchor
     grid after E = ((k-1)*Wp + k-1) leading zero columns; every other column
-    of that (Cout, E + N*Hp*Wp) buffer is 0, and db is its row sum.  It then
-    runs over the forward's row blocks, extended to all Hp anchor rows
-    because input pixels also lie on the rows the forward crops:
+    of that (Cout, E + N*Hp*Wp) buffer is 0, and db is its row sum (the E
+    zeros stay: numpy's pairwise sum rounds by the row's length).
 
-    - dw: the forward's (k*Cin, block) stack is filled again from the
-      input, and kernel row u adds ``stack[:, u rows down] @ g_block.T`` to
-      a (k, k*Cin, Cout) buffer.  A stack column that holds 0 instead of an
+    - dw runs over the forward's row blocks, extended to all Hp anchor rows
+      because input pixels also lie on the rows the forward crops.  The
+      forward's (k*Cin, block) stack is filled again from the input, and
+      kernel row u adds ``stack[:, u rows down] @ g_block.T`` to a
+      (k, k*Cin, Cout) buffer.  A stack column that holds 0 instead of an
       input pixel meets a cropped anchor, whose gradient is 0.
-    - dx: the padded input gradient is the correlation sum over u, v of
-      w[:, :, u, v].T @ g shifted u anchor rows and v columns back.  Per
-      block, the k taps v are a (k*Cout, block + (k-1)*Wp) stack of the
-      gradient, so that kernel row u is one (Cin, k*Cout) GEMM against the
-      stack u rows up, summed into a (Cin, block) accumulator whose rows
-      holding input pixels are written straight into dx.  The weights are
-      the forward's copy, not ``w.data``, which the optimizer updates in
-      place before a later backward.
-
-    A shifted window that leaves the block crosses only cropped anchors or
-    the leading zero columns, where the gradient is 0, so the blocks sum to
-    the exact gradient.
+    - dx: the padded input gradient at a is the sum over u, v of
+      ``w[:, :, u, v].T @ g[a - u*Wp - v]``.  Turned by 180 degrees, a shift
+      back is a shift on, so the turned view of dx is the correlation above
+      of the turned stride-1 gradient, padded by q = k - 1 - pad (cropped by
+      -q if q < 0), with unflipped kernel rows (k, Cin, k*Cout).  Row u
+      still reads u rows down and each GEMM sums its (v, Cout) taps in the
+      same order, so the turn changes no rounding.  Its stack shares dw's
+      buffer; its weights are the forward's copy, not ``w.data``, which the
+      optimizer updates in place before a later backward.
     """
     n, ci, h, wd = x.shape
     co, ci_w, kh, kw = w.shape
@@ -259,77 +337,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     wk4 = wk.reshape(k, co, k, ci)
     for o in range(0, co, 32):
         wk4[:, o:o + 32] = w.data[o:o + 32].transpose(2, 0, 3, 1)
-
-    def row_blocks(last):
-        """Blocks (n0, n1, i0, i1, start, size): anchor rows i0..i1 of images
-        n0..n1, their first anchor and their anchor count.  Whole images while
-        one fits ``CONV_BLOCK``, else rows of one image up to row *last*."""
-        rows = max(1, CONV_BLOCK // wp)
-        if rows >= hp:
-            per = rows // hp
-            spans = [(n0, min(n0 + per, n), 0, hp) for n0 in range(0, n, per)]
-        else:
-            spans = [(nn, nn + 1, i0, min(i0 + rows, last)) for nn in range(n) for i0 in range(0, last, rows)]
-        return [(n0, n1, i0, i1, (n0 * hp + i0) * wp, ((n1 - n0 - 1) * hp + i1 - i0) * wp)
-                for n0, n1, i0, i1 in spans]
-
-    def x_stack(buf, block):
-        """Tap v as rows v*Cin..(v+1)*Cin of *buf*, filled from the input:
-        column j is padded column start + v + j, over the block's anchors and
-        the rows below that its lower kernel rows read, or 0 where only
-        cropped anchors read it."""
-        n0, n1, i0, i1, _, size = block
-        if k == 1 and pad == 0 and n1 - n0 == 1:
-            return x.data[n0, :, i0:i1].reshape(ci, size)  # a single tap on one image: a view
-        span = size + tall * wp
-        rb = min(i1 + tall, hp) - i0  # the rows of each image that kept anchors read
-        st = buf[:k * ci, :span + tall]
-        lead = st[:ci]
-        lead[:, (n1 - n0) * rb * wp:] = 0  # read by cropped anchors only
-        grid = lead[:, :(n1 - n0) * rb * wp].reshape(ci, n1 - n0, rb, wp)
-        r0 = min(max(pad, i0), i0 + rb)
-        r1 = max(min(pad + h, i0 + rb), r0)  # rows r0..r1 hold input pixels, the others padding
-        grid[:, :, :r0 - i0] = 0
-        grid[:, :, r1 - i0:] = 0
-        body = grid[:, :, r0 - i0:r1 - i0]
-        body[..., :pad] = 0
-        body[..., pad + wd:] = 0
-        body[..., pad:pad + wd] = xt[:, n0:n1, r0 - pad:r1 - pad]
-        for v in range(1, k):  # tap v is tap 0, v columns on
-            st[v * ci:(v + 1) * ci, :span] = st[:ci, v:v + span]
-        return st[:, :span]
-
-    blocks = row_blocks(ho)
-    most = max(size for *_, size in blocks)
-    acc = np.empty((co, most), dtype=np.result_type(x.data, w.data))
-    tmp = np.empty_like(acc)
-    stack = np.empty((k * ci, most + ext), dtype=x.data.dtype)
-    out_data = np.empty((n, co, ho, wo), dtype=acc.dtype if b is None else np.result_type(acc, b.data))
-    for block in blocks:
-        n0, n1, i0, i1, _, size = block
-        acc_b, tmp_b = acc[:, :size], tmp[:, :size]
-        st = x_stack(stack, block)
-        np.matmul(wk[0], st[:, :size], out=acc_b)
-        for u in range(1, k):  # kernel row u reads u anchor rows down
-            acc_b += np.matmul(wk[u], st[:, u * wp:u * wp + size], out=tmp_b)
-        kept = min(i1, ho) - i0
-        crop = acc_b.reshape(co, n1 - n0, i1 - i0, wp)[:, :, :kept, :wo]
-        dst = out_data[n0:n1, :, i0:i0 + kept].transpose(1, 0, 2, 3)
-        if b is None:
-            dst[...] = crop
-        else:
-            np.add(crop, b.data.reshape(co, 1, 1, 1), out=dst)
-        if relu:
-            np.maximum(dst, 0, out=dst)
-        elif sigmoid:
-            _sigmoid_into(dst, dst)
+    dtype = np.result_type(x.data, w.data)
+    out_data = np.empty((n, co, ho, wo), dtype=dtype if b is None else np.result_type(dtype, b.data))
+    _correlate(xt, pad, wk, out_data, bias=None if b is None else b.data, relu=relu, sigmoid=sigmoid)
     out = Tensor(out_data[:, :, ::stride, ::stride])  # every stride-th anchor; Tensor makes a strided view contiguous
     alive = out.data if relu or sigmoid else None  # the tape keeps the output only for its derivative
 
     def grad_fn(g):
         # the output gradient on every stride-th anchor after E leading zero columns
         gp = np.zeros((co, ext + n * hp * wp), dtype=g.dtype)
-        gq = gp[:, ext:].reshape(co, n, hp, wp)[:, :, :ho:stride, :wo:stride]
+        g1 = gp[:, ext:].reshape(co, n, hp, wp)[:, :, :ho, :wo]  # the stride-1 gradient
+        gq = g1[:, :, ::stride, ::stride]
         if relu:
             np.multiply(g.transpose(1, 0, 2, 3), alive.transpose(1, 0, 2, 3) > 0, out=gq)
         elif sigmoid:
@@ -337,52 +355,33 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         else:
             gq[...] = g.transpose(1, 0, 2, 3)
         dx = dw = None  # a parent that tracks no gradient gets None, which backward skips
-        bwd_blocks = row_blocks(hp)  # input pixels lie on every anchor row
+        bwd_blocks = _row_blocks(n, hp, wp, hp)  # input pixels lie on every anchor row
         span = max(size for *_, size in bwd_blocks) + tall * wp
-        # one buffer for a block's input stack (dw), then its gradient stack
-        # (dx): a call touches fewer fresh pages than with one buffer each
+        # one buffer for dw's input stacks, then dx's gradient stacks: a call
+        # touches fewer fresh pages than with one buffer each
         buf = np.empty((k * max(ci, co), span + tall), dtype=np.result_type(x.data, gp))
         if w.requires_grad:
             dwk = np.empty((k, k * ci, co), dtype=np.result_type(g, x.data))  # dw of kernel row u, (v, Cin) x Cout
             part = np.empty((k * ci, co), dtype=dwk.dtype)
-        if x.requires_grad:
-            dx = np.empty(x.shape, dtype=np.result_type(g, wk))
-            dxt = dx.transpose(1, 0, 2, 3)
-            # kernel row u as one (Cin, k*Cout) matrix, column block v the tap v
-            wt = np.ascontiguousarray(wk.reshape(k, co, k, ci).transpose(0, 3, 2, 1)).reshape(k, ci, k * co)
-            dacc = np.empty((ci, span), dtype=dx.dtype)
-            dtmp = np.empty_like(dacc)
-        for bi, block in enumerate(bwd_blocks):
-            n0, n1, i0, i1, start, size = block
-            if w.requires_grad:
+            for bi, block in enumerate(bwd_blocks):
                 # kernel row u: its stacked taps times the block's gradient
+                start, size = block[4:]
                 gb = gp[:, ext + start:ext + start + size]
-                st = x_stack(buf, block)
+                st = _stack(buf, xt, pad, k, block)
                 for u in range(k):
                     if bi == 0:
                         np.matmul(st[:, u * wp:u * wp + size], gb.T, out=dwk[u])
                     else:
                         dwk[u] += np.matmul(st[:, u * wp:u * wp + size], gb.T, out=part)
-            if x.requires_grad:
-                # dx: the taps (u, v) times the gradient u anchor rows and v columns back
-                acc_b, tmp_b = dacc[:, :size], dtmp[:, :size]
-                o = ext + start - tall * wp  # the stack's first column in gp
-                if k == 1:
-                    gs = gp[:, o:o + size]  # a single tap column needs no stack
-                else:
-                    gs = buf[:k * co, :size + tall * wp]
-                    for v in range(k):
-                        gs[v * co:(v + 1) * co] = gp[:, o - v:o - v + size + tall * wp]
-                np.matmul(wt[0], gs[:, tall * wp:tall * wp + size], out=acc_b)
-                for u in range(1, k):
-                    acc_b += np.matmul(wt[u], gs[:, (tall - u) * wp:(tall - u) * wp + size], out=tmp_b)
-                # the block's rows that hold input pixels, straight into dx
-                r0, r1 = max(pad, i0), min(pad + h, i1)
-                if r0 < r1:
-                    grid = acc_b.reshape(ci, n1 - n0, i1 - i0, wp)
-                    dxt[:, n0:n1, r0 - pad:r1 - pad] = grid[:, :, r0 - i0:r1 - i0, pad:pad + wd]
-        if w.requires_grad:
             dw = dwk.reshape(k, k, ci, co).transpose(3, 2, 0, 1)
+        if x.requires_grad:
+            q = k - 1 - pad
+            turned = g1[:, :, ::-1, ::-1]
+            if q < 0:  # pad > k - 1: the outer -q rows and columns read only padding
+                turned, q = turned[:, :, -q:q, -q:q], 0
+            dx = np.empty(x.shape, dtype=np.result_type(g, wk))
+            wt = np.ascontiguousarray(wk.reshape(k, co, k, ci).transpose(0, 3, 2, 1)).reshape(k, ci, k * co)
+            _correlate(turned, q, wt, dx[:, :, ::-1, ::-1], buf)
         db = gp.sum(axis=1).reshape(1, co, 1, 1) if b is not None and b.requires_grad else None
         return (dx, dw, db) if b is not None else (dx, dw)
 

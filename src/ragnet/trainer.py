@@ -175,8 +175,6 @@ class TrainConfig:
     weights: L.LossWeights = field(default_factory=L.LossWeights)
     thresholds: L.MaskLossThresholds = field(default_factory=L.MaskLossThresholds)
     adam: AdamConfig = field(default_factory=AdamConfig)
-    rec_normalize: bool = True     # per-element mean keeps term scales comparable at desk size
-    mask_normalize: bool = True
     stop_gradient_r: bool = False  # ablation: block the joint gradient through R_hat
     checkpoint_every_epoch: bool = True
 
@@ -462,7 +460,7 @@ def _phase1_step(state: TrainerState, batch, has_r: bool) -> tuple[L.LossParts, 
     r_gt = _stack(batch, "r")
     with T.Tape():
         r_hat = forward_gr(state.nets["g_r"], i_obs)
-        parts = L.LossParts(rec=L.rec_loss(r_hat, r_gt, normalize=cfg.rec_normalize),
+        parts = L.LossParts(rec=L.rec_loss(r_hat, r_gt),
                             percep=L.perceptual_loss(r_hat, r_gt, None, None, state.percep))
         total = L.total_loss(parts, cfg.weights)
         T.backward(total)
@@ -494,9 +492,9 @@ def _phase2_step(state: TrainerState, batch, has_r: bool) -> tuple[L.LossParts, 
         r_pair = r_hat if has_r else None
         with state.nets["disc"].frozen() if use_adv else contextlib.nullcontext():
             parts = L.LossParts(
-                rec=L.rec_loss(t_hat, t_gt, r_pair, r_gt, normalize=cfg.rec_normalize),
+                rec=L.rec_loss(t_hat, t_gt, r_pair, r_gt),
                 percep=L.perceptual_loss(t_hat, t_gt, r_pair, r_gt, state.percep),
-                mask=L.mask_loss(masks, r_gt, cfg.thresholds, normalize=cfg.mask_normalize) if has_r else None,
+                mask=L.mask_loss(masks, r_gt, cfg.thresholds) if has_r else None,
                 excl=L.exclusion_loss(t_hat, r_hat),
                 adv=L.adv_g_loss(state.nets["disc"], i_obs, t_hat) if use_adv else None)
             total = L.total_loss(parts, cfg.weights)

@@ -179,6 +179,24 @@ class TestTapeRetention:
             kept = self.retained(lambda: T.mask_renorm(y, mbar, b, relu=relu))
         assert kept < y.data.nbytes / 2
 
+    def test_conv2d_backward_keeps_one_scratch_buffer(self):
+        """dw's input stacks and dx's gradient stacks share one buffer, so the
+        traced peak of one backward stays at or below 5x the input bytes."""
+        x = T.Tensor(rand((2, 8, 64, 64), 520).astype(np.float32), requires_grad=True)
+        w = T.Tensor(rand((8, 8, 3, 3), 521).astype(np.float32), requires_grad=True)
+        b = T.Tensor(rand((1, 8, 1, 1), 522).astype(np.float32), requires_grad=True)
+        with T.Tape():
+            out = T.conv2d(x, w, b, pad=1, relu=True)
+        g = rand(out.shape, 523).astype(np.float32)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out.node.grad_fn(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * x.data.nbytes
+
 
 class TestFloat32:
     @pytest.mark.parametrize("op", ["conv2d", "conv2d_stride2", "mask_mean3x3", "conv2d_stride2_odd",
@@ -190,7 +208,7 @@ class TestFloat32:
         fn, leaves = {"conv2d": (lambda: T.conv2d(x, w, b, stride=1, pad=1), [x, w, b]),
                       "conv2d_stride2": (lambda: T.conv2d(x, w, b, stride=2, pad=1), [x, w, b]),
                       "mask_mean3x3": (lambda: T.mask_mean3x3(x), [x]),
-                      # a 6x5 input at stride 2 without padding: phase grids of unequal sizes
+                      # a 6x5 input at stride 2 without padding: a 4x3 stride-1 output kept at 2x2 anchors
                       "conv2d_stride2_odd": (lambda: T.conv2d(x, w, b, stride=2, pad=0), [x, w, b]),
                       "conv2d_relu": (lambda: T.conv2d(x, w, b, stride=1, pad=1, relu=True), [x, w, b])}[op]
         with T.Tape():

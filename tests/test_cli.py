@@ -283,7 +283,7 @@ def test_every_config_key_accepts_or_rejects_each_probe_cleanly():
                 pass
             except Exception as e:  # any other exception escapes main
                 escaped.append((key, value, repr(e)))
-    assert len(CONFIG_KEYS) == 31
+    assert len(CONFIG_KEYS) == 29
     assert escaped == []
 
 
@@ -387,14 +387,17 @@ def test_inference_peaks_below_eight_and_a_half_level1_merge_maps():
     assert peak < 8.5 * merge_map
 
 
-def test_overexpose_boost_is_no_key(tmp_path, capsys):
-    assert "overexpose_boost" not in CONFIG_KEYS
+@pytest.mark.parametrize("key,value", [("overexpose_boost", "0.5"), ("rec_normalize", "false"),
+                                       ("mask_normalize", "false")])
+def test_overexpose_boost_is_no_key(tmp_path, capsys, key, value):
+    """Deleted keys: neither a flag nor a config-file key accepts them."""
+    assert key not in CONFIG_KEYS
     out = tmp_path / "out"
-    assert main(["synth", "--n", "1", "--out", str(out), "--overexpose-boost", "0.5"]) == EXIT_USAGE
+    assert main(["synth", "--n", "1", "--out", str(out), "--" + key.replace("_", "-"), value]) == EXIT_USAGE
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("overexpose_boost = 0.5\n")
+    cfgfile.write_text(f"{key} = {value}\n")
     assert main(["synth", "--n", "1", "--out", str(out), "--config", str(cfgfile)]) == EXIT_VALIDATION
-    assert "overexpose_boost" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -42,23 +42,23 @@ class TestRecLoss:
         t = tt((1, 3, 4, 4), 2)
         t_hat = T.tensor(t.data + 0.1)
         r = tt((1, 3, 4, 4), 3)
-        assert rec_loss(t_hat, t, r, r).item() == pytest.approx(0.1 * 48, abs=1e-12)
+        assert rec_loss(t_hat, t, r, r).item() == pytest.approx(0.1 * 48 / 48, abs=1e-12)
 
     def test_matches_direct_summation(self):
         th, t = rand((2, 3, 4, 4), 4), rand((2, 3, 4, 4), 5)
         rh, r = rand((2, 3, 4, 4), 6), rand((2, 3, 4, 4), 7)
-        want = np.abs(th - t).sum() + np.abs(rh - r).sum()
+        want = np.abs(th - t).sum() / th.size + np.abs(rh - r).sum() / rh.size
         got = rec_loss(T.tensor(th), T.tensor(t), T.tensor(rh), T.tensor(r)).item()
         assert abs(got - want) < 1e-10
 
     def test_reflection_term_omitted(self):
         th, t = rand((1, 3, 4, 4), 8), rand((1, 3, 4, 4), 9)
         got = rec_loss(T.tensor(th), T.tensor(t)).item()
-        assert abs(got - np.abs(th - t).sum()) < 1e-12
+        assert abs(got - np.abs(th - t).sum() / th.size) < 1e-12
 
     def test_normalized_mode(self):
         th, t = rand((1, 3, 4, 4), 10), rand((1, 3, 4, 4), 11)
-        got = rec_loss(T.tensor(th), T.tensor(t), normalize=True).item()
+        got = rec_loss(T.tensor(th), T.tensor(t)).item()
         assert abs(got - np.abs(th - t).mean()) < 1e-12
 
     def test_shape_mismatch_rejected(self):
@@ -161,16 +161,16 @@ class TestMaskLoss:
         r = T.zeros((1, 3, 4, 4), dtype=np.float64)
         masks = [MaskLevel(1, T.full((1, 2, 4, 4), 0.25, dtype=np.float64),
                            T.full((1, 3, 4, 4), 0.25, dtype=np.float64))]
-        got = mask_loss(masks, r, self.TH, normalize=False).item()
+        got = mask_loss(masks, r, self.TH).item()
         # 5 mask channels x 16 pixels, each |0.25 - 1| = 0.75
-        assert got == pytest.approx(0.75 * 5 * 16, abs=1e-12)
+        assert got == pytest.approx(0.75 * 5 * 16 / (5 * 16), abs=1e-12)
 
     def test_heavy_literal_sum(self):
         r = T.ones((1, 3, 4, 4), dtype=np.float64)
         masks = [MaskLevel(1, T.full((1, 2, 4, 4), 0.3, dtype=np.float64),
                            T.full((1, 3, 4, 4), 0.9, dtype=np.float64))]
-        got = mask_loss(masks, r, self.TH, normalize=False).item()
-        assert got == pytest.approx(0.3 * 2 * 16, abs=1e-12)  # only m_diff is constrained
+        got = mask_loss(masks, r, self.TH).item()
+        assert got == pytest.approx(0.3 * 2 * 16 / (2 * 16), abs=1e-12)  # only m_diff is constrained
 
     def test_monotone_in_heavy_region(self):
         r = T.ones((1, 3, 8, 8), dtype=np.float64)
@@ -193,9 +193,9 @@ class TestMaskLoss:
         r = T.tensor(lum)
         masks = [MaskLevel(1, T.full((1, 1, 4, 4), 0.4, dtype=np.float64),
                            T.full((1, 1, 4, 4), 0.4, dtype=np.float64))]
-        got = mask_loss(masks, r, self.TH, normalize=False).item()
+        got = mask_loss(masks, r, self.TH).item()
         # heavy row: 4 px * 0.4 on m_diff; clean rows (2 rows): |0.4-1| * 8 px * 2 masks
-        assert got == pytest.approx(0.4 * 4 + 0.6 * 8 * 2, abs=1e-12)
+        assert got == pytest.approx(0.4 * 4 / 4 + 0.6 * 8 * 2 / (8 * 2), abs=1e-12)
 
     def test_float32_masks_keep_float32_loss_and_gradients(self):
         # heavy top half, clean bottom half; 16 px leaves both at every level

@@ -45,6 +45,8 @@ ORACLE_CASES = [
     (8, (2, 3, 6, 6), (2, 3, 1, 1), 2, 0),
     (9, (1, 2, 9, 8), (3, 2, 5, 5), 3, 2),
     (10, (3, 2, 5, 7), (2, 2, 3, 3), 2, 0),
+    (11, (1, 2, 5, 6), (3, 2, 3, 3), 1, 3),  # a pad wider than the kernel
+    (12, (1, 3, 4, 7), (2, 3, 3, 3), 2, 3),
 ]
 
 
