@@ -231,8 +231,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 @dataclasses.dataclass
 class InferenceState:
-    """The two generators of a checkpoint and the config they were built from."""
-    config: TR.TrainConfig
+    """The two generators of a checkpoint; each ``Network`` holds its ``ModelConfig``."""
     nets: dict[str, M.Network]
 
 
@@ -246,10 +245,10 @@ def load_models(ckpt_path) -> InferenceState:
     payloads are read but never copied.
     """
     loaded = TR.load_checkpoint(ckpt_path)
-    config = TR.TrainConfig(model=TR.model_config_from_checkpoint(ckpt_path, loaded))
-    nets = {name: M.build_network(name, config.model, draw_init=False) for name in ("g_r", "g_t")}
+    config = TR.model_config_from_checkpoint(ckpt_path, loaded)
+    nets = {name: M.build_network(name, config, draw_init=False) for name in ("g_r", "g_t")}
     TR.load_weights(ckpt_path, loaded, nets)
-    return InferenceState(config, nets)
+    return InferenceState(nets)
 
 
 def infer_image(state: InferenceState | TR.TrainerState, img: np.ndarray):
@@ -309,7 +308,8 @@ def cmd_eval(args) -> int:
         r_np, t_np, masks, pads = infer_image(state, tr.i)
         mask_mean = weak = strong = None
         if masks:  # the no_mask variant has no level-1 mask to split the image by
-            mask_mean = M.crop_padding(masks[0].m_diff.data, pads)[0].mean(axis=0)
+            m = masks[0].data
+            mask_mean = M.crop_padding(m[:, :m.shape[1] // 2], pads)[0].mean(axis=0)
             split = ME.weak_strong_split(mask_mean, tau)
             weak = ME.region_psnr(t_np, tr.t, split.m_w)
             strong = ME.region_psnr(t_np, tr.t, split.m_s)
@@ -355,14 +355,14 @@ def cmd_inspect_mask(args) -> int:
     _, _, masks, _ = infer_image(state, img)
     os.makedirs(args.out, exist_ok=True)
     written = []
-    for ml in masks:
-        for tag, m in (("diff", ml.m_diff), ("dec", ml.m_dec)):
-            data = m.data[0]
+    for level, m in enumerate(masks, 1):
+        half = m.shape[1] // 2
+        for tag, data in (("diff", m.data[0, :half]), ("dec", m.data[0, half:])):
             if args.per_channel:
                 img2d = _tile_channels(data)
             else:
                 img2d = data.mean(axis=0)
-            path = os.path.join(args.out, f"mask_l{ml.level}_{tag}.pgm")
+            path = os.path.join(args.out, f"mask_l{level}_{tag}.pgm")
             S.write_pgm(path, np.clip(img2d, 0.0, 1.0))
             written.append(path)
     print(f"wrote {len(written)} heatmaps under {args.out}")

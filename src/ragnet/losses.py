@@ -4,9 +4,9 @@ Reconstruction and perceptual terms compare both predicted layers to ground
 truth; the exclusion term penalizes correlated gradients of the predicted
 transmission and reflection at ``EXCL_SCALES`` + 1 = 3 scales with
 ``EXCL_LAMBDA_T`` = 0.5 scaling |grad T|; the mask term drives the
-difference-feature masks toward 0 in heavy-reflection regions and all masks
-toward 1 in near-clean regions; the adversarial pair trains a realness
-critic on (observation, transmission) pairs.
+difference-feature half of each level's mask toward 0 in heavy-reflection
+regions and the whole mask toward 1 in near-clean regions; the adversarial
+pair trains a realness critic on (observation, transmission) pairs.
 
 The combined objective is
 ``l_rec + l_percep + 0.2 * l_excl + 0.01 * l_adv + l_mask`` by default.
@@ -21,7 +21,7 @@ import numpy as np
 import ragnet.tensor as T
 from ragnet.metrics import DEFAULT_TAU
 from ragnet.tensor import Tensor
-from ragnet.model import MaskLevel, Network, extract_features, forward_discriminator
+from ragnet.model import Network, extract_features, forward_discriminator
 
 LOG_CLAMP = 1e-7
 EXCL_SCALES = 2       # the exclusion term halves the resolution twice: three scales
@@ -178,49 +178,38 @@ def _pool_luminance(r_gt: np.ndarray, level: int) -> np.ndarray:
     return lum
 
 
-def _region_l1(x: Tensor, region: np.ndarray, dtype) -> Tensor:
-    """Mean absolute value of *x* over the pixels of *region*.
-
-    *region* is an (N,1,H,W) boolean map broadcast over the channels of *x*;
-    the sum is divided by the count of selected entries, as a Python float
-    so that a float32 *x* keeps a float32 loss.
-    """
-    sel = np.broadcast_to(region, (region.shape[0], x.shape[1]) + region.shape[2:])
-    w = T.tensor(np.ascontiguousarray(sel.astype(dtype)))
-    return T.scalar_mul(T.l1_norm(T.mul(x, w)), 1.0 / int(sel.sum()))
-
-
-def mask_loss(masks: list[MaskLevel], r_gt: Tensor, thresholds: MaskLossThresholds) -> Tensor:
+def mask_loss(masks: list[Tensor], r_gt: Tensor, thresholds: MaskLossThresholds) -> Tensor:
     """Mask supervision from the ground-truth reflection intensity.
 
-    Heavy regions (intensity > phi) pull the per-level difference masks
-    M_diff toward 0; near-clean regions (intensity < xi) pull the full mask
-    [M_diff, M_dec] toward 1, as one region; intermediate regions are
-    unconstrained.  The intensity map is the channel mean of the reflection,
-    average-pooled to each level.  Each selected region contributes its
-    mean rather than the raw sum, decoupling the loss scale from resolution.
-
-    M_diff and M_dec have equal channel counts in every variant, so this
-    clean-region mean equals the average of a mean over M_diff and a mean
-    over M_dec, and its per-entry pull on M_diff is half that of a separate
+    ``masks[i]`` is the mask M of decoder level i + 1, with M_diff its first
+    half of channels.  Heavy regions (intensity > phi) pull M_diff toward 0;
+    near-clean regions (intensity < xi) pull all of M toward 1; intermediate
+    regions are unconstrained.  The intensity map is the channel mean of the
+    reflection, average-pooled to each level.  Each level adds one term,
+    |(M - target) o weight|_1, where the target is 1 on clean pixels and 0
+    elsewhere, and the weight is 1 / (entries selected) of the region an
+    entry lies in and 0 outside both.  So each region contributes its mean
+    rather than the raw sum, decoupling the loss scale from resolution, and
+    the clean-region pull on each entry of M_diff is half that of a separate
     mean over M_diff alone.
     """
     loss = None
-    dtype = r_gt.dtype
-    for ml in masks:
-        lum = _pool_luminance(r_gt.data, ml.level)
+    for level, m in enumerate(masks, 1):
+        lum = _pool_luminance(r_gt.data, level)
         heavy = lum > thresholds.phi
-        weak = lum < thresholds.xi
+        clean = lum < thresholds.xi  # never overlaps heavy, since xi < phi
+        half = m.shape[1] // 2
+        # each weight is a Python float cast into M's dtype
+        weight = np.zeros(m.shape, dtype=m.dtype)
         if heavy.any():
-            term = _region_l1(ml.m_diff, heavy, dtype)
-            loss = term if loss is None else T.add(loss, term)
-        if weak.any():
-            full_mask = T.concat_channels(ml.m_diff, ml.m_dec)
-            ones = T.ones(full_mask.shape, dtype=full_mask.dtype)
-            term = _region_l1(T.sub(full_mask, ones), weak, dtype)
-            loss = term if loss is None else T.add(loss, term)
+            weight[:, :half] = np.where(heavy, 1.0 / int(heavy.sum() * half), 0.0)
+        if clean.any():
+            weight[np.broadcast_to(clean, m.shape)] = 1.0 / int(clean.sum() * m.shape[1])
+        target = T.tensor(np.broadcast_to(clean, m.shape).astype(m.dtype))
+        term = T.l1_norm(T.mul(T.sub(m, target), T.tensor(weight)))
+        loss = term if loss is None else T.add(loss, term)
     if loss is None:
-        loss = T.scalar(0.0, dtype=dtype)
+        loss = T.scalar(0.0, dtype=r_gt.dtype)
     return loss
 
 

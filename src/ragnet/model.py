@@ -5,9 +5,11 @@ reflection estimate, and a dual-encoder U-Net (``g_t``) maps (I, R_hat) to
 the transmission.  Both run one decoder and differ only in how each level
 merges its skip feature.  Each decoder level of ``g_t`` runs a reflection-aware
 guidance block: the observation/reflection feature difference is concatenated
-with the upsampled decoder feature, a sigmoid mask is predicted from all
+with the upsampled decoder feature, a sigmoid mask M is predicted from all
 three feature groups through two 1x1 convolutions, and the merged feature
-passes through a mask-renormalized partial convolution.
+passes through a mask-renormalized partial convolution.  ``forward_gt``
+returns one M per level, level 1 first: its first half of channels, M_diff,
+gates F_I - F_R, and its second half, M_dec, gates F_dec.
 
 All channel widths derive from one base table scaled by
 ``ModelConfig.width_multiplier`` so the same wiring runs at desk scale
@@ -63,22 +65,11 @@ class ModelConfig:
             raise ValueError(f"width_multiplier {self.width_multiplier} exceeds the {MAX_WIDTH:g} limit")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2**64), which a checkpoint stores, got {self.seed}")
+        # the float32 width a checkpoint stores, so a loaded model builds the same layers
+        self.width_multiplier = float(np.float32(self.width_multiplier))
 
     def scaled(self, base: int) -> int:
         return max(1, int(round(base * self.width_multiplier)))
-
-
-@dataclass
-class MaskLevel:
-    """Masks of one decoder level; level 1 is full resolution, level 4 is H/8.
-
-    ``m`` is the mask head's sigmoid output when a RAG block made one:
-    ``m_diff`` and ``m_dec`` are its leading and trailing channels.
-    """
-    level: int
-    m_diff: Tensor
-    m_dec: Tensor
-    m: Tensor | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -317,36 +308,25 @@ def partial_conv(f: Tensor, m: Tensor, w: Tensor, b: Tensor, renorm: bool = True
     return T.mask_renorm(raw, mbar, b, relu=relu)
 
 
-def rag_block(net: Network, level: int, f_i: Tensor, f_r: Tensor, f_dec: Tensor) -> tuple[Tensor, MaskLevel]:
-    """Difference feature (F_I - F_R; F_I for ``no_diff``) and the mask of one decoder level.
+def rag_block(net: Network, level: int, f_i: Tensor, f_r: Tensor, f_dec: Tensor) -> tuple[Tensor, Tensor]:
+    """Difference feature (F_I - F_R; F_I for ``no_diff``) and the mask M of one decoder level.
 
     The mask head is two 1x1 convs, the second with its sigmoid fused into
-    the output write.  Each mask is held once: the returned ``MaskLevel``
-    carries that sigmoid output as ``m``, for the merge to use whole, and
-    ``m_diff`` and ``m_dec`` slice its channels, as views where the slice
-    is contiguous (a batch of one) and as copies otherwise.
+    the output write.  M is that output, held once: its first ``C // 2``
+    channels are M_diff, which gates F_diff, and the rest are M_dec, which
+    gates F_dec (one channel each for ``two_channel_mask``).
     """
     if f_i.shape != f_r.shape:
         raise ValueError(f"rag_block: F_I shape {f_i.shape} != F_R shape {f_r.shape}")
     if f_i.shape[2:] != f_dec.shape[2:]:
         raise ValueError(f"rag_block: decoder feature spatial size {f_dec.shape[2:]} "
                          f"!= encoder {f_i.shape[2:]}")
-    variant = net.config.rag_variant
     h = T.concat_channels(T.concat_channels(f_i, f_r), f_dec)
     h = T.conv2d(h, net[f"rag/l{level}/m0/weight"], net[f"rag/l{level}/m0/bias"], relu=True)
     m = T.conv2d(h, net[f"rag/l{level}/m1/weight"], net[f"rag/l{level}/m1/bias"], sigmoid=True)
     # made after the mask head, so it is not alive during the head's convs
-    f_diff = f_i if variant == "no_diff" else T.sub(f_i, f_r)
-    split = 1 if variant == "two_channel_mask" else f_diff.shape[1]
-    return f_diff, MaskLevel(level, T.slice_channels(m, 0, split), T.slice_channels(m, split, m.shape[1]), m)
-
-
-def _mask_full_width(mask: MaskLevel, c_diff: int, c_dec: int) -> Tensor:
-    """Per-feature mask matching concat(F_diff, F_dec): the sigmoid output
-    itself where it is that wide, else its one-channel masks broadcast."""
-    if mask.m.shape[1] == c_diff + c_dec:
-        return mask.m
-    return T.concat_channels(T.repeat_channels(mask.m_diff, c_diff), T.repeat_channels(mask.m_dec, c_dec))
+    f_diff = f_i if net.config.rag_variant == "no_diff" else T.sub(f_i, f_r)
+    return f_diff, m
 
 
 def _decoder(net: Network, f_obs: list[Tensor], merge) -> Tensor:
@@ -372,22 +352,23 @@ def _decoder(net: Network, f_obs: list[Tensor], merge) -> Tensor:
     return T.conv2d(x, net["dec/head/c1/weight"], net["dec/head/c1/bias"], stride=1, pad=1, sigmoid=True)
 
 
-def _guided_decoder(net: Network, f_obs: list[Tensor], f_refl: list[Tensor]) -> tuple[Tensor, list[MaskLevel]]:
+def _guided_decoder(net: Network, f_obs: list[Tensor], f_refl: list[Tensor]) -> tuple[Tensor, list[Tensor]]:
     """Decoder of g_t.  Each level merges through a RAG block and a partial
     convolution; the ``no_mask`` variant instead convolves concat(F_I - F_R, F_dec).
     Like ``_decoder`` with *f_obs*, it empties *f_refl*: the merge pops F_R
     in the RAG block's call, and drops F_I once that block returns.
     """
     variant = net.config.rag_variant
-    masks: list[MaskLevel] = []
+    masks: list[Tensor] = []
 
     def merge(level, f_i, f_dec, w, b):
         if variant == "no_mask":
             return _conv_relu(T.concat_channels(T.sub(f_i, f_refl.pop()), f_dec), w, b)
-        f_diff, mask = rag_block(net, level, f_i, f_refl.pop(), f_dec)
+        f_diff, m = rag_block(net, level, f_i, f_refl.pop(), f_dec)
         del f_i
-        masks.append(mask)
-        m = _mask_full_width(mask, f_diff.shape[1], f_dec.shape[1])
+        masks.append(m)
+        if m.shape[1] != 2 * f_dec.shape[1]:  # two_channel_mask: one channel per feature group
+            m = T.repeat_channels(m, f_dec.shape[1])
         return partial_conv(T.concat_channels(f_diff, f_dec), m, w, b,
                             renorm=(variant != "mask_no_renorm"), relu=True)
 
@@ -407,8 +388,9 @@ def forward_gr(net: Network, i_obs: Tensor) -> Tensor:
     return _decoder(net, _encoder_forward(net, "enc_obs", i_obs, stages=5), _plain_merge)
 
 
-def forward_gt(net: Network, i_obs: Tensor, r_hat: Tensor) -> tuple[Tensor, list[MaskLevel]]:
-    """Transmission estimate and the four decoder-level mask pairs."""
+def forward_gt(net: Network, i_obs: Tensor, r_hat: Tensor) -> tuple[Tensor, list[Tensor]]:
+    """Transmission estimate and the masks: ``masks[i]`` is the M of decoder level i + 1
+    (M_diff its first half of channels), at 1/2**i of the input's sides; empty for ``no_mask``."""
     if net.kind != "g_t":
         raise ValueError(f"forward_gt needs a g_t network, got {net.kind!r}")
     if i_obs.shape != r_hat.shape:

@@ -571,20 +571,6 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     return _record("concat_channels", (a, b), out, grad_fn)
 
 
-def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
-    n, c, h, w = x.shape
-    if not (0 <= start < stop <= c):
-        raise ValueError(f"slice_channels: range [{start},{stop}) invalid for {c} channels")
-    out = Tensor(x.data[:, start:stop])  # a view where the slice is contiguous, else a copy
-
-    def grad_fn(g):
-        dx = np.zeros_like(x.data)
-        dx[:, start:stop] = g
-        return (dx,)
-
-    return _record("slice_channels", (x,), out, grad_fn)
-
-
 def repeat_channels(x: Tensor, reps: int) -> Tensor:
     """Repeat each channel ``reps`` times (channel i maps to i*reps..(i+1)*reps)."""
     if reps < 1:

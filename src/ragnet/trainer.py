@@ -34,7 +34,7 @@ import numpy as np
 
 import ragnet.tensor as T
 from ragnet import losses as L
-from ragnet.model import ModelConfig, Network, RAG_VARIANTS, build_network, forward_gr, forward_gt
+from ragnet.model import SIDE_MULTIPLE, ModelConfig, Network, RAG_VARIANTS, build_network, forward_gr, forward_gt
 from ragnet.synthesis import derive_seed, load_triple, read_manifest
 
 CKPT_MAGIC = b"RAGN"
@@ -384,7 +384,16 @@ def _batches(pool: list[int], batch_size: int, rng: np.random.Generator):
 
 def train(config: TrainConfig, manifest_path, out_dir, resume_from=None) -> tuple[str, str]:
     """Run (or resume) the two-phase protocol; returns (final checkpoint, log csv)."""
-    triples = [load_triple(e) for e in read_manifest(manifest_path)]
+    entries = read_manifest(manifest_path)
+    triples = [load_triple(e) for e in entries]
+    for entry, tr in zip(entries, triples):
+        if tr.i.shape[2] % SIDE_MULTIPLE or tr.i.shape[3] % SIDE_MULTIPLE:
+            raise ValueError(f"{entry.i_file}: image sides {tr.i.shape[2]}x{tr.i.shape[3]} "
+                             f"must be multiples of {SIDE_MULTIPLE}")
+    sizes = sorted({tr.i.shape[2:] for tr in triples})
+    if config.schedule.batch_size > 1 and len(sizes) > 1:
+        raise ValueError(f"batch size {config.schedule.batch_size} stacks images of one size, but the "
+                         f"manifest holds {', '.join(f'{h}x{w}' for h, w in sizes)} images")
     has_r_pool = [i for i, tr in enumerate(triples) if tr.has_reflection_gt]
     no_r_pool = [i for i, tr in enumerate(triples) if not tr.has_reflection_gt]
     # phase -> (epochs, step, (pool, has_r) groups); phase 1 needs the reflection layer

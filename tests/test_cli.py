@@ -347,12 +347,24 @@ def test_load_models_parses_the_checkpoint_once(tmp_path, monkeypatch):
     monkeypatch.setattr(TR, "load_checkpoint", lambda path: calls.append(path) or load(path))
     state = cli.load_models(ckpt)
     assert calls == [ckpt]
-    assert state.config.model == saved.config.model
+    assert state.nets["g_t"].config == saved.config.model
     assert set(state.nets) == {"g_r", "g_t"}
     assert not any(hasattr(state, name) for name in ("adam", "percep"))
     a, b = saved.to_tensors(), TR.weight_tensors(state.nets)
     assert sorted(b) == sorted(k for k in a if k.startswith(("model/g_r/", "model/g_t/")))
     assert all(a[k].tobytes() == b[k].tobytes() for k in b)
+
+
+def test_load_models_builds_a_width_that_float32_rounds(tmp_path):
+    # 2.5/64 + 1e-12 would build round(2.50000000006) = 3 channels at base 64, while the
+    # checkpoint stores the float32 width 0.0390625, which builds round(2.5) = 2
+    ckpt = tmp_path / "model.bin"
+    saved = TrainerState(TrainConfig(model=ModelConfig(width_multiplier=2.5 / 64 + 1e-12, seed=2)))
+    saved.save(ckpt)
+    state = cli.load_models(ckpt)
+    a, b = saved.to_tensors(), TR.weight_tensors(state.nets)
+    assert sorted(b) == sorted(k for k in a if k.startswith(("model/g_r/", "model/g_t/")))
+    assert all(a[k].shape == b[k].shape and a[k].tobytes() == b[k].tobytes() for k in b)
 
 
 def test_inference_peaks_below_eleven_level1_merge_maps():
@@ -491,7 +503,7 @@ def test_run_without_adversarial_term(tiny_data, tmp_path):
 
 def _inference_outputs(state, img) -> list[np.ndarray]:
     r_np, t_np, masks, _ = cli.infer_image(state, img)
-    return [r_np, t_np, *(m.data for ml in masks for m in (ml.m_diff, ml.m_dec, ml.m))]
+    return [r_np, t_np, *(m.data for m in masks)]
 
 
 @pytest.mark.parametrize("variant", ["full", "no_mask", "two_channel_mask", "trained_without_adversarial"])
@@ -506,7 +518,7 @@ def test_load_models_infers_the_bytes_of_a_full_state(variant, tiny_data, tmp_pa
     full.load(ckpt)
     img = np.random.Generator(np.random.PCG64(4)).uniform(0, 1, (1, 3, 20, 27)).astype(np.float32)
     got, want = _inference_outputs(cli.load_models(ckpt), img), _inference_outputs(full, img)
-    assert len(got) == len(want) == (2 if variant == "no_mask" else 2 + 3 * 4)
+    assert len(got) == len(want) == (2 if variant == "no_mask" else 2 + 4)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -539,7 +551,8 @@ def test_load_models_builds_only_the_generators(tmp_path, monkeypatch):
     monkeypatch.setattr(TR.AdamState, "__init__", lambda self, *a: adams.append(a) or adam_init(self, *a))
     state = cli.load_models(ckpt)
     assert sorted(kinds) == ["g_r", "g_t"] and adams == []
-    TrainerState(state.config, draw_init=False)  # the spies see what a full state builds
+    # the spies see what a full state builds
+    TrainerState(TrainConfig(model=state.nets["g_t"].config), draw_init=False)
     assert {"discriminator", "percep_extractor"} <= set(kinds) and len(adams) == 3
 
 
@@ -556,3 +569,35 @@ def test_train_with_no_triple_to_draw_exits_2(manifest, phase, tmp_path, capsys)
     assert (f"error: phase {phase} has epochs to run but no triple to draw: the manifest has "
             f"{n_triples} triples, 0 with a reflection layer\n") in capsys.readouterr().err
     assert not out.exists()
+
+
+def _write_triples(data, sides):
+    """A manifest of one seeded square triple per side in *sides*, written by hand,
+    since ``synth`` makes one size, a multiple of 16."""
+    data.mkdir()
+    rng = np.random.Generator(np.random.PCG64(0))
+    rows = []
+    for k, side in enumerate(sides):
+        names = [f"{layer}_{k:04d}.ppm" for layer in "ITR"]
+        for name in names:
+            write_ppm(data / name, rng.uniform(0, 1, (3, side, side)).astype(np.float32))
+        rows.append("\t".join([str(k), *names, "linear_clip", str(k), "1"]) + "\n")
+    (data / "manifest.tsv").write_text("".join(rows))
+
+
+@pytest.mark.parametrize("sides, batch, message", [
+    ((24, 24), "1", "I_0000.ppm: image sides 24x24 must be multiples of 16"),
+    ((16, 32, 16, 32), "4", "batch size 4 stacks images of one size, but the manifest holds 16x16, 32x32 images"),
+], ids=["side_not_a_multiple_of_16", "mixed_sizes_in_a_batch"])
+def test_train_rejects_images_it_cannot_run_before_writing(sides, batch, message, tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "run"
+    _write_triples(data, sides)
+    assert _train_tiny(data, out, "--phase2-epochs", "1", "--batch-size", batch) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_mixes_sizes_at_batch_size_1(tmp_path):
+    data = tmp_path / "data"
+    _write_triples(data, (16, 32))
+    assert _train_tiny(data, tmp_path / "run", "--phase2-epochs", "1", "--batch-size", "1") == EXIT_OK

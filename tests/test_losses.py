@@ -19,7 +19,7 @@ from ragnet.losses import (
     rec_loss,
     total_loss,
 )
-from ragnet.model import MaskLevel, ModelConfig, build_network, extract_features, forward_discriminator
+from ragnet.model import ModelConfig, build_network, extract_features, forward_discriminator
 from oracles import exclusion_loss_script
 
 
@@ -127,14 +127,10 @@ class TestExclusionLoss:
             exclusion_loss(T.zeros((1, 3, 6, 6)), T.zeros((1, 3, 6, 6)))
 
 
-def make_masks(value, h=8, channels=(4, 4), dtype=np.float64, grad=False):
-    out = []
-    for level in (1, 2, 3, 4):
-        hw = h // 2 ** (level - 1)
-        md = T.tensor(np.full((1, channels[0], hw, hw), value, dtype=dtype), requires_grad=grad)
-        me = T.tensor(np.full((1, channels[1], hw, hw), value, dtype=dtype), requires_grad=grad)
-        out.append(MaskLevel(level, md, me))
-    return out
+def make_masks(value, h=8, channels=8, dtype=np.float64, grad=False):
+    """One mask M per level, level 1 first: M_diff is its first half of channels."""
+    return [T.tensor(np.full((1, channels, h // 2 ** i, h // 2 ** i), value, dtype=dtype), requires_grad=grad)
+            for i in range(4)]
 
 
 class TestMaskLoss:
@@ -159,31 +155,30 @@ class TestMaskLoss:
 
     def test_literal_sum_mode_on_4x4_case(self):
         r = T.zeros((1, 3, 4, 4), dtype=np.float64)
-        masks = [MaskLevel(1, T.full((1, 2, 4, 4), 0.25, dtype=np.float64),
-                           T.full((1, 3, 4, 4), 0.25, dtype=np.float64))]
+        masks = [T.full((1, 4, 4, 4), 0.25, dtype=np.float64)]
         got = mask_loss(masks, r, self.TH).item()
-        # 5 mask channels x 16 pixels, each |0.25 - 1| = 0.75
-        assert got == pytest.approx(0.75 * 5 * 16 / (5 * 16), abs=1e-12)
+        # 4 mask channels x 16 pixels, each |0.25 - 1| = 0.75
+        assert got == pytest.approx(0.75 * 4 * 16 / (4 * 16), abs=1e-12)
 
     def test_heavy_literal_sum(self):
         r = T.ones((1, 3, 4, 4), dtype=np.float64)
-        masks = [MaskLevel(1, T.full((1, 2, 4, 4), 0.3, dtype=np.float64),
-                           T.full((1, 3, 4, 4), 0.9, dtype=np.float64))]
-        got = mask_loss(masks, r, self.TH).item()
-        assert got == pytest.approx(0.3 * 2 * 16 / (2 * 16), abs=1e-12)  # only m_diff is constrained
+        m = np.full((1, 4, 4, 4), 0.9)
+        m[:, :2] = 0.3
+        got = mask_loss([T.tensor(m)], r, self.TH).item()
+        assert got == pytest.approx(0.3 * 2 * 16 / (2 * 16), abs=1e-12)  # only M_diff is constrained
 
     def test_monotone_in_heavy_region(self):
         r = T.ones((1, 3, 8, 8), dtype=np.float64)
         masks = make_masks(0.5)
         base = mask_loss(masks, r, self.TH).item()
-        masks[0].m_diff.data[0, 0, 3, 3] += 0.2
+        masks[0].data[0, 0, 3, 3] += 0.2  # M_diff
         assert mask_loss(masks, r, self.TH).item() >= base
 
     def test_monotone_in_clean_region(self):
         r = T.zeros((1, 3, 8, 8), dtype=np.float64)
         masks = make_masks(0.5)
         base = mask_loss(masks, r, self.TH).item()
-        masks[1].m_dec.data[0, 1, 1, 1] -= 0.2
+        masks[1].data[0, 5, 1, 1] -= 0.2  # M_dec
         assert mask_loss(masks, r, self.TH).item() >= base
 
     def test_mixed_regions_ignore_middle_band(self):
@@ -191,11 +186,24 @@ class TestMaskLoss:
         lum[:, :, 0, :] = 0.9   # heavy row
         lum[:, :, 1, :] = 0.15  # unconstrained row
         r = T.tensor(lum)
-        masks = [MaskLevel(1, T.full((1, 1, 4, 4), 0.4, dtype=np.float64),
-                           T.full((1, 1, 4, 4), 0.4, dtype=np.float64))]
+        masks = [T.full((1, 2, 4, 4), 0.4, dtype=np.float64)]
         got = mask_loss(masks, r, self.TH).item()
-        # heavy row: 4 px * 0.4 on m_diff; clean rows (2 rows): |0.4-1| * 8 px * 2 masks
+        # heavy row: 4 px * 0.4 on M_diff; clean rows (2 rows): |0.4-1| * 8 px * 2 channels
         assert got == pytest.approx(0.4 * 4 / 4 + 0.6 * 8 * 2 / (8 * 2), abs=1e-12)
+
+    def test_exact_gradient_on_each_region(self):
+        # heavy row 0 pulls M_diff (channels 0-1) toward 0 and leaves M_dec free;
+        # row 1 is unconstrained; clean rows 2-3 pull all of M toward 1
+        lum = np.zeros((1, 3, 4, 4))
+        lum[:, :, 0, :] = 0.9
+        lum[:, :, 1, :] = 0.15
+        m = T.tensor(rand((1, 4, 4, 4), 61, 0.1, 0.9), requires_grad=True)
+        with T.Tape():
+            T.backward(mask_loss([m], T.tensor(lum), self.TH))
+        want = np.zeros((1, 4, 4, 4))
+        want[:, :2, 0, :] = 1 / (4 * 2)   # 4 heavy pixels x 2 M_diff channels
+        want[:, :, 2:, :] = -1 / (8 * 4)  # 8 clean pixels x 4 channels
+        np.testing.assert_array_equal(m.grad, want)
 
     def test_float32_masks_keep_float32_loss_and_gradients(self):
         # heavy top half, clean bottom half; 16 px leaves both at every level
@@ -207,19 +215,17 @@ class TestMaskLoss:
             loss = mask_loss(masks, r, self.TH)
             T.backward(loss)
         assert loss.dtype == np.float32
-        for ml in masks:
-            assert ml.m_diff.grad.dtype == np.float32
-            assert ml.m_dec.grad.dtype == np.float32
+        for m in masks:
+            assert m.grad.dtype == np.float32
 
     def test_gradient_check(self):
         r = T.tensor(rand((1, 3, 8, 8), 60))
         masks = make_masks(0.5, grad=True)
-        tensors = [m.m_diff for m in masks] + [m.m_dec for m in masks]
 
         def fn(*ts):
             return mask_loss(masks, r, self.TH)
 
-        err = T.finite_diff_check(fn, tensors, step=1e-5)
+        err = T.finite_diff_check(fn, masks, step=1e-5)
         assert err is not None and err < 1e-5
 
 

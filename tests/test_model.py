@@ -201,9 +201,8 @@ class TestFloat32Contract:
         assert np.abs(t32 - t64).max() < 1.2e-6
         assert len(masks32) == 4
         for a, b in zip(masks32, masks64):
-            assert a.m_diff.dtype == np.float32
-            assert np.abs(a.m_diff.data - b.m_diff.data).max() < 1.4e-6
-            assert np.abs(a.m_dec.data - b.m_dec.data).max() < 1.4e-6
+            assert a.dtype == np.float32
+            assert np.abs(a.data - b.data).max() < 1.4e-6
 
 
 class TestPartialConv:
@@ -302,9 +301,9 @@ class TestRagBlock:
         f_i = T.tensor(rand((1, 8, 8, 8), 32, -3, 3))
         f_r = T.tensor(rand((1, 8, 8, 8), 33, -3, 3))
         fd = T.tensor(rand((1, 8, 8, 8), 34, -3, 3))
-        _, mask = model.rag_block(net, 1, f_i, f_r, fd)
-        for m in (mask.m_diff, mask.m_dec):
-            assert m.data.min() > 0.0 and m.data.max() < 1.0
+        _, m = model.rag_block(net, 1, f_i, f_r, fd)
+        assert m.shape == (1, 16, 8, 8)
+        assert m.data.min() > 0.0 and m.data.max() < 1.0
 
     def test_no_diff_returns_observation_feature(self):
         net = self._net("no_diff")
@@ -317,8 +316,8 @@ class TestRagBlock:
     def test_two_channel_masks_are_single_channel(self):
         net = self._net("two_channel_mask")
         f_i = T.tensor(rand((1, 8, 8, 8), 38))
-        _, mask = model.rag_block(net, 1, f_i, f_i, f_i)
-        assert mask.m_diff.shape[1] == 1 and mask.m_dec.shape[1] == 1
+        _, m = model.rag_block(net, 1, f_i, f_i, f_i)
+        assert m.shape[1] == 2  # one channel each for M_diff and M_dec
 
 
 class TestForwardGT:
@@ -336,14 +335,12 @@ class TestForwardGT:
 
     def test_masks_cover_four_levels(self):
         _, i_obs, _, (_, masks) = self._run()
-        assert [m.level for m in masks] == [1, 2, 3, 4]
+        assert len(masks) == 4
         h = i_obs.shape[2]
-        for m in masks:
-            expect = h // (2 ** (m.level - 1))
-            assert m.m_diff.shape[2:] == (expect, expect)
-            assert m.m_dec.shape[2:] == (expect, expect)
-            for t in (m.m_diff, m.m_dec):
-                assert t.data.min() > 0.0 and t.data.max() < 1.0
+        for i, m in enumerate(masks):  # masks[i] is level i + 1
+            expect = h // 2 ** i
+            assert m.shape[2:] == (expect, expect)
+            assert m.data.min() > 0.0 and m.data.max() < 1.0
 
     def test_shape_mismatch_rejected(self):
         net = build_network("g_t", ModelConfig(width_multiplier=0.125))
