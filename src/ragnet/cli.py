@@ -5,7 +5,9 @@ the config dataclasses (the published ones wherever the source material
 states a value: thresholds phi=0.3, xi=0.01, tau=0.40, loss weights
 1/1/0.2/0.01/1, Adam betas 0.9/0.999, lr=1e-4), optionally overridden by a
 ``--config`` file of ``key = value`` lines (``#`` comments), then by
-``--key value`` flags.  Unknown keys are rejected.
+``--key value`` flags.  Unknown keys are rejected.  ``main`` reads, types
+and range-checks every key once, for every command, before the command
+touches a file: a bad value exits 2 with nothing written.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 I/O failure.
 """
@@ -92,42 +94,14 @@ def _key_spec(key: str, owner: type, name: str, help_text: str) -> tuple[object,
 CONFIG_KEYS = {key: _key_spec(key, *spec) for key, spec in CONFIG_FIELDS.items()}
 
 
-class RunConfig:
-    """Validated flat configuration; every key defaults to its dataclass field."""
-
-    def __init__(self, values: dict[str, object]):
-        unknown = sorted(set(values) - set(CONFIG_KEYS))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        self._v = {k: d for k, (d, _, _) in CONFIG_KEYS.items()}
-        self._v.update(values)
-
-    def __getattr__(self, key):
-        try:
-            return self._v[key]
-        except KeyError:
-            raise AttributeError(key)
-
-    def _build(self, cls, **extra):
-        """An instance of *cls* from the keys mapped to its fields, plus *extra*."""
-        kw = dict(extra)
-        for key, (owner, name, _) in CONFIG_FIELDS.items():
-            if owner is cls:
-                value = self._v[key]
-                # a *_lo key starts its range tuple and the *_hi key completes it
-                kw[name] = kw.get(name, ()) + (value,) if key.endswith(("_lo", "_hi")) else value
-        return cls(**kw)
-
-    def model_config(self) -> M.ModelConfig:
-        return self._build(M.ModelConfig)
-
-    def synthesis_params(self) -> S.SynthesisParams:
-        return self._build(S.SynthesisParams, seed=self.seed)
-
-    def train_config(self) -> TR.TrainConfig:
-        return self._build(TR.TrainConfig, model=self.model_config(), schedule=self._build(TR.Schedule),
-                           weights=self._build(L.LossWeights), thresholds=self._build(L.MaskLossThresholds),
-                           adam=self._build(TR.AdamConfig))
+def _build(cls, values: dict[str, object], **extra):
+    """An instance of *cls* from the *values* of the keys mapped to its fields, plus *extra*."""
+    kw = dict(extra)
+    for key, (owner, name, _) in CONFIG_FIELDS.items():
+        if owner is cls:
+            # a *_lo key starts its range tuple and the *_hi key completes it
+            kw[name] = kw.get(name, ()) + (values[key],) if key.endswith(("_lo", "_hi")) else values[key]
+    return cls(**kw)
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -144,28 +118,22 @@ def parse_config_file(path) -> dict[str, str]:
     return values
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    raw: dict[str, str] = {}
-    if getattr(args, "config", None):
-        raw.update(parse_config_file(args.config))
-    for key in CONFIG_KEYS:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            raw[key] = flag_val
-    typed: dict[str, object] = {}
+def build_config(args: argparse.Namespace) -> tuple[TR.TrainConfig, S.SynthesisParams]:
+    """The run's training and synthesis configuration, typed and range-checked."""
+    raw: dict[str, str] = parse_config_file(args.config) if args.config else {}
+    raw.update({key: getattr(args, key) for key in CONFIG_KEYS if getattr(args, key) is not None})
+    values = {key: default for key, (default, _, _) in CONFIG_KEYS.items()}
     for key, val in raw.items():
         if key not in CONFIG_KEYS:
             raise ValueError(f"unknown config keys: {key}")
-        parse = CONFIG_KEYS[key][1]
         try:
-            typed[key] = parse(val) if isinstance(val, str) else val
+            values[key] = CONFIG_KEYS[key][1](val)
         except ValueError as e:
             raise ValueError(f"config key {key}: {e}")
-    cfg = RunConfig(typed)
-    # build every config dataclass, so each command runs all of their range checks
-    cfg.train_config()
-    cfg.synthesis_params()
-    return cfg
+    build = lambda cls, **extra: _build(cls, values, **extra)
+    train = build(TR.TrainConfig, model=build(M.ModelConfig), schedule=build(TR.Schedule),
+                  weights=build(L.LossWeights), thresholds=build(L.MaskLossThresholds), adam=build(TR.AdamConfig))
+    return train, build(S.SynthesisParams, seed=values["seed"])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -175,52 +143,45 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_config_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", metavar="FILE", help="key = value configuration file")
-    for key, (default, _, help_text) in CONFIG_KEYS.items():
-        sp.add_argument(f"--{key.replace('_', '-')}", dest=key, metavar="V",
-                        help=f"{help_text} (default {default})")
-
-
 def make_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="ragnet", description=__doc__.split("\n\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("synth", parents=[], help="materialize a synthetic dataset")
+    sp = sub.add_parser("synth", help="materialize a synthetic dataset")
     sp.add_argument("--n", type=int, required=True, help="number of triples")
     sp.add_argument("--out", required=True, help="output directory")
-    _add_config_flags(sp)
 
     sp = sub.add_parser("train", help="run the two-phase training protocol")
     sp.add_argument("--data", required=True, help="dataset manifest path")
     sp.add_argument("--out", required=True, help="run directory for checkpoints and logs")
     sp.add_argument("--resume", help="checkpoint to resume from")
-    _add_config_flags(sp)
 
     sp = sub.add_parser("infer", help="remove reflections from one image")
     sp.add_argument("--ckpt", required=True, help="trained checkpoint")
     sp.add_argument("--input", required=True, help="input PPM image")
     sp.add_argument("--out", required=True, help="output directory")
-    _add_config_flags(sp)
 
     sp = sub.add_parser("eval", help="evaluate a checkpoint over a manifest")
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--data", required=True, help="dataset manifest path")
     sp.add_argument("--out", required=True, help="report directory")
-    _add_config_flags(sp)
 
-    sp = sub.add_parser("gradcheck", help="run the finite-difference verification suite")
-    _add_config_flags(sp)
+    sub.add_parser("gradcheck", help="run the finite-difference verification suite")
 
     sp = sub.add_parser("inspect-mask", help="write guidance-mask heatmaps for one image")
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--input", required=True, help="input PPM image")
     sp.add_argument("--out", required=True)
     sp.add_argument("--per-channel", action="store_true", help="tile every mask channel (default: channel mean)")
-    _add_config_flags(sp)
 
-    sp = sub.add_parser("params", help="print parameter counts per network")
-    _add_config_flags(sp)
+    sub.add_parser("params", help="print parameter counts per network")
+
+    # every command takes the whole config table, after its own arguments
+    for sp in sub.choices.values():
+        sp.add_argument("--config", metavar="FILE", help="key = value configuration file")
+        for key, (default, _, help_text) in CONFIG_KEYS.items():
+            sp.add_argument(f"--{key.replace('_', '-')}", dest=key, metavar="V",
+                            help=f"{help_text} (default {default})")
     return p
 
 
@@ -262,31 +223,34 @@ def infer_image(state: InferenceState | TR.TrainerState, img: np.ndarray):
     return r_np, t_np, masks, pads
 
 
-def cmd_synth(args) -> int:
-    cfg = build_config(args)
-    manifest = S.make_dataset(args.n, cfg.synthesis_params(), args.out)
+def _infer_input(args) -> tuple[np.ndarray, tuple]:
+    """The ``--input`` image and ``infer_image``'s outputs on it under ``--ckpt``; ``--out`` is made."""
+    if not os.path.exists(args.ckpt):
+        raise OSError(f"checkpoint not found: {args.ckpt}")
+    state = load_models(args.ckpt)
+    img = S.read_ppm(args.input)
+    outputs = infer_image(state, img)
+    os.makedirs(args.out, exist_ok=True)
+    return img, outputs
+
+
+def cmd_synth(args, train: TR.TrainConfig, synth: S.SynthesisParams) -> int:
+    manifest = S.make_dataset(args.n, synth, args.out)
     print(f"wrote {args.n} triples; manifest: {manifest}")
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = build_config(args)
+def cmd_train(args, train: TR.TrainConfig, synth: S.SynthesisParams) -> int:
     if not os.path.exists(args.data):
         raise OSError(f"dataset manifest not found: {args.data}")
-    final, log = TR.train(cfg.train_config(), args.data, args.out, resume_from=args.resume)
+    final, log = TR.train(train, args.data, args.out, resume_from=args.resume)
     print(f"final checkpoint: {final}")
     print(f"training log: {log}")
     return EXIT_OK
 
 
-def cmd_infer(args) -> int:
-    build_config(args)  # validates every config value
-    if not os.path.exists(args.ckpt):
-        raise OSError(f"checkpoint not found: {args.ckpt}")
-    state = load_models(args.ckpt)
-    img = S.read_ppm(args.input)
-    r_np, t_np, _, _ = infer_image(state, img)
-    os.makedirs(args.out, exist_ok=True)
+def cmd_infer(args, train: TR.TrainConfig, synth: S.SynthesisParams) -> int:
+    img, (r_np, t_np, _, _) = _infer_input(args)
     S.write_ppm(os.path.join(args.out, "R_hat.ppm"), r_np)
     S.write_ppm(os.path.join(args.out, "T_hat.ppm"), t_np)
     S.write_ppm(os.path.join(args.out, "I_minus_R.ppm"), np.clip(img - r_np, 0.0, 1.0))
@@ -294,14 +258,12 @@ def cmd_infer(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    cfg = build_config(args)
+def cmd_eval(args, train: TR.TrainConfig, synth: S.SynthesisParams) -> int:
     for path in (args.ckpt, args.data):
         if not os.path.exists(path):
             raise OSError(f"input not found: {path}")
     state = load_models(args.ckpt)
     entries = S.read_manifest(args.data)
-    tau = cfg.tau
 
     def eval_one(entry):
         tr = S.load_triple(entry)
@@ -310,7 +272,7 @@ def cmd_eval(args) -> int:
         if masks:  # the no_mask variant has no level-1 mask to split the image by
             m = masks[0].data
             mask_mean = M.crop_padding(m[:, :m.shape[1] // 2], pads)[0].mean(axis=0)
-            split = ME.weak_strong_split(mask_mean, tau)
+            split = ME.weak_strong_split(mask_mean, train.thresholds.tau)
             weak = ME.region_psnr(t_np, tr.t, split.m_w)
             strong = ME.region_psnr(t_np, tr.t, split.m_s)
         return ME.ImageResult(
@@ -332,8 +294,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(args) -> int:
-    build_config(args)  # validates every config value
+def cmd_gradcheck(args, train: TR.TrainConfig, synth: S.SynthesisParams) -> int:
     results = run_suite()
     width = max(len(r.name) for r in results)
     for r in results:
@@ -346,14 +307,8 @@ def cmd_gradcheck(args) -> int:
     return EXIT_VALIDATION
 
 
-def cmd_inspect_mask(args) -> int:
-    build_config(args)  # validates every config value
-    if not os.path.exists(args.ckpt):
-        raise OSError(f"checkpoint not found: {args.ckpt}")
-    state = load_models(args.ckpt)
-    img = S.read_ppm(args.input)
-    _, _, masks, _ = infer_image(state, img)
-    os.makedirs(args.out, exist_ok=True)
+def cmd_inspect_mask(args, train: TR.TrainConfig, synth: S.SynthesisParams) -> int:
+    _, (_, _, masks, _) = _infer_input(args)
     written = []
     for level, m in enumerate(masks, 1):
         half = m.shape[1] // 2
@@ -380,9 +335,8 @@ def _tile_channels(data: np.ndarray) -> np.ndarray:
     return grid
 
 
-def cmd_params(args) -> int:
-    mc = build_config(args).model_config()
-    counts = {kind: M.count_params(M.build_network(kind, mc, draw_init=False)) for kind in M.NETWORK_KINDS}
+def cmd_params(args, train: TR.TrainConfig, synth: S.SynthesisParams) -> int:
+    counts = {kind: M.count_params(M.build_network(kind, train.model, draw_init=False)) for kind in M.NETWORK_KINDS}
     counts["g_r + g_t"] = counts["g_r"] + counts["g_t"]
     for name, n in counts.items():
         print(f"{name:16s} {n:>12,d}")
@@ -407,7 +361,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, *build_config(args))
     except TR.TrainingDiverged as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

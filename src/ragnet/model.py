@@ -18,7 +18,6 @@ All channel widths derive from one base table scaled by
 
 from __future__ import annotations
 
-import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -27,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 import ragnet.tensor as T
+from ragnet.synthesis import derive_seed
 from ragnet.tensor import Parameter, Tensor
 
 RAG_VARIANTS = ("full", "no_mask", "mask_no_renorm", "two_channel_mask", "no_diff")
@@ -117,11 +117,6 @@ class Network:
                 p.requires_grad = flag
 
 
-def _param_seed(seed: int, kind: str, name: str) -> int:
-    digest = hashlib.blake2b(f"{seed}:{kind}:{name}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
-
-
 HE_CHUNK = 1 << 16  # normals drawn per call; 512 KB of float64 scratch per worker
 
 
@@ -160,7 +155,7 @@ def _draw_he(net: Network) -> None:
     normal sampler releases the GIL.  The workers touch only numpy arrays,
     and the bytes do not depend on the worker count.
     """
-    jobs = sorted(((p.data, _param_seed(net.config.seed, net.kind, name))
+    jobs = sorted(((p.data, derive_seed(net.config.seed, net.kind, name))
                    for name, p in net.params.items() if name.endswith("/weight")),
                   key=lambda job: job[0].size, reverse=True)
     with ThreadPoolExecutor(max(1, min(len(jobs), _usable_cpus()))) as pool:

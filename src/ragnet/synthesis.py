@@ -426,5 +426,9 @@ def read_manifest(path) -> list[ManifestEntry]:
 
 
 def load_triple(entry: ManifestEntry) -> ImageTriple:
-    return ImageTriple(read_ppm(entry.i_file), read_ppm(entry.t_file), read_ppm(entry.r_file),
-                       entry.has_reflection_gt)
+    """The three layers of *entry*; a T or R whose shape differs from I's is rejected."""
+    i, t, r = (read_ppm(f) for f in (entry.i_file, entry.t_file, entry.r_file))
+    for path, layer in ((entry.t_file, t), (entry.r_file, r)):
+        if layer.shape != i.shape:
+            raise ValueError(f"{path}: shape {layer.shape} differs from {i.shape}, the shape of {entry.i_file}")
+    return ImageTriple(i, t, r, entry.has_reflection_gt)

@@ -338,13 +338,16 @@ class TrainerState:
     def load(self, path) -> None:
         """Restore from checkpoint *path*."""
         loaded = load_checkpoint(path)
-        expected = self.to_tensors()
-        _check_shapes(path, loaded, expected)
-        # compared as stored, so a width that float32 rounds still matches itself
-        differ = [n.split("/")[1] for n in _model_tensors(self.config.model)
-                  if loaded[n].tobytes() != expected[n].tobytes()]
+        # the model first, so another width or critic setting is named as such, not
+        # as a misshapen or missing tensor; compared as stored, so a width that
+        # float32 rounds still matches itself
+        model = _model_tensors(self.config.model)
+        _check_shapes(path, loaded, model)
+        differ = [n.split("/")[1] for n, arr in model.items() if loaded[n].tobytes() != arr.tobytes()]
         if differ:
             raise ValueError(f"checkpoint {path}: its model differs from this run's in {', '.join(differ)}")
+        expected = self.to_tensors()
+        _check_shapes(path, loaded, expected)
         for name, arr in expected.items():
             arr[...] = loaded[name]
         read_int = lambda name: _limbs_to_int(loaded[name], name, path)

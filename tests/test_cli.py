@@ -35,14 +35,16 @@ class TestDefaultsTable:
             assert default is not None, key
 
     def test_dataclass_defaults_are_the_cli_defaults(self):
-        assert cli.RunConfig({}).train_config() == TrainConfig()
-        assert cli.RunConfig({}).synthesis_params() == SynthesisParams()
+        args = cli.make_parser().parse_args(["params"])
+        assert cli.build_config(args) == (TrainConfig(), SynthesisParams())
 
     def test_help_lists_every_key(self, capsys):
-        assert main(["train", "--help"]) == EXIT_OK
-        out = capsys.readouterr().out
-        for key in CONFIG_KEYS:
-            assert f"--{key.replace('_', '-')}" in out, key
+        for command in ("synth", "train", "infer", "eval", "gradcheck", "inspect-mask", "params"):
+            assert main([command, "--help"]) == EXIT_OK
+            out = capsys.readouterr().out
+            for key in CONFIG_KEYS:
+                assert f"--{key.replace('_', '-')}" in out, (command, key)
+            assert "--config" in out, command
 
 
 class TestConfigParsing:
@@ -51,9 +53,9 @@ class TestConfigParsing:
         cfgfile.write_text("# comment\nseed = 5\nphi = 0.25\n")
         parser = cli.make_parser()
         args = parser.parse_args(["params", "--config", str(cfgfile), "--phi", "0.35"])
-        cfg = cli.build_config(args)
-        assert cfg.seed == 5
-        assert cfg.phi == 0.35
+        train, synth = cli.build_config(args)
+        assert train.model.seed == synth.seed == 5
+        assert train.thresholds.phi == 0.35
 
     def test_unknown_key_in_file_rejected(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -246,12 +248,14 @@ class TestPipeline:
     ["train", "--data", "{data}/manifest.tsv", "--out", "{out}", "--lambda-percep", "1e300"],
     ["synth", "--n", "1", "--out", "{out}", "--width-multiplier", "400"],
     ["synth", "--n", "1", "--out", "{out}", "--width-multiplier", "1e300"],
+    ["inspect-mask", "--ckpt", "{run}/final.bin", "--input", "{data}/I_0000.ppm", "--out", "{out}", "--tau", "2"],
 ], ids=["eval_tau", "infer_width_phi", "gradcheck_tau", "params_one_stage", "train_one_stage",
         "train_lr_negative", "train_beta1_2", "train_eps_0", "train_lr_nan", "train_beta2_nan",
         "params_width_inf", "infer_width_inf", "train_width_nan", "synth_patch_0", "synth_patch_negative",
         "synth_sigma_negative", "synth_scale_inf", "synth_sigma_inf", "synth_saturate_nan",
         "train_eps_float32_zero", "train_seed_negative", "train_seed_2_64", "train_eps_float32_inf",
-        "train_lr_float32_inf", "train_lambda_percep_float32_inf", "synth_width_400", "synth_width_1e300"])
+        "train_lr_float32_inf", "train_lambda_percep_float32_inf", "synth_width_400", "synth_width_1e300",
+        "inspect_mask_tau"])
 def test_out_of_range_config_exits_2(argv, trained_run, tmp_path, capsys):
     # every command runs the range checks of every config dataclass before it touches a file
     _, data, run = trained_run
@@ -455,11 +459,15 @@ def _train_tiny(data, out, *flags):
                  "--patch-size", "16", "--phase1-epochs", "1", "--seed", "1", *flags])
 
 
-@pytest.mark.parametrize("field, flags", [("variant", ["--rag-variant", "no_diff"]),
-                                         ("use_adversarial", ["--use-adversarial", "false"]),
-                                         ("seed", ["--seed", "9"])], ids=["variant", "use_adversarial", "seed"])
-def test_resume_with_another_model_exits_2(field, flags, tiny_data, tmp_path, capsys):
-    assert _train_tiny(tiny_data, tmp_path / "run", "--phase2-epochs", "2") == EXIT_OK
+@pytest.mark.parametrize("field, trained, flags", [
+    ("variant", [], ["--rag-variant", "no_diff"]),
+    ("use_adversarial", [], ["--use-adversarial", "false"]),
+    ("seed", [], ["--seed", "9"]),
+    ("width_multiplier", [], ["--width-multiplier", "0.125"]),
+    ("use_adversarial", ["--use-adversarial", "false"], ["--use-adversarial", "true"]),  # the run adds a critic
+], ids=["variant", "use_adversarial", "seed", "width_multiplier", "use_adversarial_on"])
+def test_resume_with_another_model_exits_2(field, trained, flags, tiny_data, tmp_path, capsys):
+    assert _train_tiny(tiny_data, tmp_path / "run", "--phase2-epochs", "2", *trained) == EXIT_OK
     out = tmp_path / "resumed"
     ckpt = tmp_path / "run" / "ckpt_p2_e001.bin"
     assert _train_tiny(tiny_data, out, "--phase2-epochs", "2", "--resume", str(ckpt), *flags) == EXIT_VALIDATION
@@ -601,3 +609,13 @@ def test_train_mixes_sizes_at_batch_size_1(tmp_path):
     data = tmp_path / "data"
     _write_triples(data, (16, 32))
     assert _train_tiny(data, tmp_path / "run", "--phase2-epochs", "1", "--batch-size", "1") == EXIT_OK
+
+
+def test_train_rejects_a_layer_shaped_unlike_its_observation_before_writing(tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "run"
+    _write_triples(data, (16, 16))
+    write_ppm(data / "T_0001.ppm", np.full((3, 32, 32), 0.5, np.float32))
+    assert _train_tiny(data, out, "--phase2-epochs", "1", "--batch-size", "1") == EXIT_VALIDATION
+    assert (f"{data / 'T_0001.ppm'}: shape (1, 3, 32, 32) differs from (1, 3, 16, 16), "
+            f"the shape of {data / 'I_0001.ppm'}") in capsys.readouterr().err
+    assert not out.exists()

@@ -9,6 +9,7 @@ import pytest
 import ragnet.tensor as T
 from ragnet import cli, model
 from ragnet.model import ModelConfig, build_network, count_params, partial_conv
+from ragnet.synthesis import derive_seed
 from oracles import he_normal_serial, partial_conv_loops
 
 
@@ -118,7 +119,7 @@ class TestHeInit:
         net = build_network(kind, ModelConfig(width_multiplier=0.25, seed=3))
         for name, p in net.params.items():
             if name.endswith("/weight"):
-                want = he_normal_serial(p.shape, model._param_seed(3, kind, name), p.dtype)
+                want = he_normal_serial(p.shape, derive_seed(3, kind, name), p.dtype)
             else:
                 want = np.zeros(p.shape, p.dtype)
             assert p.data.tobytes() == want.tobytes(), name
