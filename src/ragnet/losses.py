@@ -171,11 +171,10 @@ def exclusion_loss(t_hat: Tensor, r_hat: Tensor, lambda_r_values: list[float | N
 
 def _pool_luminance(r_gt: np.ndarray, level: int) -> np.ndarray:
     """Channel-mean reflection intensity average-pooled to the level's resolution."""
-    lum = r_gt.mean(axis=1, keepdims=True)
+    lum = T.tensor(r_gt.mean(axis=1, keepdims=True))
     for _ in range(level - 1):
-        n, c, h, w = lum.shape
-        lum = lum.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
-    return lum
+        lum = T.downsample2x(lum)
+    return lum.data
 
 
 def mask_loss(masks: list[Tensor], r_gt: Tensor, thresholds: MaskLossThresholds) -> Tensor:
@@ -218,7 +217,10 @@ def _neg_log(x: Tensor) -> Tensor:
 
 
 def adv_d_loss(d_net: Network, i_obs: Tensor, t_real: Tensor, t_fake: Tensor) -> Tensor:
-    """Critic objective in the stable form -log D(I,T) - log(1 - D(I,T_hat)).
+    """Critic objective -log D(I,T) - log(1 - D(I,T_hat)).
+
+    Each log reads its argument clamped to [LOG_CLAMP, 1 - LOG_CLAMP] with LOG_CLAMP =
+    1e-7, so a critic output of exactly 0 or 1 gives a finite loss.
 
     ``t_fake`` must be detached: the generator receives no gradient from the
     critic's step.

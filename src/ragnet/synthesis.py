@@ -412,16 +412,26 @@ def make_dataset(n: int, params: SynthesisParams, out_dir) -> str:
 
 
 def read_manifest(path) -> list[ManifestEntry]:
+    """The rows of *path*; a malformed row is rejected naming the file and its 1-based line."""
     entries = []
     base = os.path.dirname(os.path.abspath(path))
     with open(path) as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
+        for lineno, line in enumerate(f, 1):
+            fields = line.rstrip("\n").split("\t")
+            if fields == [""]:
                 continue
-            idx, i_f, t_f, r_f, mode, seed, has_r = line.split("\t")
-            entries.append(ManifestEntry(int(idx), os.path.join(base, i_f), os.path.join(base, t_f),
-                                         os.path.join(base, r_f), mode, int(seed), bool(int(has_r))))
+            where = f"{path}, line {lineno}"
+            if len(fields) != 7:
+                raise ValueError(f"{where}: expected 7 tab-separated fields, got {len(fields)}")
+            idx, i_f, t_f, r_f, mode, seed, has_r = fields
+            if has_r not in ("0", "1"):
+                raise ValueError(f"{where}: has_reflection_gt must be 0 or 1, got {has_r!r}")
+            try:
+                idx, seed = int(idx), int(seed)
+            except ValueError as e:
+                raise ValueError(f"{where}: {e}") from None
+            entries.append(ManifestEntry(idx, os.path.join(base, i_f), os.path.join(base, t_f),
+                                         os.path.join(base, r_f), mode, seed, has_r == "1"))
     return entries
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ragnet.tensor as T
+from ragnet.gradcheck import CHECKS
 
 
 def rand(shape, seed, lo=-1.0, hi=1.0):
@@ -219,117 +220,15 @@ class TestFloat32:
 
 
 class TestFiniteDifferences:
-    """Every differentiable op passes the central-difference check on >= 3 seeded shapes."""
+    """Each entry of the gradcheck table is its own case, named by its op."""
 
-    SHAPES = [(1, 1, 4, 4), (2, 2, 4, 6), (1, 3, 6, 4)]
+    @pytest.mark.parametrize("check", CHECKS, ids=[c.name for c in CHECKS])
+    def test_gradcheck_table(self, check):
+        result = check.run()
+        assert result.passed, f"max relative error {result.max_rel_error:.3e} >= {result.tolerance:g}"
 
-    def check(self, fn, *leaves, tol=1e-6):
-        err = T.finite_diff_check(fn, list(leaves), step=1e-5)
-        assert err is not None and err < tol, f"max relative error {err}"
-
-    @pytest.mark.parametrize("i,shape", list(enumerate(SHAPES)))
-    def test_conv2d(self, i, shape):
-        x = leaf(shape, 10 + i)
-        w = leaf((3, shape[1], 3, 3), 20 + i)
-        b = leaf((1, 3, 1, 1), 30 + i)
-        self.check(lambda x, w, b: T.reduce_sum(T.tanh(T.conv2d(x, w, b, stride=1, pad=1))), x, w, b)
-
-    def test_conv2d_strided(self):
-        x = leaf((1, 2, 6, 6), 40)
-        w = leaf((2, 2, 3, 3), 41)
-        self.check(lambda x, w: T.reduce_sum(T.conv2d(x, w, None, stride=2, pad=1)), x, w)
-
-    @pytest.mark.parametrize("shape,wshape,stride,pad", [
-        ((2, 3, 6, 6), (2, 3, 1, 1), 2, 0),
-        ((1, 2, 9, 8), (3, 2, 5, 5), 3, 2),
-        ((3, 2, 5, 7), (2, 2, 3, 3), 2, 0),
-    ])
-    def test_conv2d_phases(self, shape, wshape, stride, pad):
-        x = leaf(shape, 42)
-        w = leaf(wshape, 43)
-        b = leaf((1, wshape[0], 1, 1), 44)
-        self.check(lambda x, w, b: T.reduce_sum(T.tanh(T.conv2d(x, w, b, stride=stride, pad=pad))), x, w, b)
-
-    @pytest.mark.parametrize("i,shape", list(enumerate(SHAPES)))
-    def test_conv_transpose2d(self, i, shape):
-        x = leaf(shape, 50 + i)
-        w = leaf((shape[1], 2, 2, 2), 60 + i)
-        b = leaf((1, 2, 1, 1), 70 + i)
-        self.check(lambda x, w, b: T.reduce_sum(T.sigmoid(T.conv_transpose2d(x, w, b))), x, w, b)
-
-    @pytest.mark.parametrize("i,shape", list(enumerate(SHAPES)))
-    def test_maxpool(self, i, shape):
-        x = leaf(shape, 80 + i)
-        self.check(lambda x: T.reduce_sum(T.maxpool2x2(x)), x)
-
-    @pytest.mark.parametrize("i,shape", list(enumerate(SHAPES)))
-    def test_mask_mean3x3(self, i, shape):
-        x = leaf(shape, 90 + i, lo=0.1, hi=0.9)
-        self.check(lambda x: T.frobenius_norm(T.mask_mean3x3(x)), x)
-
-    @pytest.mark.parametrize("i,shape", list(enumerate(SHAPES)))
-    def test_downsample2x(self, i, shape):
-        x = leaf(shape, 100 + i)
-        self.check(lambda x: T.reduce_sum(T.tanh(T.downsample2x(x))), x)
-
-    @pytest.mark.parametrize("i,shape", list(enumerate(SHAPES)))
-    def test_spatial_gradient(self, i, shape):
-        x = leaf(shape, 110 + i)
-        self.check(lambda x: T.reduce_sum(T.mul(*T.spatial_gradient(x))), x)
-
-    @pytest.mark.parametrize("op", ["relu", "sigmoid", "tanh", "abs", "clamp01"])
-    def test_unary(self, op):
-        fn = {"relu": T.relu, "sigmoid": T.sigmoid, "tanh": T.tanh,
-              "abs": T.abs_, "clamp01": lambda x: T.clamp(x, 0.0, 1.0)}[op]
-        for i, shape in enumerate(self.SHAPES):
-            # keep points away from the kinks so finite differences are valid
-            x = leaf(shape, 120 + i, lo=0.05, hi=0.95)
-            self.check(lambda x: T.reduce_sum(fn(x)), x)
-
-    def test_log_sqrt(self):
-        for i, shape in enumerate(self.SHAPES):
-            x = leaf(shape, 130 + i, lo=0.2, hi=2.0)
-            self.check(lambda x: T.reduce_sum(T.log(x)), x)
-            self.check(lambda x: T.reduce_sum(T.sqrt(x)), x)
-
-    def test_binary_and_scalar(self):
-        for i, shape in enumerate(self.SHAPES):
-            a = leaf(shape, 140 + i)
-            b = leaf(shape, 150 + i)
-            self.check(lambda a, b: T.reduce_sum(T.mul(T.add(a, b), T.sub(a, b))), a, b)
-            self.check(lambda a, b: T.reduce_mean(T.scalar_mul(T.mul(a, b), 2.5)), a, b)
-
-    def test_leaky_relu(self):
-        x = leaf((1, 2, 4, 4), 160, lo=0.05, hi=1.0)
-        y = leaf((1, 2, 4, 4), 161, lo=-1.0, hi=-0.05)
-        self.check(lambda x, y: T.reduce_sum(T.leaky_relu(T.mul(x, y))), x, y)
-
-    def test_reductions(self):
-        for i, shape in enumerate(self.SHAPES):
-            x = leaf(shape, 170 + i, lo=0.1, hi=1.0)
-            self.check(lambda x: T.l1_norm(x), x)
-            self.check(lambda x: T.frobenius_norm(x), x)
-
-    def test_mask_renorm(self):
-        y = leaf((1, 2, 4, 4), 180)
-        m = leaf((1, 2, 4, 4), 181, lo=0.2, hi=0.9)
-        b = leaf((1, 2, 1, 1), 182)
-        self.check(lambda y, m, b: T.reduce_sum(T.mask_renorm(y, T.mask_mean3x3(m), b)), y, m, b)
-
-    def test_repeat_channels(self):
-        x = leaf((1, 2, 3, 3), 190)
-        self.check(lambda x: T.frobenius_norm(T.repeat_channels(x, 3)), x)
-
-    def test_composite_graph(self):
-        x = leaf((1, 2, 4, 4), 200)
-        w = leaf((2, 2, 3, 3), 201)
-
-        def fn(x, w):
-            y = T.sigmoid(T.conv2d(x, w, None, stride=1, pad=1))
-            gx, gy = T.spatial_gradient(y)
-            return T.add(T.frobenius_norm(gx), T.l1_norm(gy))
-
-        self.check(fn, x, w)
+    def test_table_names_are_unique(self):
+        assert len({c.name for c in CHECKS}) == len(CHECKS)
 
     def test_skipped_when_no_grad(self):
         x = T.tensor(rand((1, 1, 2, 2), 210))  # requires_grad=False

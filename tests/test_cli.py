@@ -291,6 +291,59 @@ def test_every_config_key_accepts_or_rejects_each_probe_cleanly():
     assert escaped == []
 
 
+def _below(v):
+    return float(np.nextafter(v, -np.inf))
+
+
+def _above(v):
+    return float(np.nextafter(v, np.inf))
+
+
+F32_INF = 2.0 ** 128 - 2.0 ** 103  # the least double that rounds to inf in float32
+F32_ZERO = 2.0 ** -150  # the greatest positive double that rounds to 0 in float32
+TINY = 5e-324  # the least positive double
+
+# key -> (accepted, rejected) per documented bound, lower bound first: the
+# value nearest the bound on each side, every other key at its default
+CONFIG_BOUNDS = {
+    "width_multiplier": [(1 / 64, _below(1 / 64)), (M.MAX_WIDTH, _above(M.MAX_WIDTH))],
+    "seed": [(0, -1), ((1 << 64) - 1, 1 << 64)],
+    "phi": [(_above(0.01), 0.01), (_below(1.0), 1.0)],  # above xi
+    "xi": [(TINY, 0.0), (_below(0.3), 0.3)],  # below phi
+    "tau": [(TINY, 0.0), (_below(1.0), 1.0)],
+    **{f"lambda_{name}": [(0.0, _below(0.0)), (_below(F32_INF), F32_INF)]
+       for name in ("rec", "percep", "excl", "adv", "mask")},
+    **{key: [(_above(F32_ZERO), F32_ZERO), (_below(F32_INF), F32_INF)] for key in ("lr", "adam_eps")},
+    **{key: [(0.0, _below(0.0)), (_below(1.0), 1.0)] for key in ("adam_beta1", "adam_beta2")},
+    "phase1_epochs": [(0, -1)],
+    "phase2_epochs": [(0, -1)],
+    "batch_size": [(1, 0)],
+    "blur_sigma_lo": [(0.0, _below(0.0)), (5.0, _above(5.0))],  # up to blur_sigma_hi
+    "blur_sigma_hi": [(2.0, _below(2.0)), (32.0, _above(32.0))],  # from blur_sigma_lo up to patch_size
+    "decay_lo": [(TINY, 0.0), (1.0, _above(1.0))],
+    "decay_hi": [(0.6, _below(0.6)), (1.0, _above(1.0))],
+    "patch_size": [(16, 15), (2048, 2064)],  # multiples of 16, at most MAX_SIDE / scale_hi
+    "scale_lo": [(1.0, _below(1.0)), (2.0, _above(2.0))],
+    "scale_hi": [(1.0, _below(1.0)), (128.0, _above(128.0))],  # up to MAX_SIDE / patch_size
+    "saturate_threshold": [(TINY, 0.0), (float(np.finfo(np.float64).max), np.inf)],
+}
+
+
+def test_bounds_table_covers_every_numeric_key():
+    assert set(CONFIG_KEYS) - set(CONFIG_BOUNDS) == {"rag_variant", "use_adversarial", "blend_mode",
+                                                      "stop_gradient_r"}
+
+
+@pytest.mark.parametrize("key, accepted, rejected", [
+    (key, *pair) for key, pairs in CONFIG_BOUNDS.items() for pair in pairs
+], ids=[f"{key}-{side}" for key, pairs in CONFIG_BOUNDS.items() for side in ("lower", "upper")[:len(pairs)]])
+def test_each_side_of_every_documented_bound(key, accepted, rejected, capsys):
+    flag = lambda v: f"--{key.replace('_', '-')}={v!r}"
+    cli.build_config(cli.make_parser().parse_args(["params", flag(accepted)]))
+    assert main(["params", flag(rejected)]) == EXIT_VALIDATION
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     ["synth", "--n", "1"],
     ["train", "--data", "{data}/manifest.tsv"],
@@ -618,4 +671,21 @@ def test_train_rejects_a_layer_shaped_unlike_its_observation_before_writing(tmp_
     assert _train_tiny(data, out, "--phase2-epochs", "1", "--batch-size", "1") == EXIT_VALIDATION
     assert (f"{data / 'T_0001.ppm'}: shape (1, 3, 32, 32) differs from (1, 3, 16, 16), "
             f"the shape of {data / 'I_0001.ppm'}") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_malformed_manifest_row_exits_2_naming_file_and_line(command, tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "out"
+    _write_triples(data, (16,))
+    manifest = data / "manifest.tsv"
+    with open(manifest, "a") as f:
+        f.write("1\tI_0000.ppm\tT_0000.ppm\tR_0000.ppm\tlinear_clip\t1\n")  # six fields
+    if command == "train":
+        assert _train_tiny(data, out, "--phase2-epochs", "1") == EXIT_VALIDATION
+    else:
+        ckpt = tmp_path / "model.bin"
+        TrainerState(TrainConfig(model=ModelConfig(width_multiplier=1 / 16))).save(ckpt)
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(manifest), "--out", str(out)]) == EXIT_VALIDATION
+    assert f"error: {manifest}, line 2: expected 7 tab-separated fields, got 6\n" in capsys.readouterr().err
     assert not out.exists()

@@ -296,6 +296,20 @@ class TestMakeDataset:
         assert all(e.blend_mode == "overexpose" for e in entries)
         assert all(os.path.exists(e.i_file) for e in entries)
 
+    @pytest.mark.parametrize("row, why", [
+        ("0\tI.ppm\tT.ppm\tR.ppm\tlinear_clip\t5", "expected 7 tab-separated fields, got 6"),
+        ("0\tI.ppm\tT.ppm\tR.ppm\tlinear_clip\t5\t1\t1", "expected 7 tab-separated fields, got 8"),
+        ("x\tI.ppm\tT.ppm\tR.ppm\tlinear_clip\t5\t1", "invalid literal for int"),
+        ("0\tI.ppm\tT.ppm\tR.ppm\tlinear_clip\t5.5\t1", "invalid literal for int"),
+        ("0\tI.ppm\tT.ppm\tR.ppm\tlinear_clip\t5\t2", "has_reflection_gt must be 0 or 1, got '2'"),
+    ], ids=["six_fields", "eight_fields", "index", "seed", "has_r_2"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, why):
+        manifest = make_dataset(1, SynthesisParams(seed=2, patch_size=16), tmp_path)
+        with open(manifest, "a") as f:
+            f.write("\n" + row + "\n")  # line 2 is blank, so the bad row is line 3
+        with pytest.raises(ValueError, match=f"{manifest}, line 3: {why}"):
+            read_manifest(manifest)
+
 
 class TestParamsValidation:
     def test_bad_ranges(self):
