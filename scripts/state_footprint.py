@@ -46,7 +46,7 @@ from ragnet.trainer import TrainConfig, TrainerState, weight_tensors
 
 LIMIT = 1.25  # resident growth allowed, in multiples of the weight bytes
 SIDE = 224  # the inference image side
-MERGE_MAPS = 8  # traced inference peak allowed, in level-1 merge maps
+MERGE_MAPS = 6  # traced inference peak allowed, in level-1 merge maps
 LOAD_WIDTH = 0.5  # width of the checkpoint that load_models reads
 MB = 1 << 20
 

@@ -103,6 +103,10 @@ CHECKS: tuple[Check, ...] = (
     # odd sides at stride 2 without padding leave the last row unread
     _op("conv2d_stride2_odd", lambda x, w, b: T.reduce_sum(T.tanh(T.conv2d(x, w, b, 2, 0))),
         ((3, 2, 5, 7), 325), ((2, 2, 3, 3), 326), ((1, 2, 1, 1), 327)),
+    # three channel groups read as one input, the second fixed
+    _op("conv2d_concat", lambda x, y, z, w, b: T.reduce_sum(T.tanh(T.conv2d(x, w, b, 2, 1, concat=(y, z)))),
+        ((2, 1, 5, 6), 355), ((2, 2, 5, 6), 356, -1.0, 1.0, False), ((2, 2, 5, 6), 357), ((3, 5, 3, 3), 358),
+        ((1, 3, 1, 1), 359)),
     _op3("conv_transpose2d", lambda x, w, b: T.reduce_sum(T.sigmoid(T.conv_transpose2d(x, w, b))),
          lambda i, s: [(s, 50 + i), ((s[1], 2, 2, 2), 60 + i), ((1, 2, 1, 1), 70 + i)]),
     _op3("maxpool2x2", lambda x: T.reduce_sum(T.maxpool2x2(x)), lambda i, s: [(s, 80 + i)]),
@@ -111,10 +115,15 @@ CHECKS: tuple[Check, ...] = (
     _op3("spatial_gradient", lambda x: T.reduce_sum(T.mul(*T.spatial_gradient(x))), lambda i, s: [(s, 110 + i)]),
     _op3("elementwise_binary", lambda a, b: T.reduce_sum(T.mul(T.add(a, b), T.sub(a, b))),
          lambda i, s: [(s, 120 + i), (s, 130 + i)]),
-    # the kinks of relu, abs and clamp stay out of reach of the probes
     *(_op3(name, lambda x, fn=fn: T.reduce_sum(fn(x)), lambda i, s: [(s, 140 + i, 0.05, 0.95)])
-      for name, fn in (("relu", T.relu), ("sigmoid", T.sigmoid), ("tanh", T.tanh),
-                       ("abs", T.abs_), ("clamp01", lambda x: T.clamp(x, 0.0, 1.0)))),
+      for name, fn in (("sigmoid", T.sigmoid), ("tanh", T.tanh))),
+    # each leaf on one side of a kink, out of reach of the probes: below 0,
+    # in (0, 1) and, for clamp, above 1
+    *(_op3(name, lambda x, y, fn=fn: T.reduce_sum(fn(T.concat_channels(x, y))),
+           lambda i, s: [(s, 140 + i, 0.05, 0.95), (s, 145 + i, -1.0, -0.05)])
+      for name, fn in (("relu", T.relu), ("abs", T.abs_))),
+    _op3("clamp01", lambda x, y, z: T.reduce_sum(T.clamp(T.concat_channels(T.concat_channels(x, y), z), 0.0, 1.0)),
+         lambda i, s: [(s, 140 + i, 0.05, 0.95), (s, 145 + i, -1.0, -0.05), (s, 350 + i, 1.05, 2.0)]),
     # both slopes, each leaf on one side of the kink
     _op3("leaky_relu", lambda x, y: T.reduce_sum(T.leaky_relu(T.concat_channels(x, y))),
          lambda i, s: [(s, 150 + i, 0.05, 1.0), (s, 155 + i, -1.0, -0.05)]),

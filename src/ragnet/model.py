@@ -256,8 +256,8 @@ def _check_spatial(x: Tensor, op: str) -> None:
                          f"pad by ({-h % SIDE_MULTIPLE},{-w % SIDE_MULTIPLE}) first (reflect padding recommended)")
 
 
-def _conv_relu(x: Tensor, w: Parameter, b: Parameter) -> Tensor:
-    return T.conv2d(x, w, b, stride=1, pad=1, relu=True)
+def _conv_relu(x: Tensor, w: Parameter, b: Parameter, concat: tuple[Tensor, ...] = ()) -> Tensor:
+    return T.conv2d(x, w, b, stride=1, pad=1, relu=True, concat=concat)
 
 
 def _encoder_forward(net: Network, prefix: str, x: Tensor, stages: int) -> list[Tensor]:
@@ -310,14 +310,18 @@ def rag_block(net: Network, level: int, f_i: Tensor, f_r: Tensor, f_dec: Tensor)
     the output write.  M is that output, held once: its first ``C // 2``
     channels are M_diff, which gates F_diff, and the rest are M_dec, which
     gates F_dec (one channel each for ``two_channel_mask``).
+
+    The first conv reads F_I, F_R and F_dec as channel groups, so no
+    concatenation of them is built; the caller holds the three through the
+    call.
     """
     if f_i.shape != f_r.shape:
         raise ValueError(f"rag_block: F_I shape {f_i.shape} != F_R shape {f_r.shape}")
     if f_i.shape[2:] != f_dec.shape[2:]:
         raise ValueError(f"rag_block: decoder feature spatial size {f_dec.shape[2:]} "
                          f"!= encoder {f_i.shape[2:]}")
-    h = T.concat_channels(T.concat_channels(f_i, f_r), f_dec)
-    h = T.conv2d(h, net[f"rag/l{level}/m0/weight"], net[f"rag/l{level}/m0/bias"], relu=True)
+    h = T.conv2d(f_i, net[f"rag/l{level}/m0/weight"], net[f"rag/l{level}/m0/bias"], relu=True,
+                 concat=(f_r, f_dec))
     m = T.conv2d(h, net[f"rag/l{level}/m1/weight"], net[f"rag/l{level}/m1/bias"], sigmoid=True)
     # made after the mask head, so it is not alive during the head's convs
     f_diff = f_i if net.config.rag_variant == "no_diff" else T.sub(f_i, f_r)
@@ -349,30 +353,34 @@ def _decoder(net: Network, f_obs: list[Tensor], merge) -> Tensor:
 
 def _guided_decoder(net: Network, f_obs: list[Tensor], f_refl: list[Tensor]) -> tuple[Tensor, list[Tensor]]:
     """Decoder of g_t.  Each level merges through a RAG block and a partial
-    convolution; the ``no_mask`` variant instead convolves concat(F_I - F_R, F_dec).
-    Like ``_decoder`` with *f_obs*, it empties *f_refl*: the merge pops F_R
-    in the RAG block's call, and drops F_I once that block returns.
+    convolution; the ``no_mask`` variant instead convolves F_I - F_R and F_dec
+    as the channel groups of one conv.  Like ``_decoder`` with *f_obs*, it
+    empties *f_refl*: the merge pops F_R in the RAG block's call, drops F_I
+    once that block returns, and drops F_diff and F_dec once
+    ``partial_conv``'s input concat(F_diff, F_dec) is built, handing that
+    input over from a one-slot list so that ``partial_conv`` holds it alone.
     """
     variant = net.config.rag_variant
     masks: list[Tensor] = []
 
     def merge(level, f_i, f_dec, w, b):
         if variant == "no_mask":
-            return _conv_relu(T.concat_channels(T.sub(f_i, f_refl.pop()), f_dec), w, b)
+            return _conv_relu(T.sub(f_i, f_refl.pop()), w, b, concat=(f_dec,))
         f_diff, m = rag_block(net, level, f_i, f_refl.pop(), f_dec)
         del f_i
         masks.append(m)
         if m.shape[1] != 2 * f_dec.shape[1]:  # two_channel_mask: one channel per feature group
             m = T.repeat_channels(m, f_dec.shape[1])
-        return partial_conv(T.concat_channels(f_diff, f_dec), m, w, b,
-                            renorm=(variant != "mask_no_renorm"), relu=True)
+        f = [T.concat_channels(f_diff, f_dec)]  # the slot partial_conv's call empties
+        del f_diff, f_dec
+        return partial_conv(f.pop(), m, w, b, renorm=(variant != "mask_no_renorm"), relu=True)
 
     out = _decoder(net, f_obs, merge)
     return out, masks[::-1]  # merged from level 4 down; returned level 1 first
 
 
 def _plain_merge(level, f_i, f_dec, w, b):
-    return _conv_relu(T.concat_channels(f_i, f_dec), w, b)
+    return _conv_relu(f_i, w, b, concat=(f_dec,))
 
 
 def forward_gr(net: Network, i_obs: Tensor) -> Tensor:
@@ -402,9 +410,11 @@ def forward_discriminator(net: Network, i_obs: Tensor, t_candidate: Tensor) -> T
         raise ValueError(f"forward_discriminator needs a discriminator network, got {net.kind!r}")
     if i_obs.shape != t_candidate.shape:
         raise ValueError(f"forward_discriminator: shapes differ, {i_obs.shape} vs {t_candidate.shape}")
-    x = T.concat_channels(i_obs, t_candidate)
+    x, concat = i_obs, (t_candidate,)  # the first conv reads the pair as two channel groups
     for j in range(len(DISC_WIDTHS)):
-        x = T.leaky_relu(T.conv2d(x, net[f"disc/c{j}/weight"], net[f"disc/c{j}/bias"], stride=2, pad=1))
+        x = T.leaky_relu(T.conv2d(x, net[f"disc/c{j}/weight"], net[f"disc/c{j}/bias"], stride=2, pad=1,
+                                  concat=concat))
+        concat = ()
     return T.sigmoid(T.reduce_mean(x))
 
 

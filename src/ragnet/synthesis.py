@@ -62,7 +62,7 @@ class SynthesisParams:
         if sigma_hi > self.patch_size:
             raise ValueError(f"blur_sigma_range upper bound {sigma_hi} exceeds patch_size {self.patch_size}")
         if self.patch_size * scale_hi > MAX_SIDE:
-            raise ValueError(f"pre-crop side patch_size x scale_range upper bound = {self.patch_size * scale_hi:g} "
+            raise ValueError(f"pre-crop side patch_size x scale_range upper bound = {self.patch_size * scale_hi!r} "
                              f"exceeds the {MAX_SIDE} px limit")
         if self.patch_size + 2 * np.ceil(3.0 * sigma_hi) > MAX_SIDE:
             raise ValueError(f"blur padding of sigma {sigma_hi} takes patch_size {self.patch_size} "

@@ -177,16 +177,18 @@ def _row_blocks(n, hp, wp, last):
             for n0, n1, i0, i1 in spans]
 
 
-def _stack(buf, xt, pad, k, block):
-    """Tap v as rows v*C..(v+1)*C of *buf*, filled from the (C, N, H, W)
-    array *xt* zero-padded by *pad*: column j is padded column start + v + j,
+def _stack(buf, xts, pad, k, block):
+    """Tap v as rows v*C..(v+1)*C of *buf*, filled from the (C_g, N, H, W)
+    arrays *xts*, read as their concatenation along C (C = the sum of the
+    C_g) and zero-padded by *pad*: column j is padded column start + v + j,
     over the block's anchors and the rows below that its lower kernel rows
     read, or 0 where only cropped anchors read it."""
-    c, _, h, wd = xt.shape
+    c = sum(len(xt) for xt in xts)
+    _, _, h, wd = xts[0].shape
     hp, wp = h + 2 * pad, wd + 2 * pad
     n0, n1, i0, i1, _, size = block
-    if k == 1 and pad == 0 and n1 - n0 == 1:
-        return xt[:, n0, i0:i1].reshape(c, size)  # a single tap on one image: a view
+    if k == 1 and pad == 0 and n1 - n0 == 1 and len(xts) == 1:
+        return xts[0][:, n0, i0:i1].reshape(c, size)  # a single tap of one group on one image: a view
     tall = k - 1
     span = size + tall * wp
     rb = min(i1 + tall, hp) - i0  # the rows of each image that kept anchors read
@@ -201,17 +203,22 @@ def _stack(buf, xt, pad, k, block):
     body = grid[:, :, r0 - i0:r1 - i0]
     body[..., :pad] = 0
     body[..., pad + wd:] = 0
-    body[..., pad:pad + wd] = xt[:, n0:n1, r0 - pad:r1 - pad]
+    c0 = 0
+    for xt in xts:  # each group fills its own rows of tap 0
+        body[c0:c0 + len(xt), ..., pad:pad + wd] = xt[:, n0:n1, r0 - pad:r1 - pad]
+        c0 += len(xt)
     for v in range(1, k):  # tap v is tap 0, v columns on
         st[v * c:(v + 1) * c, :span] = st[:c, v:v + span]
     return st[:, :span]
 
 
-def _correlate(xt, pad, wk, out, buf=None, bias=None, relu=False, sigmoid=False):
-    """*out* (N, Cout, Ho, Wo) = the (C, N, H, W) array *xt*, zero-padded by
-    *pad*, correlated with kernel rows *wk* (k, Cout, k*C), plus *bias* and
-    the activation; the stacks use *buf* if it is large enough."""
-    c, n, h, wd = xt.shape
+def _correlate(xts, pad, wk, out, buf=None, bias=None, relu=False, sigmoid=False):
+    """*out* (N, Cout, Ho, Wo) = the channel concatenation of the (C_g, N, H, W)
+    arrays *xts*, zero-padded by *pad*, correlated with kernel rows *wk*
+    (k, Cout, k*C), plus *bias* and the activation; the stacks use *buf* if
+    it is large enough."""
+    c = sum(len(xt) for xt in xts)
+    _, n, h, wd = xts[0].shape
     k, co = wk.shape[:2]
     hp, wp = h + 2 * pad, wd + 2 * pad
     ho, wo = hp - k + 1, wp - k + 1
@@ -219,13 +226,13 @@ def _correlate(xt, pad, wk, out, buf=None, bias=None, relu=False, sigmoid=False)
     most = max(size for *_, size in blocks)
     cols = most + (k - 1) * (wp + 1)  # the largest stack and its tap shift
     if buf is None or buf.shape[0] < k * c or buf.shape[1] < cols:
-        buf = np.empty((k * c, cols), dtype=xt.dtype)
-    acc = np.empty((co, most), dtype=np.result_type(xt, wk))
+        buf = np.empty((k * c, cols), dtype=xts[0].dtype)
+    acc = np.empty((co, most), dtype=np.result_type(xts[0], wk))
     tmp = np.empty_like(acc)
     for block in blocks:
         n0, n1, i0, i1, _, size = block
         acc_b, tmp_b = acc[:, :size], tmp[:, :size]
-        st = _stack(buf, xt, pad, k, block)
+        st = _stack(buf, xts, pad, k, block)
         np.matmul(wk[0], st[:, :size], out=acc_b)
         for u in range(1, k):  # kernel row u reads u anchor rows down
             acc_b += np.matmul(wk[u], st[:, u * wp:u * wp + size], out=tmp_b)
@@ -243,15 +250,19 @@ def _correlate(xt, pad, wk, out, buf=None, bias=None, relu=False, sigmoid=False)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0,
-           relu: bool = False, sigmoid: bool = False) -> Tensor:
+           relu: bool = False, sigmoid: bool = False, *, concat: tuple[Tensor, ...] = ()) -> Tensor:
     """Direct 2-D convolution (cross-correlation) with zero padding, and an
-    optional ReLU or sigmoid.
+    optional ReLU or sigmoid, of *x* or of *x* and the channel groups
+    *concat* read as one input.
 
     ``w`` is (Cout, Cin, k, k) with k odd or 1; output spatial size is
-    floor((H + 2*pad - k)/stride) + 1.  ``relu=True`` gives
-    ``relu(conv2d(...))`` bit for bit, output and gradients, as one op: the
-    ReLU is applied in the pass that writes the output, and the tape keeps
-    one activation instead of two.  ``sigmoid=True`` gives
+    floor((H + 2*pad - k)/stride) + 1.  ``concat=(y, z)`` gives
+    ``conv2d(concat_channels(concat_channels(x, y), z), ...)`` bit for bit,
+    output and gradients, without building the concatenation: each group
+    must match *x* in N, H, W and dtype, and Cin is the sum of their
+    channels.  ``relu=True`` gives ``relu(conv2d(...))`` bit for bit,
+    output and gradients, as one op: the ReLU is applied in the pass that
+    writes the output, and the tape keeps one activation instead of two.  ``sigmoid=True`` gives
     ``sigmoid(conv2d(...))`` the same way: each row block is squashed in the
     output it was just written to, with the formula of ``sigmoid``, so no
     pre-activation plane exists.  The two cannot be combined.
@@ -271,27 +282,32 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     written into one (k*Cin, block + (k-1)*Wp) stack, which kernel row u
     reads u anchor rows down.  The stack is filled straight from the
     channel-major input: tap 0 is a copy of the block's input rows, with 0
-    where it reads padding, and tap v is tap 0 shifted v columns.  Columns
-    that only cropped anchors read (rows past the image, or a shift that
-    wraps into the next row) hold 0.  A 1x1 conv without padding reads a
-    one-image block as a view of the input.  A block is thus k GEMMs, one
-    per (Cout, k*Cin) kernel row of a (k, Cout, k*Cin) weight copy, summed
-    into a (Cout, block) accumulator that stays in cache.  The cropped block
+    where it reads padding, and tap v is tap 0 shifted v columns.  Each
+    channel group copies its rows into its own rows of tap 0, x first, so
+    the stack holds the bytes the concatenated input would give it.
+    Columns that only cropped anchors read (rows past the image, or a shift
+    that wraps into the next row) hold 0.  A 1x1 conv without padding of
+    one group reads a one-image block as a view of the input.  A block is
+    thus k GEMMs, one per (Cout, k*Cin) kernel row of a (k, Cout, k*Cin)
+    weight copy, summed into a (Cout, block) accumulator that stays in
+    cache.  The cropped block
     plus the bias, and with ``relu=True`` or ``sigmoid=True`` its
     activation, is written straight into the NCHW output.
 
-    The tape keeps no copy of the input: only the parents, the weight copy
-    and, with ``relu=True`` or ``sigmoid=True``, the output array it already
-    holds.  The backward pass writes the output gradient, masked by
-    ``out > 0`` when ``relu=True``, or as ``g * out * (1 - out)`` in the
-    order of ``sigmoid``'s backward when ``sigmoid=True``, onto the anchor
-    grid after E = ((k-1)*Wp + k-1) leading zero columns; every other column
-    of that (Cout, E + N*Hp*Wp) buffer is 0, and db is its row sum (the E
-    zeros stay: numpy's pairwise sum rounds by the row's length).
+    The tape keeps no copy of the input: only the parents, whose groups are
+    the tensors *x* and *concat* that their own producers hold anyway, not
+    a concatenated copy; the weight copy; and, with ``relu=True`` or
+    ``sigmoid=True``, the output array it already holds.  The backward pass
+    writes the output gradient, masked by ``out > 0`` when ``relu=True``,
+    or as ``g * out * (1 - out)`` in the order of ``sigmoid``'s backward
+    when ``sigmoid=True``, onto the anchor grid after E = ((k-1)*Wp + k-1)
+    leading zero columns; every other column of that (Cout, E + N*Hp*Wp)
+    buffer is 0, and db is its row sum (the E zeros stay: numpy's pairwise
+    sum rounds by the row's length).
 
     - dw runs over the forward's row blocks, extended to all Hp anchor rows
       because input pixels also lie on the rows the forward crops.  The
-      forward's (k*Cin, block) stack is filled again from the input, and
+      forward's (k*Cin, block) stack is filled again from the groups, and
       kernel row u adds ``stack[:, u rows down] @ g_block.T`` to a
       (k, k*Cin, Cout) buffer.  A stack column that holds 0 instead of an
       input pixel meets a cropped anchor, whose gradient is 0.
@@ -303,9 +319,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
       still reads u rows down and each GEMM sums its (v, Cout) taps in the
       same order, so the turn changes no rounding.  Its stack shares dw's
       buffer; its weights are the forward's copy, not ``w.data``, which the
-      optimizer updates in place before a later backward.
+      optimizer updates in place before a later backward.  It is one
+      correlation over all Cin channels, run when any group tracks
+      gradients; each tracking group gets its channel slice of the result.
     """
-    n, ci, h, wd = x.shape
+    groups = (x, *concat)
+    n, _, h, wd = x.shape
+    for t in concat:
+        if t.shape[0] != n or t.shape[2:] != x.shape[2:] or t.dtype != x.dtype:
+            raise ValueError(f"conv2d: concat group of shape {t.shape} ({t.dtype}) does not match "
+                             f"the input of shape {x.shape} ({x.dtype}) in N, H, W and dtype")
+    ci = sum(t.shape[1] for t in groups)
     co, ci_w, kh, kw = w.shape
     if kh != kw:
         raise ValueError(f"conv2d: kernel must be square, got {kh}x{kw}")
@@ -329,7 +353,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
 
     tall = k - 1
     ext = tall * wp + tall  # the largest tap shift
-    xt = x.data.transpose(1, 0, 2, 3)  # (Cin, N, H, W), a view
+    xts = [t.data.transpose(1, 0, 2, 3) for t in groups]  # (C_g, N, H, W), views
     # (k, Cout, k*Cin): kernel row u as one matrix, columns tap-major.  Copied
     # 32 output channels at a time, which keeps the source block in cache and
     # halves the cost of this transposing copy on the 512-channel layers.
@@ -339,7 +363,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         wk4[:, o:o + 32] = w.data[o:o + 32].transpose(2, 0, 3, 1)
     dtype = np.result_type(x.data, w.data)
     out_data = np.empty((n, co, ho, wo), dtype=dtype if b is None else np.result_type(dtype, b.data))
-    _correlate(xt, pad, wk, out_data, bias=None if b is None else b.data, relu=relu, sigmoid=sigmoid)
+    _correlate(xts, pad, wk, out_data, bias=None if b is None else b.data, relu=relu, sigmoid=sigmoid)
     out = Tensor(out_data[:, :, ::stride, ::stride])  # every stride-th anchor; Tensor makes a strided view contiguous
     alive = out.data if relu or sigmoid else None  # the tape keeps the output only for its derivative
 
@@ -354,7 +378,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
             _sigmoid_grad(g.transpose(1, 0, 2, 3), alive.transpose(1, 0, 2, 3), out=gq)
         else:
             gq[...] = g.transpose(1, 0, 2, 3)
-        dx = dw = None  # a parent that tracks no gradient gets None, which backward skips
+        dxs, dw = [None] * len(groups), None  # a parent that tracks no gradient gets None, which backward skips
         bwd_blocks = _row_blocks(n, hp, wp, hp)  # input pixels lie on every anchor row
         span = max(size for *_, size in bwd_blocks) + tall * wp
         # one buffer for dw's input stacks, then dx's gradient stacks: a call
@@ -367,25 +391,30 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
                 # kernel row u: its stacked taps times the block's gradient
                 start, size = block[4:]
                 gb = gp[:, ext + start:ext + start + size]
-                st = _stack(buf, xt, pad, k, block)
+                st = _stack(buf, xts, pad, k, block)
                 for u in range(k):
                     if bi == 0:
                         np.matmul(st[:, u * wp:u * wp + size], gb.T, out=dwk[u])
                     else:
                         dwk[u] += np.matmul(st[:, u * wp:u * wp + size], gb.T, out=part)
             dw = dwk.reshape(k, k, ci, co).transpose(3, 2, 0, 1)
-        if x.requires_grad:
+        if any(t.requires_grad for t in groups):
             q = k - 1 - pad
             turned = g1[:, :, ::-1, ::-1]
             if q < 0:  # pad > k - 1: the outer -q rows and columns read only padding
                 turned, q = turned[:, :, -q:q, -q:q], 0
-            dx = np.empty(x.shape, dtype=np.result_type(g, wk))
+            dx = np.empty((n, ci, h, wd), dtype=np.result_type(g, wk))
             wt = np.ascontiguousarray(wk.reshape(k, co, k, ci).transpose(0, 3, 2, 1)).reshape(k, ci, k * co)
-            _correlate(turned, q, wt, dx[:, :, ::-1, ::-1], buf)
+            _correlate((turned,), q, wt, dx[:, :, ::-1, ::-1], buf)
+            c0 = 0
+            for i, t in enumerate(groups):
+                if t.requires_grad:
+                    dxs[i] = dx[:, c0:c0 + t.shape[1]]
+                c0 += t.shape[1]
         db = gp.sum(axis=1).reshape(1, co, 1, 1) if b is not None and b.requires_grad else None
-        return (dx, dw, db) if b is not None else (dx, dw)
+        return (*dxs, dw, db) if b is not None else (*dxs, dw)
 
-    parents = (x, w, b) if b is not None else (x, w)
+    parents = (*groups, w, b) if b is not None else (*groups, w)
     return _record("conv2d", parents, out, grad_fn)
 
 

@@ -344,6 +344,12 @@ def test_each_side_of_every_documented_bound(key, accepted, rejected, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_pre_crop_side_just_past_the_limit_is_printed_past_it(capsys):
+    # 32 x the least double above 128 is 4096.000000000001, which ``:g`` would round to 4096
+    assert main(["params", f"--scale-hi={_above(128.0)!r}"]) == EXIT_VALIDATION
+    assert "= 4096.000000000001 exceeds the 4096 px limit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [
     ["synth", "--n", "1"],
     ["train", "--data", "{data}/manifest.tsv"],

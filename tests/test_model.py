@@ -409,6 +409,56 @@ class TestDiscriminator:
             model.forward_discriminator(net, T.zeros((1, 3, 32, 32)), T.zeros((1, 3, 16, 16)))
 
 
+def concat_readers(roots) -> tuple[int, set[str]]:
+    """(conv2d nodes, ops of the nodes that read a ``concat_channels`` output) in the graphs of *roots*."""
+    nodes = {id(nd): nd for root in roots for nd in T._collect_nodes(root)}.values()
+    readers = {nd.op for nd in nodes for p in nd.parents
+               if p is not None and p.node is not None and p.node.op == "concat_channels"}
+    return sum(nd.op == "conv2d" for nd in nodes), readers
+
+
+class TestConvsReadNoConcatenation:
+    """The merges, the RAG mask head and the critic pass their inputs to
+    ``conv2d`` as channel groups: only ``partial_conv``'s f o m and the
+    exclusion loss's norms read a ``concat_channels`` output."""
+
+    def test_phase2_step(self, tmp_path, monkeypatch):
+        from ragnet import trainer
+        from ragnet.synthesis import SynthesisParams, load_triple, make_dataset, read_manifest
+
+        manifest = make_dataset(2, SynthesisParams(seed=3, patch_size=16), tmp_path)
+        triples = [load_triple(e) for e in read_manifest(manifest)]
+        cfg = trainer.TrainConfig(model=ModelConfig(width_multiplier=1 / 16, seed=0, use_adversarial=True),
+                                  schedule=trainer.Schedule(phase1_epochs=0, phase2_epochs=1, batch_size=2))
+        losses, backward = [], T.backward
+
+        def spy(loss):
+            losses.append(loss)
+            backward(loss)
+
+        monkeypatch.setattr(T, "backward", spy)
+        trainer._phase2_step(trainer.TrainerState(cfg), triples, True)
+        assert len(losses) == 2  # the critic's term, then the generators'
+        convs, readers = concat_readers(losses)
+        assert convs > 0 and readers == {"mul", "frobenius_norm"}
+
+    def test_infer_image_forward(self, monkeypatch):
+        cfg = ModelConfig(width_multiplier=1 / 16, seed=2)
+        nets = {kind: build_network(kind, cfg) for kind in ("g_r", "g_t")}
+        outputs, forward_gt = [], model.forward_gt
+
+        def spy(*args):
+            outputs.append(forward_gt(*args))
+            return outputs[-1]
+
+        monkeypatch.setattr(model, "forward_gt", spy)
+        with T.Tape():  # the weights track gradients, so every op of the forward is recorded
+            cli.infer_image(SimpleNamespace(nets=nets), rand((1, 3, 20, 18), 7).astype(np.float32))
+        t_hat, _ = outputs[0]  # its graph holds every op of both generators
+        convs, readers = concat_readers([t_hat])
+        assert convs > 0 and readers == {"mul"}
+
+
 class TestPerceptualExtractor:
     def test_frozen_and_five_stages(self):
         net = build_network("percep_extractor", ModelConfig(width_multiplier=0.125), dtype=np.float64)

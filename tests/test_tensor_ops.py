@@ -1,6 +1,7 @@
 """Forward-path checks of the tensor operations against brute-force oracles."""
 
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -228,6 +229,51 @@ class TestConv2dFusedSigmoid:
         x, w = T.zeros((1, 1, 3, 3)), T.zeros((1, 1, 3, 3))
         with pytest.raises(ValueError, match="relu and sigmoid"):
             T.conv2d(x, w, pad=1, relu=True, sigmoid=True)
+
+
+class TestConv2dConcat:
+    """``conv2d(x, w, b, concat=groups)`` is ``conv2d`` of the channel
+    concatenation bit for bit: output, each group's gradient, dw and db, at
+    one-row and whole-batch blocks, with NaN-filled ``empty`` buffers."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("budget", [1, 8192])
+    @pytest.mark.parametrize("widths, tracked", [((2, 3), (True, False)), ((1, 2, 3), (True, False, True)),
+                                                 ((2, 1, 2), (False, True, True))],
+                             ids=["two_groups", "three_groups", "untracked_x"])
+    @pytest.mark.parametrize("k, stride, pad", [(k, s, p) for k in (1, 3) for s in (1, 2) for p in (0, 1)])
+    def test_equals_conv2d_of_concat_channels(self, monkeypatch, dtype, budget, widths, tracked, k, stride, pad):
+        monkeypatch.setattr(T, "CONV_BLOCK", budget)
+        monkeypatch.setattr(T, "np", _NaNEmpty())
+        ci = sum(widths)
+
+        def run(grouped):
+            groups = [T.Tensor(rand((2, c, 6, 5), 50 + i).astype(dtype), requires_grad=t)
+                      for i, (c, t) in enumerate(zip(widths, tracked))]
+            w = T.Tensor(rand((4, ci, k, k), 60).astype(dtype), requires_grad=True)
+            b = T.Tensor(rand((1, 4, 1, 1), 61).astype(dtype), requires_grad=True)
+            with T.Tape():
+                if grouped:
+                    out = T.conv2d(groups[0], w, b, stride=stride, pad=pad, concat=tuple(groups[1:]))
+                else:
+                    x = groups[0]
+                    for t in groups[1:]:
+                        x = T.concat_channels(x, t)
+                    out = T.conv2d(x, w, b, stride=stride, pad=pad)
+                T.backward(T.reduce_sum(T.mul(out, T.Tensor(rand(out.shape, 62).astype(dtype)))))
+            return [out.data.tobytes()] + [None if t.grad is None else t.grad.tobytes() for t in (*groups, w, b)]
+
+        got = run(True)
+        assert got == run(False)
+        assert [g is not None for g in got[1:1 + len(widths)]] == list(tracked)
+
+    @pytest.mark.parametrize("shape, dtype", [((1, 2, 5, 6), np.float32), ((2, 2, 4, 6), np.float32),
+                                              ((2, 2, 5, 7), np.float32), ((2, 2, 5, 6), np.float64)],
+                             ids=["n", "h", "w", "dtype"])
+    def test_group_unlike_the_input_names_both_shapes(self, shape, dtype):
+        x, w = T.zeros((2, 3, 5, 6)), T.zeros((1, 5, 3, 3))
+        with pytest.raises(ValueError, match=re.escape(f"{shape}") + ".*" + re.escape(f"{x.shape}")):
+            T.conv2d(x, w, pad=1, concat=(T.zeros(shape, dtype=dtype),))
 
 
 class TestConv2dStride:
