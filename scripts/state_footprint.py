@@ -1,6 +1,7 @@
 """Check that a fresh paper-width TrainerState holds little more than its
 weights, that one inference with such a state holds few merge-sized arrays,
-and that loading a checkpoint for inference keeps little more than G_R and G_T.
+that one desk-scale training step stays under a traced bound, and that
+loading a checkpoint for inference keeps little more than G_R and G_T.
 
 Builds a width-1.0 ``TrainerState`` (G_R, G_T, the discriminator, the
 perceptual extractor and one Adam state per trained network), prints the
@@ -16,6 +17,15 @@ counts numpy's own requests, in level-1 merge maps: the float32
 (1, 2*c1, SIDE, SIDE) tensor that G_T's level-1 merge convolves.  It fails
 above ``MERGE_MAPS`` of them.  Unlike resident memory, this count does not
 depend on the allocator.
+
+Then it traces one phase-2 step (G_R, G_T, the critic and all five loss
+terms, backward and Adam) of a fresh desk-scale state: width
+``STEP_WIDTH``, ``STEP_BATCH`` synthesized triples of ``STEP_SIDE``² in a
+temporary directory.  It prints that step's ``tracemalloc`` peak and fails
+above ``STEP_MB`` MB (of 2**20 bytes, as everywhere in this script).  The
+backward releases each recorded op once its gradient has been propagated,
+so the peak is the forward's live set, not the whole tape plus the
+gradients piled on it.  This count does not depend on the allocator either.
 
 Last, one fresh process saves a width-``LOAD_WIDTH`` checkpoint to a
 temporary directory, and a second one, whose allocator holds no freed
@@ -42,11 +52,14 @@ import numpy as np
 
 from ragnet.cli import infer_image, load_models
 from ragnet.model import ModelConfig
-from ragnet.trainer import TrainConfig, TrainerState, weight_tensors
+from ragnet.synthesis import SynthesisParams, load_triple, make_dataset, read_manifest
+from ragnet.trainer import TrainConfig, TrainerState, _phase2_step, weight_tensors
 
 LIMIT = 1.25  # resident growth allowed, in multiples of the weight bytes
 SIDE = 224  # the inference image side
 MERGE_MAPS = 6  # traced inference peak allowed, in level-1 merge maps
+STEP_WIDTH, STEP_BATCH, STEP_SIDE = 0.125, 4, 64  # the desk training step
+STEP_MB = 68  # its traced peak allowed, in MB of 2**20 bytes
 LOAD_WIDTH = 0.5  # width of the checkpoint that load_models reads
 MB = 1 << 20
 
@@ -86,6 +99,21 @@ def inference_maps(width: float, side: int) -> tuple[int, float]:
     return peak, peak / (2 * state.config.model.scaled(64) * side * side * 4)
 
 
+def train_step_peak(d: str) -> int:
+    """Traced peak bytes of one phase-2 step of a fresh desk-scale ``TrainerState``,
+    on ``STEP_BATCH`` seeded triples synthesized into directory *d*."""
+    manifest = make_dataset(STEP_BATCH, SynthesisParams(patch_size=STEP_SIDE, seed=0), d)
+    triples = [load_triple(e) for e in read_manifest(manifest)]
+    state = TrainerState(TrainConfig(model=ModelConfig(width_multiplier=STEP_WIDTH, use_adversarial=True)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _phase2_step(state, triples, True)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def save_state(width: float, ckpt: str) -> None:
     """Save a fresh ``TrainerState`` at *width* to *ckpt*."""
     TrainerState(TrainConfig(model=ModelConfig(width_multiplier=width))).save(ckpt)
@@ -117,13 +145,17 @@ def main() -> int:
     print(f"{SIDE}x{SIDE} inference: traced peak {peak / MB:.1f} MB "
           f"({maps:.2f} level-1 merge maps, limit {MERGE_MAPS})")
     with tempfile.TemporaryDirectory() as d:
+        step_peak = train_step_peak(d) / MB
+        print(f"width-{STEP_WIDTH} phase-2 step, batch {STEP_BATCH} at {STEP_SIDE}x{STEP_SIDE}: "
+              f"traced peak {step_peak:.1f} MB (limit {STEP_MB} MB)")
         ckpt = os.path.join(d, "model.bin")
         in_fresh_process(save_state, LOAD_WIDTH, ckpt)
         kept, g_weights = in_fresh_process(load_footprint, ckpt)
     load_ratio = kept / g_weights
     print(f"width-{LOAD_WIDTH} load_models: G_R + G_T weights {g_weights / MB:.1f} MB, RssAnon kept "
           f"{kept / MB:.1f} MB ({load_ratio:.2f}x the weights, limit {LIMIT}x)")
-    return 0 if ratio <= LIMIT and maps <= MERGE_MAPS and load_ratio <= LIMIT else 1
+    passed = ratio <= LIMIT and maps <= MERGE_MAPS and step_peak <= STEP_MB and load_ratio <= LIMIT
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

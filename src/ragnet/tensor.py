@@ -6,9 +6,10 @@ operation links its output to its parents; ``backward`` walks that graph from
 the loss in reverse creation order and accumulates gradients additively into
 the ``grad`` of every reachable leaf (a tensor no op produced, such as a
 Parameter) with ``requires_grad``.  Op outputs get no ``grad``: their
-gradients live only while ``backward`` runs.  Outside a tape the same
-functions run forward-only, which is how oracles, evaluation and data
-preparation avoid graph overhead.
+gradients live only while ``backward`` runs, and each node is released once
+its gradient has been propagated, so a graph is differentiated once.
+Outside a tape the same functions run forward-only, which is how oracles,
+evaluation and data preparation avoid graph overhead.
 
 Computation runs in float32 by default; tests and gradient checks use
 float64.  No broadcasting is performed: all shapes must match exactly, which
@@ -33,6 +34,8 @@ class Tape:
     The tape holds no nodes.  Links point one way only, from each output to
     its node and from the node to its parents, so the graph is acyclic and
     is freed by reference counting once its last tensor is dropped.
+    ``backward`` frees it sooner: it releases each node once the node's
+    gradient has been propagated, so a graph is differentiated once.
     """
 
     _stack: list["Tape"] = []
@@ -53,7 +56,10 @@ class _OpNode:
     """One recorded op: name, parent tensors, ``grad_fn`` (output gradient to
     parent gradients) and creation number.  It does not refer to its output,
     which holds it, so the two form no cycle; ``backward`` keys the output's
-    pending gradient by this node."""
+    pending gradient by this node.  Once ``backward`` has propagated that
+    gradient it releases the node: ``parents`` becomes () and ``grad_fn``
+    None, which frees what the closure kept, and a later ``backward`` that
+    reaches the node raises."""
 
     __slots__ = ("op", "parents", "grad_fn", "seq")
 
@@ -177,6 +183,12 @@ def _row_blocks(n, hp, wp, last):
             for n0, n1, i0, i1 in spans]
 
 
+def _is_view(xts, pad, k, block) -> bool:
+    """Whether ``_stack`` reads *block* as a view of the input: a single tap
+    of one group on one image."""
+    return k == 1 and pad == 0 and len(xts) == 1 and block[1] - block[0] == 1
+
+
 def _stack(buf, xts, pad, k, block):
     """Tap v as rows v*C..(v+1)*C of *buf*, filled from the (C_g, N, H, W)
     arrays *xts*, read as their concatenation along C (C = the sum of the
@@ -187,8 +199,8 @@ def _stack(buf, xts, pad, k, block):
     _, _, h, wd = xts[0].shape
     hp, wp = h + 2 * pad, wd + 2 * pad
     n0, n1, i0, i1, _, size = block
-    if k == 1 and pad == 0 and n1 - n0 == 1 and len(xts) == 1:
-        return xts[0][:, n0, i0:i1].reshape(c, size)  # a single tap of one group on one image: a view
+    if _is_view(xts, pad, k, block):
+        return xts[0][:, n0, i0:i1].reshape(c, size)
     tall = k - 1
     span = size + tall * wp
     rb = min(i1 + tall, hp) - i0  # the rows of each image that kept anchors read
@@ -216,7 +228,8 @@ def _correlate(xts, pad, wk, out, buf=None, bias=None, relu=False, sigmoid=False
     """*out* (N, Cout, Ho, Wo) = the channel concatenation of the (C_g, N, H, W)
     arrays *xts*, zero-padded by *pad*, correlated with kernel rows *wk*
     (k, Cout, k*C), plus *bias* and the activation; the stacks use *buf* if
-    it is large enough."""
+    it is large enough.  No stack buffer is allocated when every block is a
+    view of the input, and no second accumulator when k = 1."""
     c = sum(len(xt) for xt in xts)
     _, n, h, wd = xts[0].shape
     k, co = wk.shape[:2]
@@ -225,17 +238,18 @@ def _correlate(xts, pad, wk, out, buf=None, bias=None, relu=False, sigmoid=False
     blocks = _row_blocks(n, hp, wp, ho)
     most = max(size for *_, size in blocks)
     cols = most + (k - 1) * (wp + 1)  # the largest stack and its tap shift
-    if buf is None or buf.shape[0] < k * c or buf.shape[1] < cols:
+    views = all(_is_view(xts, pad, k, block) for block in blocks)
+    if not views and (buf is None or buf.shape[0] < k * c or buf.shape[1] < cols):
         buf = np.empty((k * c, cols), dtype=xts[0].dtype)
     acc = np.empty((co, most), dtype=np.result_type(xts[0], wk))
-    tmp = np.empty_like(acc)
+    tmp = np.empty_like(acc) if k > 1 else None  # only kernel rows past the first read it
     for block in blocks:
         n0, n1, i0, i1, _, size = block
-        acc_b, tmp_b = acc[:, :size], tmp[:, :size]
+        acc_b = acc[:, :size]
         st = _stack(buf, xts, pad, k, block)
         np.matmul(wk[0], st[:, :size], out=acc_b)
         for u in range(1, k):  # kernel row u reads u anchor rows down
-            acc_b += np.matmul(wk[u], st[:, u * wp:u * wp + size], out=tmp_b)
+            acc_b += np.matmul(wk[u], st[:, u * wp:u * wp + size], out=tmp[:, :size])
         kept = min(i1, ho) - i0
         crop = acc_b.reshape(co, n1 - n0, i1 - i0, wp)[:, :, :kept, :wo]
         dst = out[n0:n1, :, i0:i0 + kept].transpose(1, 0, 2, 3)
@@ -287,8 +301,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     the stack holds the bytes the concatenated input would give it.
     Columns that only cropped anchors read (rows past the image, or a shift
     that wraps into the next row) hold 0.  A 1x1 conv without padding of
-    one group reads a one-image block as a view of the input.  A block is
-    thus k GEMMs, one per (Cout, k*Cin) kernel row of a (k, Cout, k*Cin)
+    one group reads a one-image block as a view of the input, and
+    allocates no stack buffer when every block is one.  A block is thus
+    k GEMMs, one per (Cout, k*Cin) kernel row of a (k, Cout, k*Cin)
     weight copy, summed into a (Cout, block) accumulator that stays in
     cache.  The cropped block
     plus the bias, and with ``relu=True`` or ``sigmoid=True`` its
@@ -296,7 +311,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
 
     The tape keeps no copy of the input: only the parents, whose groups are
     the tensors *x* and *concat* that their own producers hold anyway, not
-    a concatenated copy; the weight copy; and, with ``relu=True`` or
+    a concatenated copy; the weight copy, held until this node's backward
+    runs, which then releases it; and, with ``relu=True`` or
     ``sigmoid=True``, the output array it already holds.  The backward pass
     writes the output gradient, masked by ``out > 0`` when ``relu=True``,
     or as ``g * out * (1 - out)`` in the order of ``sigmoid``'s backward
@@ -382,8 +398,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         bwd_blocks = _row_blocks(n, hp, wp, hp)  # input pixels lie on every anchor row
         span = max(size for *_, size in bwd_blocks) + tall * wp
         # one buffer for dw's input stacks, then dx's gradient stacks: a call
-        # touches fewer fresh pages than with one buffer each
-        buf = np.empty((k * max(ci, co), span + tall), dtype=np.result_type(x.data, gp))
+        # touches fewer fresh pages than with one buffer each; none when both read views
+        buf = (None if all(_is_view(xts, pad, k, block) for block in bwd_blocks)
+               else np.empty((k * max(ci, co), span + tall), dtype=np.result_type(x.data, gp)))
         if w.requires_grad:
             dwk = np.empty((k, k * ci, co), dtype=np.result_type(g, x.data))  # dw of kernel row u, (v, Cin) x Cout
             part = np.empty((k * ci, co), dtype=dwk.dtype)
@@ -832,8 +849,16 @@ def backward(loss: Tensor) -> None:
 
     Leaves are the tensors no recorded op produced (parameters, inputs);
     op outputs get no ``grad``.  Gradients accumulate additively, both for
-    fan-out inside one graph and across repeated calls; callers zero grads
-    between optimization steps.
+    fan-out inside one graph and across calls on separate graphs; callers
+    zero grads between optimization steps.
+
+    Each node is released as soon as its gradient has been propagated: it
+    drops its parents and its ``grad_fn``, and with them the activations,
+    weight copies and buffers that only its backward read, so the tape
+    shrinks while the backward runs instead of living until the step ends.
+    A graph is therefore differentiated once: a call that reaches a node an
+    earlier call released, on the same loss or on another loss that shares
+    part of its graph, raises ValueError naming the op.
     A ``grad_fn`` that returns a gradient whose shape or dtype differs from
     its parent's raises ValueError naming the op.
     """
@@ -845,10 +870,13 @@ def backward(loss: Tensor) -> None:
         pending[loss if loss.node is None else loss.node] = np.ones_like(loss.data)
     for node in reversed(_collect_nodes(loss)):
         g = pending.pop(node, None)
+        parents, grad_fn = node.parents, node.grad_fn
+        node.parents, node.grad_fn = (), None  # released: what only its backward reads dies with these names
         if g is None:
             continue
-        parent_grads = node.grad_fn(g)
-        for p, pg in zip(node.parents, parent_grads):
+        parent_grads = grad_fn(g)
+        g = grad_fn = None
+        for p, pg in zip(parents, parent_grads):
             if p is None or pg is None or not p.requires_grad:
                 continue
             if pg.shape != p.shape or pg.dtype != p.dtype:
@@ -856,6 +884,7 @@ def backward(loss: Tensor) -> None:
                                  f"for a {p.dtype} parent of shape {p.shape}")
             key = p if p.node is None else p.node
             pending[key] = pending[key] + pg if key in pending else pg
+        parents = parent_grads = p = pg = None  # no gradient or parent outlives its node into the next grad_fn
     # every node was popped, so what is left belongs to leaves; copied because one
     # array can reach two parents (``add``) and ``grad`` is scaled in place by the optimizer
     for leaf, g in pending.items():
@@ -866,7 +895,8 @@ def _collect_nodes(loss: Tensor) -> list[_OpNode]:
     """All nodes reachable from *loss*, sorted by creation order.
 
     Creation order is a topological order because an op's inputs always
-    exist before its output.
+    exist before its output.  A node that an earlier ``backward`` released
+    raises ValueError naming its op.
     """
     seen: set[int] = set()
     found: list[_OpNode] = []
@@ -876,6 +906,9 @@ def _collect_nodes(loss: Tensor) -> list[_OpNode]:
         node = t.node
         if node is None or id(node) in seen:
             continue
+        if node.grad_fn is None:
+            raise ValueError(f"backward: the {node.op} node was released by an earlier backward; "
+                             "a graph is differentiated once")
         seen.add(id(node))
         found.append(node)
         stack.extend(p for p in node.parents if p is not None)

@@ -9,6 +9,9 @@ in float32, and checkpoints round-trip bit-exactly, so an interrupted run
 resumed from an epoch checkpoint finishes byte-identical to an
 uninterrupted one; a resume must keep the checkpoint's ``ModelConfig``.  Each
 network's gradients are clipped to a global L2 norm of ``CLIP_NORM`` = 1.
+A non-finite gradient norm stops the run with ``TrainingDiverged`` before
+the step writes a weight or an Adam moment; a non-finite loss stops it
+before the next checkpoint.
 
 Checkpoint file layout (little-endian): magic ``RAGN``, version u32,
 tensor count u32; per tensor, in name order: name length u32, UTF-8 name,
@@ -43,11 +46,19 @@ CLIP_NORM = 1.0  # per-network global gradient-norm cap
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, iteration: int, last_checkpoint: str | None):
+    """A non-finite loss, or a non-finite gradient norm of *network*, at
+    *iteration*; ``train`` fills in the last good checkpoint it wrote."""
+
+    def __init__(self, iteration: int, network: str | None = None, last_checkpoint: str | None = None):
+        super().__init__(iteration, network, last_checkpoint)
         self.iteration = iteration
+        self.network = network
         self.last_checkpoint = last_checkpoint
-        where = f"; last good checkpoint: {last_checkpoint}" if last_checkpoint else ""
-        super().__init__(f"non-finite loss at iteration {iteration}{where}")
+
+    def __str__(self) -> str:
+        what = f"non-finite gradient norm of {self.network}" if self.network else "non-finite loss"
+        where = f"; last good checkpoint: {self.last_checkpoint}" if self.last_checkpoint else ""
+        return f"{what} at iteration {self.iteration}{where}"
 
 
 @dataclass
@@ -135,6 +146,9 @@ class AdamState:
 def clip_grad_norm(params: dict[str, T.Parameter]) -> float:
     """Scale all gradients so their global L2 norm is at most ``CLIP_NORM``; returns the norm before.
 
+    A non-finite norm leaves the gradients as they are, since no scale
+    bounds them; ``_update`` stops the run on it.
+
     Deep ReLU stacks under a fixed learning rate are vulnerable to loss
     spikes (for example the unbounded derivative of the exclusion term's
     outer square root near flat predictions) that shock the optimizer into
@@ -146,7 +160,7 @@ def clip_grad_norm(params: dict[str, T.Parameter]) -> float:
         if p.grad is not None:
             sq += float((p.grad.astype(np.float64) ** 2).sum())
     norm = float(np.sqrt(sq))
-    if norm > CLIP_NORM:
+    if CLIP_NORM < norm < math.inf:
         scale = CLIP_NORM / norm
         for p in params.values():
             if p.grad is not None:
@@ -433,11 +447,15 @@ def train(config: TrainConfig, manifest_path, out_dir, resume_from=None) -> tupl
                 for pool, has_r in groups:
                     for batch in _batches(pool, config.schedule.batch_size, rng):
                         state.global_iter += 1
-                        # no name holds the step's tensors, so its graph is freed once the row is written
-                        loss = _write_row(log_f, state.global_iter, phase,
-                                          *step(state, [triples[i] for i in batch], has_r))
-                        if not np.isfinite(loss):
-                            raise TrainingDiverged(state.global_iter, last_ckpt)
+                        try:
+                            # no name holds the step's tensors, so its graph is freed once the row is written
+                            loss = _write_row(log_f, state.global_iter, phase,
+                                              *step(state, [triples[i] for i in batch], has_r))
+                            if not np.isfinite(loss):
+                                raise TrainingDiverged(state.global_iter)
+                        except TrainingDiverged as e:
+                            e.last_checkpoint = last_ckpt
+                            raise
                 state.epochs_done[phase] = epoch + 1
                 if config.checkpoint_every_epoch:
                     log_f.flush()  # the log never lags behind a checkpoint
@@ -457,11 +475,17 @@ def _write_row(log_f, iteration: int, phase: int, parts: L.LossParts, total: T.T
 
 
 def _update(state: TrainerState, *names: str) -> None:
-    """Clip each named network's gradients, then take its Adam step."""
+    """Clip each named network's gradients, then take their Adam steps.
+
+    A non-finite gradient norm raises ``TrainingDiverged`` before any
+    weight or Adam moment of the named networks is written, since Adam
+    would write a non-finite step into both.
+    """
     for name in names:
-        params = state.nets[name].params
-        clip_grad_norm(params)
-        state.adam[name].step(params)
+        if not math.isfinite(clip_grad_norm(state.nets[name].params)):
+            raise TrainingDiverged(state.global_iter, name)
+    for name in names:
+        state.adam[name].step(state.nets[name].params)
 
 
 def _phase1_step(state: TrainerState, batch, has_r: bool) -> tuple[L.LossParts, T.Tensor]:

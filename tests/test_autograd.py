@@ -82,6 +82,46 @@ class TestBackwardContract:
             gc.enable()
         assert x.grad is not None and w.grad is not None
 
+    def test_backward_releases_the_graph_while_the_loss_is_held(self):
+        x = leaf((1, 2, 4, 4), 12)
+        w = leaf((2, 2, 3, 3), 13)
+        gc.disable()
+        try:
+            with T.Tape():
+                mid = T.relu(T.conv2d(x, w, None, stride=1, pad=1))
+                ref = weakref.ref(mid)
+                loss = T.reduce_sum(T.mask_mean3x3(mid))
+                del mid
+                assert ref() is not None  # the graph holds it until its gradient has been propagated
+                T.backward(loss)
+            assert ref() is None
+            assert loss.node.parents == () and loss.node.grad_fn is None
+        finally:
+            gc.enable()
+        assert x.grad is not None and w.grad is not None
+
+    def test_second_backward_on_one_loss_raises_naming_the_op(self):
+        x = leaf((1, 1, 2, 2), 14)
+        with T.Tape():
+            loss = T.frobenius_norm(T.tanh(x))
+            T.backward(loss)
+            grad = x.grad.copy()
+            with pytest.raises(ValueError, match="frobenius_norm node was released"):
+                T.backward(loss)
+        assert x.grad.tobytes() == grad.tobytes()
+
+    def test_backward_on_a_loss_sharing_a_released_subgraph_raises_naming_the_op(self):
+        x = leaf((1, 1, 2, 2), 15)
+        with T.Tape():
+            shared = T.tanh(x)
+            first = T.reduce_sum(shared)
+            second = T.reduce_mean(shared)
+            T.backward(first)
+            grad = x.grad.copy()
+            with pytest.raises(ValueError, match="tanh node was released"):
+                T.backward(second)
+        assert x.grad.tobytes() == grad.tobytes()
+
     def test_only_leaves_get_grad(self):
         x = leaf((1, 2, 4, 4), 10)
         w = leaf((2, 2, 3, 3), 11)

@@ -518,6 +518,18 @@ def _train_tiny(data, out, *flags):
                  "--patch-size", "16", "--phase1-epochs", "1", "--seed", "1", *flags])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the adversarial gradient overflows, on purpose
+def test_train_stops_at_a_non_finite_gradient_before_writing_it(tiny_data, tmp_path, capsys):
+    # the phase-2 loss is finite in float32, but its gradient is not
+    out = tmp_path / "run"
+    assert _train_tiny(tiny_data, out, "--phase2-epochs", "1", "--lambda-adv", "3e38") == EXIT_VALIDATION
+    last = out / "ckpt_p1_e001.bin"
+    assert (f"error: non-finite gradient norm of g_r at iteration 2; last good checkpoint: {last}\n"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in out.glob("*.bin")) == [last.name]
+    assert all(np.isfinite(a).all() for a in TR.load_checkpoint(last).values())
+
+
 @pytest.mark.parametrize("field, trained, flags", [
     ("variant", [], ["--rag-variant", "no_diff"]),
     ("use_adversarial", [], ["--use-adversarial", "false"]),

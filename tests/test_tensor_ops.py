@@ -661,14 +661,18 @@ class TestOpPeakMemory:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("op", ["sigmoid", "mask_mean3x3", "mask_renorm", "mask_renorm_relu"])
+    # a 1x1 conv on one image reads its blocks as views of the input: no stack
+    # buffer and no second accumulator, so the output and one accumulator
+    @pytest.mark.parametrize("op", ["sigmoid", "mask_mean3x3", "mask_renorm", "mask_renorm_relu", "conv2d_1x1"])
     def test_peak_within_two_and_a_half_outputs(self, op):
         shape = (1, 16, 64, 64)
         x = T.tensor(rand(shape, 630, -6, 6).astype(np.float32))
         m = T.tensor(rand(shape, 631, 0.0, 1.0).astype(np.float32))
         b = T.tensor(rand((1, 16, 1, 1), 632).astype(np.float32))
+        w = T.tensor(rand((16, 16, 1, 1), 633).astype(np.float32))
         fn = {"sigmoid": lambda: T.sigmoid(x),
               "mask_mean3x3": lambda: T.mask_mean3x3(m),
               "mask_renorm": lambda: T.mask_renorm(x, m, b),
-              "mask_renorm_relu": lambda: T.mask_renorm(x, m, b, relu=True)}[op]
+              "mask_renorm_relu": lambda: T.mask_renorm(x, m, b, relu=True),
+              "conv2d_1x1": lambda: T.conv2d(x, w, b)}[op]
         assert self.peak_ratio(fn) <= 2.5

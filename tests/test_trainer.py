@@ -161,6 +161,32 @@ class TestClipGradNorm:
         for k, g in grads.items():
             assert params[k].grad.tobytes() == g.tobytes()
 
+    def test_a_non_finite_norm_leaves_gradients_unchanged(self):
+        params = self._params(0.01)
+        params["w"].grad[0, 0, 0, 0] = np.inf
+        grads = {k: p.grad.copy() for k, p in params.items() if p.grad is not None}
+        assert trainer.clip_grad_norm(params) == np.inf
+        for k, g in grads.items():
+            assert params[k].grad.tobytes() == g.tobytes()
+
+
+class TestNonFiniteGradient:
+    def test_leaves_weights_and_adam_moments_unchanged(self):
+        state = TrainerState(small_config())
+        nets = [state.nets["g_r"], state.nets["g_t"]]
+        for net in nets:
+            for p in net.params.values():
+                p.grad = np.full(p.shape, 1e-3, dtype=p.dtype)
+        next(iter(state.nets["g_t"].params.values())).grad[0, 0, 0, 0] = np.inf
+        before = [p.data.tobytes() for net in nets for p in net.params.values()]
+        with pytest.raises(TrainingDiverged, match="non-finite gradient norm of g_t at iteration 0"):
+            trainer._update(state, "g_r", "g_t")  # g_r's norm is finite, but it takes no step either
+        assert [p.data.tobytes() for net in nets for p in net.params.values()] == before
+        for name in ("g_r", "g_t"):
+            adam = state.adam[name]
+            assert adam.step_count == 0
+            assert all(not a.any() for a in (*adam.m.values(), *adam.v.values()))
+
 
 class TestCheckpointFormat:
     def _tensors(self):
