@@ -201,9 +201,9 @@ def load_models(ckpt_path) -> InferenceState:
 
     The file's CRC, layout and ``meta/*`` entries are validated, and each
     ``model/g_r/*`` and ``model/g_t/*`` entry must exist with its network's
-    shape (``ValueError`` naming the tensor otherwise).  The networks are
-    built without their He init and filled from those entries; the other
-    payloads are read but never copied.
+    shape and hold only finite values (``ValueError`` naming the tensor
+    otherwise).  The networks are built without their He init and filled
+    from those entries; the other payloads are read but never copied.
     """
     loaded = TR.load_checkpoint(ckpt_path)
     config = TR.model_config_from_checkpoint(ckpt_path, loaded)
@@ -272,9 +272,9 @@ def cmd_eval(args, train: TR.TrainConfig, synth: S.SynthesisParams) -> int:
         if masks:  # the no_mask variant has no level-1 mask to split the image by
             m = masks[0].data
             mask_mean = M.crop_padding(m[:, :m.shape[1] // 2], pads)[0].mean(axis=0)
-            split = ME.weak_strong_split(mask_mean, train.thresholds.tau)
-            weak = ME.region_psnr(t_np, tr.t, split.m_w)
-            strong = ME.region_psnr(t_np, tr.t, split.m_s)
+            weak_region = mask_mean.astype(np.float64) > train.thresholds.tau  # tau is not rounded to float32
+            weak = ME.region_psnr(t_np, tr.t, weak_region)
+            strong = ME.region_psnr(t_np, tr.t, ~weak_region)
         return ME.ImageResult(
             name=f"img{entry.index:04d}",
             psnr=ME.psnr(t_np, tr.t),

@@ -142,9 +142,9 @@ CHECKS: tuple[Check, ...] = (
         ((1, 2, 4, 4), 220), ((1, 2, 4, 4), 221, 0.2, 0.9), ((2, 2, 3, 3), 222), ((1, 2, 1, 1), 223)),
     _op("sigmoid_conv_spatial_gradient", _sigmoid_conv_spatial_gradient, ((1, 2, 4, 4), 330), ((2, 2, 3, 3), 331)),
     # composite losses; a leaf spec ending in False is a fixed input
-    _op("rec_loss", lambda gt, th: L.rec_loss(th, gt), (IMG8, 230, 0, 1, False), (IMG8, 231, 0, 1),
+    _op("rec_loss", lambda gt, th: L.rec_loss([(th, gt)]), (IMG8, 230, 0, 1, False), (IMG8, 231, 0, 1),
         tolerance=LOSS_TOL),
-    _op("perceptual_loss", lambda net, gt, th: L.perceptual_loss(th, gt, None, None, net),
+    _op("perceptual_loss", lambda net, gt, th: L.perceptual_loss([(th, gt)], net),
         (IMG32, 232, 0, 1, False), (IMG32, 233, 0, 1), net=("percep_extractor", 0.125, 9),
         tolerance=LOSS_TOL, max_coords=24),
     # lambda_r from fixed copies of the leaves: the values at the unperturbed point

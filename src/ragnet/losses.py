@@ -1,8 +1,8 @@
 """The five training objectives and their weighted combination.
 
-Reconstruction and perceptual terms compare both predicted layers to ground
-truth; the exclusion term penalizes correlated gradients of the predicted
-transmission and reflection at ``EXCL_SCALES`` + 1 = 3 scales with
+Reconstruction and perceptual terms compare each predicted layer that has a
+ground truth to it; the exclusion term penalizes correlated gradients of the
+predicted transmission and reflection at ``EXCL_SCALES`` + 1 = 3 scales with
 ``EXCL_LAMBDA_T`` = 0.5 scaling |grad T|; the mask term drives the
 difference-feature half of each level's mask toward 0 in heavy-reflection
 regions and the whole mask toward 1 in near-clean regions; the adversarial
@@ -68,42 +68,36 @@ class LossParts:
     mask: Tensor | None = None
 
 
-def _l1_diff(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"loss input shapes differ: {a.shape} vs {b.shape}")
-    return T.scalar_mul(T.l1_norm(T.sub(a, b)), 1.0 / a.data.size)
-
-
-def rec_loss(t_hat: Tensor, t: Tensor, r_hat: Tensor | None = None, r: Tensor | None = None) -> Tensor:
-    """Pixel-wise l1 on the transmission, plus the reflection when available,
-    each as a per-element mean so that the loss scale is resolution-free."""
-    loss = _l1_diff(t_hat, t)
-    if r_hat is not None:
-        if r is None:
-            raise ValueError("rec_loss: r_hat given without its ground truth r")
-        loss = T.add(loss, _l1_diff(r_hat, r))
+def _sum(terms) -> Tensor | None:
+    """The recorded sum of *terms* from the left, each term recorded before its add; None for none."""
+    loss = None
+    for term in terms:
+        loss = term if loss is None else T.add(loss, term)
     return loss
 
 
-def perceptual_loss(t_hat: Tensor, t: Tensor, r_hat: Tensor | None, r: Tensor | None,
-                    percep: Network) -> Tensor:
-    """Stage-weighted l1 distance between the feature pyramids of *percep*, the frozen seeded
-    ``percep_extractor`` network that stands in for a pretrained backbone.  Each stage is weighted
-    by 1/(C*H*W) of its feature map, so every stage contributes a mean absolute feature difference."""
-    pairs = [(t_hat, t)]
-    if r_hat is not None:
-        if r is None:
-            raise ValueError("perceptual_loss: r_hat given without its ground truth r")
-        pairs.append((r_hat, r))
-    loss = None
+def _check_pairs(pairs: list[tuple[Tensor, Tensor]]) -> None:
     for pred, gt in pairs:
         if pred.shape != gt.shape:
             raise ValueError(f"loss input shapes differ: {pred.shape} vs {gt.shape}")
-        for fp, fg in zip(extract_features(percep, pred), extract_features(percep, gt)):
-            _, c, h, w = fp.shape
-            term = T.scalar_mul(T.l1_norm(T.sub(fp, fg)), 1.0 / (c * h * w))
-            loss = term if loss is None else T.add(loss, term)
-    return loss
+
+
+def rec_loss(pairs: list[tuple[Tensor, Tensor]]) -> Tensor:
+    """Pixel-wise l1 of each (prediction, truth) pair, summed over the pairs,
+    each as a per-element mean so that the loss scale is resolution-free."""
+    _check_pairs(pairs)
+    return _sum(T.scalar_mul(T.l1_norm(T.sub(pred, gt)), 1.0 / pred.data.size) for pred, gt in pairs)
+
+
+def perceptual_loss(pairs: list[tuple[Tensor, Tensor]], percep: Network) -> Tensor:
+    """Stage-weighted l1 distance between the feature pyramids of each (prediction, truth) pair,
+    summed over the pairs.  The pyramids are those of *percep*, the frozen seeded
+    ``percep_extractor`` network that stands in for a pretrained backbone.  Each stage is weighted
+    by 1/(C*H*W) of its feature map, so every stage contributes a mean absolute feature difference."""
+    _check_pairs(pairs)
+    return _sum(T.scalar_mul(T.l1_norm(T.sub(fp, fg)), 1.0 / (fp.shape[1] * fp.shape[2] * fp.shape[3]))
+                for pred, gt in pairs
+                for fp, fg in zip(extract_features(percep, pred), extract_features(percep, gt)))
 
 
 def _scale_gradients(t: Tensor, r: Tensor):
@@ -240,13 +234,8 @@ def adv_g_loss(d_net: Network, i_obs: Tensor, t_fake: Tensor) -> Tensor:
 
 def total_loss(parts: LossParts, weights: LossWeights) -> Tensor:
     """Sum of each part times its same-named weight, in ``LossParts`` field order; a None part is skipped."""
-    total = None
-    for f in fields(LossParts):
-        part = getattr(parts, f.name)
-        if part is None:
-            continue
-        term = T.scalar_mul(part, getattr(weights, f.name))
-        total = term if total is None else T.add(total, term)
+    total = _sum(T.scalar_mul(getattr(parts, f.name), getattr(weights, f.name))
+                 for f in fields(LossParts) if getattr(parts, f.name) is not None)
     if total is None:
         raise ValueError("total_loss: no loss parts given")
     return total

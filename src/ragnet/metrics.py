@@ -4,10 +4,12 @@ Images lie in [0,1], so PSNR is 10*log10(1 / MSE) (peak 1).  SSIM is
 single-scale with the universal constants (11x11 Gaussian window, sigma
 ``SSIM_SIGMA`` = 1.5, ``SSIM_K1`` = 0.01, ``SSIM_K2`` = 0.03, peak 1) on the
 channel-mean grayscale image, averaged over valid window positions.
-Region-weighted PSNR restricts the MSE to the weak- or strong-reflection side
-of a thresholded full-resolution difference mask (threshold ``DEFAULT_TAU`` =
-0.40); reflection-detection PSNR compares the predicted reflection against
-the observation-minus-transmission residual.
+Region-weighted PSNR restricts the MSE to a boolean region of the image; the
+evaluation's weak-reflection region is where the channel mean of the
+full-resolution level-1 difference mask exceeds ``DEFAULT_TAU`` = 0.40 (in
+float64), and its strong-reflection region is the rest.
+Reflection-detection PSNR compares the predicted reflection against the
+observation-minus-transmission residual.
 """
 
 from __future__ import annotations
@@ -69,22 +71,6 @@ def ssim(a, b) -> float:
     num = (2 * mu_x * mu_y + c1) * (2 * sig_xy + c2)
     den = (mu_x ** 2 + mu_y ** 2 + c1) * (sig_x + sig_y + c2)
     return float((num / den).mean())
-
-
-@dataclass
-class RegionMask:
-    """Binary split of the image into weak (m_w) and strong (1-m_w) reflection regions."""
-    m_w: np.ndarray  # (H,W) bool
-
-    @property
-    def m_s(self) -> np.ndarray:
-        return ~self.m_w
-
-
-def weak_strong_split(m_diff, tau: float = DEFAULT_TAU) -> RegionMask:
-    """Threshold the channel-mean of the full-resolution difference mask at tau."""
-    m = _as_chw(m_diff).mean(axis=0)
-    return RegionMask(m_w=m > tau)
 
 
 def region_psnr(t_hat, t_gt, region: np.ndarray) -> float | None:

@@ -276,8 +276,8 @@ def partial_conv(f: Tensor, m: Tensor, w: Tensor, b: Tensor, renorm: bool = True
                  relu: bool = False) -> Tensor:
     """Mask-renormalized 3x3 convolution (stride 1, pad 1).
 
-    out = (w * (f o m)) o (1 / mean3x3(m)) + b wherever mean3x3(m) > eps (that of
-    ``T.mask_renorm``) and exactly 0 elsewhere (bias suppressed).  With
+    out = (w * (f o m)) o (1 / mean3x3(m)) + b wherever mean3x3(m) > ``T.MASK_EPS``
+    and exactly 0 elsewhere (bias suppressed).  With
     ``renorm=False`` the division is omitted: out = w * (f o m) + b.
     ``relu=True`` applies a ReLU inside the op that writes the output
     (``mask_renorm``, or ``conv2d`` without renormalization), bit for bit
@@ -434,11 +434,11 @@ def extract_features(net: Network, x: Tensor) -> list[Tensor]:
 # ---------------------------------------------------------------------------
 # inference-size helpers
 
-def pad_to_multiple(img: np.ndarray, multiple: int = SIDE_MULTIPLE) -> tuple[np.ndarray, tuple[int, int]]:
-    """Reflect-pad an NCHW array so H and W become multiples of ``multiple``."""
+def pad_to_multiple(img: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
+    """Reflect-pad an NCHW array so H and W become multiples of ``SIDE_MULTIPLE``."""
     _, _, h, w = img.shape
-    ph = (multiple - h % multiple) % multiple
-    pw = (multiple - w % multiple) % multiple
+    ph = -h % SIDE_MULTIPLE
+    pw = -w % SIDE_MULTIPLE
     if ph or pw:
         img = np.pad(img, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="reflect")
     return img, (ph, pw)

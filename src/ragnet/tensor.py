@@ -22,6 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+LEAKY_SLOPE = 0.2  # leaky_relu's slope below 0
+MASK_EPS = 1e-8    # mask_renorm divides where the mask mean exceeds this
 SCALAR_SHAPE = (1, 1, 1, 1)
 
 # Subgradient choices: |x| and Frobenius norm get gradient 0 at 0, clamp gets
@@ -46,10 +48,6 @@ class Tape:
 
     def __exit__(self, *exc) -> None:
         Tape._stack.pop()
-
-    @staticmethod
-    def active() -> "Tape | None":
-        return Tape._stack[-1] if Tape._stack else None
 
 
 class _OpNode:
@@ -128,8 +126,7 @@ class Parameter(Tensor):
 
 def _record(op: str, parents, out: Tensor, grad_fn) -> Tensor:
     """Link *out* to its parents when a tape is active and any parent tracks gradients."""
-    tape = Tape.active()
-    if tape is not None and any(p.requires_grad for p in parents):
+    if Tape._stack and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.node = _OpNode(op, tuple(parents), grad_fn)
     return out
@@ -740,18 +737,14 @@ def sqrt(x: Tensor) -> Tensor:
     return _record("sqrt", (x,), out, grad_fn)
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    """x where x > 0, else slope * x, formed as max(x, slope * x) for 0 < slope <= 1.
-
-    A slope of 0 is excluded: 0 * inf is NaN, which the max would pass on.
-    """
-    if not 0 < slope <= 1:
-        raise ValueError(f"leaky_relu: slope must lie in (0, 1], got {slope}")
-    out = slope * x.data
+def leaky_relu(x: Tensor) -> Tensor:
+    """x where x > 0, else ``LEAKY_SLOPE`` * x, formed as max(x, ``LEAKY_SLOPE`` * x),
+    which holds for a slope in (0, 1]."""
+    out = LEAKY_SLOPE * x.data
     np.maximum(x.data, out, out=out)
 
     def grad_fn(g):
-        dx = g * slope
+        dx = g * LEAKY_SLOPE
         np.copyto(dx, g, where=x.data > 0)
         return (dx,)
 
@@ -793,17 +786,16 @@ def frobenius_norm(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # mask renormalization (the division + zero branch of the partial convolution)
 
-def mask_renorm(y: Tensor, mbar: Tensor, b: Tensor | None, eps: float = 1e-8,
-                relu: bool = False) -> Tensor:
-    """Per-entry y/mbar + bias where mbar > eps, else exactly 0 (bias suppressed).
+def mask_renorm(y: Tensor, mbar: Tensor, b: Tensor | None, relu: bool = False) -> Tensor:
+    """Per-entry y/mbar + bias where mbar > ``MASK_EPS``, else exactly 0 (bias suppressed).
 
     ``relu=True`` gives ``relu(mask_renorm(...))`` bit for bit, output and
     gradients, as one op, as in ``conv2d``.  The output is built in one
-    buffer: the reciprocal, times y, plus the bias where mbar > eps and plus
+    buffer: the reciprocal, times y, plus the bias where mbar > MASK_EPS and plus
     ``b * 0`` elsewhere, as ``y * inv + b * active`` adds it, so signed
     zeros and NaNs come out alike.  The tape keeps nothing but the parents
     and, with ``relu=True``, the output: the backward pass recomputes the
-    reciprocal and the mask > eps from ``mbar``.
+    reciprocal and the mask > MASK_EPS from ``mbar``.
     """
     if y.shape != mbar.shape:
         raise ValueError(f"mask_renorm: shape mismatch {y.shape} vs {mbar.shape}")
@@ -812,8 +804,8 @@ def mask_renorm(y: Tensor, mbar: Tensor, b: Tensor | None, eps: float = 1e-8,
         raise ValueError(f"mask_renorm: bias shape {b.shape} != (1,{co},1,1)")
 
     def reciprocal():
-        """(1/mbar where mbar > eps else 0, mbar > eps), the first in a fresh buffer"""
-        active = mbar.data > eps
+        """(1/mbar where mbar > MASK_EPS else 0, mbar > MASK_EPS), the first in a fresh buffer"""
+        active = mbar.data > MASK_EPS
         inv = np.zeros(mbar.shape, dtype=mbar.dtype)
         np.divide(1.0, mbar.data, out=inv, where=active)
         return inv, active

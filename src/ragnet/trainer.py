@@ -9,9 +9,10 @@ in float32, and checkpoints round-trip bit-exactly, so an interrupted run
 resumed from an epoch checkpoint finishes byte-identical to an
 uninterrupted one; a resume must keep the checkpoint's ``ModelConfig``.  Each
 network's gradients are clipped to a global L2 norm of ``CLIP_NORM`` = 1.
-A non-finite gradient norm stops the run with ``TrainingDiverged`` before
-the step writes a weight or an Adam moment; a non-finite loss stops it
-before the next checkpoint.
+A non-finite loss part or total stops the run with ``TrainingDiverged``
+before the step's backward, and a non-finite gradient norm stops it before
+the step writes a weight or an Adam moment; either names what was not
+finite.
 
 Checkpoint file layout (little-endian): magic ``RAGN``, version u32,
 tensor count u32; per tensor, in name order: name length u32, UTF-8 name,
@@ -46,19 +47,18 @@ CLIP_NORM = 1.0  # per-network global gradient-norm cap
 
 
 class TrainingDiverged(RuntimeError):
-    """A non-finite loss, or a non-finite gradient norm of *network*, at
+    """A non-finite *what* (a loss part, or a network's gradient norm) at
     *iteration*; ``train`` fills in the last good checkpoint it wrote."""
 
-    def __init__(self, iteration: int, network: str | None = None, last_checkpoint: str | None = None):
-        super().__init__(iteration, network, last_checkpoint)
+    def __init__(self, iteration: int, what: str, last_checkpoint: str | None = None):
+        super().__init__(iteration, what, last_checkpoint)
         self.iteration = iteration
-        self.network = network
+        self.what = what
         self.last_checkpoint = last_checkpoint
 
     def __str__(self) -> str:
-        what = f"non-finite gradient norm of {self.network}" if self.network else "non-finite loss"
         where = f"; last good checkpoint: {self.last_checkpoint}" if self.last_checkpoint else ""
-        return f"{what} at iteration {self.iteration}{where}"
+        return f"non-finite {self.what} at iteration {self.iteration}{where}"
 
 
 @dataclass
@@ -291,10 +291,12 @@ def weight_tensors(nets: dict[str, Network]) -> dict[str, np.ndarray]:
 
 def load_weights(path, loaded: dict[str, np.ndarray], nets: dict[str, Network]) -> None:
     """Copy the weights of *nets* from *loaded*, the parse of checkpoint *path*,
-    after checking their names and shapes."""
+    after checking their names and shapes; a non-finite weight is rejected."""
     expected = weight_tensors(nets)
     _check_shapes(path, loaded, expected)
     for name, arr in expected.items():
+        if not np.isfinite(loaded[name]).all():
+            raise ValueError(f"checkpoint {path}: tensor {name} holds a non-finite value")
         arr[...] = loaded[name]
 
 
@@ -353,11 +355,11 @@ class TrainerState:
         """Restore from checkpoint *path*."""
         loaded = load_checkpoint(path)
         # the model first, so another width or critic setting is named as such, not
-        # as a misshapen or missing tensor; compared as stored, so a width that
-        # float32 rounds still matches itself
-        model = _model_tensors(self.config.model)
-        _check_shapes(path, loaded, model)
-        differ = [n.split("/")[1] for n, arr in model.items() if loaded[n].tobytes() != arr.tobytes()]
+        # as a misshapen or missing tensor; compared as float32 bytes, so a width
+        # that float32 rounds still matches itself
+        stored = _model_tensors(model_config_from_checkpoint(path, loaded))
+        differ = [n.split("/")[1] for n, arr in _model_tensors(self.config.model).items()
+                  if stored[n].tobytes() != arr.tobytes()]
         if differ:
             raise ValueError(f"checkpoint {path}: its model differs from this run's in {', '.join(differ)}")
         expected = self.to_tensors()
@@ -371,10 +373,8 @@ class TrainerState:
         self.global_iter = read_int("meta/global_iter")
 
 
-def model_config_from_checkpoint(path, loaded: dict[str, np.ndarray] | None = None) -> ModelConfig:
-    """Rebuild the architecture hyperparameters stored in checkpoint *path* (or its parse *loaded*)."""
-    if loaded is None:
-        loaded = load_checkpoint(path)
+def model_config_from_checkpoint(path, loaded: dict[str, np.ndarray]) -> ModelConfig:
+    """Rebuild the architecture hyperparameters stored in *loaded*, the parse of checkpoint *path*."""
     _check_shapes(path, loaded, _model_tensors(ModelConfig()))
     variant, adv = float(loaded["meta/variant"][0]), float(loaded["meta/use_adversarial"][0])
     if not (variant.is_integer() and 0 <= variant < len(RAG_VARIANTS)):
@@ -449,10 +449,8 @@ def train(config: TrainConfig, manifest_path, out_dir, resume_from=None) -> tupl
                         state.global_iter += 1
                         try:
                             # no name holds the step's tensors, so its graph is freed once the row is written
-                            loss = _write_row(log_f, state.global_iter, phase,
-                                              *step(state, [triples[i] for i in batch], has_r))
-                            if not np.isfinite(loss):
-                                raise TrainingDiverged(state.global_iter)
+                            _write_row(log_f, state.global_iter, phase,
+                                       *step(state, [triples[i] for i in batch], has_r))
                         except TrainingDiverged as e:
                             e.last_checkpoint = last_ckpt
                             raise
@@ -467,11 +465,23 @@ def train(config: TrainConfig, manifest_path, out_dir, resume_from=None) -> tupl
     return final, log_path
 
 
-def _write_row(log_f, iteration: int, phase: int, parts: L.LossParts, total: T.Tensor) -> float:
-    """Write the log row of one step; returns its total loss."""
+def _write_row(log_f, iteration: int, phase: int, parts: L.LossParts, total: T.Tensor) -> None:
+    """Write the log row of one step."""
     vals = [0.0 if v is None else v.item() for v in [*(getattr(parts, f.name) for f in fields(parts)), total]]
     log_f.write(f"{iteration},{phase}," + ",".join(f"{v:.6g}" for v in vals) + "\n")
-    return vals[-1]
+
+
+def _backward(state: TrainerState, parts: L.LossParts, total: T.Tensor) -> None:
+    """Backward from *total*, once every loss part and the total are finite.
+
+    A non-finite one raises ``TrainingDiverged`` naming it, before any
+    gradient is computed, so no generator weight or Adam moment of the step
+    is written (the critic's own step, when on, runs before its terms).
+    """
+    for name, v in [*((f.name, getattr(parts, f.name)) for f in fields(parts)), ("total", total)]:
+        if v is not None and not math.isfinite(v.item()):
+            raise TrainingDiverged(state.global_iter, f"loss {name}")
+    T.backward(total)
 
 
 def _update(state: TrainerState, *names: str) -> None:
@@ -483,7 +493,7 @@ def _update(state: TrainerState, *names: str) -> None:
     """
     for name in names:
         if not math.isfinite(clip_grad_norm(state.nets[name].params)):
-            raise TrainingDiverged(state.global_iter, name)
+            raise TrainingDiverged(state.global_iter, f"gradient norm of {name}")
     for name in names:
         state.adam[name].step(state.nets[name].params)
 
@@ -496,10 +506,10 @@ def _phase1_step(state: TrainerState, batch, has_r: bool) -> tuple[L.LossParts, 
     r_gt = _stack(batch, "r")
     with T.Tape():
         r_hat = forward_gr(state.nets["g_r"], i_obs)
-        parts = L.LossParts(rec=L.rec_loss(r_hat, r_gt),
-                            percep=L.perceptual_loss(r_hat, r_gt, None, None, state.percep))
+        pairs = [(r_hat, r_gt)]
+        parts = L.LossParts(rec=L.rec_loss(pairs), percep=L.perceptual_loss(pairs, state.percep))
         total = L.total_loss(parts, cfg.weights)
-        T.backward(total)
+        _backward(state, parts, total)
     _update(state, "g_r")
     return parts, total
 
@@ -525,16 +535,16 @@ def _phase2_step(state: TrainerState, batch, has_r: bool) -> tuple[L.LossParts, 
 
         # the terms are recorded in argument order, and backward follows creation order;
         # D's weights track no gradient in the generator's term, so its backward skips their dw
-        r_pair = r_hat if has_r else None
+        pairs = [(t_hat, t_gt)] + ([(r_hat, r_gt)] if has_r else [])
         with state.nets["disc"].frozen() if use_adv else contextlib.nullcontext():
             parts = L.LossParts(
-                rec=L.rec_loss(t_hat, t_gt, r_pair, r_gt),
-                percep=L.perceptual_loss(t_hat, t_gt, r_pair, r_gt, state.percep),
+                rec=L.rec_loss(pairs),
+                percep=L.perceptual_loss(pairs, state.percep),
                 mask=L.mask_loss(masks, r_gt, cfg.thresholds) if has_r else None,
                 excl=L.exclusion_loss(t_hat, r_hat),
                 adv=L.adv_g_loss(state.nets["disc"], i_obs, t_hat) if use_adv else None)
             total = L.total_loss(parts, cfg.weights)
-            T.backward(total)
+            _backward(state, parts, total)
 
     _update(state, "g_r", "g_t")
     return parts, total

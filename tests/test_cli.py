@@ -7,8 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ragnet.tensor as T
 from ragnet import cli
+from ragnet import metrics as ME
 from ragnet import model as M
+from ragnet import synthesis as S
 from ragnet import trainer as TR
 from ragnet.cli import CONFIG_KEYS, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from ragnet.model import NETWORK_KINDS, RAG_VARIANTS, ModelConfig
@@ -384,7 +387,7 @@ def test_checkpoint_with_unknown_variant_exits_2(tmp_path, capsys):
     save_checkpoint(tensors, ckpt)  # a valid CRC over an out-of-range variant index
     write_ppm(img, np.zeros((3, 16, 16), dtype=np.float32))
     with pytest.raises(ValueError, match="variant index 9"):
-        model_config_from_checkpoint(ckpt)
+        model_config_from_checkpoint(ckpt, TR.load_checkpoint(ckpt))
     assert main(["infer", "--ckpt", str(ckpt), "--input", str(img), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert "variant index 9" in capsys.readouterr().err
 
@@ -396,9 +399,22 @@ def test_checkpoint_with_misshapen_metadata_exits_2(tmp_path, capsys):
     save_checkpoint(tensors, ckpt)
     write_ppm(img, np.zeros((3, 16, 16), dtype=np.float32))
     with pytest.raises(ValueError, match="meta/seed has shape"):
-        model_config_from_checkpoint(ckpt)
+        model_config_from_checkpoint(ckpt, TR.load_checkpoint(ckpt))
     assert main(["infer", "--ckpt", str(ckpt), "--input", str(img), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert "meta/seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["infer", "eval", "inspect-mask"])
+def test_checkpoint_with_a_non_finite_weight_exits_2(command, tiny_data, tmp_path, capsys):
+    ckpt, out = tmp_path / "nan.bin", tmp_path / "out"
+    tensors = TrainerState(TrainConfig(model=ModelConfig(width_multiplier=1 / 16))).to_tensors()
+    tensors["model/g_t/dec/head/c1/weight"][0, 0, 0, 0] = np.nan
+    save_checkpoint(tensors, ckpt)  # a valid CRC over a NaN weight
+    source = ["--data", str(tiny_data / "manifest.tsv")] if command == "eval" else \
+        ["--input", str(tiny_data / "I_0000.ppm")]
+    assert main([command, "--ckpt", str(ckpt), *source, "--out", str(out)]) == EXIT_VALIDATION
+    assert "tensor model/g_t/dec/head/c1/weight holds a non-finite value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_load_models_parses_the_checkpoint_once(tmp_path, monkeypatch):
@@ -430,24 +446,10 @@ def test_load_models_builds_a_width_that_float32_rounds(tmp_path):
     assert all(a[k].shape == b[k].shape and a[k].tobytes() == b[k].tobytes() for k in b)
 
 
-def test_inference_peaks_below_eleven_level1_merge_maps():
-    # a level-1 merge map is the float32 (1, 2*c1, H, W) tensor the guided merge
-    # convolves: each mask and each temporary of the merge is held once
-    state = TrainerState(TrainConfig(model=ModelConfig(width_multiplier=0.125)))
-    img = np.random.Generator(np.random.PCG64(7)).uniform(0, 1, (1, 3, 256, 256)).astype(np.float32)
-    merge_map = 2 * state.config.model.scaled(64) * 256 * 256 * 4
-    gc.collect()
-    tracemalloc.start()
-    try:
-        cli.infer_image(state, img)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 11 * merge_map
-
-
 def test_inference_peaks_below_eight_and_a_half_level1_merge_maps():
-    # the decoder pops each feature it reads and hands F_I and F_dec to the merge
+    # a level-1 merge map is the float32 (1, 2*c1, H, W) tensor the guided merge
+    # convolves: each mask and each temporary of the merge is held once; the
+    # decoder pops each feature it reads and hands F_I and F_dec to the merge
     # without keeping them, and partial_conv drops its input once f o m is made
     state = TrainerState(TrainConfig(model=ModelConfig(width_multiplier=0.125)))
     img = np.random.Generator(np.random.PCG64(7)).uniform(0, 1, (1, 3, 256, 256)).astype(np.float32)
@@ -496,6 +498,23 @@ def test_every_variant_runs_end_to_end(variant, tiny_data, tmp_path):
     assert main(["inspect-mask", "--ckpt", ckpt, "--input", image, "--out", str(tmp_path / "masks")]) == EXIT_OK
     assert len(list((tmp_path / "masks").glob("*.pgm"))) == (0 if variant == "no_mask" else 8)
 
+
+
+def test_eval_splits_the_regions_at_tau_in_float64(tiny_data, tmp_path, monkeypatch):
+    # a level-1 M_diff mean of float32(0.40) lies above tau = 0.40 in float64,
+    # but not above tau rounded to float32
+    manifest = tiny_data / "manifest.tsv"
+    m = np.zeros((1, 2, 16, 16), dtype=np.float32)
+    m[0, 0, :, :8] = np.float32(0.40)
+    t_hat = np.full((1, 3, 16, 16), 0.5, dtype=np.float32)
+    monkeypatch.setattr(cli, "load_models", lambda path: None)
+    monkeypatch.setattr(cli, "infer_image", lambda state, img: (img, t_hat, [T.Tensor(m)], (0, 0)))
+    assert main(["eval", "--ckpt", str(manifest), "--data", str(manifest), "--out", str(tmp_path)]) == EXIT_OK
+    row = (tmp_path / "report.csv").read_text().splitlines()[1].split(",")
+    t_gt = S.load_triple(S.read_manifest(manifest)[0]).t
+    weak = np.zeros((16, 16), dtype=bool)
+    weak[:, :8] = True
+    assert row[3:5] == [f"{ME.region_psnr(t_hat, t_gt, weak):.6f}", f"{ME.region_psnr(t_hat, t_gt, ~weak):.6f}"]
 
 
 def test_eval_no_mask_checkpoint_reports_na(tmp_path):
@@ -593,7 +612,8 @@ def test_load_models_infers_the_bytes_of_a_full_state(variant, tiny_data, tmp_pa
     else:
         ckpt = tmp_path / "model.bin"
         TrainerState(TrainConfig(model=ModelConfig(width_multiplier=1 / 16, rag_variant=variant, seed=3))).save(ckpt)
-    full = TrainerState(TrainConfig(model=model_config_from_checkpoint(ckpt)), draw_init=False)
+    full = TrainerState(TrainConfig(model=model_config_from_checkpoint(ckpt, TR.load_checkpoint(ckpt))),
+                        draw_init=False)
     full.load(ckpt)
     img = np.random.Generator(np.random.PCG64(4)).uniform(0, 1, (1, 3, 20, 27)).astype(np.float32)
     got, want = _inference_outputs(cli.load_models(ckpt), img), _inference_outputs(full, img)

@@ -36,34 +36,34 @@ class TestRecLoss:
     def test_zero_at_ground_truth(self):
         t = tt((1, 3, 4, 4), 0)
         r = tt((1, 3, 4, 4), 1)
-        assert rec_loss(t, t, r, r).item() == 0.0
+        assert rec_loss([(t, t), (r, r)]).item() == 0.0
 
     def test_constant_offset_arithmetic(self):
         t = tt((1, 3, 4, 4), 2)
         t_hat = T.tensor(t.data + 0.1)
         r = tt((1, 3, 4, 4), 3)
-        assert rec_loss(t_hat, t, r, r).item() == pytest.approx(0.1 * 48 / 48, abs=1e-12)
+        assert rec_loss([(t_hat, t), (r, r)]).item() == pytest.approx(0.1 * 48 / 48, abs=1e-12)
 
     def test_matches_direct_summation(self):
         th, t = rand((2, 3, 4, 4), 4), rand((2, 3, 4, 4), 5)
         rh, r = rand((2, 3, 4, 4), 6), rand((2, 3, 4, 4), 7)
         want = np.abs(th - t).sum() / th.size + np.abs(rh - r).sum() / rh.size
-        got = rec_loss(T.tensor(th), T.tensor(t), T.tensor(rh), T.tensor(r)).item()
+        got = rec_loss([(T.tensor(th), T.tensor(t)), (T.tensor(rh), T.tensor(r))]).item()
         assert abs(got - want) < 1e-10
 
     def test_reflection_term_omitted(self):
         th, t = rand((1, 3, 4, 4), 8), rand((1, 3, 4, 4), 9)
-        got = rec_loss(T.tensor(th), T.tensor(t)).item()
+        got = rec_loss([(T.tensor(th), T.tensor(t))]).item()
         assert abs(got - np.abs(th - t).sum() / th.size) < 1e-12
 
     def test_normalized_mode(self):
         th, t = rand((1, 3, 4, 4), 10), rand((1, 3, 4, 4), 11)
-        got = rec_loss(T.tensor(th), T.tensor(t)).item()
+        got = rec_loss([(T.tensor(th), T.tensor(t))]).item()
         assert abs(got - np.abs(th - t).mean()) < 1e-12
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            rec_loss(T.zeros((1, 3, 4, 4)), T.zeros((1, 3, 8, 8)))
+            rec_loss([(T.zeros((1, 3, 4, 4)), T.zeros((1, 3, 8, 8)))])
 
 
 @pytest.fixture(scope="module")
@@ -74,11 +74,11 @@ def extractor():
 class TestPerceptualLoss:
     def test_zero_for_identical(self, extractor):
         x = tt((1, 3, 32, 32), 20)
-        assert perceptual_loss(x, x, x, x, extractor).item() == 0.0
+        assert perceptual_loss([(x, x), (x, x)], extractor).item() == 0.0
 
     def test_positive_for_different(self, extractor):
         a, b = tt((1, 3, 32, 32), 21), tt((1, 3, 32, 32), 22)
-        assert perceptual_loss(a, b, None, None, extractor).item() > 0.0
+        assert perceptual_loss([(a, b)], extractor).item() > 0.0
 
     def test_matches_two_pass_oracle(self, extractor):
         th, t = tt((1, 3, 32, 32), 23), tt((1, 3, 32, 32), 24)
@@ -90,7 +90,7 @@ class TestPerceptualLoss:
             for stage, (a, b) in enumerate(zip(fp, fg)):
                 k = 1.0 / (a.shape[1] * a.shape[2] * a.shape[3])
                 want += k * np.abs(a.data - b.data).sum()
-        got = perceptual_loss(th, t, rh, r, extractor).item()
+        got = perceptual_loss([(th, t), (rh, r)], extractor).item()
         assert abs(got - want) < 1e-8
 
     def test_extractor_parameters_frozen(self, extractor):

@@ -12,7 +12,6 @@ from ragnet.metrics import (
     reflection_detection_psnr,
     region_psnr,
     ssim,
-    weak_strong_split,
 )
 from oracles import filter_valid_whole_plane, psnr_direct
 
@@ -111,30 +110,11 @@ class TestRegionPSNR:
 
     def test_count_weighted_recombination(self):
         a, b = rand((3, 8, 8), 27), rand((3, 8, 8), 28)
-        split = weak_strong_split(rand((1, 4, 8, 8), 29), tau=0.5)
-        n_w, n_s = split.m_w.sum() * 3, split.m_s.sum() * 3
+        weak = rand((8, 8), 29) > 0.5
+        n_w, n_s = weak.sum() * 3, (~weak).sum() * 3
         mse = lambda region: (((a - b) ** 2) * np.broadcast_to(region[None], a.shape)).sum() / max(1, (region.sum() * 3))
         total = ((a - b) ** 2).mean() * a.size
-        assert mse(split.m_w) * n_w + mse(split.m_s) * n_s == pytest.approx(total, abs=1e-9)
-
-
-class TestWeakStrongSplit:
-    def test_above_threshold_is_weak(self):
-        m = np.full((1, 4, 6, 6), 0.5)
-        split = weak_strong_split(m)
-        assert split.m_w.all() and not split.m_s.any()
-
-    def test_below_threshold_is_strong(self):
-        m = np.full((1, 4, 6, 6), 0.3)
-        split = weak_strong_split(m)
-        assert not split.m_w.any() and split.m_s.all()
-
-    def test_mixed_matches_per_pixel_threshold(self):
-        m = rand((1, 4, 6, 6), 30)
-        split = weak_strong_split(m, tau=0.40)
-        np.testing.assert_array_equal(split.m_w, m[0].mean(axis=0) > 0.40)
-        np.testing.assert_array_equal(split.m_w | split.m_s, True)
-        assert not (split.m_w & split.m_s).any()
+        assert mse(weak) * n_w + mse(~weak) * n_s == pytest.approx(total, abs=1e-9)
 
 
 class TestReflectionDetection:

@@ -472,12 +472,12 @@ class TestPerceptualExtractor:
 class TestPadding:
     def test_pad_and_crop_round_trip(self):
         x = rand((1, 3, 30, 45), 95)
-        padded, pads = model.pad_to_multiple(x, 16)
+        padded, pads = model.pad_to_multiple(x)
         assert padded.shape[2] % 16 == 0 and padded.shape[3] % 16 == 0
         np.testing.assert_array_equal(model.crop_padding(padded, pads), x)
 
     def test_already_aligned_is_noop(self):
         x = rand((1, 3, 32, 32), 96)
-        padded, pads = model.pad_to_multiple(x, 16)
+        padded, pads = model.pad_to_multiple(x)
         assert pads == (0, 0)
         assert padded is x

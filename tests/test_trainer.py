@@ -188,6 +188,25 @@ class TestNonFiniteGradient:
             assert all(not a.any() for a in (*adam.m.values(), *adam.v.values()))
 
 
+class TestNonFiniteLoss:
+    def test_stops_the_step_before_its_backward_and_names_the_part(self, tiny_dataset, monkeypatch):
+        from ragnet.synthesis import load_triple, read_manifest
+
+        state = TrainerState(small_config(adv=False))
+        state.global_iter = 4
+        triples = [load_triple(e) for e in read_manifest(tiny_dataset)[:2]]
+        monkeypatch.setattr(L, "exclusion_loss", lambda t_hat, r_hat: T.scalar(np.inf, dtype=t_hat.dtype))
+        params = [p for net in state.nets.values() for p in net.params.values()]
+        before = [p.data.tobytes() for p in params]
+        with pytest.raises(TrainingDiverged, match="^non-finite loss excl at iteration 4$"):
+            trainer._phase2_step(state, triples, True)
+        assert [p.data.tobytes() for p in params] == before
+        assert all(p.grad is None for p in params)
+        for adam in state.adam.values():
+            assert adam.step_count == 0
+            assert all(not a.any() for a in (*adam.m.values(), *adam.v.values()))
+
+
 class TestCheckpointFormat:
     def _tensors(self):
         rng = np.random.Generator(np.random.PCG64(7))
@@ -298,7 +317,7 @@ class TestTrainerState:
         state = TrainerState(cfg)
         path = tmp_path / "s.bin"
         state.save(path)
-        back = trainer.model_config_from_checkpoint(path)
+        back = trainer.model_config_from_checkpoint(path, trainer.load_checkpoint(path))
         assert back.width_multiplier == cfg.model.width_multiplier
         assert back.rag_variant == cfg.model.rag_variant
         assert back.use_adversarial == cfg.model.use_adversarial
