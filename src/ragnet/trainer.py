@@ -291,12 +291,14 @@ def weight_tensors(nets: dict[str, Network]) -> dict[str, np.ndarray]:
 
 def load_weights(path, loaded: dict[str, np.ndarray], nets: dict[str, Network]) -> None:
     """Copy the weights of *nets* from *loaded*, the parse of checkpoint *path*,
-    after checking their names and shapes; a non-finite weight is rejected."""
+    after checking their names and shapes; a non-finite weight is rejected
+    before any weight is copied."""
     expected = weight_tensors(nets)
     _check_shapes(path, loaded, expected)
-    for name, arr in expected.items():
+    for name in expected:
         if not np.isfinite(loaded[name]).all():
             raise ValueError(f"checkpoint {path}: tensor {name} holds a non-finite value")
+    for name, arr in expected.items():
         arr[...] = loaded[name]
 
 

@@ -189,22 +189,82 @@ class TestNonFiniteGradient:
 
 
 class TestNonFiniteLoss:
-    def test_stops_the_step_before_its_backward_and_names_the_part(self, tiny_dataset, monkeypatch):
+    @staticmethod
+    def _triples(tiny_dataset):
         from ragnet.synthesis import load_triple, read_manifest
 
-        state = TrainerState(small_config(adv=False))
-        state.global_iter = 4
-        triples = [load_triple(e) for e in read_manifest(tiny_dataset)[:2]]
-        monkeypatch.setattr(L, "exclusion_loss", lambda t_hat, r_hat: T.scalar(np.inf, dtype=t_hat.dtype))
-        params = [p for net in state.nets.values() for p in net.params.values()]
-        before = [p.data.tobytes() for p in params]
-        with pytest.raises(TrainingDiverged, match="^non-finite loss excl at iteration 4$"):
-            trainer._phase2_step(state, triples, True)
+        return [load_triple(e) for e in read_manifest(tiny_dataset)[:2]]
+
+    @staticmethod
+    def _assert_untouched(state, names, before):
+        params = [p for name in names for p in state.nets[name].params.values()]
         assert [p.data.tobytes() for p in params] == before
         assert all(p.grad is None for p in params)
-        for adam in state.adam.values():
+        for name in names:
+            adam = state.adam[name]
             assert adam.step_count == 0
             assert all(not a.any() for a in (*adam.m.values(), *adam.v.values()))
+
+    @staticmethod
+    def _weights(state, names):
+        return [p.data.tobytes() for name in names for p in state.nets[name].params.values()]
+
+    @staticmethod
+    def _poison(monkeypatch, fn_name):
+        """Make the loss function *fn_name* return its own value times NaN."""
+        fn = getattr(L, fn_name)
+        monkeypatch.setattr(L, fn_name, lambda *a, **k: T.scalar_mul(fn(*a, **k), np.nan))
+
+    def test_stops_the_step_before_its_backward_and_names_the_part(self, tiny_dataset, monkeypatch):
+        state = TrainerState(small_config(adv=False))
+        state.global_iter = 4
+        monkeypatch.setattr(L, "exclusion_loss", lambda t_hat, r_hat: T.scalar(np.inf, dtype=t_hat.dtype))
+        before = self._weights(state, state.nets)
+        with pytest.raises(TrainingDiverged, match="^non-finite loss excl at iteration 4$"):
+            trainer._phase2_step(state, self._triples(tiny_dataset), True)
+        self._assert_untouched(state, state.nets, before)
+
+    @pytest.mark.parametrize("fn_name, part", [("rec_loss", "rec"), ("perceptual_loss", "percep"),
+                                               ("mask_loss", "mask"), ("total_loss", "total")])
+    def test_phase2_names_each_nan_part(self, fn_name, part, tiny_dataset, monkeypatch):
+        state = TrainerState(small_config(adv=False))
+        state.global_iter = 2
+        self._poison(monkeypatch, fn_name)
+        before = self._weights(state, state.nets)
+        with pytest.raises(TrainingDiverged, match=f"^non-finite loss {part} at iteration 2$"):
+            trainer._phase2_step(state, self._triples(tiny_dataset), True)
+        self._assert_untouched(state, state.nets, before)
+
+    @pytest.mark.parametrize("fn_name, part", [("rec_loss", "rec"), ("perceptual_loss", "percep"),
+                                               ("total_loss", "total")])
+    def test_phase1_names_each_nan_part(self, fn_name, part, tiny_dataset, monkeypatch):
+        state = TrainerState(small_config(adv=False))
+        self._poison(monkeypatch, fn_name)
+        before = self._weights(state, state.nets)
+        with pytest.raises(TrainingDiverged, match=f"^non-finite loss {part} at iteration 0$"):
+            trainer._phase1_step(state, self._triples(tiny_dataset), True)
+        self._assert_untouched(state, state.nets, before)
+
+    def test_a_nan_adversarial_term_leaves_the_generators_unchanged(self, tiny_dataset, monkeypatch):
+        state = TrainerState(small_config(adv=True))
+        self._poison(monkeypatch, "adv_g_loss")
+        before = self._weights(state, ("g_r", "g_t"))
+        with pytest.raises(TrainingDiverged, match="^non-finite loss adv at iteration 0$"):
+            trainer._phase2_step(state, self._triples(tiny_dataset), True)
+        # the critic's own step runs before the generator's terms exist
+        self._assert_untouched(state, ("g_r", "g_t"), before)
+
+
+class TestLoadWeights:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_weight_is_named_and_no_weight_is_copied(self, value, tmp_path):
+        nets = TrainerState(small_config(seed=0)).nets
+        loaded = {k: v.copy() for k, v in trainer.weight_tensors(TrainerState(small_config(seed=1)).nets).items()}
+        loaded["model/g_t/dec/head/c1/weight"][0, 0, 0, 0] = value
+        before = {k: v.tobytes() for k, v in trainer.weight_tensors(nets).items()}
+        with pytest.raises(ValueError, match="tensor model/g_t/dec/head/c1/weight holds a non-finite value"):
+            trainer.load_weights(tmp_path / "c.bin", loaded, nets)
+        assert {k: v.tobytes() for k, v in trainer.weight_tensors(nets).items()} == before
 
 
 class TestCheckpointFormat:
