@@ -15,9 +15,20 @@ Computation runs in float32 by default; tests and gradient checks use
 float64.  No broadcasting is performed: all shapes must match exactly, which
 keeps the network wiring shape-exact, and a Python scalar enters only through
 ``scalar_mul`` and ``scalar_add``.
+
+Importing this module, which every ragnet module does, sets glibc's
+allocator policy for the whole process: blocks up to ``MMAP_THRESHOLD``
+come from the heap (which also turns off glibc's sliding threshold), and
+the heap top is trimmed only past ``TRIM_THRESHOLD`` of free memory.  So
+the activations, stacks and gradients a forward or a training step frees
+stay mapped, and the next image or step reuses those pages instead of
+faulting them in again.  Elsewhere than glibc nothing is set.
 """
 
 from __future__ import annotations
+
+import ctypes
+import platform
 
 import numpy as np
 
@@ -25,6 +36,21 @@ DEFAULT_DTYPE = np.float32
 LEAKY_SLOPE = 0.2  # leaky_relu's slope below 0
 MASK_EPS = 1e-8    # mask_renorm divides where the mask mean exceeds this
 SCALAR_SHAPE = (1, 1, 1, 1)
+MMAP_THRESHOLD = 32 << 20  # bytes; glibc's largest mmap threshold on 64-bit builds
+TRIM_THRESHOLD = 1 << 30   # bytes
+
+
+def _keep_freed_memory_mapped() -> None:
+    """Set the allocator policy of the module docstring, on glibc only."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL("libc.so.6").mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+    mallopt(-1, TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_memory_mapped()
 
 # Subgradient choices: |x| and Frobenius norm get gradient 0 at 0, clamp gets
 # gradient 0 outside the clamp interval (inclusive boundaries pass through).
@@ -124,9 +150,14 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
+def _taped(parents) -> bool:
+    """Whether an op on *parents* is recorded: a tape is active and a parent tracks gradients."""
+    return bool(Tape._stack) and any(p.requires_grad for p in parents)
+
+
 def _record(op: str, parents, out: Tensor, grad_fn) -> Tensor:
-    """Link *out* to its parents when a tape is active and any parent tracks gradients."""
-    if Tape._stack and any(p.requires_grad for p in parents):
+    """Link *out* to its parents when ``_taped(parents)``."""
+    if _taped(parents):
         out.requires_grad = True
         out.node = _OpNode(op, tuple(parents), grad_fn)
     return out
@@ -436,7 +467,9 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Transposed convolution with the fixed kernel 2, stride 2 layout.
 
     ``w`` is (Cin, Cout, 2, 2); output spatial size exactly doubles.  With
-    stride equal to kernel size the output footprints are disjoint.
+    stride equal to kernel size the output footprints are disjoint.  When
+    the op is taped it keeps a copy of the weights, so dx differentiates
+    this forward even after the optimizer updates ``w.data`` in place.
     """
     n, ci, h, wd = x.shape
     ci_w, co, kh, kw = w.shape
@@ -455,6 +488,8 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         out_data += b.data
     out = Tensor(out_data)
+    parents = (x, w, b) if b is not None else (x, w)
+    wf = w.data.copy() if _taped(parents) else None  # the weights of this forward
 
     def grad_fn(g):
         dx = np.zeros_like(x.data)
@@ -462,12 +497,11 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         for u in range(2):
             for v in range(2):
                 gs = g[:, :, u::2, v::2]
-                dx += np.tensordot(gs, w.data[:, :, u, v], axes=([1], [1])).transpose(0, 3, 1, 2)
+                dx += np.tensordot(gs, wf[:, :, u, v], axes=([1], [1])).transpose(0, 3, 1, 2)
                 dw[:, :, u, v] = np.tensordot(x.data, gs, axes=([0, 2, 3], [0, 2, 3]))
         db = g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1) if b is not None else None
         return (dx, dw, db) if b is not None else (dx, dw)
 
-    parents = (x, w, b) if b is not None else (x, w)
     return _record("conv_transpose2d", parents, out, grad_fn)
 
 

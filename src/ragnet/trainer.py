@@ -9,10 +9,10 @@ in float32, and checkpoints round-trip bit-exactly, so an interrupted run
 resumed from an epoch checkpoint finishes byte-identical to an
 uninterrupted one; a resume must keep the checkpoint's ``ModelConfig``.  Each
 network's gradients are clipped to a global L2 norm of ``CLIP_NORM`` = 1.
-A non-finite loss part or total stops the run with ``TrainingDiverged``
-before the step's backward, and a non-finite gradient norm stops it before
-the step writes a weight or an Adam moment; either names what was not
-finite.
+A non-finite loss part or total, or a non-finite critic loss, stops the run
+with ``TrainingDiverged`` before the backward from it, and a non-finite
+gradient norm stops it before the step writes a weight or an Adam moment;
+either names what was not finite.
 
 Checkpoint file layout (little-endian): magic ``RAGN``, version u32,
 tensor count u32; per tensor, in name order: name length u32, UTF-8 name,
@@ -467,23 +467,30 @@ def train(config: TrainConfig, manifest_path, out_dir, resume_from=None) -> tupl
     return final, log_path
 
 
+def _named(parts: L.LossParts, total: T.Tensor) -> list[tuple[str, T.Tensor | None]]:
+    """The step's loss parts and total with their names, in log column order."""
+    return [*((f.name, getattr(parts, f.name)) for f in fields(parts)), ("total", total)]
+
+
 def _write_row(log_f, iteration: int, phase: int, parts: L.LossParts, total: T.Tensor) -> None:
     """Write the log row of one step."""
-    vals = [0.0 if v is None else v.item() for v in [*(getattr(parts, f.name) for f in fields(parts)), total]]
+    vals = [0.0 if v is None else v.item() for _, v in _named(parts, total)]
     log_f.write(f"{iteration},{phase}," + ",".join(f"{v:.6g}" for v in vals) + "\n")
 
 
-def _backward(state: TrainerState, parts: L.LossParts, total: T.Tensor) -> None:
-    """Backward from *total*, once every loss part and the total are finite.
+def _backward(state: TrainerState, loss: T.Tensor, named: list[tuple[str, T.Tensor | None]]) -> None:
+    """Backward from *loss*, once every tensor of *named*, (name, tensor or
+    None) pairs, is finite.
 
     A non-finite one raises ``TrainingDiverged`` naming it, before any
-    gradient is computed, so no generator weight or Adam moment of the step
-    is written (the critic's own step, when on, runs before its terms).
+    gradient is computed, so no weight or Adam moment the backward feeds is
+    written.  The critic's loss is checked before the critic's step, which
+    runs before the generator's terms exist.
     """
-    for name, v in [*((f.name, getattr(parts, f.name)) for f in fields(parts)), ("total", total)]:
+    for name, v in named:
         if v is not None and not math.isfinite(v.item()):
             raise TrainingDiverged(state.global_iter, f"loss {name}")
-    T.backward(total)
+    T.backward(loss)
 
 
 def _update(state: TrainerState, *names: str) -> None:
@@ -511,7 +518,7 @@ def _phase1_step(state: TrainerState, batch, has_r: bool) -> tuple[L.LossParts, 
         pairs = [(r_hat, r_gt)]
         parts = L.LossParts(rec=L.rec_loss(pairs), percep=L.perceptual_loss(pairs, state.percep))
         total = L.total_loss(parts, cfg.weights)
-        _backward(state, parts, total)
+        _backward(state, total, _named(parts, total))
     _update(state, "g_r")
     return parts, total
 
@@ -531,7 +538,7 @@ def _phase2_step(state: TrainerState, batch, has_r: bool) -> tuple[L.LossParts, 
 
         if use_adv:
             l_d = L.adv_d_loss(state.nets["disc"], i_obs, t_gt, t_hat.detach())
-            T.backward(l_d)
+            _backward(state, l_d, [("adv_d", l_d)])
             _update(state, "disc")
             state.nets["disc"].zero_grad()
 
@@ -546,7 +553,7 @@ def _phase2_step(state: TrainerState, batch, has_r: bool) -> tuple[L.LossParts, 
                 excl=L.exclusion_loss(t_hat, r_hat),
                 adv=L.adv_g_loss(state.nets["disc"], i_obs, t_hat) if use_adv else None)
             total = L.total_loss(parts, cfg.weights)
-            _backward(state, parts, total)
+            _backward(state, total, _named(parts, total))
 
     _update(state, "g_r", "g_t")
     return parts, total

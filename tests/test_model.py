@@ -285,15 +285,17 @@ class TestRagBlock:
         net = self._net()
         f = T.tensor(rand((1, 8, 8, 8), 30))
         fd = T.tensor(rand((1, 8, 8, 8), 31))
-        f_diff, _ = model.rag_block(net, 1, f, f, fd)
+        pair = [(f, f)]
+        f_diff, _ = model.rag_block(net, 1, pair, fd)
         np.testing.assert_array_equal(f_diff.data, 0.0)
+        assert pair == []  # the block empties the slot it is handed
 
     def test_mask_strictly_in_unit_interval(self):
         net = self._net()
         f_i = T.tensor(rand((1, 8, 8, 8), 32, -3, 3))
         f_r = T.tensor(rand((1, 8, 8, 8), 33, -3, 3))
         fd = T.tensor(rand((1, 8, 8, 8), 34, -3, 3))
-        _, m = model.rag_block(net, 1, f_i, f_r, fd)
+        _, m = model.rag_block(net, 1, [(f_i, f_r)], fd)
         assert m.shape == (1, 16, 8, 8)
         assert m.data.min() > 0.0 and m.data.max() < 1.0
 
@@ -302,13 +304,13 @@ class TestRagBlock:
         f_i = T.tensor(rand((1, 8, 8, 8), 35))
         f_r = T.tensor(rand((1, 8, 8, 8), 36))
         fd = T.tensor(rand((1, 8, 8, 8), 37))
-        f_diff, _ = model.rag_block(net, 1, f_i, f_r, fd)
+        f_diff, _ = model.rag_block(net, 1, [(f_i, f_r)], fd)
         assert f_diff is f_i
 
     def test_two_channel_masks_are_single_channel(self):
         net = self._net("two_channel_mask")
         f_i = T.tensor(rand((1, 8, 8, 8), 38))
-        _, m = model.rag_block(net, 1, f_i, f_i, f_i)
+        _, m = model.rag_block(net, 1, [(f_i, f_i)], f_i)
         assert m.shape[1] == 2  # one channel each for M_diff and M_dec
 
 

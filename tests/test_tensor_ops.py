@@ -335,6 +335,22 @@ class TestConvTranspose2d:
         got = T.conv_transpose2d(T.tensor(x), T.tensor(w), T.tensor(b.reshape(1, -1, 1, 1)))
         np.testing.assert_allclose(got.data, conv_transpose2d_loops(x, w, b), atol=1e-10, rtol=0)
 
+    def test_dx_uses_the_weights_of_the_forward(self):
+        """As for ``conv2d``: an in-place weight update between the forward
+        and the backward does not change the dx of the taped forward."""
+        x = T.tensor(rand((2, 3, 4, 5), 43), requires_grad=True)
+        w = T.tensor(rand((3, 4, 2, 2), 44), requires_grad=True)
+        g = rand((2, 4, 8, 10), 45)
+        with T.Tape():
+            loss = T.reduce_sum(T.mul(T.conv_transpose2d(x, w), T.tensor(g)))
+        w0 = w.data.copy()
+        w.data += 1.0
+        T.backward(loss)
+        # dx[n, c, i, j] = sum over o, u, v of g[n, o, 2i + u, 2j + v] * w0[c, o, u, v]
+        dx = sum(np.einsum("nohw,co->nchw", g[:, :, u::2, v::2], w0[:, :, u, v])
+                 for u in range(2) for v in range(2))
+        np.testing.assert_allclose(x.grad, dx, atol=1e-10, rtol=0)
+
     def test_adjoint_of_stride2_conv(self):
         # <conv_T(x), y> == <x, conv(y)> where conv is the k=2 s=2 forward map
         x = rand((1, 4, 3, 3), 11)

@@ -254,6 +254,14 @@ class TestNonFiniteLoss:
         # the critic's own step runs before the generator's terms exist
         self._assert_untouched(state, ("g_r", "g_t"), before)
 
+    def test_a_nan_critic_loss_is_named_before_any_critic_gradient(self, tiny_dataset, monkeypatch):
+        state = TrainerState(small_config(adv=True))
+        self._poison(monkeypatch, "adv_d_loss")
+        before = self._weights(state, state.nets)
+        with pytest.raises(TrainingDiverged, match="^non-finite loss adv_d at iteration 0$"):
+            trainer._phase2_step(state, self._triples(tiny_dataset), True)
+        self._assert_untouched(state, state.nets, before)
+
 
 class TestLoadWeights:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
