@@ -7,6 +7,9 @@ more (``full, half has_r=0``) on a manifest whose every second row declares
 no reflection layer.  The ``full`` run is also evaluated over the pinned data,
 and its ``final.bin`` runs ``ragnet infer`` and ``ragnet inspect-mask`` on the
 pinned ``I_0000.ppm``; each of the two output directories is hashed.
+``full, resumed`` resumes ``full`` from its ``ckpt_p1_e001.bin`` into a new
+directory; the script exits 1 unless that run's ``final.bin`` hash equals
+``full``'s, so the diff of two runs also covers ``train --resume``.
 The last two lines hash synthesized data: the pinned data, and
 ``ragnet synth --n 2 --seed 1 --patch-size 224``, whose scenes span several
 row blocks of the blur filter.
@@ -79,6 +82,13 @@ def run_all(root: str) -> None:
                 ragnet(command, "--ckpt", os.path.join(out, "final.bin"),
                        "--input", os.path.join(data, "I_0000.ppm"), "--out", outputs)
                 print(f"{name:20s} {command + ' dir':18s} {sha256_dir(outputs)}")
+            resumed = os.path.join(root, "resumed_full")
+            ragnet("train", "--data", data_manifest, "--out", resumed, *TRAIN_FLAGS, *flags,
+                   "--resume", os.path.join(out, "ckpt_p1_e001.bin"))
+            resumed_sha = sha256(os.path.join(resumed, "final.bin"))
+            print(f"{'full, resumed':20s} {'final.bin':18s} {resumed_sha}")
+            if resumed_sha != sha256(os.path.join(out, "final.bin")):
+                sys.exit("the resumed full run's final.bin differs from the uninterrupted one's")
     data224 = os.path.join(root, "data224")
     ragnet("synth", "--n", "2", "--seed", "1", "--patch-size", "224", "--out", data224)
     print(f"{'synth n 8, 16 px':20s} {'data directory':18s} {data_sha}")

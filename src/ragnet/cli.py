@@ -199,16 +199,16 @@ class InferenceState:
 def load_models(ckpt_path) -> InferenceState:
     """G_R and G_T from checkpoint *ckpt_path*, parsed once and checked.
 
-    The file's CRC, layout and ``meta/*`` entries are validated, and each
-    ``model/g_r/*`` and ``model/g_t/*`` entry must exist with its network's
-    shape and hold only finite values (``ValueError`` naming the tensor
-    otherwise).  The networks are built without their He init and filled
-    from those entries; the other payloads are read but never copied.
+    The file's CRC, layout and ``meta/*`` entries are validated, and
+    ``TR.restore`` fills the networks, built without their He init, from the
+    ``model/g_r/*`` and ``model/g_t/*`` entries: each must exist with its
+    network's shape and hold only finite values (``ValueError`` naming the
+    tensor otherwise).  The other payloads are read but never copied.
     """
     loaded = TR.load_checkpoint(ckpt_path)
     config = TR.model_config_from_checkpoint(ckpt_path, loaded)
     nets = {name: M.build_network(name, config, draw_init=False) for name in ("g_r", "g_t")}
-    TR.load_weights(ckpt_path, loaded, nets)
+    TR.restore(ckpt_path, loaded, TR.weight_tensors(nets))
     return InferenceState(nets)
 
 

@@ -145,30 +145,22 @@ def exclusion_loss(t_hat: Tensor, r_hat: Tensor, lambda_r_values: list[float | N
     if h % div or w % div:
         raise ValueError(f"exclusion_loss: spatial dims ({h},{w}) must be divisible by {div}")
 
-    loss = None
-    for scale, (tx, ty, rx, ry) in enumerate(_scale_gradients(t_hat, r_hat)):
-        if lambda_r_values is not None:
-            lam_r = lambda_r_values[scale]
-        else:
-            lam_r = _gradient_mass_ratio(tx, ty, rx, ry)  # stop-gradient normalization factor
-        if lam_r is not None:
-            psi_x = T.mul(T.tanh(T.scalar_mul(T.abs_(tx), EXCL_LAMBDA_T)),
-                          T.tanh(T.scalar_mul(T.abs_(rx), lam_r)))
-            psi_y = T.mul(T.tanh(T.scalar_mul(T.abs_(ty), EXCL_LAMBDA_T)),
-                          T.tanh(T.scalar_mul(T.abs_(ry), lam_r)))
-            term = T.sqrt(T.frobenius_norm(T.concat_channels(psi_x, psi_y)))
-            loss = term if loss is None else T.add(loss, term)
+    def terms():
+        """One term per scale, each recorded before the next scale is pooled."""
+        for scale, (tx, ty, rx, ry) in enumerate(_scale_gradients(t_hat, r_hat)):
+            # the stop-gradient normalization factor
+            lam_r = _gradient_mass_ratio(tx, ty, rx, ry) if lambda_r_values is None else lambda_r_values[scale]
+            if lam_r is not None:
+                psi_x = T.mul(T.tanh(T.scalar_mul(T.abs_(tx), EXCL_LAMBDA_T)),
+                              T.tanh(T.scalar_mul(T.abs_(rx), lam_r)))
+                psi_y = T.mul(T.tanh(T.scalar_mul(T.abs_(ty), EXCL_LAMBDA_T)),
+                              T.tanh(T.scalar_mul(T.abs_(ry), lam_r)))
+                yield T.sqrt(T.frobenius_norm(T.concat_channels(psi_x, psi_y)))
+
+    loss = _sum(terms())
     if loss is None:
         loss = T.scalar(0.0, dtype=t_hat.dtype)
     return T.scalar_mul(loss, 1.0 / (EXCL_SCALES + 1))
-
-
-def _pool_luminance(r_gt: np.ndarray, level: int) -> np.ndarray:
-    """Channel-mean reflection intensity average-pooled to the level's resolution."""
-    lum = T.tensor(r_gt.mean(axis=1, keepdims=True))
-    for _ in range(level - 1):
-        lum = T.downsample2x(lum)
-    return lum.data
 
 
 def mask_loss(masks: list[Tensor], r_gt: Tensor, thresholds: MaskLossThresholds) -> Tensor:
@@ -186,9 +178,7 @@ def mask_loss(masks: list[Tensor], r_gt: Tensor, thresholds: MaskLossThresholds)
     the clean-region pull on each entry of M_diff is half that of a separate
     mean over M_diff alone.
     """
-    loss = None
-    for level, m in enumerate(masks, 1):
-        lum = _pool_luminance(r_gt.data, level)
+    def term(m: Tensor, lum: np.ndarray) -> Tensor:
         heavy = lum > thresholds.phi
         clean = lum < thresholds.xi  # never overlaps heavy, since xi < phi
         half = m.shape[1] // 2
@@ -199,8 +189,13 @@ def mask_loss(masks: list[Tensor], r_gt: Tensor, thresholds: MaskLossThresholds)
         if clean.any():
             weight[np.broadcast_to(clean, m.shape)] = 1.0 / int(clean.sum() * m.shape[1])
         target = T.tensor(np.broadcast_to(clean, m.shape).astype(m.dtype))
-        term = T.l1_norm(T.mul(T.sub(m, target), T.tensor(weight)))
-        loss = term if loss is None else T.add(loss, term)
+        return T.l1_norm(T.mul(T.sub(m, target), T.tensor(weight)))
+
+    # the constant luminance map of each level, pooled from the level above
+    lums = [T.tensor(r_gt.data.mean(axis=1, keepdims=True))]
+    while len(lums) < len(masks):
+        lums.append(T.downsample2x(lums[-1]))
+    loss = _sum(term(m, lum.data) for m, lum in zip(masks, lums))
     if loss is None:
         loss = T.scalar(0.0, dtype=r_gt.dtype)
     return loss

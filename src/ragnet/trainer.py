@@ -19,7 +19,10 @@ tensor count u32; per tensor, in name order: name length u32, UTF-8 name,
 rank u32, dims u32 x rank (rank 0 is written as rank 1, dims (1,)),
 float32 payload; trailing CRC32 of all preceding bytes.  Integers (counters,
 Adam steps, the seed) are four float32 limbs of 16 bits, low limb first.
-Loaded arrays are read-only views into the one read of the file.
+Loaded arrays are read-only views into the one read of the file.  Inference,
+resume and the ``meta/*`` decode all copy entries out of them with
+``restore``, which checks that each wanted entry exists, has its
+destination's shape and is finite before it copies any.
 The training log is a CSV with header ``iter,phase,<LossParts fields>,total``;
 it is flushed before each epoch checkpoint, so it never lags behind one.
 """
@@ -48,7 +51,8 @@ CLIP_NORM = 1.0  # per-network global gradient-norm cap
 
 class TrainingDiverged(RuntimeError):
     """A non-finite *what* (a loss part, or a network's gradient norm) at
-    *iteration*; ``train`` fills in the last good checkpoint it wrote."""
+    *iteration*; ``train`` fills in the last good checkpoint: the last one
+    it wrote, or else the one it resumed from."""
 
     def __init__(self, iteration: int, what: str, last_checkpoint: str | None = None):
         super().__init__(iteration, what, last_checkpoint)
@@ -260,7 +264,13 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     return out
 
 
-def _check_shapes(path, loaded: dict[str, np.ndarray], expected: dict[str, np.ndarray]) -> None:
+def restore(path, loaded: dict[str, np.ndarray], expected: dict[str, np.ndarray]) -> None:
+    """Copy each entry of *expected* from *loaded*, the parse of checkpoint *path*.
+
+    Every entry must exist in the file with its destination's shape and hold
+    only finite values; a missing, misshapen or non-finite entry raises
+    ``ValueError`` naming it, before any entry is copied.
+    """
     missing = sorted(set(expected) - set(loaded))
     if missing:
         raise ValueError(f"checkpoint {path}: missing tensors {missing[:5]} "
@@ -269,6 +279,10 @@ def _check_shapes(path, loaded: dict[str, np.ndarray], expected: dict[str, np.nd
         if loaded[name].shape != arr.shape:
             raise ValueError(f"checkpoint {path}: tensor {name} has shape {loaded[name].shape}, "
                              f"expected {arr.shape}")
+        if not np.isfinite(loaded[name]).all():
+            raise ValueError(f"checkpoint {path}: tensor {name} holds a non-finite value")
+    for name, arr in expected.items():
+        arr[...] = loaded[name]
 
 
 def _int_to_limbs(v: int) -> np.ndarray:
@@ -287,19 +301,6 @@ def _limbs_to_int(a: np.ndarray, name: str, path) -> int:
 def weight_tensors(nets: dict[str, Network]) -> dict[str, np.ndarray]:
     """The ``model/{net}/{param}`` entries of the checkpoint's name table: the live weights of *nets*."""
     return {f"model/{net_name}/{pname}": p.data for net_name, net in nets.items() for pname, p in net.params.items()}
-
-
-def load_weights(path, loaded: dict[str, np.ndarray], nets: dict[str, Network]) -> None:
-    """Copy the weights of *nets* from *loaded*, the parse of checkpoint *path*,
-    after checking their names and shapes; a non-finite weight is rejected
-    before any weight is copied."""
-    expected = weight_tensors(nets)
-    _check_shapes(path, loaded, expected)
-    for name in expected:
-        if not np.isfinite(loaded[name]).all():
-            raise ValueError(f"checkpoint {path}: tensor {name} holds a non-finite value")
-    for name, arr in expected.items():
-        arr[...] = loaded[name]
 
 
 def _model_tensors(model: ModelConfig) -> dict[str, np.ndarray]:
@@ -354,7 +355,10 @@ class TrainerState:
         save_checkpoint(self.to_tensors(), path)
 
     def load(self, path) -> None:
-        """Restore from checkpoint *path*."""
+        """Restore every weight, Adam moment and counter from checkpoint *path*.
+
+        ``restore`` checks every entry before it copies any, so a missing,
+        misshapen or non-finite entry leaves the state as it was."""
         loaded = load_checkpoint(path)
         # the model first, so another width or critic setting is named as such, not
         # as a misshapen or missing tensor; compared as float32 bytes, so a width
@@ -364,10 +368,7 @@ class TrainerState:
                   if stored[n].tobytes() != arr.tobytes()]
         if differ:
             raise ValueError(f"checkpoint {path}: its model differs from this run's in {', '.join(differ)}")
-        expected = self.to_tensors()
-        _check_shapes(path, loaded, expected)
-        for name, arr in expected.items():
-            arr[...] = loaded[name]
+        restore(path, loaded, self.to_tensors())
         read_int = lambda name: _limbs_to_int(loaded[name], name, path)
         for net_name, st in self.adam.items():
             st.step_count = read_int(f"adam/{net_name}/step")
@@ -377,15 +378,16 @@ class TrainerState:
 
 def model_config_from_checkpoint(path, loaded: dict[str, np.ndarray]) -> ModelConfig:
     """Rebuild the architecture hyperparameters stored in *loaded*, the parse of checkpoint *path*."""
-    _check_shapes(path, loaded, _model_tensors(ModelConfig()))
-    variant, adv = float(loaded["meta/variant"][0]), float(loaded["meta/use_adversarial"][0])
+    meta = _model_tensors(ModelConfig())
+    restore(path, loaded, meta)
+    variant, adv = float(meta["meta/variant"][0]), float(meta["meta/use_adversarial"][0])
     if not (variant.is_integer() and 0 <= variant < len(RAG_VARIANTS)):
         raise ValueError(f"checkpoint {path}: meta/variant index {variant:g} is not in 0..{len(RAG_VARIANTS) - 1}")
     if adv not in (0.0, 1.0):
         raise ValueError(f"checkpoint {path}: meta/use_adversarial is {adv:g}, not 0 or 1")
-    return ModelConfig(width_multiplier=float(loaded["meta/width_multiplier"][0]),
+    return ModelConfig(width_multiplier=float(meta["meta/width_multiplier"][0]),
                        rag_variant=RAG_VARIANTS[int(variant)], use_adversarial=bool(adv),
-                       seed=_limbs_to_int(loaded["meta/seed"], "meta/seed", path))
+                       seed=_limbs_to_int(meta["meta/seed"], "meta/seed", path))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +440,7 @@ def train(config: TrainConfig, manifest_path, out_dir, resume_from=None) -> tupl
         with open(log_path) as f:
             kept = [row for row in f.readlines()[1:]
                     if row.endswith("\n") and int(row.split(",", 1)[0]) <= state.global_iter]
-    last_ckpt: str | None = None
+    last_ckpt: str | None = resume_from  # checked by restore, so a divergence before the next write names it
     with open(log_path, "w") as log_f:
         log_f.write(",".join(("iter", "phase", *(f.name for f in fields(L.LossParts)), "total")) + "\n")
         log_f.writelines(kept)

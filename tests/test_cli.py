@@ -549,6 +549,48 @@ def test_train_stops_at_a_non_finite_gradient_before_writing_it(tiny_data, tmp_p
     assert all(np.isfinite(a).all() for a in TR.load_checkpoint(last).values())
 
 
+@pytest.fixture(scope="module")
+def tiny_run(tiny_data, tmp_path_factory):
+    """``_train_tiny`` over one epoch per phase: its ckpt_p1_e001.bin and final.bin."""
+    run = tmp_path_factory.mktemp("tiny_run")
+    assert _train_tiny(tiny_data, run, "--phase2-epochs", "1") == EXIT_OK
+    return run
+
+
+def _with_one_nan(src, dst, name):
+    """Write checkpoint *src* to *dst* with one NaN in tensor *name*, under a valid CRC."""
+    tensors = dict(TR.load_checkpoint(src))
+    tensors[name] = tensors[name].copy()
+    tensors[name].reshape(-1)[0] = np.nan
+    save_checkpoint(tensors, dst)
+
+
+def test_resume_from_a_nan_adam_moment_exits_2_before_making_out(tiny_data, tiny_run, tmp_path, capsys):
+    ckpt, out, name = tmp_path / "nan.bin", tmp_path / "resumed", "adam/g_r/dec/head/c0/bias/m"
+    _with_one_nan(tiny_run / "ckpt_p1_e001.bin", ckpt, name)
+    assert _train_tiny(tiny_data, out, "--phase2-epochs", "1", "--resume", str(ckpt)) == EXIT_VALIDATION
+    assert f"error: checkpoint {ckpt}: tensor {name} holds a non-finite value\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resume_of_a_nan_weight_final_with_no_epochs_left_exits_2(tiny_data, tiny_run, tmp_path, capsys):
+    ckpt, out, name = tmp_path / "nan.bin", tmp_path / "resumed", "model/g_t/dec/head/c1/weight"
+    _with_one_nan(tiny_run / "final.bin", ckpt, name)
+    assert _train_tiny(tiny_data, out, "--phase2-epochs", "1", "--resume", str(ckpt)) == EXIT_VALIDATION
+    assert f"error: checkpoint {ckpt}: tensor {name} holds a non-finite value\n" in capsys.readouterr().err
+    assert not (out / "final.bin").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the adversarial gradient overflows, on purpose
+def test_a_resumed_run_that_diverges_names_the_checkpoint_it_resumed_from(tiny_data, tiny_run, tmp_path, capsys):
+    ckpt, out = tiny_run / "ckpt_p1_e001.bin", tmp_path / "resumed"
+    assert _train_tiny(tiny_data, out, "--phase2-epochs", "1", "--lambda-adv", "3e38",
+                       "--resume", str(ckpt)) == EXIT_VALIDATION
+    assert (f"error: non-finite gradient norm of g_r at iteration 2; last good checkpoint: {ckpt}\n"
+            in capsys.readouterr().err)
+    assert not list(out.glob("*.bin"))
+
+
 @pytest.mark.parametrize("field, trained, flags", [
     ("variant", [], ["--rag-variant", "no_diff"]),
     ("use_adversarial", [], ["--use-adversarial", "false"]),

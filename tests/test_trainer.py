@@ -263,7 +263,7 @@ class TestNonFiniteLoss:
         self._assert_untouched(state, state.nets, before)
 
 
-class TestLoadWeights:
+class TestRestore:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_weight_is_named_and_no_weight_is_copied(self, value, tmp_path):
         nets = TrainerState(small_config(seed=0)).nets
@@ -271,8 +271,38 @@ class TestLoadWeights:
         loaded["model/g_t/dec/head/c1/weight"][0, 0, 0, 0] = value
         before = {k: v.tobytes() for k, v in trainer.weight_tensors(nets).items()}
         with pytest.raises(ValueError, match="tensor model/g_t/dec/head/c1/weight holds a non-finite value"):
-            trainer.load_weights(tmp_path / "c.bin", loaded, nets)
+            trainer.restore(tmp_path / "c.bin", loaded, trainer.weight_tensors(nets))
         assert {k: v.tobytes() for k, v in trainer.weight_tensors(nets).items()} == before
+
+    @staticmethod
+    def _stepped_state(position: int) -> TrainerState:
+        """A state of one model whose weights, Adam moments and counters all differ with *position*."""
+        state = TrainerState(small_config(seed=0))
+        rng = np.random.Generator(np.random.PCG64(position))
+        for name, arr in state.to_tensors().items():
+            if name.startswith("model/") or name.endswith(("/m", "/v")):  # the live arrays
+                arr[...] = rng.uniform(0.1, 1.0, arr.shape)
+        for k, st in enumerate(state.adam.values()):
+            st.step_count = position + k
+        state.epochs_done = {1: position, 2: position + 1}
+        state.global_iter = 10 * position
+        return state
+
+    @pytest.mark.parametrize("name", ["model/g_t/dec/head/c1/weight", "adam/g_r/dec/head/c0/bias/m",
+                                      "adam/disc/step", "meta/global_iter"])
+    def test_load_of_a_non_finite_entry_leaves_the_state_unchanged(self, name, tmp_path):
+        path = tmp_path / "s.bin"
+        tensors = self._stepped_state(3).to_tensors()
+        tensors[name] = tensors[name].copy()
+        tensors[name].reshape(-1)[-1] = np.nan
+        save_checkpoint(tensors, path)  # a valid CRC over one non-finite entry
+        state = self._stepped_state(7)
+        before = {k: v.tobytes() for k, v in state.to_tensors().items()}
+        with pytest.raises(ValueError, match=f"tensor {name} holds a non-finite value"):
+            state.load(path)
+        assert {k: v.tobytes() for k, v in state.to_tensors().items()} == before
+        assert (state.global_iter, state.epochs_done) == (70, {1: 7, 2: 8})
+        assert [st.step_count for st in state.adam.values()] == [7, 8, 9]
 
 
 class TestCheckpointFormat:
