@@ -30,7 +30,11 @@ temporary directory.  It prints that step's ``tracemalloc`` peak and fails
 above ``STEP_MB`` MB (of 2**20 bytes, as everywhere in this script).  The
 backward releases each recorded op once its gradient has been propagated,
 so the peak is the forward's live set, not the whole tape plus the
-gradients piled on it.  This count does not depend on the allocator either.
+gradients piled on it.  That live set holds only what some backward reads:
+a recorded op keeps no array of a parent, only the arrays its own
+backward reads, so a constant, or an activation that no backward reads,
+is freed once the forward drops it.  This count does not depend on the
+allocator either.
 
 Last, one fresh process saves a width-``LOAD_WIDTH`` checkpoint to a
 temporary directory, and a second one, whose allocator holds no freed
@@ -66,7 +70,7 @@ SIDE = 224  # the inference image side
 MERGE_MAPS = 5.3  # traced inference peak allowed, in level-1 merge maps
 INFER_FAULTS = 256  # minor page faults allowed in the second inference
 STEP_WIDTH, STEP_BATCH, STEP_SIDE = 0.125, 4, 64  # the desk training step
-STEP_MB = 68  # its traced peak allowed, in MB of 2**20 bytes
+STEP_MB = 58  # its traced peak allowed, in MB of 2**20 bytes
 LOAD_WIDTH = 0.5  # width of the checkpoint that load_models reads
 MB = 1 << 20
 

@@ -105,7 +105,9 @@ def _build(cls, values: dict[str, object], **extra):
 
 
 def parse_config_file(path) -> dict[str, str]:
+    """The ``key = value`` lines of *path*; a key given twice raises ``ValueError`` naming both lines."""
     values: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
@@ -114,7 +116,9 @@ def parse_config_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            values[key] = val
+            if key in linenos:
+                raise ValueError(f"{path}:{lineno}: key {key} is given again (first on line {linenos[key]})")
+            values[key], linenos[key] = val, lineno
     return values
 
 

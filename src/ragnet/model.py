@@ -105,8 +105,11 @@ class Network:
     def frozen(self):
         """A block in which no parameter tracks gradients; each gets its flag back at exit.
 
-        An op reads its parents' flags again in the backward pass, so a
-        ``backward`` that should skip these parameters runs inside the block.
+        Both passes run inside the block: the taped forward and the
+        ``backward`` that should skip these parameters.  An op decides at the
+        forward what its backward will read, and ``backward`` reads its
+        parents' flags again, so a ``conv2d`` whose weight was frozen at the
+        forward and tracks at the backward raises ``ValueError``.
         """
         flags = {p: p.requires_grad for p in self.params.values()}
         self.freeze()

@@ -293,6 +293,8 @@ def generate_triple(params: SynthesisParams, seed: int) -> ImageTriple:
 def write_ppm(path, img: np.ndarray) -> None:
     """Binary P6 from a (3,H,W) or (1,3,H,W) float image in [0,1]."""
     if img.ndim == 4:
+        if img.shape[0] != 1:
+            raise ValueError(f"write_ppm: expected one image, got a batch of shape {img.shape}")
         img = img[0]
     if img.ndim != 3 or img.shape[0] != 3:
         raise ValueError(f"write_ppm: expected (3,H,W), got {img.shape}")

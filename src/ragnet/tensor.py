@@ -7,7 +7,11 @@ the loss in reverse creation order and accumulates gradients additively into
 the ``grad`` of every reachable leaf (a tensor no op produced, such as a
 Parameter) with ``requires_grad``.  Op outputs get no ``grad``: their
 gradients live only while ``backward`` runs, and each node is released once
-its gradient has been propagated, so a graph is differentiated once.
+its gradient has been propagated, so a graph is differentiated once.  The
+tape keeps only what a backward reads: a node refers to an op output by
+its node, flag, shape and dtype, not its array, and each ``grad_fn``
+closes over the arrays its formula reads and no others, so a constant or
+an activation that no backward reads is freed once the forward drops it.
 Outside a tape the same functions run forward-only, which is how oracles,
 evaluation and data preparation avoid graph overhead.
 
@@ -60,8 +64,9 @@ class Tape:
     """Context in which operations on gradient-tracking tensors build a graph.
 
     The tape holds no nodes.  Links point one way only, from each output to
-    its node and from the node to its parents, so the graph is acyclic and
-    is freed by reference counting once its last tensor is dropped.
+    its node and from the node to its parents' references (see ``_OpNode``),
+    so the graph is acyclic and is freed by reference counting once its last
+    tensor is dropped.
     ``backward`` frees it sooner: it releases each node once the node's
     gradient has been propagated, so a graph is differentiated once.
     """
@@ -77,13 +82,18 @@ class Tape:
 
 
 class _OpNode:
-    """One recorded op: name, parent tensors, ``grad_fn`` (output gradient to
-    parent gradients) and creation number.  It does not refer to its output,
-    which holds it, so the two form no cycle; ``backward`` keys the output's
-    pending gradient by this node.  Once ``backward`` has propagated that
-    gradient it releases the node: ``parents`` becomes () and ``grad_fn``
-    None, which frees what the closure kept, and a later ``backward`` that
-    reaches the node raises."""
+    """One recorded op: name, parents, ``grad_fn`` (output gradient to parent
+    gradients) and creation number.  It does not refer to its output, which
+    holds it, so the two form no cycle; ``backward`` keys the output's
+    pending gradient by this node.
+
+    ``parents`` holds no array: per parent an ``_Output`` (node, flag, shape
+    and dtype) of an op output, the tensor itself for a Parameter or another
+    leaf that tracks gradients, and None for a constant.  The arrays a
+    backward reads live in ``grad_fn``'s closure, chosen at the forward.
+    Once ``backward`` has propagated the output's gradient it releases the
+    node: ``parents`` becomes () and ``grad_fn`` None, which frees what the
+    closure kept, and a later ``backward`` that reaches the node raises."""
 
     __slots__ = ("op", "parents", "grad_fn", "seq")
 
@@ -155,11 +165,30 @@ def _taped(parents) -> bool:
     return bool(Tape._stack) and any(p.requires_grad for p in parents)
 
 
+class _Output:
+    """What a node keeps of a parent that an op produced: its node, flag,
+    shape and dtype, for ``backward`` to key and check its gradient by, but
+    not its array."""
+
+    __slots__ = ("node", "requires_grad", "shape", "dtype")
+
+    def __init__(self, t: Tensor):
+        self.node, self.requires_grad, self.shape, self.dtype = t.node, t.requires_grad, t.shape, t.dtype
+
+
+def _parent(p: Tensor) -> "_Output | Tensor | None":
+    """A node's reference to parent *p*: an ``_Output`` of an op output; a
+    Parameter, or another leaf that tracks gradients, itself; None for a constant."""
+    if p.node is not None:
+        return _Output(p)
+    return p if isinstance(p, Parameter) or p.requires_grad else None
+
+
 def _record(op: str, parents, out: Tensor, grad_fn) -> Tensor:
     """Link *out* to its parents when ``_taped(parents)``."""
     if _taped(parents):
         out.requires_grad = True
-        out.node = _OpNode(op, tuple(parents), grad_fn)
+        out.node = _OpNode(op, tuple(_parent(p) for p in parents), grad_fn)
     return out
 
 
@@ -211,10 +240,10 @@ def _row_blocks(n, hp, wp, last):
             for n0, n1, i0, i1 in spans]
 
 
-def _is_view(xts, pad, k, block) -> bool:
-    """Whether ``_stack`` reads *block* as a view of the input: a single tap
-    of one group on one image."""
-    return k == 1 and pad == 0 and len(xts) == 1 and block[1] - block[0] == 1
+def _is_view(groups: int, pad, k, block) -> bool:
+    """Whether ``_stack`` reads *block* as a view of an input of *groups*
+    channel groups: a single tap of one group on one image."""
+    return k == 1 and pad == 0 and groups == 1 and block[1] - block[0] == 1
 
 
 def _stack(buf, xts, pad, k, block):
@@ -227,7 +256,7 @@ def _stack(buf, xts, pad, k, block):
     _, _, h, wd = xts[0].shape
     hp, wp = h + 2 * pad, wd + 2 * pad
     n0, n1, i0, i1, _, size = block
-    if _is_view(xts, pad, k, block):
+    if _is_view(len(xts), pad, k, block):
         return xts[0][:, n0, i0:i1].reshape(c, size)
     tall = k - 1
     span = size + tall * wp
@@ -266,7 +295,7 @@ def _correlate(xts, pad, wk, out, buf=None, bias=None, relu=False, sigmoid=False
     blocks = _row_blocks(n, hp, wp, ho)
     most = max(size for *_, size in blocks)
     cols = most + (k - 1) * (wp + 1)  # the largest stack and its tap shift
-    views = all(_is_view(xts, pad, k, block) for block in blocks)
+    views = all(_is_view(len(xts), pad, k, block) for block in blocks)
     if not views and (buf is None or buf.shape[0] < k * c or buf.shape[1] < cols):
         buf = np.empty((k * c, cols), dtype=xts[0].dtype)
     acc = np.empty((co, most), dtype=np.result_type(xts[0], wk))
@@ -337,17 +366,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     plus the bias, and with ``relu=True`` or ``sigmoid=True`` its
     activation, is written straight into the NCHW output.
 
-    The tape keeps no copy of the input: only the parents, whose groups are
-    the tensors *x* and *concat* that their own producers hold anyway, not
-    a concatenated copy; the weight copy, held until this node's backward
-    runs, which then releases it; and, with ``relu=True`` or
-    ``sigmoid=True``, the output array it already holds.  The backward pass
-    writes the output gradient, masked by ``out > 0`` when ``relu=True``,
-    or as ``g * out * (1 - out)`` in the order of ``sigmoid``'s backward
-    when ``sigmoid=True``, onto the anchor grid after E = ((k-1)*Wp + k-1)
-    leading zero columns; every other column of that (Cout, E + N*Hp*Wp)
-    buffer is 0, and db is its row sum (the E zeros stay: numpy's pairwise
-    sum rounds by the row's length).
+    The tape keeps what the backward reads, decided at the forward, and no
+    concatenated copy of the input: the groups *x* and *concat*, which
+    their own producers hold anyway, only when the weight tracks gradients
+    (dw reads them); the weight copy only when some group tracks (dx reads
+    it); else their flags and channel widths.  With ``relu=True`` or
+    ``sigmoid=True`` it also keeps the output array.  A weight frozen at
+    the forward gets no dw, so ``backward`` raises ValueError if it tracks
+    by then.  The node's backward releases all of it.
+
+    The backward pass writes the output gradient, masked by ``out > 0``
+    when ``relu=True``, or as ``g * out * (1 - out)`` in the order of
+    ``sigmoid``'s backward when ``sigmoid=True``, onto the anchor grid
+    after E = ((k-1)*Wp + k-1) leading zero columns; every other column of
+    that (Cout, E + N*Hp*Wp) buffer is 0, and db is its row sum (the E
+    zeros stay: numpy's pairwise sum rounds by the row's length).
 
     - dw runs over the forward's row blocks, extended to all Hp anchor rows
       because input pixels also lie on the rows the forward crops.  The
@@ -364,8 +397,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
       same order, so the turn changes no rounding.  Its stack shares dw's
       buffer; its weights are the forward's copy, not ``w.data``, which the
       optimizer updates in place before a later backward.  It is one
-      correlation over all Cin channels, run when any group tracks
-      gradients; each tracking group gets its channel slice of the result.
+      correlation over all Cin channels, run when any group tracked
+      gradients at the forward; each such group gets its channel slice of
+      the result.
     """
     groups = (x, *concat)
     n, _, h, wd = x.shape
@@ -410,6 +444,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     _correlate(xts, pad, wk, out_data, bias=None if b is None else b.data, relu=relu, sigmoid=sigmoid)
     out = Tensor(out_data[:, :, ::stride, ::stride])  # every stride-th anchor; Tensor makes a strided view contiguous
     alive = out.data if relu or sigmoid else None  # the tape keeps the output only for its derivative
+    # what the backward reads, decided now: the groups for dw, the weight copy for dx
+    stacked = xts if w.requires_grad else None
+    tracks, widths = [t.requires_grad for t in groups], [t.shape[1] for t in groups]
+    wf = wk if any(tracks) else None
+    ngroups, xdtype = len(groups), x.dtype
 
     def grad_fn(g):
         # the output gradient on every stride-th anchor after E leading zero columns
@@ -422,40 +461,40 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
             _sigmoid_grad(g.transpose(1, 0, 2, 3), alive.transpose(1, 0, 2, 3), out=gq)
         else:
             gq[...] = g.transpose(1, 0, 2, 3)
-        dxs, dw = [None] * len(groups), None  # a parent that tracks no gradient gets None, which backward skips
+        dxs, dw = [None] * ngroups, None  # a parent that tracked no gradient at the forward gets None
         bwd_blocks = _row_blocks(n, hp, wp, hp)  # input pixels lie on every anchor row
         span = max(size for *_, size in bwd_blocks) + tall * wp
         # one buffer for dw's input stacks, then dx's gradient stacks: a call
         # touches fewer fresh pages than with one buffer each; none when both read views
-        buf = (None if all(_is_view(xts, pad, k, block) for block in bwd_blocks)
-               else np.empty((k * max(ci, co), span + tall), dtype=np.result_type(x.data, gp)))
-        if w.requires_grad:
-            dwk = np.empty((k, k * ci, co), dtype=np.result_type(g, x.data))  # dw of kernel row u, (v, Cin) x Cout
+        buf = (None if all(_is_view(ngroups, pad, k, block) for block in bwd_blocks)
+               else np.empty((k * max(ci, co), span + tall), dtype=np.result_type(xdtype, gp)))
+        if stacked is not None:
+            dwk = np.empty((k, k * ci, co), dtype=np.result_type(g, xdtype))  # dw of kernel row u, (v, Cin) x Cout
             part = np.empty((k * ci, co), dtype=dwk.dtype)
             for bi, block in enumerate(bwd_blocks):
                 # kernel row u: its stacked taps times the block's gradient
                 start, size = block[4:]
                 gb = gp[:, ext + start:ext + start + size]
-                st = _stack(buf, xts, pad, k, block)
+                st = _stack(buf, stacked, pad, k, block)
                 for u in range(k):
                     if bi == 0:
                         np.matmul(st[:, u * wp:u * wp + size], gb.T, out=dwk[u])
                     else:
                         dwk[u] += np.matmul(st[:, u * wp:u * wp + size], gb.T, out=part)
             dw = dwk.reshape(k, k, ci, co).transpose(3, 2, 0, 1)
-        if any(t.requires_grad for t in groups):
+        if wf is not None:
             q = k - 1 - pad
             turned = g1[:, :, ::-1, ::-1]
             if q < 0:  # pad > k - 1: the outer -q rows and columns read only padding
                 turned, q = turned[:, :, -q:q, -q:q], 0
-            dx = np.empty((n, ci, h, wd), dtype=np.result_type(g, wk))
-            wt = np.ascontiguousarray(wk.reshape(k, co, k, ci).transpose(0, 3, 2, 1)).reshape(k, ci, k * co)
+            dx = np.empty((n, ci, h, wd), dtype=np.result_type(g, wf))
+            wt = np.ascontiguousarray(wf.reshape(k, co, k, ci).transpose(0, 3, 2, 1)).reshape(k, ci, k * co)
             _correlate((turned,), q, wt, dx[:, :, ::-1, ::-1], buf)
             c0 = 0
-            for i, t in enumerate(groups):
-                if t.requires_grad:
-                    dxs[i] = dx[:, c0:c0 + t.shape[1]]
-                c0 += t.shape[1]
+            for i, (tracked, c) in enumerate(zip(tracks, widths)):
+                if tracked:
+                    dxs[i] = dx[:, c0:c0 + c]
+                c0 += c
         db = gp.sum(axis=1).reshape(1, co, 1, 1) if b is not None and b.requires_grad else None
         return (*dxs, dw, db) if b is not None else (*dxs, dw)
 
@@ -664,23 +703,28 @@ def repeat_channels(x: Tensor, reps: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # elementwise ops
 
-def _binary(op, a: Tensor, b: Tensor, fwd, bwd):
+def _binary(op, a: Tensor, b: Tensor, fwd, grad_fn):
     if a.shape != b.shape:
         raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
     out = Tensor(fwd(a.data, b.data))
-    return _record(op, (a, b), out, lambda g: bwd(g, a.data, b.data))
+    return _record(op, (a, b), out, grad_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("add", a, b, lambda x, y: x + y, lambda g, x, y: (g, g))
+    return _binary("add", a, b, lambda x, y: x + y, lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("sub", a, b, lambda x, y: x - y, lambda g, x, y: (g, -g))
+    return _binary("sub", a, b, lambda x, y: x - y, lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _binary("mul", a, b, lambda x, y: x * y, lambda g, x, y: (g * y, g * x))
+    """a * b.  The tape keeps each factor only when the other one tracks
+    gradients, since only the other one's gradient reads it."""
+    keep_a = a.data if b.requires_grad else None
+    keep_b = b.data if a.requires_grad else None
+    return _binary("mul", a, b, lambda x, y: x * y,
+                   lambda g: (None if keep_b is None else g * keep_b, None if keep_a is None else g * keep_a))
 
 
 def scalar_mul(x: Tensor, s: float) -> Tensor:
@@ -738,10 +782,18 @@ def tanh(x: Tensor) -> Tensor:
     return _record("tanh", (x,), out, lambda g: (g * (1.0 - t * t),))
 
 
+def _taped_sign(x: Tensor) -> np.ndarray | None:
+    """np.sign(x) for the tape, or None when the op is not recorded.  Kept as
+    float16, which holds its values -1, +-0, 1 and NaN exactly in half the
+    bytes of float32, so a product with it equals the product with
+    np.sign(x); np.sign is 0 at 0, the documented subgradient choice."""
+    return np.sign(x.data).astype(np.float16) if _taped((x,)) else None
+
+
 def abs_(x: Tensor) -> Tensor:
     out = Tensor(np.abs(x.data))
-    # np.sign is 0 at 0, matching the documented subgradient choice
-    return _record("abs", (x,), out, lambda g: (g * np.sign(x.data),))
+    sign = _taped_sign(x)
+    return _record("abs", (x,), out, lambda g: (g * sign,))
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
@@ -794,16 +846,18 @@ def _reduce(op, x: Tensor, value: float, grad_of_x) -> Tensor:
 
 
 def reduce_sum(x: Tensor) -> Tensor:
-    return _reduce("sum", x, x.data.sum(), lambda: np.ones_like(x.data))
+    shape, dtype = x.shape, x.dtype
+    return _reduce("sum", x, x.data.sum(), lambda: np.ones(shape, dtype=dtype))
 
 
 def reduce_mean(x: Tensor) -> Tensor:
-    n = x.data.size
-    return _reduce("mean", x, x.data.mean(), lambda: np.full_like(x.data, 1.0 / n))
+    shape, dtype, n = x.shape, x.dtype, x.data.size
+    return _reduce("mean", x, x.data.mean(), lambda: np.full(shape, 1.0 / n, dtype=dtype))
 
 
 def l1_norm(x: Tensor) -> Tensor:
-    return _reduce("l1_norm", x, np.abs(x.data).sum(), lambda: np.sign(x.data))
+    sign = _taped_sign(x)
+    return _reduce("l1_norm", x, np.abs(x.data).sum(), lambda: sign)
 
 
 def frobenius_norm(x: Tensor) -> Tensor:
@@ -878,13 +932,20 @@ def backward(loss: Tensor) -> None:
     fan-out inside one graph and across calls on separate graphs; callers
     zero grads between optimization steps.
 
-    Each node is released as soon as its gradient has been propagated: it
-    drops its parents and its ``grad_fn``, and with them the activations,
-    weight copies and buffers that only its backward read, so the tape
-    shrinks while the backward runs instead of living until the step ends.
+    The tape holds only what some backward reads (see ``_OpNode``), so the
+    peak of a step is the forward's live set.  Each node is released as
+    soon as its gradient has been propagated: it drops its parents and its
+    ``grad_fn``, and with them the activations, weight copies and buffers
+    that only its backward read, so the tape shrinks while the backward
+    runs instead of living until the step ends.
     A graph is therefore differentiated once: a call that reaches a node an
     earlier call released, on the same loss or on another loss that shares
     part of its graph, raises ValueError naming the op.
+    What a node keeps is decided at the forward, while parents' flags are
+    read again here: a parent that was frozen at the forward and tracks
+    now, such as a ``conv2d`` weight, gets no gradient from its op, which
+    raises ValueError naming the op; so freeze parameters around both
+    passes (``model.Network.frozen``).
     A ``grad_fn`` that returns a gradient whose shape or dtype differs from
     its parent's raises ValueError naming the op.
     """
@@ -903,8 +964,11 @@ def backward(loss: Tensor) -> None:
         parent_grads = grad_fn(g)
         g = grad_fn = None
         for p, pg in zip(parents, parent_grads):
-            if p is None or pg is None or not p.requires_grad:
+            if p is None or not p.requires_grad:
                 continue
+            if pg is None:
+                raise ValueError(f"backward: {node.op} kept nothing for the gradient of a parent that tracks "
+                                 "gradients now but did not at the forward; run both passes in one frozen block")
             if pg.shape != p.shape or pg.dtype != p.dtype:
                 raise ValueError(f"backward: {node.op} returned a {pg.dtype} gradient of shape {pg.shape} "
                                  f"for a {p.dtype} parent of shape {p.shape}")

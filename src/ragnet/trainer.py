@@ -271,6 +271,13 @@ def restore(path, loaded: dict[str, np.ndarray], expected: dict[str, np.ndarray]
     only finite values; a missing, misshapen or non-finite entry raises
     ``ValueError`` naming it, before any entry is copied.
     """
+    _check_entries(path, loaded, expected)
+    for name, arr in expected.items():
+        arr[...] = loaded[name]
+
+
+def _check_entries(path, loaded: dict[str, np.ndarray], expected: dict[str, np.ndarray]) -> None:
+    """Raise ``ValueError`` naming the entries of *expected* that ``restore`` would reject."""
     missing = sorted(set(expected) - set(loaded))
     if missing:
         raise ValueError(f"checkpoint {path}: missing tensors {missing[:5]} "
@@ -281,8 +288,6 @@ def restore(path, loaded: dict[str, np.ndarray], expected: dict[str, np.ndarray]
                              f"expected {arr.shape}")
         if not np.isfinite(loaded[name]).all():
             raise ValueError(f"checkpoint {path}: tensor {name} holds a non-finite value")
-    for name, arr in expected.items():
-        arr[...] = loaded[name]
 
 
 def _int_to_limbs(v: int) -> np.ndarray:
@@ -357,8 +362,10 @@ class TrainerState:
     def load(self, path) -> None:
         """Restore every weight, Adam moment and counter from checkpoint *path*.
 
-        ``restore`` checks every entry before it copies any, so a missing,
-        misshapen or non-finite entry leaves the state as it was."""
+        Every entry is checked as ``restore`` checks it, and every counter
+        decoded, before any is copied, so a missing, misshapen or non-finite
+        entry, or a counter that is not four integer limbs, leaves the state
+        as it was."""
         loaded = load_checkpoint(path)
         # the model first, so another width or critic setting is named as such, not
         # as a misshapen or missing tensor; compared as float32 bytes, so a width
@@ -368,12 +375,17 @@ class TrainerState:
                   if stored[n].tobytes() != arr.tobytes()]
         if differ:
             raise ValueError(f"checkpoint {path}: its model differs from this run's in {', '.join(differ)}")
-        restore(path, loaded, self.to_tensors())
+        tensors = self.to_tensors()
+        _check_entries(path, loaded, tensors)
         read_int = lambda name: _limbs_to_int(loaded[name], name, path)
-        for net_name, st in self.adam.items():
-            st.step_count = read_int(f"adam/{net_name}/step")
-        self.epochs_done = {phase: read_int(f"meta/phase{phase}_done") for phase in self.epochs_done}
-        self.global_iter = read_int("meta/global_iter")
+        steps = [read_int(f"adam/{net_name}/step") for net_name in self.adam]
+        epochs_done = {phase: read_int(f"meta/phase{phase}_done") for phase in self.epochs_done}
+        global_iter = read_int("meta/global_iter")
+        for name, arr in tensors.items():
+            arr[...] = loaded[name]
+        for st, step in zip(self.adam.values(), steps):
+            st.step_count = step
+        self.epochs_done, self.global_iter = epochs_done, global_iter
 
 
 def model_config_from_checkpoint(path, loaded: dict[str, np.ndarray]) -> ModelConfig:

@@ -90,7 +90,7 @@ class TestBackwardContract:
             with T.Tape():
                 mid = T.relu(T.conv2d(x, w, None, stride=1, pad=1))
                 ref = weakref.ref(mid)
-                loss = T.reduce_sum(T.mask_mean3x3(mid))
+                loss = T.reduce_sum(T.leaky_relu(mid))  # leaky_relu's backward reads mid
                 del mid
                 assert ref() is not None  # the graph holds it until its gradient has been propagated
                 T.backward(loss)
@@ -237,6 +237,79 @@ class TestTapeRetention:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * x.data.nbytes
+
+    def test_sub_keeps_no_constant_operand(self):
+        x = leaf((1, 2, 4, 4), 530)
+        c = T.tensor(rand((1, 2, 4, 4), 531))
+        d = x.data - c.data
+        gc.disable()
+        try:
+            with T.Tape():
+                diff = T.sub(x, c)
+                loss = T.reduce_sum(T.mul(diff, diff))
+                ref = weakref.ref(c)
+                del c, diff
+                assert ref() is None  # dead before the backward
+                T.backward(loss)
+        finally:
+            gc.enable()
+        assert x.grad.tobytes() == (d + d).tobytes()
+
+    @pytest.mark.parametrize("op", [T.l1_norm, lambda d: T.reduce_sum(T.abs_(d))], ids=["l1_norm", "abs"])
+    def test_a_sign_reader_keeps_only_the_sign(self, op):
+        x = leaf((1, 2, 4, 4), 535)
+        x.data[0, 0, 0, :3] = (-0.0, 0.0, np.nan)
+        c = T.tensor(np.zeros_like(x.data))
+        gc.disable()
+        try:
+            with T.Tape():
+                d = T.sub(x, c)
+                want = np.sign(d.data) * np.float64(1.0)
+                loss = op(d)
+                ref = weakref.ref(d)
+                del d
+                assert ref() is None  # its sign is all the backward reads
+                T.backward(loss)
+        finally:
+            gc.enable()
+        assert x.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("op", [T.add, T.sub], ids=["add", "sub"])
+    def test_add_and_sub_close_over_no_array(self, op):
+        a, b = leaf((1, 2, 4, 4), 540), leaf((1, 2, 4, 4), 541)
+        with T.Tape():
+            out = op(a, b)
+        cells = [cell.cell_contents for cell in out.node.grad_fn.__closure__ or ()]
+        assert not any(isinstance(v, (np.ndarray, T.Tensor)) for v in cells)
+
+    def test_mul_keeps_no_factor_that_only_a_constant_gradient_reads(self):
+        x = leaf((1, 2, 4, 4), 560)
+        c = rand((1, 2, 4, 4), 561)
+        gc.disable()
+        try:
+            with T.Tape():
+                d = T.scalar_add(x, 0.5)
+                loss = T.reduce_sum(T.mul(d, T.tensor(c)))
+                ref = weakref.ref(d)
+                del d
+                assert ref() is None  # read only by the constant's gradient
+                T.backward(loss)
+        finally:
+            gc.enable()
+        assert x.grad.tobytes() == (np.ones_like(c) * c).tobytes()
+
+    @pytest.mark.parametrize("name", ["conv2d", "mul"])
+    def test_a_parameter_frozen_at_the_forward_cannot_track_at_the_backward(self, name):
+        op, shape = {"conv2d": (lambda x, w: T.conv2d(x, w, None, pad=1), (2, 2, 3, 3)),
+                     "mul": (T.mul, (1, 2, 4, 4))}[name]
+        x = leaf((1, 2, 4, 4), 550)
+        w = T.Parameter("w", rand(shape, 551))
+        w.requires_grad = False
+        with T.Tape():
+            loss = T.reduce_sum(op(x, w))
+            w.requires_grad = True
+            with pytest.raises(ValueError, match=f"backward: {name} kept nothing for the gradient"):
+                T.backward(loss)
 
 
 class TestFloat32:

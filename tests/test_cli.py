@@ -76,6 +76,15 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="key = value"):
             cli.build_config(args)
 
+    def test_a_key_given_twice_exits_2_naming_it_and_both_lines(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("seed = 5\n# comment\nphi = 0.25\nseed = 6\n")
+        out = tmp_path / "out"
+        assert main(["synth", "--n", "1", "--out", str(out), "--config", str(cfgfile)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "run.cfg:4: key seed is given again (first on line 1)" in err
+        assert not out.exists()
+
     def test_bad_bool_rejected(self):
         parser = cli.make_parser()
         args = parser.parse_args(["params", "--use-adversarial", "maybe"])

@@ -202,6 +202,12 @@ class TestPPM:
         back = read_ppm(path)
         np.testing.assert_array_equal(back[0], img)
 
+    def test_a_batch_of_two_images_is_rejected_naming_its_shape(self, tmp_path):
+        path = tmp_path / "two.ppm"
+        with pytest.raises(ValueError, match=r"\(2, 3, 5, 7\)"):
+            write_ppm(path, np.zeros((2, 3, 5, 7), dtype=np.float32))
+        assert not path.exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P3\n1 1\n255\n000")

@@ -304,6 +304,20 @@ class TestRestore:
         assert (state.global_iter, state.epochs_done) == (70, {1: 7, 2: 8})
         assert [st.step_count for st in state.adam.values()] == [7, 8, 9]
 
+    @pytest.mark.parametrize("name", ["meta/phase1_done", "adam/g_t/step", "meta/global_iter"])
+    def test_load_of_a_malformed_counter_leaves_the_state_unchanged(self, name, tmp_path):
+        path = tmp_path / "s.bin"
+        tensors = self._stepped_state(3).to_tensors()
+        tensors[name] = np.full(4, -1.0, dtype=np.float32)  # finite, but not four limbs in [0, 65535]
+        save_checkpoint(tensors, path)
+        state = self._stepped_state(7)
+        before = {k: v.tobytes() for k, v in state.to_tensors().items()}
+        with pytest.raises(ValueError, match=f"tensor {name} holds \\[-1.0, -1.0, -1.0, -1.0\\], not four"):
+            state.load(path)
+        assert {k: v.tobytes() for k, v in state.to_tensors().items()} == before
+        assert (state.global_iter, state.epochs_done) == (70, {1: 7, 2: 8})
+        assert [st.step_count for st in state.adam.values()] == [7, 8, 9]
+
 
 class TestCheckpointFormat:
     def _tensors(self):
