@@ -2,11 +2,13 @@
 
 A pure refactor must leave every hash printed here unchanged.  The pinned
 data is ``ragnet synth --n 8 --seed 1 --patch-size 16``; each run trains it
-at width 1/16, 16 px, 1 + 1 epochs, seed 1: once per RAG variant, and once
-more (``full, half has_r=0``) on a manifest whose every second row declares
-no reflection layer.  The ``full`` run is also evaluated over the pinned data,
-and its ``final.bin`` runs ``ragnet infer`` and ``ragnet inspect-mask`` on the
-pinned ``I_0000.ppm``; each of the two output directories is hashed.
+at width 1/16, 16 px, 1 + 1 epochs, seed 1: once per RAG variant, and twice
+more on a manifest whose every second row declares no reflection layer:
+``full, half has_r=0`` and ``full, stop_gradient_r``, the ablation that
+blocks the joint gradient through R_hat.  The ``full`` run is also evaluated
+over the pinned data, and its ``final.bin`` runs ``ragnet infer`` and
+``ragnet inspect-mask`` on the pinned ``I_0000.ppm``; each of the two output
+directories is hashed.
 ``full, resumed`` resumes ``full`` from its ``ckpt_p1_e001.bin`` into a new
 directory; the script exits 1 unless that run's ``final.bin`` hash equals
 ``full``'s, so the diff of two runs also covers ``train --resume``.
@@ -67,6 +69,7 @@ def run_all(root: str) -> None:
 
     runs = [(v, manifest, ["--rag-variant", v]) for v in RAG_VARIANTS]
     runs.append(("full, half has_r=0", half_r, []))
+    runs.append(("full, stop_gradient_r", half_r, ["--stop-gradient-r", "true"]))
     print(f"{'run':20s} {'file':18s} sha256")
     for k, (name, data_manifest, flags) in enumerate(runs):
         out = os.path.join(root, f"run{k}")

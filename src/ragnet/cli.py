@@ -312,19 +312,17 @@ def cmd_gradcheck(args, train: TR.TrainConfig, synth: S.SynthesisParams) -> int:
 
 
 def cmd_inspect_mask(args, train: TR.TrainConfig, synth: S.SynthesisParams) -> int:
-    _, (_, _, masks, _) = _infer_input(args)
-    written = []
+    img, (_, _, masks, _) = _infer_input(args)
     for level, m in enumerate(masks, 1):
-        half = m.shape[1] // 2
-        for tag, data in (("diff", m.data[0, :half]), ("dec", m.data[0, half:])):
-            if args.per_channel:
-                img2d = _tile_channels(data)
-            else:
-                img2d = data.mean(axis=0)
+        # level i holds the padded input at 1/2^(i-1): keep the ceil(side/2^(i-1)) over the input
+        h, w = (-(-side // 2 ** (level - 1)) for side in img.shape[2:])
+        maps = m.data[0, :, :h, :w]
+        half = len(maps) // 2
+        for tag, data in (("diff", maps[:half]), ("dec", maps[half:])):
+            img2d = _tile_channels(data) if args.per_channel else data.mean(axis=0)
             path = os.path.join(args.out, f"mask_l{level}_{tag}.pgm")
             S.write_pgm(path, np.clip(img2d, 0.0, 1.0))
-            written.append(path)
-    print(f"wrote {len(written)} heatmaps under {args.out}")
+    print(f"wrote {2 * len(masks)} heatmaps under {args.out}")
     return EXIT_OK
 
 

@@ -7,22 +7,24 @@ when the adversarial term is enabled.  Everything is a pure function of
 (config, dataset, seed): shuffles derive per-epoch seeds, parameters train
 in float32, and checkpoints round-trip bit-exactly, so an interrupted run
 resumed from an epoch checkpoint finishes byte-identical to an
-uninterrupted one; a resume must keep the checkpoint's ``ModelConfig``.  Each
-network's gradients are clipped to a global L2 norm of ``CLIP_NORM`` = 1.
-A non-finite loss part or total, or a non-finite critic loss, stops the run
-with ``TrainingDiverged`` before the backward from it, and a non-finite
-gradient norm stops it before the step writes a weight or an Adam moment;
-either names what was not finite.
+uninterrupted one; a resume must keep the checkpoint's ``ModelConfig``.
+``_update`` owns a step's gradients: it clips each network's to a global L2
+norm of ``CLIP_NORM`` = 1, steps the networks the loss reached and releases
+the gradients; no other code clears them.  A non-finite loss part or total,
+or a non-finite critic loss, stops the run with ``TrainingDiverged`` before
+the backward from it, and a non-finite gradient norm stops it before the
+step writes a weight or an Adam moment; either names what was not finite.
 
 Checkpoint file layout (little-endian): magic ``RAGN``, version u32,
-tensor count u32; per tensor, in name order: name length u32, UTF-8 name,
-rank u32, dims u32 x rank (rank 0 is written as rank 1, dims (1,)),
+tensor count u32; per tensor, in strictly ascending name order: name length
+u32, UTF-8 name, rank u32, dims u32 x rank (rank 0 is written as rank 1, dims (1,)),
 float32 payload; trailing CRC32 of all preceding bytes.  Integers (counters,
 Adam steps, the seed) are four float32 limbs of 16 bits, low limb first.
-Loaded arrays are read-only views into the one read of the file.  Inference,
-resume and the ``meta/*`` decode all copy entries out of them with
-``restore``, which checks that each wanted entry exists, has its
-destination's shape and is finite before it copies any.
+Loaded arrays are read-only views into the one read of the file, and
+``restore`` is their one reader: inference, resume (its counters first, then
+the whole table) and the ``meta/*`` decode name the entries they want as
+destination arrays, and it checks that each exists, has its destination's
+shape and is finite before it copies any.
 The training log is a CSV with header ``iter,phase,<LossParts fields>,total``;
 it is flushed before each epoch checkpoint, so it never lags behind one.
 """
@@ -116,6 +118,11 @@ class AdamState:
         self.v = dict(zip(params, zeros[len(params):]))
 
     def step(self, params: dict[str, T.Parameter]) -> None:
+        """One Adam update of *params*, checking that each holds a gradient before anything is counted or written."""
+        for name, p in params.items():
+            if p.grad is None:
+                raise ValueError(f"Adam step: parameter {name!r} has no gradient "
+                                 "(run backward before stepping)")
         cfg = self.cfg
         self.step_count += 1
         t = self.step_count
@@ -124,9 +131,6 @@ class AdamState:
         largest = max((p.data.size for p in params.values()), default=0)
         scratch: dict[np.dtype, np.ndarray] = {}  # two flat buffers per dtype, reused by every parameter
         for name, p in params.items():
-            if p.grad is None:
-                raise ValueError(f"Adam step: parameter {name!r} has no gradient "
-                                 "(run backward before stepping)")
             g = p.grad
             m = self.m[name]
             v = self.v[name]
@@ -254,7 +258,13 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     for i in range(count):
         (nlen,) = struct.unpack_from("<I", blob, take(4, f"tensor {i} name length"))
         start = take(nlen, f"tensor {i} name")
-        name = blob[start:start + nlen].decode()
+        try:
+            name = blob[start:start + nlen].decode()
+        except UnicodeDecodeError:
+            raise ValueError(f"checkpoint {path}: tensor {i} name {blob[start:start + nlen]!r} "
+                             f"at offset {start} is not UTF-8") from None
+        if out and name <= (prev := next(reversed(out))):  # each name once, ascending
+            raise ValueError(f"checkpoint {path}: tensor name {name!r} at offset {start} does not sort after {prev!r}")
         (rank,) = struct.unpack_from("<I", blob, take(4, f"{name} rank"))
         dims = struct.unpack_from(f"<{rank}I", blob, take(4 * rank, f"{name} dims"))
         size = math.prod(dims)
@@ -271,13 +281,6 @@ def restore(path, loaded: dict[str, np.ndarray], expected: dict[str, np.ndarray]
     only finite values; a missing, misshapen or non-finite entry raises
     ``ValueError`` naming it, before any entry is copied.
     """
-    _check_entries(path, loaded, expected)
-    for name, arr in expected.items():
-        arr[...] = loaded[name]
-
-
-def _check_entries(path, loaded: dict[str, np.ndarray], expected: dict[str, np.ndarray]) -> None:
-    """Raise ``ValueError`` naming the entries of *expected* that ``restore`` would reject."""
     missing = sorted(set(expected) - set(loaded))
     if missing:
         raise ValueError(f"checkpoint {path}: missing tensors {missing[:5]} "
@@ -288,6 +291,8 @@ def _check_entries(path, loaded: dict[str, np.ndarray], expected: dict[str, np.n
                              f"expected {arr.shape}")
         if not np.isfinite(loaded[name]).all():
             raise ValueError(f"checkpoint {path}: tensor {name} holds a non-finite value")
+    for name, arr in expected.items():
+        arr[...] = loaded[name]
 
 
 def _int_to_limbs(v: int) -> np.ndarray:
@@ -338,10 +343,6 @@ class TrainerState:
         self.epochs_done = {1: 0, 2: 0}  # per phase
         self.global_iter = 0
 
-    def zero_grads(self) -> None:
-        for net in self.nets.values():
-            net.zero_grad()
-
     def to_tensors(self) -> dict[str, np.ndarray]:
         """The checkpoint's name table; the ``model/`` and Adam moment entries are the live arrays."""
         out = weight_tensors({**self.nets, "percep": self.percep})
@@ -362,10 +363,10 @@ class TrainerState:
     def load(self, path) -> None:
         """Restore every weight, Adam moment and counter from checkpoint *path*.
 
-        Every entry is checked as ``restore`` checks it, and every counter
-        decoded, before any is copied, so a missing, misshapen or non-finite
-        entry, or a counter that is not four integer limbs, leaves the state
-        as it was."""
+        ``restore`` copies the counters into the fresh limb arrays that
+        ``to_tensors`` builds, which are decoded, and then the whole table;
+        so a missing, misshapen or non-finite entry, or a counter that is not
+        four integer limbs, leaves the state as it was."""
         loaded = load_checkpoint(path)
         # the model first, so another width or critic setting is named as such, not
         # as a misshapen or missing tensor; compared as float32 bytes, so a width
@@ -376,16 +377,14 @@ class TrainerState:
         if differ:
             raise ValueError(f"checkpoint {path}: its model differs from this run's in {', '.join(differ)}")
         tensors = self.to_tensors()
-        _check_entries(path, loaded, tensors)
-        read_int = lambda name: _limbs_to_int(loaded[name], name, path)
-        steps = [read_int(f"adam/{net_name}/step") for net_name in self.adam]
-        epochs_done = {phase: read_int(f"meta/phase{phase}_done") for phase in self.epochs_done}
-        global_iter = read_int("meta/global_iter")
-        for name, arr in tensors.items():
-            arr[...] = loaded[name]
-        for st, step in zip(self.adam.values(), steps):
-            st.step_count = step
-        self.epochs_done, self.global_iter = epochs_done, global_iter
+        counters = {name: tensors[name] for name in tensors if name.endswith(("/step", "_done", "/global_iter"))}
+        restore(path, loaded, counters)
+        count = {name: _limbs_to_int(arr, name, path) for name, arr in counters.items()}
+        restore(path, loaded, tensors)
+        for net_name, st in self.adam.items():
+            st.step_count = count[f"adam/{net_name}/step"]
+        self.epochs_done = {phase: count[f"meta/phase{phase}_done"] for phase in self.epochs_done}
+        self.global_iter = count["meta/global_iter"]
 
 
 def model_config_from_checkpoint(path, loaded: dict[str, np.ndarray]) -> ModelConfig:
@@ -508,23 +507,27 @@ def _backward(state: TrainerState, loss: T.Tensor, named: list[tuple[str, T.Tens
 
 
 def _update(state: TrainerState, *names: str) -> None:
-    """Clip each named network's gradients, then take their Adam steps.
-
-    A non-finite gradient norm raises ``TrainingDiverged`` before any
-    weight or Adam moment of the named networks is written, since Adam
-    would write a non-finite step into both.
-    """
-    for name in names:
-        if not math.isfinite(clip_grad_norm(state.nets[name].params)):
-            raise TrainingDiverged(state.global_iter, f"gradient norm of {name}")
-    for name in names:
-        state.adam[name].step(state.nets[name].params)
+    """Step the named networks that the loss reached (one of whose parameters
+    holds a gradient), then release every named network's gradients, also
+    when it raises.  A non-finite gradient norm raises ``TrainingDiverged``
+    before any weight or Adam moment is written, since Adam would write a
+    non-finite step into both."""
+    try:
+        reached = {name: state.nets[name].params for name in names
+                   if any(p.grad is not None for p in state.nets[name].params.values())}
+        for name, params in reached.items():
+            if not math.isfinite(clip_grad_norm(params)):
+                raise TrainingDiverged(state.global_iter, f"gradient norm of {name}")
+        for name, params in reached.items():
+            state.adam[name].step(params)
+    finally:
+        for name in names:
+            state.nets[name].zero_grad()
 
 
 def _phase1_step(state: TrainerState, batch, has_r: bool) -> tuple[L.LossParts, T.Tensor]:
     """One G_R pretraining step; phase 1 draws only triples with a reflection layer (``has_r``)."""
     cfg = state.config
-    state.zero_grads()
     i_obs = _stack(batch, "i")
     r_gt = _stack(batch, "r")
     with T.Tape():
@@ -540,7 +543,6 @@ def _phase1_step(state: TrainerState, batch, has_r: bool) -> tuple[L.LossParts, 
 def _phase2_step(state: TrainerState, batch, has_r: bool) -> tuple[L.LossParts, T.Tensor]:
     cfg = state.config
     use_adv = cfg.model.use_adversarial
-    state.zero_grads()
     i_obs = _stack(batch, "i")
     t_gt = _stack(batch, "t")
     r_gt = _stack(batch, "r") if has_r else None
@@ -554,7 +556,6 @@ def _phase2_step(state: TrainerState, batch, has_r: bool) -> tuple[L.LossParts, 
             l_d = L.adv_d_loss(state.nets["disc"], i_obs, t_gt, t_hat.detach())
             _backward(state, l_d, [("adv_d", l_d)])
             _update(state, "disc")
-            state.nets["disc"].zero_grad()
 
         # the terms are recorded in argument order, and backward follows creation order;
         # D's weights track no gradient in the generator's term, so its backward skips their dw

@@ -184,6 +184,18 @@ class TestPipeline:
                      "--input", str(tmp_path / "odd.ppm"), "--out", str(out)]) == EXIT_OK
         assert read_ppm(out / "T_hat.ppm").shape == (1, 3, 30, 45)
 
+    def test_inspect_mask_crops_odd_sizes(self, trained_run, tmp_path):
+        root, data, run = trained_run
+        rng = np.random.Generator(np.random.PCG64(3))
+        odd = rng.uniform(0, 1, size=(3, 30, 45)).astype(np.float32)
+        write_ppm(tmp_path / "odd.ppm", odd)
+        out = tmp_path / "masks_odd"
+        assert main(["inspect-mask", "--ckpt", str(run / "final.bin"),
+                     "--input", str(tmp_path / "odd.ppm"), "--out", str(out)]) == EXIT_OK
+        for level, size in enumerate([(45, 30), (23, 15), (12, 8), (6, 4)], 1):  # (W, H): ceil(side / 2^(level-1))
+            for tag in ("diff", "dec"):
+                assert (out / f"mask_l{level}_{tag}.pgm").read_bytes().split(b"\n")[1] == b"%d %d" % size
+
     def test_infer_and_inspect_accept_a_one_line_commented_header(self, trained_run, tmp_path):
         _, data, run = trained_run
         standard = data / "I_0000.ppm"

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -86,6 +87,16 @@ class TestAdam:
         st = AdamState(params, AdamConfig())
         with pytest.raises(ValueError, match="'w'"):
             st.step(params)
+
+    def test_a_missing_grad_is_found_before_anything_is_counted_or_written(self):
+        params = {name: T.Parameter(name, np.full((1, 1, 1, 1), 1.0, dtype=np.float32)) for name in ("a", "b")}
+        params["a"].grad = np.ones((1, 1, 1, 1), dtype=np.float32)  # "a" comes first, "b" has no gradient
+        st = AdamState(params, AdamConfig())
+        with pytest.raises(ValueError, match="parameter 'b' has no gradient"):
+            st.step(params)
+        assert st.step_count == 0
+        assert params["a"].data[0, 0, 0, 0] == 1.0 and params["b"].data[0, 0, 0, 0] == 1.0
+        assert all(not a.any() for a in (*st.m.values(), *st.v.values()))
 
     def test_fresh_moments_are_untouched_pages(self):
         """A state built where a freed one's memory can be recycled still
@@ -186,6 +197,40 @@ class TestNonFiniteGradient:
             adam = state.adam[name]
             assert adam.step_count == 0
             assert all(not a.any() for a in (*adam.m.values(), *adam.v.values()))
+
+
+class TestUpdate:
+    def test_releases_the_gradients_also_when_it_raises(self):
+        state = TrainerState(small_config())
+        nets = [state.nets["g_r"], state.nets["g_t"]]
+        for net in nets:
+            for p in net.params.values():
+                p.grad = np.full(p.shape, np.inf, dtype=p.dtype)
+        with pytest.raises(TrainingDiverged, match="non-finite gradient norm of g_r"):
+            trainer._update(state, "g_r", "g_t")
+        assert all(p.grad is None for net in nets for p in net.params.values())
+
+    def test_a_network_the_loss_never_reaches_keeps_its_state(self, tmp_path):
+        """Under ``stop_gradient_r``, on a batch without a reflection layer, G_R
+        reaches the loss only through the exclusion term, which holds no
+        gradient of an R_hat that is 0 everywhere: G_T and the critic step, G_R does not."""
+        from ragnet.synthesis import load_triple, read_manifest
+
+        manifest = make_dataset(2, SynthesisParams(seed=3, patch_size=16), tmp_path)
+        triples = [load_triple(e) for e in read_manifest(manifest)]
+        cfg = TrainConfig(model=ModelConfig(width_multiplier=1 / 16, seed=0, use_adversarial=True),
+                          schedule=Schedule(phase1_epochs=0, phase2_epochs=1, batch_size=2), stop_gradient_r=True)
+        state = TrainerState(cfg)
+        state.nets["g_r"]["dec/head/c1/bias"].data[...] = -1000  # the sigmoid head gives R_hat = 0
+        g_r = [p.data.tobytes() for p in state.nets["g_r"].params.values()]
+        g_t = [p.data.tobytes() for p in state.nets["g_t"].params.values()]
+        parts, _ = trainer._phase2_step(state, triples, False)
+        assert parts.excl.item() == 0.0
+        assert [p.data.tobytes() for p in state.nets["g_r"].params.values()] == g_r
+        assert [p.data.tobytes() for p in state.nets["g_t"].params.values()] != g_t
+        assert {name: st.step_count for name, st in state.adam.items()} == {"g_r": 0, "g_t": 1, "disc": 1}
+        assert all(not a.any() for a in (*state.adam["g_r"].m.values(), *state.adam["g_r"].v.values()))
+        assert all(p.grad is None for net in state.nets.values() for p in net.params.values())
 
 
 class TestNonFiniteLoss:
@@ -319,6 +364,28 @@ class TestRestore:
         assert [st.step_count for st in state.adam.values()] == [7, 8, 9]
 
 
+    @pytest.mark.parametrize("name, fault", [("adam/g_t/dec/head/c1/bias/m", "missing"),
+                                             ("model/g_t/dec/head/c1/weight", "misshapen")])
+    def test_load_of_a_missing_or_misshapen_entry_leaves_the_state_unchanged(self, name, fault, tmp_path):
+        path = tmp_path / "s.bin"
+        tensors = self._stepped_state(3).to_tensors()
+        if fault == "missing":
+            del tensors[name]
+            message = f"missing tensors ['{name}'] (1 total)"
+        else:
+            shape = tensors[name].shape
+            tensors[name] = np.zeros(shape + (1,), dtype=np.float32)
+            message = f"tensor {name} has shape {shape + (1,)}, expected {shape}"
+        save_checkpoint(tensors, path)  # a valid CRC over the faulty table
+        state = self._stepped_state(7)
+        before = {k: v.tobytes() for k, v in state.to_tensors().items()}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            state.load(path)
+        assert {k: v.tobytes() for k, v in state.to_tensors().items()} == before
+        assert (state.global_iter, state.epochs_done) == (70, {1: 7, 2: 8})
+        assert [st.step_count for st in state.adam.values()] == [7, 8, 9]
+
+
 class TestCheckpointFormat:
     def _tensors(self):
         rng = np.random.Generator(np.random.PCG64(7))
@@ -388,6 +455,45 @@ class TestCheckpointFormat:
         assert path.read_bytes() == want
         assert not os.path.exists(str(path) + ".tmp")
         assert load_checkpoint(path)["a"].shape == (1,)
+
+    @staticmethod
+    def _hand_built(path, entries, count=None, tail=b""):
+        """Write (name bytes, values) entries of rank 1 as the documented layout, with a valid CRC."""
+        body = b"RAGN" + struct.pack("<II", 1, len(entries) if count is None else count)
+        for name, values in entries:
+            body += struct.pack("<I", len(name)) + name + struct.pack("<II", 1, len(values))
+            body += struct.pack(f"<{len(values)}f", *values)
+        body += tail
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        return path
+
+    # an entry of a one-byte name and one value spans 4 + 1 + 8 + 4 = 17 bytes after the 12-byte header,
+    # so the second name starts at offset 12 + 17 + 4 = 33
+    @pytest.mark.parametrize("names, message", [
+        ((b"b", b"a"), "tensor name 'a' at offset 33 does not sort after 'b'"),
+        ((b"a", b"a"), "tensor name 'a' at offset 33 does not sort after 'a'"),
+        ((b"\xff",), r"tensor 0 name b'\\xff' at offset 16 is not UTF-8"),
+        ((b"a", b"\xc3"), r"tensor 1 name b'\\xc3' at offset 33 is not UTF-8")],
+        ids=["descending", "repeated", "not_utf8", "not_utf8_second"])
+    def test_names_out_of_order_repeated_or_not_utf8_are_rejected(self, names, message, tmp_path):
+        path = self._hand_built(tmp_path / "c.bin", [(name, [float(k)]) for k, name in enumerate(names)])
+        with pytest.raises(ValueError, match=f"^checkpoint {path}: {message}"):
+            load_checkpoint(path)
+
+    def test_sorted_unique_names_load(self, tmp_path):
+        path = self._hand_built(tmp_path / "c.bin", [(b"a", [1.0]), (b"a/b", [2.0]), ("\u00e9".encode(), [3.0])])
+        assert {k: v.tolist() for k, v in load_checkpoint(path).items()} == {"a": [1.0], "a/b": [2.0], "\u00e9": [3.0]}
+
+    def test_a_tensor_count_one_too_high_reports_the_truncation(self, tmp_path):
+        path = self._hand_built(tmp_path / "c.bin", [(b"a", [1.0]), (b"b", [2.0])], count=3)
+        with pytest.raises(ValueError, match="truncated at offset 46: expected 4 bytes for tensor 2 name length, "
+                                             "only 0 left"):
+            load_checkpoint(path)
+
+    def test_bytes_after_the_last_tensor_are_rejected(self, tmp_path):
+        path = self._hand_built(tmp_path / "c.bin", [(b"a", [1.0])], tail=b"\0" * 3)
+        with pytest.raises(ValueError, match="3 trailing bytes after last tensor"):
+            load_checkpoint(path)
 
     def test_loaded_arrays_are_read_only_views(self, tmp_path):
         path = tmp_path / "c.bin"
@@ -658,7 +764,7 @@ class TestTraining:
         assert [p.name for p in disc if p.grad is not None] == []
         assert all(p.requires_grad for p in disc)
         assert any((p.data != b).any() for p, b in zip(disc, before))
-        assert all(p.grad is not None for name in ("g_r", "g_t") for p in state.nets[name].params.values())
+        assert [state.adam[name].step_count for name in ("g_r", "g_t")] == [1, 1]
 
     def test_discriminator_step_leaves_generator_grads_untouched(self, tiny_dataset):
         from ragnet.synthesis import load_triple, read_manifest
@@ -668,7 +774,6 @@ class TestTraining:
         triples = [load_triple(e) for e in read_manifest(tiny_dataset)[:2]]
         i_obs = trainer._stack(triples, "i")
         t_gt = trainer._stack(triples, "t")
-        state.zero_grads()
         with T.Tape():
             r_hat = forward_gr(state.nets["g_r"], i_obs)
             t_hat, _ = forward_gt(state.nets["g_t"], i_obs, r_hat)
