@@ -12,8 +12,12 @@ tape keeps only what a backward reads: a node refers to an op output by
 its node, flag, shape and dtype, not its array, and each ``grad_fn``
 closes over the arrays its formula reads and no others, so a constant or
 an activation that no backward reads is freed once the forward drops it.
-Outside a tape the same functions run forward-only, which is how oracles,
-evaluation and data preparation avoid graph overhead.
+A Parameter's array is replaced, never written in place, once its
+network is built, so a node that reads a weight keeps the Parameter's own
+array, not a copy, and still differentiates its forward after an
+optimizer step.  Outside a tape the same functions run forward-only,
+which is how oracles, evaluation and data preparation avoid graph
+overhead.
 
 Computation runs in float32 by default; tests and gradient checks use
 float64.  No broadcasting is performed: all shapes must match exactly, which
@@ -111,7 +115,11 @@ class Tensor:
     """A 4-D array with optional gradient tracking.
 
     Tensors produced by operations are treated as immutable; only a leaf's
-    ``grad`` mutates afterwards (by accumulation during ``backward``).
+    ``grad`` mutates afterwards (by accumulation during ``backward``).  A
+    tape may hold ``data`` of any tensor that an op read, so a caller that
+    writes a leaf's array in place between a forward and its backward
+    changes what the backward reads; ops that read a weight keep a copy of
+    a tensor that is not a ``Parameter`` for that reason.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
@@ -148,7 +156,15 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named trainable tensor; names are unique within a network."""
+    """A named trainable tensor; names are unique within a network.
+
+    Once its network is built, its array is replaced, never written in
+    place: the optimizer assigns each update to ``data`` as a new array.
+    So a taped op keeps ``data`` itself where its backward reads the
+    weights, and that array still holds the forward's weights when the
+    backward runs after a step.  The He init and ``trainer.restore`` write
+    in place, but only before any tape holds the array.
+    """
 
     __slots__ = ("name",)
 
@@ -182,6 +198,13 @@ def _parent(p: Tensor) -> "_Output | Tensor | None":
     if p.node is not None:
         return _Output(p)
     return p if isinstance(p, Parameter) or p.requires_grad else None
+
+
+def _forward_weights(w: Tensor) -> np.ndarray:
+    """The weights a taped op's dx reads: a Parameter's own array, which is
+    replaced, never written (see ``Parameter``); else a copy, since the
+    caller may still write a plain tensor's array before the backward."""
+    return w.data if isinstance(w, Parameter) else w.data.copy()
 
 
 def _record(op: str, parents, out: Tensor, grad_fn) -> Tensor:
@@ -369,9 +392,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     The tape keeps what the backward reads, decided at the forward, and no
     concatenated copy of the input: the groups *x* and *concat*, which
     their own producers hold anyway, only when the weight tracks gradients
-    (dw reads them); the weight copy only when some group tracks (dx reads
-    it); else their flags and channel widths.  With ``relu=True`` or
-    ``sigmoid=True`` it also keeps the output array.  A weight frozen at
+    (dw reads them); the weights only when some group tracks (dx reads
+    them), as a Parameter's own array, which the optimizer replaces and
+    never writes, or as a copy of any other tensor's; else their flags and
+    channel widths.  With ``relu=True`` or ``sigmoid=True`` it also keeps
+    the output array.  A weight frozen at
     the forward gets no dw, so ``backward`` raises ValueError if it tracks
     by then.  The node's backward releases all of it.
 
@@ -392,12 +417,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
       ``w[:, :, u, v].T @ g[a - u*Wp - v]``.  Turned by 180 degrees, a shift
       back is a shift on, so the turned view of dx is the correlation above
       of the turned stride-1 gradient, padded by q = k - 1 - pad (cropped by
-      -q if q < 0), with unflipped kernel rows (k, Cin, k*Cout).  Row u
-      still reads u rows down and each GEMM sums its (v, Cout) taps in the
-      same order, so the turn changes no rounding.  Its stack shares dw's
-      buffer; its weights are the forward's copy, not ``w.data``, which the
-      optimizer updates in place before a later backward.  It is one
-      correlation over all Cin channels, run when any group tracked
+      -q if q < 0), with unflipped kernel rows (k, Cin, k*Cout), built at
+      the backward from the weights the tape kept.  Row u still reads u
+      rows down and each GEMM sums its (v, Cout) taps in the same order, so
+      the turn changes no rounding.  Its stack shares dw's buffer.  It is
+      one correlation over all Cin channels, run when any group tracked
       gradients at the forward; each such group gets its channel slice of
       the result.
     """
@@ -444,10 +468,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     _correlate(xts, pad, wk, out_data, bias=None if b is None else b.data, relu=relu, sigmoid=sigmoid)
     out = Tensor(out_data[:, :, ::stride, ::stride])  # every stride-th anchor; Tensor makes a strided view contiguous
     alive = out.data if relu or sigmoid else None  # the tape keeps the output only for its derivative
-    # what the backward reads, decided now: the groups for dw, the weight copy for dx
+    parents = (*groups, w, b) if b is not None else (*groups, w)
+    # what the backward reads, decided now: the groups for dw, the weights for dx
     stacked = xts if w.requires_grad else None
     tracks, widths = [t.requires_grad for t in groups], [t.shape[1] for t in groups]
-    wf = wk if any(tracks) else None
+    wf = _forward_weights(w) if any(tracks) and _taped(parents) else None
     ngroups, xdtype = len(groups), x.dtype
 
     def grad_fn(g):
@@ -488,7 +513,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
             if q < 0:  # pad > k - 1: the outer -q rows and columns read only padding
                 turned, q = turned[:, :, -q:q, -q:q], 0
             dx = np.empty((n, ci, h, wd), dtype=np.result_type(g, wf))
-            wt = np.ascontiguousarray(wf.reshape(k, co, k, ci).transpose(0, 3, 2, 1)).reshape(k, ci, k * co)
+            wt = np.ascontiguousarray(wf.transpose(2, 1, 3, 0)).reshape(k, ci, k * co)  # (u, Cin, v, Cout)
             _correlate((turned,), q, wt, dx[:, :, ::-1, ::-1], buf)
             c0 = 0
             for i, (tracked, c) in enumerate(zip(tracks, widths)):
@@ -498,7 +523,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         db = gp.sum(axis=1).reshape(1, co, 1, 1) if b is not None and b.requires_grad else None
         return (*dxs, dw, db) if b is not None else (*dxs, dw)
 
-    parents = (*groups, w, b) if b is not None else (*groups, w)
     return _record("conv2d", parents, out, grad_fn)
 
 
@@ -506,9 +530,13 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Transposed convolution with the fixed kernel 2, stride 2 layout.
 
     ``w`` is (Cin, Cout, 2, 2); output spatial size exactly doubles.  With
-    stride equal to kernel size the output footprints are disjoint.  When
-    the op is taped it keeps a copy of the weights, so dx differentiates
-    this forward even after the optimizer updates ``w.data`` in place.
+    stride equal to kernel size the output footprints are disjoint.  The
+    tape keeps what the backward reads, decided at the forward: the input
+    only when the weight tracks gradients (dw reads it), and the weights
+    only when the input tracks (dx reads them), as in ``conv2d``: a
+    Parameter's own array, else a copy.  A parent frozen at the forward
+    gets no gradient, so ``backward`` raises ValueError if it tracks by
+    then.
     """
     n, ci, h, wd = x.shape
     ci_w, co, kh, kw = w.shape
@@ -528,17 +556,23 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         out_data += b.data
     out = Tensor(out_data)
     parents = (x, w, b) if b is not None else (x, w)
-    wf = w.data.copy() if _taped(parents) else None  # the weights of this forward
+    # what the backward reads, decided now: the input for dw, the weights for dx
+    xf = x.data if w.requires_grad else None
+    wf = _forward_weights(w) if x.requires_grad and _taped(parents) else None
+    xshape, xdtype, wshape, wdtype = x.shape, x.dtype, w.shape, w.dtype
 
     def grad_fn(g):
-        dx = np.zeros_like(x.data)
-        dw = np.zeros_like(w.data)
+        # a parent that tracked no gradient at the forward gets None
+        dx = None if wf is None else np.zeros(xshape, dtype=xdtype)
+        dw = None if xf is None else np.zeros(wshape, dtype=wdtype)
         for u in range(2):
             for v in range(2):
                 gs = g[:, :, u::2, v::2]
-                dx += np.tensordot(gs, wf[:, :, u, v], axes=([1], [1])).transpose(0, 3, 1, 2)
-                dw[:, :, u, v] = np.tensordot(x.data, gs, axes=([0, 2, 3], [0, 2, 3]))
-        db = g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1) if b is not None else None
+                if dx is not None:
+                    dx += np.tensordot(gs, wf[:, :, u, v], axes=([1], [1])).transpose(0, 3, 1, 2)
+                if dw is not None:
+                    dw[:, :, u, v] = np.tensordot(xf, gs, axes=([0, 2, 3], [0, 2, 3]))
+        db = g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1) if b is not None and b.requires_grad else None
         return (dx, dw, db) if b is not None else (dx, dw)
 
     return _record("conv_transpose2d", parents, out, grad_fn)
@@ -933,9 +967,10 @@ def backward(loss: Tensor) -> None:
     zero grads between optimization steps.
 
     The tape holds only what some backward reads (see ``_OpNode``), so the
-    peak of a step is the forward's live set.  Each node is released as
-    soon as its gradient has been propagated: it drops its parents and its
-    ``grad_fn``, and with them the activations, weight copies and buffers
+    peak of a step is the forward's live set, or, where the weight
+    gradients outweigh the activations, inside the backward.  Each node is
+    released as soon as its gradient has been propagated: it drops its
+    parents and its ``grad_fn``, and with them the activations and buffers
     that only its backward read, so the tape shrinks while the backward
     runs instead of living until the step ends.
     A graph is therefore differentiated once: a call that reaches a node an

@@ -118,7 +118,16 @@ class AdamState:
         self.v = dict(zip(params, zeros[len(params):]))
 
     def step(self, params: dict[str, T.Parameter]) -> None:
-        """One Adam update of *params*, checking that each holds a gradient before anything is counted or written."""
+        """One Adam update of *params*, checking that each holds a gradient before anything is counted or written.
+
+        Each update is a new array assigned to ``p.data``, the same float32
+        subtraction as an in-place one, and the old array is never written:
+        a tape recorded before the step may still hold it for a backward
+        (see ``tensor.Parameter``).  A new array up to
+        ``T.MMAP_THRESHOLD`` (32 MiB) reuses heap that earlier updates freed;
+        at width 1.0 the four 37.7 MB weights lie above it, so each step
+        maps them fresh.
+        """
         for name, p in params.items():
             if p.grad is None:
                 raise ValueError(f"Adam step: parameter {name!r} has no gradient "
@@ -148,7 +157,7 @@ class AdamState:
             np.divide(v, bc2, out=den)
             np.sqrt(den, out=den)
             den += cfg.eps
-            p.data -= np.divide(num, den, out=num)
+            p.data = p.data - np.divide(num, den, out=num)  # a new array: a tape may hold the old one
 
 
 def clip_grad_norm(params: dict[str, T.Parameter]) -> float:
@@ -279,7 +288,9 @@ def restore(path, loaded: dict[str, np.ndarray], expected: dict[str, np.ndarray]
 
     Every entry must exist in the file with its destination's shape and hold
     only finite values; a missing, misshapen or non-finite entry raises
-    ``ValueError`` naming it, before any entry is copied.
+    ``ValueError`` naming it, before any entry is copied.  The copies write
+    the destination arrays in place, so no tape may hold them: a backward
+    would read the restored weights instead of its forward's.
     """
     missing = sorted(set(expected) - set(loaded))
     if missing:

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import ragnet.tensor as T
+from oracles import conv2d_grad_loops
 from ragnet.gradcheck import CHECKS
+from ragnet.trainer import AdamConfig, AdamState
 
 
 def rand(shape, seed, lo=-1.0, hi=1.0):
@@ -310,6 +312,63 @@ class TestTapeRetention:
             w.requires_grad = True
             with pytest.raises(ValueError, match=f"backward: {name} kept nothing for the gradient"):
                 T.backward(loss)
+
+    @pytest.mark.parametrize("frozen", ["x", "w"])
+    def test_a_conv_transpose2d_parent_frozen_at_the_forward_cannot_track_at_the_backward(self, frozen):
+        x = T.Parameter("x", rand((1, 2, 3, 3), 570))
+        w = T.Parameter("w", rand((2, 3, 2, 2), 571))
+        parent = {"x": x, "w": w}[frozen]
+        parent.requires_grad = False
+        with T.Tape():
+            loss = T.reduce_sum(T.conv_transpose2d(x, w))
+            parent.requires_grad = True
+            with pytest.raises(ValueError, match="backward: conv_transpose2d kept nothing for the gradient"):
+                T.backward(loss)
+
+    @pytest.mark.parametrize("tracks", ["x", "w"])
+    def test_conv_transpose2d_keeps_the_input_only_for_dw_and_the_weights_only_for_dx(self, tracks):
+        x = T.tensor(rand((1, 2, 3, 3), 575), requires_grad=tracks == "x")
+        w = T.Parameter("w", rand((2, 3, 2, 2), 576))
+        w.requires_grad = tracks == "w"
+        with T.Tape():
+            out = T.conv_transpose2d(x, w)
+        cells = [cell.cell_contents for cell in out.node.grad_fn.__closure__]
+        arrays = [v for v in cells if isinstance(v, np.ndarray)]
+        assert [v is x.data for v in arrays] == [tracks == "w"]
+        assert [v is w.data for v in arrays] == [tracks == "x"]
+        assert not any(isinstance(v, T.Tensor) for v in cells)
+
+
+class TestParameterArraysAreReplaced:
+    """An optimizer step replaces a Parameter's array and never writes it, so
+    a taped conv keeps the Parameter's own array for dx instead of a copy."""
+
+    def test_dx_reads_the_weights_of_the_forward_after_an_adam_step(self):
+        x = leaf((2, 3, 7, 7), 580)
+        w = T.Parameter("w", rand((4, 3, 3, 3), 581))
+        g = rand((2, 4, 7, 7), 582)
+        with T.Tape():
+            loss = T.reduce_sum(T.mul(T.conv2d(x, w, None, stride=1, pad=1), T.tensor(g)))
+        before, w0 = w.data, w.data.copy()
+        w.grad = rand(w.shape, 583)
+        AdamState({"w": w}, AdamConfig(lr=0.1)).step({"w": w})
+        assert w.data is not before and not np.array_equal(w.data, w0)
+        assert before.tobytes() == w0.tobytes()
+        T.backward(loss)
+        dx, _, _ = conv2d_grad_loops(x.data, w0, g, stride=1, pad=1)
+        np.testing.assert_allclose(x.grad, dx, atol=1e-10, rtol=0)
+
+    @pytest.mark.parametrize("name", ["conv2d", "conv_transpose2d"])
+    def test_dx_closes_over_the_parameters_own_array(self, name):
+        op, shape = {"conv2d": (lambda x, w: T.conv2d(x, w, None, pad=1), (3, 2, 3, 3)),
+                     "conv_transpose2d": (T.conv_transpose2d, (2, 3, 2, 2))}[name]
+        x = leaf((1, 2, 4, 4), 585)
+        w = T.Parameter("w", rand(shape, 586))
+        with T.Tape():
+            out = op(x, w)
+        cells = [cell.cell_contents for cell in out.node.grad_fn.__closure__]
+        weights = [v for v in cells if isinstance(v, np.ndarray) and v.size == w.data.size]
+        assert len(weights) == 1 and weights[0] is w.data
 
 
 class TestFloat32:
