@@ -293,7 +293,7 @@ def cmd_eval(args, train: TR.TrainConfig, synth: S.SynthesisParams) -> int:
     files = ME.emit_report(results, args.out)
     finite = [r.psnr for r in results if np.isfinite(r.psnr)]
     if finite:
-        print(f"mean PSNR {np.mean(finite):.3f} dB over {len(results)} images")
+        print(f"mean PSNR {np.mean(finite):.3f} dB over {len(finite)} of {len(results)} images")
     print(f"report: {files[0]}")
     return EXIT_OK
 

@@ -105,11 +105,10 @@ class Network:
     def frozen(self):
         """A block in which no parameter tracks gradients; each gets its flag back at exit.
 
-        Both passes run inside the block: the taped forward and the
-        ``backward`` that should skip these parameters.  An op decides at the
-        forward what its backward will read, and ``backward`` reads its
-        parents' flags again, so a ``conv2d`` whose weight was frozen at the
-        forward and tracks at the backward raises ``ValueError``.
+        Only the taped forward must run inside the block: an op decides as
+        it runs which parents get a gradient, so a parameter frozen at the
+        forward gets none from its ops, even when ``backward`` runs after
+        the block has given its flag back.
         """
         flags = {p: p.requires_grad for p in self.params.values()}
         self.freeze()

@@ -5,19 +5,22 @@ scalars are shaped (1, 1, 1, 1).  Inside an explicitly opened Tape each
 operation links its output to its parents; ``backward`` walks that graph from
 the loss in reverse creation order and accumulates gradients additively into
 the ``grad`` of every reachable leaf (a tensor no op produced, such as a
-Parameter) with ``requires_grad``.  Op outputs get no ``grad``: their
-gradients live only while ``backward`` runs, and each node is released once
-its gradient has been propagated, so a graph is differentiated once.  The
-tape keeps only what a backward reads: a node refers to an op output by
-its node, flag, shape and dtype, not its array, and each ``grad_fn``
-closes over the arrays its formula reads and no others, so a constant or
-an activation that no backward reads is freed once the forward drops it.
-A Parameter's array is replaced, never written in place, once its
-network is built, so a node that reads a weight keeps the Parameter's own
-array, not a copy, and still differentiates its forward after an
-optimizer step.  Outside a tape the same functions run forward-only,
-which is how oracles, evaluation and data preparation avoid graph
-overhead.
+Parameter).  Op outputs get no ``grad``: their gradients live only while
+``backward`` runs, and each node is released once its gradient has been
+propagated, so a graph is differentiated once.  The tape keeps only what a
+backward reads: a node refers to an op output by its node, shape and
+dtype, not its array, and each ``grad_fn`` closes over the arrays its
+formula reads and no others, so a constant or an activation that no
+backward reads is freed once the forward drops it.
+
+One rule governs the tape.  The forward decides who gets a gradient: a
+parent gets one from an op exactly when it tracked gradients as the op
+ran.  And no array that a tape holds, nor one that ``backward`` hands to
+a leaf as its ``grad``, is written in place; a caller assigns a new array
+instead.  So a node keeps the arrays its op read, weights included,
+uncopied, and a leaf's ``grad`` may be shared with another leaf.  Outside
+a tape the same functions run forward-only, which is how oracles,
+evaluation and data preparation avoid graph overhead.
 
 Computation runs in float32 by default; tests and gradient checks use
 float64.  No broadcasting is performed: all shapes must match exactly, which
@@ -91,10 +94,12 @@ class _OpNode:
     holds it, so the two form no cycle; ``backward`` keys the output's
     pending gradient by this node.
 
-    ``parents`` holds no array: per parent an ``_Output`` (node, flag, shape
-    and dtype) of an op output, the tensor itself for a Parameter or another
-    leaf that tracks gradients, and None for a constant.  The arrays a
-    backward reads live in ``grad_fn``'s closure, chosen at the forward.
+    ``parents`` holds no array: per parent that tracked gradients when the
+    op ran, an ``_Output`` (node, shape and dtype) of an op output or the
+    leaf itself, and None for any other parent, which gets no gradient
+    from this node.  The arrays a backward reads live in ``grad_fn``'s
+    closure, chosen at the forward, and ``grad_fn`` returns None for
+    exactly the parents kept as None.
     Once ``backward`` has propagated the output's gradient it releases the
     node: ``parents`` becomes () and ``grad_fn`` None, which frees what the
     closure kept, and a later ``backward`` that reaches the node raises."""
@@ -114,12 +119,13 @@ class _OpNode:
 class Tensor:
     """A 4-D array with optional gradient tracking.
 
-    Tensors produced by operations are treated as immutable; only a leaf's
-    ``grad`` mutates afterwards (by accumulation during ``backward``).  A
-    tape may hold ``data`` of any tensor that an op read, so a caller that
-    writes a leaf's array in place between a forward and its backward
-    changes what the backward reads; ops that read a weight keep a copy of
-    a tensor that is not a ``Parameter`` for that reason.
+    Tensors produced by operations are treated as immutable.  A tape may
+    hold the ``data`` of any tensor an op read, and ``backward`` may hand
+    one array to several leaves as their ``grad``, so a caller replaces
+    either with a new array instead of writing it in place (see the module
+    docstring).  ``requires_grad`` is read when an op runs: it decides
+    whether the op is recorded and whether this tensor gets a gradient
+    from it.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
@@ -159,11 +165,11 @@ class Parameter(Tensor):
     """A named trainable tensor; names are unique within a network.
 
     Once its network is built, its array is replaced, never written in
-    place: the optimizer assigns each update to ``data`` as a new array.
-    So a taped op keeps ``data`` itself where its backward reads the
-    weights, and that array still holds the forward's weights when the
-    backward runs after a step.  The He init and ``trainer.restore`` write
-    in place, but only before any tape holds the array.
+    place, as the module's rule asks of every array a tape holds: the
+    optimizer assigns each update to ``data`` as a new array, so a backward
+    run after a step still reads the forward's weights.  The He init and
+    ``trainer.restore`` write in place, but only before any tape holds the
+    array.
     """
 
     __slots__ = ("name",)
@@ -182,29 +188,22 @@ def _taped(parents) -> bool:
 
 
 class _Output:
-    """What a node keeps of a parent that an op produced: its node, flag,
-    shape and dtype, for ``backward`` to key and check its gradient by, but
-    not its array."""
+    """What a node keeps of a parent that an op produced: its node, shape
+    and dtype, for ``backward`` to key and check its gradient by, but not
+    its array."""
 
-    __slots__ = ("node", "requires_grad", "shape", "dtype")
+    __slots__ = ("node", "shape", "dtype")
 
     def __init__(self, t: Tensor):
-        self.node, self.requires_grad, self.shape, self.dtype = t.node, t.requires_grad, t.shape, t.dtype
+        self.node, self.shape, self.dtype = t.node, t.shape, t.dtype
 
 
 def _parent(p: Tensor) -> "_Output | Tensor | None":
-    """A node's reference to parent *p*: an ``_Output`` of an op output; a
-    Parameter, or another leaf that tracks gradients, itself; None for a constant."""
-    if p.node is not None:
-        return _Output(p)
-    return p if isinstance(p, Parameter) or p.requires_grad else None
-
-
-def _forward_weights(w: Tensor) -> np.ndarray:
-    """The weights a taped op's dx reads: a Parameter's own array, which is
-    replaced, never written (see ``Parameter``); else a copy, since the
-    caller may still write a plain tensor's array before the backward."""
-    return w.data if isinstance(w, Parameter) else w.data.copy()
+    """A node's reference to parent *p*, decided as the op runs: None unless
+    *p* tracks gradients, else an ``_Output`` of an op output or the leaf itself."""
+    if not p.requires_grad:
+        return None
+    return p if p.node is None else _Output(p)
 
 
 def _record(op: str, parents, out: Tensor, grad_fn) -> Tensor:
@@ -392,13 +391,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     The tape keeps what the backward reads, decided at the forward, and no
     concatenated copy of the input: the groups *x* and *concat*, which
     their own producers hold anyway, only when the weight tracks gradients
-    (dw reads them); the weights only when some group tracks (dx reads
-    them), as a Parameter's own array, which the optimizer replaces and
-    never writes, or as a copy of any other tensor's; else their flags and
-    channel widths.  With ``relu=True`` or ``sigmoid=True`` it also keeps
-    the output array.  A weight frozen at
-    the forward gets no dw, so ``backward`` raises ValueError if it tracks
-    by then.  The node's backward releases all of it.
+    (dw reads them); the weights' own array, not a copy, only when some
+    group tracks (dx reads them); and the groups' and the bias's flags and
+    the groups' channel widths.  With ``relu=True`` or ``sigmoid=True`` it
+    also keeps the output array.  Each parent gets a gradient exactly when
+    it tracked at the forward.  The node's backward releases all of it.
 
     The backward pass writes the output gradient, masked by ``out > 0``
     when ``relu=True``, or as ``g * out * (1 - out)`` in the order of
@@ -412,7 +409,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
       forward's (k*Cin, block) stack is filled again from the groups, and
       kernel row u adds ``stack[:, u rows down] @ g_block.T`` to a
       (k, k*Cin, Cout) buffer.  A stack column that holds 0 instead of an
-      input pixel meets a cropped anchor, whose gradient is 0.
+      input pixel meets a cropped anchor, whose gradient is 0.  dw is
+      returned as a C-contiguous (Cout, Cin, k, k) copy of that buffer, so
+      a reduction over a weight gradient reads it in one order.
     - dx: the padded input gradient at a is the sum over u, v of
       ``w[:, :, u, v].T @ g[a - u*Wp - v]``.  Turned by 180 degrees, a shift
       back is a shift on, so the turned view of dx is the correlation above
@@ -472,7 +471,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     # what the backward reads, decided now: the groups for dw, the weights for dx
     stacked = xts if w.requires_grad else None
     tracks, widths = [t.requires_grad for t in groups], [t.shape[1] for t in groups]
-    wf = _forward_weights(w) if any(tracks) and _taped(parents) else None
+    wf = w.data if any(tracks) else None
+    bias_tracks = b is not None and b.requires_grad
     ngroups, xdtype = len(groups), x.dtype
 
     def grad_fn(g):
@@ -506,7 +506,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
                         np.matmul(st[:, u * wp:u * wp + size], gb.T, out=dwk[u])
                     else:
                         dwk[u] += np.matmul(st[:, u * wp:u * wp + size], gb.T, out=part)
-            dw = dwk.reshape(k, k, ci, co).transpose(3, 2, 0, 1)
+            dw = np.ascontiguousarray(dwk.reshape(k, k, ci, co).transpose(3, 2, 0, 1))
         if wf is not None:
             q = k - 1 - pad
             turned = g1[:, :, ::-1, ::-1]
@@ -520,7 +520,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
                 if tracked:
                     dxs[i] = dx[:, c0:c0 + c]
                 c0 += c
-        db = gp.sum(axis=1).reshape(1, co, 1, 1) if b is not None and b.requires_grad else None
+        db = gp.sum(axis=1).reshape(1, co, 1, 1) if bias_tracks else None
         return (*dxs, dw, db) if b is not None else (*dxs, dw)
 
     return _record("conv2d", parents, out, grad_fn)
@@ -532,11 +532,10 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     ``w`` is (Cin, Cout, 2, 2); output spatial size exactly doubles.  With
     stride equal to kernel size the output footprints are disjoint.  The
     tape keeps what the backward reads, decided at the forward: the input
-    only when the weight tracks gradients (dw reads it), and the weights
-    only when the input tracks (dx reads them), as in ``conv2d``: a
-    Parameter's own array, else a copy.  A parent frozen at the forward
-    gets no gradient, so ``backward`` raises ValueError if it tracks by
-    then.
+    only when the weight tracks gradients (dw reads it), the weights' own
+    array only when the input tracks (dx reads them), and the bias's flag.
+    As in ``conv2d``, each parent gets a gradient exactly when it tracked
+    at the forward.
     """
     n, ci, h, wd = x.shape
     ci_w, co, kh, kw = w.shape
@@ -558,7 +557,8 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     parents = (x, w, b) if b is not None else (x, w)
     # what the backward reads, decided now: the input for dw, the weights for dx
     xf = x.data if w.requires_grad else None
-    wf = _forward_weights(w) if x.requires_grad and _taped(parents) else None
+    wf = w.data if x.requires_grad else None
+    bias_tracks = b is not None and b.requires_grad
     xshape, xdtype, wshape, wdtype = x.shape, x.dtype, w.shape, w.dtype
 
     def grad_fn(g):
@@ -572,7 +572,7 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
                     dx += np.tensordot(gs, wf[:, :, u, v], axes=([1], [1])).transpose(0, 3, 1, 2)
                 if dw is not None:
                     dw[:, :, u, v] = np.tensordot(xf, gs, axes=([0, 2, 3], [0, 2, 3]))
-        db = g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1) if b is not None and b.requires_grad else None
+        db = g.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1) if bias_tracks else None
         return (dx, dw, db) if b is not None else (dx, dw)
 
     return _record("conv_transpose2d", parents, out, grad_fn)
@@ -959,7 +959,7 @@ def mask_renorm(y: Tensor, mbar: Tensor, b: Tensor | None, relu: bool = False) -
 # backward
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every reachable leaf with ``requires_grad``.
+    """Populate ``grad`` on every leaf that a reachable node kept as a parent.
 
     Leaves are the tensors no recorded op produced (parameters, inputs);
     op outputs get no ``grad``.  Gradients accumulate additively, both for
@@ -976,13 +976,12 @@ def backward(loss: Tensor) -> None:
     A graph is therefore differentiated once: a call that reaches a node an
     earlier call released, on the same loss or on another loss that shares
     part of its graph, raises ValueError naming the op.
-    What a node keeps is decided at the forward, while parents' flags are
-    read again here: a parent that was frozen at the forward and tracks
-    now, such as a ``conv2d`` weight, gets no gradient from its op, which
-    raises ValueError naming the op; so freeze parameters around both
-    passes (``model.Network.frozen``).
-    A ``grad_fn`` that returns a gradient whose shape or dtype differs from
-    its parent's raises ValueError naming the op.
+    No parent's flag is read here: a node kept the parents that tracked
+    gradients as its op ran (see ``_OpNode``).  A ``grad_fn`` that returns
+    a gradient whose shape or dtype differs from its parent's raises
+    ValueError naming the op.  Each leaf gets its pending array uncopied,
+    which one ``add`` may hand to two leaves, so a caller replaces a
+    ``grad`` instead of scaling it in place.
     """
     if loss.shape != SCALAR_SHAPE:
         raise ValueError(f"backward: loss must be scalar (1,1,1,1), got {loss.shape}")
@@ -999,21 +998,17 @@ def backward(loss: Tensor) -> None:
         parent_grads = grad_fn(g)
         g = grad_fn = None
         for p, pg in zip(parents, parent_grads):
-            if p is None or not p.requires_grad:
+            if p is None:
                 continue
-            if pg is None:
-                raise ValueError(f"backward: {node.op} kept nothing for the gradient of a parent that tracks "
-                                 "gradients now but did not at the forward; run both passes in one frozen block")
             if pg.shape != p.shape or pg.dtype != p.dtype:
                 raise ValueError(f"backward: {node.op} returned a {pg.dtype} gradient of shape {pg.shape} "
                                  f"for a {p.dtype} parent of shape {p.shape}")
             key = p if p.node is None else p.node
             pending[key] = pending[key] + pg if key in pending else pg
         parents = parent_grads = p = pg = None  # no gradient or parent outlives its node into the next grad_fn
-    # every node was popped, so what is left belongs to leaves; copied because one
-    # array can reach two parents (``add``) and ``grad`` is scaled in place by the optimizer
+    # every node was popped, so what is left belongs to leaves
     for leaf, g in pending.items():
-        leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
+        leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 def _collect_nodes(loss: Tensor) -> list[_OpNode]:

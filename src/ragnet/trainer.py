@@ -181,7 +181,7 @@ def clip_grad_norm(params: dict[str, T.Parameter]) -> float:
         scale = CLIP_NORM / norm
         for p in params.values():
             if p.grad is not None:
-                p.grad *= p.grad.dtype.type(scale)
+                p.grad = p.grad * p.grad.dtype.type(scale)  # a new array: two leaves may share one
     return norm
 
 

@@ -22,6 +22,39 @@ def leaf(shape, seed, lo=-1.0, hi=1.0):
     return T.tensor(rand(shape, seed, lo, hi), requires_grad=True)
 
 
+# the parents that the one tape rule is checked on: op-role and the parent's shape
+ONE_RULE_PARENTS = {"conv2d-weight": (2, 2, 3, 3), "conv2d-bias": (1, 2, 1, 1),
+                    "conv_transpose2d-input": (1, 2, 4, 4), "conv_transpose2d-weight": (2, 2, 2, 2),
+                    "conv_transpose2d-bias": (1, 2, 1, 1), "mul-factor": (1, 2, 4, 4),
+                    "mask_renorm-bias": (1, 2, 1, 1)}
+
+
+def parent_of(kind, name, tracks):
+    """The parent of *name* in ``ONE_RULE_PARENTS``, as a Parameter or a plain leaf, tracking or frozen."""
+    data = rand(ONE_RULE_PARENTS[name], 590)
+    if kind == "leaf":
+        return T.tensor(data, requires_grad=tracks)
+    p = T.Parameter("p", data)
+    p.requires_grad = tracks
+    return p
+
+
+def op_on(name, p):
+    """The summed output of op-role *name* with *p* in that role, and a leaf
+    that tracks in another role, so the op is recorded whatever *p*'s flag."""
+    x = leaf((2, 2, 2, 2) if name == "conv_transpose2d-input" else (1, 2, 4, 4), 591)
+    w, wt = T.tensor(rand((2, 2, 3, 3), 592)), T.tensor(rand((2, 2, 2, 2), 593))
+    mbar = T.tensor(rand((1, 2, 4, 4), 594, lo=0.5, hi=1.0))
+    out = {"conv2d-weight": lambda: T.conv2d(x, p, None, pad=1),
+           "conv2d-bias": lambda: T.conv2d(x, w, p, pad=1),
+           "conv_transpose2d-input": lambda: T.conv_transpose2d(p, x),  # x is the weight here
+           "conv_transpose2d-weight": lambda: T.conv_transpose2d(x, p),
+           "conv_transpose2d-bias": lambda: T.conv_transpose2d(x, wt, p),
+           "mul-factor": lambda: T.mul(x, p),
+           "mask_renorm-bias": lambda: T.mask_renorm(x, mbar, p)}[name]()
+    return T.reduce_sum(T.mul(out, T.tensor(rand(out.shape, 596)))), x
+
+
 class TestBackwardContract:
     def test_sum_gives_ones(self):
         x = leaf((2, 1, 3, 3), 0)
@@ -300,30 +333,39 @@ class TestTapeRetention:
             gc.enable()
         assert x.grad.tobytes() == (np.ones_like(c) * c).tobytes()
 
-    @pytest.mark.parametrize("name", ["conv2d", "mul"])
-    def test_a_parameter_frozen_at_the_forward_cannot_track_at_the_backward(self, name):
-        op, shape = {"conv2d": (lambda x, w: T.conv2d(x, w, None, pad=1), (2, 2, 3, 3)),
-                     "mul": (T.mul, (1, 2, 4, 4))}[name]
-        x = leaf((1, 2, 4, 4), 550)
-        w = T.Parameter("w", rand(shape, 551))
-        w.requires_grad = False
+    @pytest.mark.parametrize("kind", ["parameter", "leaf"])
+    @pytest.mark.parametrize("name", ["conv2d-weight", "conv2d-bias", "mul-factor", "mask_renorm-bias"])
+    def test_a_parent_frozen_at_the_forward_gets_no_gradient_if_it_tracks_by_the_backward(self, name, kind):
+        p = parent_of(kind, name, tracks=False)
         with T.Tape():
-            loss = T.reduce_sum(op(x, w))
-            w.requires_grad = True
-            with pytest.raises(ValueError, match=f"backward: {name} kept nothing for the gradient"):
-                T.backward(loss)
+            loss, x = op_on(name, p)
+            p.requires_grad = True
+            T.backward(loss)
+        assert p.grad is None and x.grad is not None
 
-    @pytest.mark.parametrize("frozen", ["x", "w"])
-    def test_a_conv_transpose2d_parent_frozen_at_the_forward_cannot_track_at_the_backward(self, frozen):
-        x = T.Parameter("x", rand((1, 2, 3, 3), 570))
-        w = T.Parameter("w", rand((2, 3, 2, 2), 571))
-        parent = {"x": x, "w": w}[frozen]
-        parent.requires_grad = False
+    @pytest.mark.parametrize("kind", ["parameter", "leaf"])
+    @pytest.mark.parametrize("name", ["conv_transpose2d-input", "conv_transpose2d-weight", "conv_transpose2d-bias"])
+    def test_a_conv_transpose2d_parent_frozen_at_the_forward_gets_no_gradient_if_it_tracks_by_the_backward(
+            self, name, kind):
+        p = parent_of(kind, name, tracks=False)
         with T.Tape():
-            loss = T.reduce_sum(T.conv_transpose2d(x, w))
-            parent.requires_grad = True
-            with pytest.raises(ValueError, match="backward: conv_transpose2d kept nothing for the gradient"):
+            loss, x = op_on(name, p)
+            p.requires_grad = True
+            T.backward(loss)
+        assert p.grad is None and x.grad is not None
+
+    @pytest.mark.parametrize("kind", ["parameter", "leaf"])
+    @pytest.mark.parametrize("name", list(ONE_RULE_PARENTS))
+    def test_a_parent_that_tracks_at_the_forward_gets_its_gradient_if_it_is_frozen_by_the_backward(self, name, kind):
+        grads = []
+        for freeze in (False, True):
+            p = parent_of(kind, name, tracks=True)
+            with T.Tape():
+                loss, _ = op_on(name, p)
+                p.requires_grad = not freeze
                 T.backward(loss)
+            grads.append(p.grad)
+        assert grads[1] is not None and grads[1].tobytes() == grads[0].tobytes()
 
     @pytest.mark.parametrize("tracks", ["x", "w"])
     def test_conv_transpose2d_keeps_the_input_only_for_dw_and_the_weights_only_for_dx(self, tracks):

