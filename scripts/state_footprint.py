@@ -79,9 +79,9 @@ SIDE = 224  # the inference image side
 MERGE_MAPS = 5.3  # traced inference peak allowed, in level-1 merge maps
 INFER_FAULTS = 256  # minor page faults allowed in a steady-state inference
 STEP_WIDTH, STEP_BATCH, STEP_SIDE = 0.125, 4, 64  # the desk training step
-STEP_MB = 48  # its traced peak allowed, in MB of 2**20 bytes
+STEP_MB = 43  # its traced peak allowed, in MB of 2**20 bytes
 WIDE_STEP_WIDTH = 0.5  # the same step at a width nearer the paper's
-WIDE_STEP_MB = 176  # its traced peak allowed, in MB
+WIDE_STEP_MB = 170  # its traced peak allowed, in MB
 LOAD_WIDTH = 0.5  # width of the checkpoint that load_models reads
 MB = 1 << 20
 

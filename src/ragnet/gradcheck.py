@@ -89,6 +89,11 @@ CHECKS: tuple[Check, ...] = (
          lambda i, s: [(s, 260 + i), ((2, s[1], 3, 3), 270 + i), ((1, 2, 1, 1), 280 + i)]),
     _op3("conv2d_sigmoid", lambda x, w, b: T.reduce_sum(T.tanh(T.conv2d(x, w, b, 1, 1, sigmoid=True))),
          lambda i, s: [(s, 290 + i), ((2, s[1], 3, 3), 300 + i), ((1, 2, 1, 1), 310 + i)]),
+    # the partial convolution's coverage, one channel shared by every output channel
+    *(_op3(name, lambda x, c, w, b, relu=relu: T.reduce_sum(T.tanh(T.conv2d(x, w, b, 1, 1, relu, coverage=c))),
+           lambda i, s: [(s, 360 + i), ((s[0], 1, *s[2:]), 365 + i, 0.4, 0.9), ((3, s[1], 3, 3), 370 + i, -0.3, 0.3),
+                         ((1, 3, 1, 1), 375 + i)])
+      for name, relu in (("conv2d_coverage", False), ("conv2d_coverage_relu", True))),
     _op("conv2d_stride2", lambda x, w: T.reduce_sum(T.conv2d(x, w, None, 2, 1)),
         ((1, 2, 6, 6), 40), ((2, 2, 3, 3), 41)),
     # the RAG mask heads m0/m1 are 1x1 convs
@@ -136,8 +141,6 @@ CHECKS: tuple[Check, ...] = (
     *(_op3(name, fn, lambda i, s: [(s, 200 + i, 0.1, 1.0)])
       for name, fn in (("reduce_sum", T.reduce_sum), ("reduce_mean", T.reduce_mean),
                        ("l1_norm", T.l1_norm), ("frobenius_norm", T.frobenius_norm))),
-    _op("mask_renorm", lambda y, m, b: T.reduce_sum(T.mask_renorm(y, T.mask_mean3x3(m), b)),
-        ((1, 2, 4, 4), 210), ((1, 2, 4, 4), 211, 0.2, 0.9), ((1, 2, 1, 1), 212)),
     _op("partial_conv_renorm", lambda f, m, w, b: T.reduce_sum(T.tanh(M.partial_conv(f, m, w, b))),
         ((1, 2, 4, 4), 220), ((1, 2, 4, 4), 221, 0.2, 0.9), ((2, 2, 3, 3), 222), ((1, 2, 1, 1), 223)),
     _op("sigmoid_conv_spatial_gradient", _sigmoid_conv_spatial_gradient, ((1, 2, 4, 4), 330), ((2, 2, 3, 3), 331)),

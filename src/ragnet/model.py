@@ -7,9 +7,11 @@ merges its skip feature.  Each decoder level of ``g_t`` runs a reflection-aware
 guidance block: the observation/reflection feature difference is concatenated
 with the upsampled decoder feature, a sigmoid mask M is predicted from all
 three feature groups through two 1x1 convolutions, and the merged feature
-passes through a mask-renormalized partial convolution.  ``forward_gt``
-returns one M per level, level 1 first: its first half of channels, M_diff,
-gates F_I - F_R, and its second half, M_dec, gates F_dec.
+passes through a partial convolution: the conv of the masked feature,
+divided at each position by the mask's coverage of its whole 3x3 window
+over all channels.  ``forward_gt`` returns one M per level, level 1 first:
+its first half of channels, M_diff, gates F_I - F_R, and its second half,
+M_dec, gates F_dec.
 
 All channel widths derive from one base table scaled by
 ``ModelConfig.width_multiplier`` so the same wiring runs at desk scale
@@ -276,33 +278,28 @@ def _encoder_forward(net: Network, prefix: str, x: Tensor, stages: int) -> list[
 
 def partial_conv(f: Tensor, m: Tensor, w: Tensor, b: Tensor, renorm: bool = True,
                  relu: bool = False) -> Tensor:
-    """Mask-renormalized 3x3 convolution (stride 1, pad 1).
+    """Partial 3x3 convolution (stride 1, pad 1) of Liu et al. (arXiv:1804.07723).
 
-    out = (w * (f o m)) o (1 / mean3x3(m)) + b wherever mean3x3(m) > ``T.MASK_EPS``
-    and exactly 0 elsewhere (bias suppressed).  With
-    ``renorm=False`` the division is omitted: out = w * (f o m) + b.
-    ``relu=True`` applies a ReLU inside the op that writes the output
-    (``mask_renorm``, or ``conv2d`` without renormalization), bit for bit
+    out = (w * (f o m)) / c + b wherever c > ``T.MASK_EPS`` and exactly 0
+    elsewhere (bias suppressed), with c = ``T.mask_mean3x3(m)`` the coverage
+    of the whole zero-padded Cin x 3 x 3 window: one ratio per position,
+    shared by every output channel, so a mask near 0 in some channels
+    scales the output up by at most the inverse share of the mask left.
+    With ``renorm=False`` the division is omitted: out = w * (f o m) + b.
+    One ``conv2d`` call divides, adds the bias and, with ``relu=True``,
+    applies the ReLU as it writes the output, bit for bit
     ``relu(partial_conv(...))``.
 
     The mask is used as given, held once: no op here copies it.  f is
-    dropped once f o m is made, and f o m once the convolution has read it,
-    so outside a tape, when the caller keeps no reference to f, both are
-    freed before the mask mean and the renormalization allocate theirs.
+    dropped once f o m is made, so outside a tape, when the caller keeps no
+    reference to f, it is freed before the conv allocates its output.
     """
     if f.shape != m.shape:
         raise ValueError(f"partial_conv: feature shape {f.shape} != mask shape {m.shape}")
-    if w.shape[0] != w.shape[1]:
-        raise ValueError(f"partial_conv: weight must preserve channels for the per-channel "
-                         f"renormalization, got {w.shape[1]}->{w.shape[0]}")
     fm = T.mul(f, m)
     del f
-    if not renorm:
-        return T.conv2d(fm, w, b, stride=1, pad=1, relu=relu)
-    raw = T.conv2d(fm, w, None, stride=1, pad=1)
-    del fm
-    mbar = T.mask_mean3x3(m)
-    return T.mask_renorm(raw, mbar, b, relu=relu)
+    coverage = T.mask_mean3x3(m) if renorm else None
+    return T.conv2d(fm, w, b, stride=1, pad=1, relu=relu, coverage=coverage)
 
 
 def rag_block(net: Network, level: int, pair: list[tuple[Tensor, Tensor]],

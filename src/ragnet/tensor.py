@@ -45,7 +45,7 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 LEAKY_SLOPE = 0.2  # leaky_relu's slope below 0
-MASK_EPS = 1e-8    # mask_renorm divides where the mask mean exceeds this
+MASK_EPS = 1e-8    # conv2d divides by its coverage where that exceeds this, and writes 0 elsewhere
 SCALAR_SHAPE = (1, 1, 1, 1)
 MMAP_THRESHOLD = 32 << 20  # bytes; glibc's largest mmap threshold on 64-bit builds
 TRIM_THRESHOLD = 1 << 30   # bytes
@@ -303,12 +303,14 @@ def _stack(buf, xts, pad, k, block):
     return st[:, :span]
 
 
-def _correlate(xts, pad, wk, out, buf=None, bias=None, relu=False, sigmoid=False):
+def _correlate(xts, pad, wk, out, buf=None, bias=None, relu=False, sigmoid=False, cover=None):
     """*out* (N, Cout, Ho, Wo) = the channel concatenation of the (C_g, N, H, W)
     arrays *xts*, zero-padded by *pad*, correlated with kernel rows *wk*
-    (k, Cout, k*C), plus *bias* and the activation; the stacks use *buf* if
-    it is large enough.  No stack buffer is allocated when every block is a
-    view of the input, and no second accumulator when k = 1."""
+    (k, Cout, k*C), divided by the (N, Ho, Wo) coverage *cover* if given,
+    plus *bias* and the activation, and 0 where *cover* is not above
+    ``MASK_EPS``; the stacks use *buf* if it is large enough.  No stack
+    buffer is allocated when every block is a view of the input, and no
+    second accumulator when k = 1."""
     c = sum(len(xt) for xt in xts)
     _, n, h, wd = xts[0].shape
     k, co = wk.shape[:2]
@@ -331,6 +333,10 @@ def _correlate(xts, pad, wk, out, buf=None, bias=None, relu=False, sigmoid=False
             acc_b += np.matmul(wk[u], st[:, u * wp:u * wp + size], out=tmp[:, :size])
         kept = min(i1, ho) - i0
         crop = acc_b.reshape(co, n1 - n0, i1 - i0, wp)[:, :, :kept, :wo]
+        if cover is not None:
+            cov = cover[n0:n1, i0:i0 + kept]  # one ratio per anchor, shared by every output channel
+            active = cov > MASK_EPS
+            np.divide(crop, cov, out=crop, where=active)
         dst = out[n0:n1, :, i0:i0 + kept].transpose(1, 0, 2, 3)
         if bias is None:
             dst[...] = crop
@@ -340,10 +346,13 @@ def _correlate(xts, pad, wk, out, buf=None, bias=None, relu=False, sigmoid=False
             np.maximum(dst, 0, out=dst)
         elif sigmoid:
             _sigmoid_into(dst, dst)
+        if cover is not None:
+            np.copyto(dst, 0, where=~active)  # after the ReLU too, since relu(0) = 0
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0,
-           relu: bool = False, sigmoid: bool = False, *, concat: tuple[Tensor, ...] = ()) -> Tensor:
+           relu: bool = False, sigmoid: bool = False, *, concat: tuple[Tensor, ...] = (),
+           coverage: Tensor | None = None) -> Tensor:
     """Direct 2-D convolution (cross-correlation) with zero padding, and an
     optional ReLU or sigmoid, of *x* or of *x* and the channel groups
     *concat* read as one input.
@@ -359,6 +368,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     ``sigmoid(conv2d(...))`` the same way: each row block is squashed in the
     output it was just written to, with the formula of ``sigmoid``, so no
     pre-activation plane exists.  The two cannot be combined.
+    ``coverage`` (N, 1, Ho, Wo), one ratio per output position shared by
+    every channel (``mask_mean3x3`` gives it), makes it a partial
+    convolution (arXiv:1804.07723), at stride 1 without the sigmoid: the
+    output is ``raw / coverage + b`` where the coverage exceeds
+    ``MASK_EPS`` and exactly 0 elsewhere, then the ReLU.
 
     Layout: channel-major.  The conv is computed at stride 1 on the
     zero-padded Hp x Wp grid: column n*Hp*Wp + i*Wp + j is anchor (i, j) of
@@ -384,7 +398,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     allocates no stack buffer when every block is one.  A block is thus
     k GEMMs, one per (Cout, k*Cin) kernel row of a (k, Cout, k*Cin)
     weight copy, summed into a (Cout, block) accumulator that stays in
-    cache.  The cropped block
+    cache.  The cropped block, divided by the coverage if one is given,
     plus the bias, and with ``relu=True`` or ``sigmoid=True`` its
     activation, is written straight into the NCHW output.
 
@@ -393,16 +407,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     their own producers hold anyway, only when the weight tracks gradients
     (dw reads them); the weights' own array, not a copy, only when some
     group tracks (dx reads them); and the groups' and the bias's flags and
-    the groups' channel widths.  With ``relu=True`` or ``sigmoid=True`` it
-    also keeps the output array.  Each parent gets a gradient exactly when
-    it tracked at the forward.  The node's backward releases all of it.
+    the groups' channel widths.  With ``relu=True``, ``sigmoid=True`` or a
+    tracking coverage it also keeps the output; with a coverage, its one
+    channel and, if it tracks, the bias's array, but no raw output or
+    reciprocal.  Each parent gets a gradient exactly when it tracked at the
+    forward.  The node's backward releases all of it.
 
     The backward pass writes the output gradient, masked by ``out > 0``
     when ``relu=True``, or as ``g * out * (1 - out)`` in the order of
     ``sigmoid``'s backward when ``sigmoid=True``, onto the anchor grid
     after E = ((k-1)*Wp + k-1) leading zero columns; every other column of
     that (Cout, E + N*Hp*Wp) buffer is 0, and db is its row sum (the E
-    zeros stay: numpy's pairwise sum rounds by the row's length).
+    zeros stay: numpy's pairwise sum rounds by the row's length).  With a
+    coverage, that g' is first set to 0 where the coverage is not above
+    ``MASK_EPS``, then db is taken, d(coverage) = -sum_c g' (out - b) /
+    coverage where it is above (else 0), and dx and dw read g' / coverage.
 
     - dw runs over the forward's row blocks, extended to all Hp anchor rows
       because input pixels also lie on the rows the forward crops.  The
@@ -451,6 +470,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     ho, wo = hp - k + 1, wp - k + 1  # the stride-1 output
     if ho < 1 or wo < 1:
         raise ValueError(f"conv2d: output spatial size ({ho},{wo}) is empty for input ({h},{wd})")
+    if coverage is not None and (stride != 1 or sigmoid or coverage.shape != (n, 1, ho, wo)
+                                 or coverage.dtype != x.dtype):
+        raise ValueError(f"conv2d: a coverage must be {(n, 1, ho, wo)} {x.dtype} at stride 1 without sigmoid, "
+                         f"got {coverage.shape} {coverage.dtype} at stride {stride}, sigmoid={sigmoid}")
 
     tall = k - 1
     ext = tall * wp + tall  # the largest tap shift
@@ -464,11 +487,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         wk4[:, o:o + 32] = w.data[o:o + 32].transpose(2, 0, 3, 1)
     dtype = np.result_type(x.data, w.data)
     out_data = np.empty((n, co, ho, wo), dtype=dtype if b is None else np.result_type(dtype, b.data))
-    _correlate(xts, pad, wk, out_data, bias=None if b is None else b.data, relu=relu, sigmoid=sigmoid)
+    cover = None if coverage is None else coverage.data[:, 0]  # (N, Ho, Wo), a view
+    _correlate(xts, pad, wk, out_data, bias=None if b is None else b.data, relu=relu, sigmoid=sigmoid,
+               cover=cover)
     out = Tensor(out_data[:, :, ::stride, ::stride])  # every stride-th anchor; Tensor makes a strided view contiguous
-    alive = out.data if relu or sigmoid else None  # the tape keeps the output only for its derivative
-    parents = (*groups, w, b) if b is not None else (*groups, w)
-    # what the backward reads, decided now: the groups for dw, the weights for dx
+    parents = (*groups, w) + ((b,) if b is not None else ()) + ((coverage,) if coverage is not None else ())
+    # what the backward reads, decided now: the groups for dw, the weights for dx,
+    # the output for the activation's derivative and d(coverage), which also reads the bias
+    cover_tracks = coverage is not None and coverage.requires_grad
+    alive = out.data if relu or sigmoid or cover_tracks else None
+    bf = b.data if cover_tracks and b is not None else None
     stacked = xts if w.requires_grad else None
     tracks, widths = [t.requires_grad for t in groups], [t.shape[1] for t in groups]
     wf = w.data if any(tracks) else None
@@ -486,6 +514,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
             _sigmoid_grad(g.transpose(1, 0, 2, 3), alive.transpose(1, 0, 2, 3), out=gq)
         else:
             gq[...] = g.transpose(1, 0, 2, 3)
+        if cover is not None:  # stride 1, so gq is the whole stride-1 gradient
+            active = cover > MASK_EPS
+            np.copyto(gq, 0, where=~active)
+        db = gp.sum(axis=1).reshape(1, co, 1, 1) if bias_tracks else None
+        dcov = None
+        if cover_tracks:  # -sum_c g' (out - b) / coverage where active, else 0
+            scaled = alive.transpose(1, 0, 2, 3) - (0.0 if bf is None else bf.reshape(co, 1, 1, 1))
+            scaled *= gq
+            total = scaled.sum(axis=0)
+            dcov = np.zeros((n, 1, ho, wo), dtype=cover.dtype)
+            np.divide(np.negative(total, out=total), cover, out=dcov[:, 0], where=active)
+        if cover is not None:
+            np.divide(gq, cover, out=gq, where=active)  # dx and dw read g' / coverage
         dxs, dw = [None] * ngroups, None  # a parent that tracked no gradient at the forward gets None
         bwd_blocks = _row_blocks(n, hp, wp, hp)  # input pixels lie on every anchor row
         span = max(size for *_, size in bwd_blocks) + tall * wp
@@ -520,8 +561,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
                 if tracked:
                     dxs[i] = dx[:, c0:c0 + c]
                 c0 += c
-        db = gp.sum(axis=1).reshape(1, co, 1, 1) if bias_tracks else None
-        return (*dxs, dw, db) if b is not None else (*dxs, dw)
+        return (*dxs, dw) + ((db,) if b is not None else ()) + ((dcov,) if coverage is not None else ())
 
     return _record("conv2d", parents, out, grad_fn)
 
@@ -612,24 +652,29 @@ def maxpool2x2(x: Tensor) -> Tensor:
 
 
 def mask_mean3x3(m: Tensor) -> Tensor:
-    """Mean of the zero-padded 3x3 neighborhood with fixed divisor 9.
+    """Coverage of the zero-padded C x 3 x 3 window: the mean of *m* (N, C, H, W)
+    over all its channels and the 3x3 neighborhood, with the fixed divisor
+    9*C, as one channel (N, 1, H, W).  It is the partial convolution's
+    ``coverage`` (see ``conv2d``).
 
     Border values are attenuated by the missing zero-padded neighbors
-    (edges 6/9, corners 4/9 for an all-ones input).  Computed as a separable
-    box sum, all in the input's dtype: the three-row sums (up + centre) +
-    down go into one (n, c, h, w+2) buffer whose first and last columns are
-    0, then the three-column sums of that buffer into the output, which is
-    divided by 9.  No zero-padded copy of the input is made; the first and
+    (edges 6/9, corners 4/9 for an all-ones input).  Computed all in the
+    input's dtype: the channel sum, then a separable box sum of that one
+    channel.  The three-row sums (up + centre) + down go into one
+    (n, 1, h, w+2) buffer whose first and last columns are 0, then the
+    three-column sums of that buffer into the channel sum's own array,
+    which is divided by 9*C.  No zero-padded copy is made; the first and
     last rows add their padding neighbour as an explicit ``+ 0.0``, which
     turns a -0 into +0 as the padded sum does.  The tape keeps nothing: the
-    op is self-adjoint, so the backward pass is the same averaging applied
-    to the incoming gradient.
+    backward is the same box sum of the (N, 1, H, W) gradient, divided by
+    9*C, spread over the C channels as one read-only broadcast view.
     """
-    def avg9(a):
-        n, c, h, w = a.shape
-        rows = np.empty((n, c, h, w + 2), dtype=a.dtype)
-        rows[..., 0] = 0
-        rows[..., -1] = 0
+    n, c, h, w = m.shape
+    div = 9.0 * c
+
+    def avg9(a, out=None):
+        rows = np.empty((n, 1, h, w + 2), dtype=a.dtype)
+        rows[..., [0, -1]] = 0
         r = rows[..., 1:-1]
         np.add(a[:, :, :-2], a[:, :, 1:-1], out=r[:, :, 1:-1])
         r[:, :, 1:-1] += a[:, :, 2:]
@@ -638,15 +683,16 @@ def mask_mean3x3(m: Tensor) -> Tensor:
         if h > 1:
             np.add(a[:, :, -2], a[:, :, -1], out=r[:, :, -1])
             r[:, :, -1] += 0.0  # the padding row below
-        box = rows[..., :-2] + rows[..., 1:-1]
+        box = np.add(rows[..., :-2], rows[..., 1:-1], out=out)
         box += rows[..., 2:]
-        box /= 9.0
+        box /= div
         return box
 
-    out = Tensor(avg9(m.data))
+    total = m.data.sum(axis=1, keepdims=True)
+    out = Tensor(avg9(total, out=total))  # the rows buffer holds what the box reads
 
     def grad_fn(g):
-        return (avg9(g),)
+        return (np.broadcast_to(avg9(g), (n, c, h, w)),)
 
     return _record("mask_mean3x3", (m,), out, grad_fn)
 
@@ -903,56 +949,6 @@ def frobenius_norm(x: Tensor) -> Tensor:
         return x.data / x.data.dtype.type(v)
 
     return _reduce("frobenius_norm", x, v, grad_of_x)
-
-
-# ---------------------------------------------------------------------------
-# mask renormalization (the division + zero branch of the partial convolution)
-
-def mask_renorm(y: Tensor, mbar: Tensor, b: Tensor | None, relu: bool = False) -> Tensor:
-    """Per-entry y/mbar + bias where mbar > ``MASK_EPS``, else exactly 0 (bias suppressed).
-
-    ``relu=True`` gives ``relu(mask_renorm(...))`` bit for bit, output and
-    gradients, as one op, as in ``conv2d``.  The output is built in one
-    buffer: the reciprocal, times y, plus the bias where mbar > MASK_EPS and plus
-    ``b * 0`` elsewhere, as ``y * inv + b * active`` adds it, so signed
-    zeros and NaNs come out alike.  The tape keeps nothing but the parents
-    and, with ``relu=True``, the output: the backward pass recomputes the
-    reciprocal and the mask > MASK_EPS from ``mbar``.
-    """
-    if y.shape != mbar.shape:
-        raise ValueError(f"mask_renorm: shape mismatch {y.shape} vs {mbar.shape}")
-    co = y.shape[1]
-    if b is not None and b.shape != (1, co, 1, 1):
-        raise ValueError(f"mask_renorm: bias shape {b.shape} != (1,{co},1,1)")
-
-    def reciprocal():
-        """(1/mbar where mbar > MASK_EPS else 0, mbar > MASK_EPS), the first in a fresh buffer"""
-        active = mbar.data > MASK_EPS
-        inv = np.zeros(mbar.shape, dtype=mbar.dtype)
-        np.divide(1.0, mbar.data, out=inv, where=active)
-        return inv, active
-
-    out_data, active = reciprocal()
-    out_data *= y.data
-    if b is not None:
-        np.add(out_data, b.data, out=out_data, where=active)
-        np.add(out_data, b.data * 0.0, out=out_data, where=np.logical_not(active, out=active))
-    if relu:
-        np.maximum(out_data, 0, out=out_data)
-    out = Tensor(out_data)
-    alive = out_data if relu else None  # the tape keeps the output only to mask by it
-
-    def grad_fn(g):
-        inv, active = reciprocal()
-        if relu:
-            g = g * (alive > 0)
-        dy = g * inv
-        dmbar = -g * y.data * inv * inv
-        db = (g * active).sum(axis=(0, 2, 3)).reshape(1, co, 1, 1) if b is not None else None
-        return (dy, dmbar, db) if b is not None else (dy, dmbar)
-
-    parents = (y, mbar, b) if b is not None else (y, mbar)
-    return _record("mask_renorm", parents, out, grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -101,19 +101,21 @@ def maxpool2x2_grad_loops(x, g):
 
 
 def mask_mean3x3_loops(m):
+    """Coverage of the zero-padded C x 3 x 3 window at each pixel: the sum of
+    every in-bounds entry of all C channels, divided by 9*C, as one channel."""
     n, c, h, w = m.shape
-    out = np.zeros_like(m, dtype=np.float64)
+    out = np.zeros((n, 1, h, w), dtype=np.float64)
     for nn in range(n):
-        for cc in range(c):
-            for i in range(h):
-                for j in range(w):
-                    acc = 0.0
+        for i in range(h):
+            for j in range(w):
+                acc = 0.0
+                for cc in range(c):
                     for u in (-1, 0, 1):
                         for v in (-1, 0, 1):
                             ii, jj = i + u, j + v
                             if 0 <= ii < h and 0 <= jj < w:
                                 acc += m[nn, cc, ii, jj]
-                    out[nn, cc, i, j] = acc / 9.0
+                out[nn, 0, i, j] = acc / (9.0 * c)
     return out
 
 
@@ -129,29 +131,55 @@ def block_mean_loops(x, block):
     return out
 
 
-def partial_conv_loops(f, m, w, b, eps=1e-8, renorm=True):
-    """Direct per-pixel evaluation of the mask-renormalized convolution.
-
-    out = (w * (f o m)) o (1/mbar) + b where mbar > eps, else 0, with mbar the
-    zero-padded 3x3 mean of m (divisor 9).  Kernel 3, stride 1, pad 1.
-    """
-    fm = f * m
-    raw = conv2d_loops(fm, w, b=None, stride=1, pad=1)
-    mbar = mask_mean3x3_loops(m)
-    n, co, h, wd = raw.shape
+def conv2d_coverage_loops(x, w, b, cov, pad=1, eps=1e-8, relu=False):
+    """The partial convolution per output entry: raw / cov + b where cov > eps,
+    else 0, then the optional ReLU, with raw the stride-1 conv of *x* and the
+    (N, 1, Ho, Wo) coverage *cov* shared by every output channel."""
+    raw = conv2d_loops(x, w, b=None, stride=1, pad=pad)
+    n, co, ho, wo = raw.shape
     out = np.zeros_like(raw)
     for nn in range(n):
         for c in range(co):
-            for i in range(h):
-                for j in range(wd):
-                    if mbar[nn, c, i, j] > eps:
-                        val = raw[nn, c, i, j]
-                        if renorm:
-                            val = val / mbar[nn, c, i, j]
-                        out[nn, c, i, j] = val + b[c]
-                    else:
-                        out[nn, c, i, j] = 0.0
+            for i in range(ho):
+                for j in range(wo):
+                    if cov[nn, 0, i, j] > eps:
+                        val = raw[nn, c, i, j] / cov[nn, 0, i, j] + (b[c] if b is not None else 0.0)
+                        out[nn, c, i, j] = max(val, 0.0) if relu else val
     return out
+
+
+def conv2d_coverage_grad_loops(x, w, b, cov, g, pad=1, eps=1e-8, relu=False):
+    """(dx, dw, db, dcov) of ``conv2d_coverage_loops`` for the output gradient
+    *g*.  An entry whose coverage is not above eps, or whose ReLU is cut, is
+    constant and sends nothing.  Any other sends g / cov to raw (and on to x
+    and w as a conv's gradient does), g to the bias and -g * raw / cov**2 to
+    its coverage."""
+    raw = conv2d_loops(x, w, b=None, stride=1, pad=pad)
+    out = conv2d_coverage_loops(x, w, b, cov, pad, eps, relu)
+    n, co, ho, wo = raw.shape
+    graw = np.zeros_like(raw)
+    db = np.zeros(co, dtype=np.float64)
+    dcov = np.zeros((n, 1, ho, wo), dtype=np.float64)
+    for nn in range(n):
+        for c in range(co):
+            for i in range(ho):
+                for j in range(wo):
+                    cv = cov[nn, 0, i, j]
+                    if cv <= eps or (relu and out[nn, c, i, j] <= 0):
+                        continue
+                    gv = g[nn, c, i, j]
+                    graw[nn, c, i, j] = gv / cv
+                    db[c] += gv
+                    dcov[nn, 0, i, j] -= gv * raw[nn, c, i, j] / (cv * cv)
+    dx, dw, _ = conv2d_grad_loops(x, w, graw, stride=1, pad=pad)
+    return dx, dw, db, dcov
+
+
+def partial_conv_loops(f, m, w, b, eps=1e-8):
+    """Direct per-pixel evaluation of the partial convolution: the 3x3 conv of
+    f o m, pad 1, divided by the coverage of m's whole window, plus b, where
+    that coverage exceeds eps, else 0."""
+    return conv2d_coverage_loops(f * m, w, b, mask_mean3x3_loops(m), pad=1, eps=eps)
 
 
 def exclusion_loss_script(t, r, n_scales=2, lambda_t=0.5):
@@ -224,7 +252,7 @@ def filter_valid_whole_plane(img, k):
     return out
 
 
-# Whole-plane formulas of the elementwise mask ops, kept as byte-exact
+# Whole-plane formulas of the mask ops, kept as byte-exact
 # references for the library's buffer-reusing forms: the same arithmetic in
 # the same order, written with np.where and a zero-padded copy.
 
@@ -239,8 +267,8 @@ def sigmoid_grad_where(g, s):
     return g * s * (1.0 - s)
 
 
-def mask_mean3x3_padded(a):
-    """Zero-padded 3x3 box sum over one padded copy, rows then columns, divided by 9."""
+def box_mean_padded(a, div):
+    """Zero-padded 3x3 box sum of each plane over one padded copy, rows then columns, divided by *div*."""
     n, c, h, w = a.shape
     ap = np.zeros((n, c, h + 2, w + 2), dtype=a.dtype)
     ap[:, :, 1:-1, 1:-1] = a
@@ -248,32 +276,33 @@ def mask_mean3x3_padded(a):
     rows += ap[:, :, 2:]
     box = rows[..., :-2] + rows[..., 1:-1]
     box += rows[..., 2:]
-    box /= 9.0
+    box /= div
     return box
 
 
-def mask_renorm_where(y, mbar, b, eps=1e-8, relu=False):
-    """y/mbar + b where mbar > eps, else y*0 + b*0, optionally through a ReLU."""
-    active = mbar > eps
-    inv = np.where(active, 1.0 / np.where(active, mbar, 1.0), 0.0)
-    out = y * inv
-    if b is not None:
-        out = out + b * active
-    if relu:
-        out = np.maximum(out, 0)
-    return out
+def mask_mean3x3_padded(m):
+    """The channel sum of *m*, then its padded box sum divided by 9*C."""
+    return box_mean_padded(m.sum(axis=1, keepdims=True), 9.0 * m.shape[1])
 
 
-def mask_renorm_grad_where(y, mbar, b, g, eps=1e-8, relu=False):
-    """(dy, dmbar, db) of ``mask_renorm_where`` for the output gradient *g*."""
-    active = mbar > eps
-    inv = np.where(active, 1.0 / np.where(active, mbar, 1.0), 0.0)
-    if relu:
-        g = g * (mask_renorm_where(y, mbar, b, eps, relu=True) > 0)
-    dy = g * inv
-    dmbar = -g * y * inv * inv
-    db = (g * active).sum(axis=(0, 2, 3)).reshape(b.shape) if b is not None else None
-    return dy, dmbar, db
+def coverage_where(raw, cov, b, eps=1e-8, relu=False):
+    """The partial convolution's write on a conv output *raw*: raw / cov + b
+    where cov > eps, else 0, optionally through a ReLU."""
+    active = cov > eps
+    out = np.where(active, raw / np.where(active, cov, 1.0) + b, 0.0)
+    return np.maximum(out, 0) if relu else out
+
+
+def coverage_grad_where(out, cov, b, g, eps=1e-8, relu=False):
+    """(g', g' / cov, dcov) of ``coverage_where`` for the output gradient *g*,
+    with *out* its output: g' is g, masked by the ReLU, where cov > eps and 0
+    elsewhere; the bias reads g', the conv output g' / cov, and the coverage
+    -sum_c g' * (out - b) / cov."""
+    active = cov > eps
+    safe = np.where(active, cov, 1.0)
+    gp = np.where(active, g * (out > 0) if relu else g, 0.0)
+    dcov = np.where(active, -(gp * (out - b)).sum(axis=1, keepdims=True) / safe, 0.0)
+    return gp, np.where(active, gp / safe, 0.0), dcov
 
 
 def leaky_relu_where(x, slope=0.2):

@@ -26,7 +26,7 @@ def leaf(shape, seed, lo=-1.0, hi=1.0):
 ONE_RULE_PARENTS = {"conv2d-weight": (2, 2, 3, 3), "conv2d-bias": (1, 2, 1, 1),
                     "conv_transpose2d-input": (1, 2, 4, 4), "conv_transpose2d-weight": (2, 2, 2, 2),
                     "conv_transpose2d-bias": (1, 2, 1, 1), "mul-factor": (1, 2, 4, 4),
-                    "mask_renorm-bias": (1, 2, 1, 1)}
+                    "conv2d_coverage-bias": (1, 2, 1, 1), "conv2d_coverage-coverage": (1, 1, 4, 4)}
 
 
 def parent_of(kind, name, tracks):
@@ -44,14 +44,15 @@ def op_on(name, p):
     that tracks in another role, so the op is recorded whatever *p*'s flag."""
     x = leaf((2, 2, 2, 2) if name == "conv_transpose2d-input" else (1, 2, 4, 4), 591)
     w, wt = T.tensor(rand((2, 2, 3, 3), 592)), T.tensor(rand((2, 2, 2, 2), 593))
-    mbar = T.tensor(rand((1, 2, 4, 4), 594, lo=0.5, hi=1.0))
+    cov, b = T.tensor(rand((1, 1, 4, 4), 594, lo=0.5, hi=1.0)), T.tensor(rand((1, 2, 1, 1), 595))
     out = {"conv2d-weight": lambda: T.conv2d(x, p, None, pad=1),
            "conv2d-bias": lambda: T.conv2d(x, w, p, pad=1),
            "conv_transpose2d-input": lambda: T.conv_transpose2d(p, x),  # x is the weight here
            "conv_transpose2d-weight": lambda: T.conv_transpose2d(x, p),
            "conv_transpose2d-bias": lambda: T.conv_transpose2d(x, wt, p),
            "mul-factor": lambda: T.mul(x, p),
-           "mask_renorm-bias": lambda: T.mask_renorm(x, mbar, p)}[name]()
+           "conv2d_coverage-bias": lambda: T.conv2d(x, w, p, pad=1, coverage=cov),
+           "conv2d_coverage-coverage": lambda: T.conv2d(x, w, b, pad=1, relu=True, coverage=p)}[name]()
     return T.reduce_sum(T.mul(out, T.tensor(rand(out.shape, 596)))), x
 
 
@@ -247,13 +248,15 @@ class TestTapeRetention:
         assert kept < x.data.nbytes / 2
 
     @pytest.mark.parametrize("relu", [False, True])
-    def test_mask_renorm_keeps_no_reciprocal(self, relu):
-        y = T.Tensor(rand((2, 8, 64, 64), 510).astype(np.float32), requires_grad=True)
-        mbar = T.Tensor(rand((2, 8, 64, 64), 511, 0.0, 1.0).astype(np.float32), requires_grad=True)
+    def test_conv2d_with_a_coverage_keeps_no_reciprocal_and_no_raw_output(self, relu):
+        """A one-channel reciprocal would be the coverage's size, a raw output Cout times it."""
+        x = T.Tensor(rand((2, 8, 64, 64), 510).astype(np.float32), requires_grad=True)
+        w = T.Tensor(rand((8, 8, 3, 3), 511).astype(np.float32), requires_grad=True)
         b = T.Tensor(rand((1, 8, 1, 1), 512).astype(np.float32), requires_grad=True)
+        cov = T.Tensor(rand((2, 1, 64, 64), 513, 0.0, 1.0).astype(np.float32), requires_grad=True)
         with T.Tape():
-            kept = self.retained(lambda: T.mask_renorm(y, mbar, b, relu=relu))
-        assert kept < y.data.nbytes / 2
+            kept = self.retained(lambda: T.conv2d(x, w, b, pad=1, relu=relu, coverage=cov))
+        assert kept < cov.data.nbytes / 2
 
     def test_conv2d_backward_keeps_one_scratch_buffer(self):
         """dw's input stacks and dx's gradient stacks share one buffer, so the
@@ -334,7 +337,8 @@ class TestTapeRetention:
         assert x.grad.tobytes() == (np.ones_like(c) * c).tobytes()
 
     @pytest.mark.parametrize("kind", ["parameter", "leaf"])
-    @pytest.mark.parametrize("name", ["conv2d-weight", "conv2d-bias", "mul-factor", "mask_renorm-bias"])
+    @pytest.mark.parametrize("name", ["conv2d-weight", "conv2d-bias", "mul-factor", "conv2d_coverage-bias",
+                                      "conv2d_coverage-coverage"])
     def test_a_parent_frozen_at_the_forward_gets_no_gradient_if_it_tracks_by_the_backward(self, name, kind):
         p = parent_of(kind, name, tracks=False)
         with T.Tape():
@@ -415,17 +419,21 @@ class TestParameterArraysAreReplaced:
 
 class TestFloat32:
     @pytest.mark.parametrize("op", ["conv2d", "conv2d_stride2", "mask_mean3x3", "conv2d_stride2_odd",
-                                    "conv2d_relu"])
+                                    "conv2d_relu", "conv2d_coverage", "conv2d_coverage_relu"])
     def test_stencils_keep_float32(self, op):
         x = T.tensor(rand((2, 3, 6, 5), 400).astype(np.float32), requires_grad=True)
         w = T.tensor(rand((4, 3, 3, 3), 401).astype(np.float32), requires_grad=True)
         b = T.tensor(rand((1, 4, 1, 1), 402).astype(np.float32), requires_grad=True)
+        c = T.tensor(rand((2, 1, 6, 5), 403, 0.0, 1.0).astype(np.float32), requires_grad=True)
         fn, leaves = {"conv2d": (lambda: T.conv2d(x, w, b, stride=1, pad=1), [x, w, b]),
                       "conv2d_stride2": (lambda: T.conv2d(x, w, b, stride=2, pad=1), [x, w, b]),
                       "mask_mean3x3": (lambda: T.mask_mean3x3(x), [x]),
                       # a 6x5 input at stride 2 without padding: a 4x3 stride-1 output kept at 2x2 anchors
                       "conv2d_stride2_odd": (lambda: T.conv2d(x, w, b, stride=2, pad=0), [x, w, b]),
-                      "conv2d_relu": (lambda: T.conv2d(x, w, b, stride=1, pad=1, relu=True), [x, w, b])}[op]
+                      "conv2d_relu": (lambda: T.conv2d(x, w, b, stride=1, pad=1, relu=True), [x, w, b]),
+                      "conv2d_coverage": (lambda: T.conv2d(x, w, b, pad=1, coverage=c), [x, w, b, c]),
+                      "conv2d_coverage_relu": (lambda: T.conv2d(x, w, b, pad=1, relu=True, coverage=c),
+                                               [x, w, b, c])}[op]
         with T.Tape():
             out = fn()
             T.backward(T.reduce_sum(out))

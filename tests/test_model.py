@@ -214,14 +214,14 @@ class TestPartialConv:
         m = T.ones((1, 4, 6, 6), dtype=np.float64)
         got = partial_conv(f, m, w, b)
         plain = T.conv2d(f, w, b, stride=1, pad=1)
-        # interior: mask mean is exactly 1, so the renormalization is a no-op
+        # interior: the coverage is exactly 1, so the renormalization is a no-op
         np.testing.assert_allclose(got.data[:, :, 1:-1, 1:-1], plain.data[:, :, 1:-1, 1:-1],
                                    atol=1e-10, rtol=0)
-        # border: the fixed divisor attenuates the mask mean; compensating a
+        # border: the fixed divisor attenuates the coverage; compensating a
         # vanilla conv by the same factor reproduces the output
-        mbar = T.mask_mean3x3(m).data
+        coverage = T.mask_mean3x3(m).data
         noB = T.conv2d(f, w, None, stride=1, pad=1)
-        np.testing.assert_allclose(got.data, noB.data / mbar + b.data, atol=1e-10, rtol=0)
+        np.testing.assert_allclose(got.data, noB.data / coverage + b.data, atol=1e-10, rtol=0)
 
     def test_zero_mask_suppresses_bias(self):
         f = T.tensor(rand((1, 2, 4, 4), 13))
@@ -230,18 +230,36 @@ class TestPartialConv:
         out = partial_conv(f, T.zeros((1, 2, 4, 4), dtype=np.float64), w, b)
         np.testing.assert_array_equal(out.data, 0.0)
 
-    @pytest.mark.parametrize("seed,shape", [(0, (1, 4, 6, 6)), (1, (2, 2, 5, 5)),
-                                            (2, (1, 1, 4, 7)), (3, (1, 3, 8, 4)),
-                                            (4, (2, 5, 6, 6))])
-    def test_matches_direct_oracle(self, seed, shape):
+    @pytest.mark.parametrize("seed,shape,cout", [(0, (1, 4, 6, 6), 4), (1, (2, 2, 5, 5), 3),
+                                                 (2, (1, 1, 4, 7), 1), (3, (1, 3, 8, 4), 2),
+                                                 (4, (2, 5, 6, 6), 5)])
+    def test_matches_direct_oracle(self, seed, shape, cout):
         c = shape[1]
         f = rand(shape, seed, -1, 1)
         m = rand(shape, seed + 40, 0, 1)
-        w = rand((c, c, 3, 3), seed + 80, -1, 1)
-        b = rand((c,), seed + 120, -1, 1)
+        m[0, :, :2, :2] = 0.0  # a window corner with no coverage at all
+        w = rand((cout, c, 3, 3), seed + 80, -1, 1)
+        b = rand((cout,), seed + 120, -1, 1)
         got = partial_conv(T.tensor(f), T.tensor(m), T.tensor(w), T.tensor(b.reshape(1, -1, 1, 1)))
         want = partial_conv_loops(f, m, w, b)
         np.testing.assert_allclose(got.data, want, atol=1e-10, rtol=0)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_a_mask_near_0_in_half_the_channels_at_most_doubles_the_output(self, relu):
+        """The guided merge's worst case for the renormalization: M_diff about 0
+        and M_dec 1.  With nonnegative features and weights the coverage of
+        the whole window is about half that of an all-ones mask, so no
+        output exceeds twice its all-ones value.  A rule that divides output
+        channel c by the mean of mask channel c alone multiplies the M_diff
+        channels by about 1e6."""
+        f = T.tensor(rand((2, 8, 6, 6), 40, 0, 1))
+        w = T.tensor(rand((8, 8, 3, 3), 41, 0, 1))
+        b = T.tensor(rand((1, 8, 1, 1), 42, 0, 1))
+        m = np.ones((2, 8, 6, 6))
+        m[:, :4] = 1e-6  # M_diff
+        out = partial_conv(f, T.tensor(m), w, b, relu=relu).data
+        ones = partial_conv(f, T.ones(m.shape, dtype=np.float64), w, b, relu=relu).data
+        assert (out >= 0).all() and (out <= 2 * ones).all()
 
     def test_no_renorm_variant(self):
         f = T.tensor(rand((1, 2, 4, 4), 20))
@@ -259,7 +277,7 @@ class TestPartialConv:
         def run(fused):
             f = T.Tensor(rand((2, 4, 6, 5), 30, -1, 1).astype(dtype), requires_grad=True)
             m = T.Tensor(rand((2, 4, 6, 5), 31).astype(dtype), requires_grad=True)
-            m.data[0, :, :3] = 0.0  # a region where mean3x3(m) is 0: output and bias held at 0
+            m.data[0, :, :3] = 0.0  # a region where the coverage is 0: output and bias held at 0
             w = T.Tensor(rand((4, 4, 3, 3), 32, -1, 1).astype(dtype), requires_grad=True)
             b = T.Tensor(rand((1, 4, 1, 1), 33, -1, 1).astype(dtype), requires_grad=True)
             with T.Tape():

@@ -10,17 +10,20 @@ import pytest
 import ragnet.tensor as T
 from oracles import (
     block_mean_loops,
+    box_mean_padded,
+    conv2d_coverage_grad_loops,
+    conv2d_coverage_loops,
     conv2d_grad_loops,
     conv2d_loops,
     conv_transpose2d_loops,
+    coverage_grad_where,
+    coverage_where,
     downsample2x_grad_repeat,
     downsample2x_reshape_mean,
     leaky_relu_grad_where,
     leaky_relu_where,
     mask_mean3x3_loops,
     mask_mean3x3_padded,
-    mask_renorm_grad_where,
-    mask_renorm_where,
     maxpool2x2_grad_loops,
     maxpool2x2_loops,
     sigmoid_grad_where,
@@ -231,6 +234,60 @@ class TestConv2dFusedSigmoid:
             T.conv2d(x, w, pad=1, relu=True, sigmoid=True)
 
 
+class TestConv2dCoverage:
+    """``conv2d(..., coverage=c)``, the partial convolution: raw / c + b where
+    c > ``MASK_EPS`` and exactly 0 elsewhere, then the optional ReLU, against
+    the nested-loop oracle, output and all four gradients, at every row-block
+    size, with NaN-filled ``empty`` buffers."""
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("budget", [1, 20, 37, 160])
+    @pytest.mark.parametrize("seed,shape,wshape,stride,pad", [c for c in ORACLE_CASES if c[3] == 1])
+    def test_matches_nested_loop_oracle(self, monkeypatch, budget, relu, seed, shape, wshape, stride, pad):
+        monkeypatch.setattr(T, "CONV_BLOCK", budget)
+        monkeypatch.setattr(T, "np", _NaNEmpty())
+        x, w, b = rand(shape, seed), rand(wshape, seed + 100), rand((wshape[0],), seed + 200)
+        ho, wo = shape[2] + 2 * pad - wshape[2] + 1, shape[3] + 2 * pad - wshape[2] + 1
+        cov = rand((shape[0], 1, ho, wo), seed + 400, 0.1, 1.0)
+        cov[0, 0, :2, :2] = 0.0  # a suppressed block
+        cov[-1, 0, -1, :2] = (T.MASK_EPS, -0.5)  # not above MASK_EPS: suppressed too
+        xt, wt, bt, ct = (T.tensor(a, requires_grad=True) for a in (x, w, b.reshape(1, -1, 1, 1), cov))
+        with T.Tape():
+            out = T.conv2d(xt, wt, bt, pad=pad, relu=relu, coverage=ct)
+            g = rand(out.shape, seed + 300)
+            T.backward(T.reduce_sum(T.mul(out, T.tensor(g))))
+        np.testing.assert_allclose(out.data, conv2d_coverage_loops(x, w, b, cov, pad, T.MASK_EPS, relu),
+                                   atol=1e-10, rtol=0)
+        dx, dw, db, dcov = conv2d_coverage_grad_loops(x, w, b, cov, g, pad, T.MASK_EPS, relu)
+        for got, want in ((xt.grad, dx), (wt.grad, dw), (bt.grad.reshape(-1), db), (ct.grad, dcov)):
+            np.testing.assert_allclose(got, want, atol=1e-9, rtol=1e-12)
+
+    def test_writes_exact_zeros_and_suppresses_the_bias_where_the_coverage_is_not_above_eps(self):
+        x = T.tensor(rand((1, 2, 4, 4), 410), requires_grad=True)
+        w = T.tensor(rand((3, 2, 3, 3), 411))
+        b = T.tensor(np.full((1, 3, 1, 1), 7.5), requires_grad=True)
+        cov = np.full((1, 1, 4, 4), 0.5)
+        cov[0, 0, :2] = (0.0, -0.0, T.MASK_EPS, -1.0), (np.nan, -np.inf, 1e-9, T.MASK_EPS)
+        c = T.tensor(cov, requires_grad=True)
+        with T.Tape():
+            out = T.conv2d(x, w, b, pad=1, coverage=c)
+            T.backward(T.reduce_sum(out))
+        assert out.data[:, :, :2].tobytes() == np.zeros((1, 3, 2, 4)).tobytes()  # +0, not -0
+        np.testing.assert_array_equal(b.grad, 8.0)  # the 8 active positions of each channel
+        np.testing.assert_array_equal(c.grad[:, :, :2], 0.0)
+
+    @pytest.mark.parametrize("kw", [{"stride": 2}, {"sigmoid": True}])
+    def test_needs_stride_1_and_no_sigmoid(self, kw):
+        with pytest.raises(ValueError, match="a coverage must be"):
+            T.conv2d(T.zeros((1, 2, 4, 4)), T.zeros((3, 2, 3, 3)), None, pad=1, coverage=T.ones((1, 1, 4, 4)), **kw)
+
+    @pytest.mark.parametrize("shape,dtype", [((1, 3, 4, 4), np.float32), ((1, 1, 2, 4), np.float32),
+                                             ((1, 1, 4, 4), np.float64)])
+    def test_rejects_a_coverage_of_another_shape_or_dtype(self, shape, dtype):
+        with pytest.raises(ValueError, match="a coverage must be"):
+            T.conv2d(T.zeros((1, 2, 4, 4)), T.zeros((3, 2, 3, 3)), None, pad=1, coverage=T.ones(shape, dtype=dtype))
+
+
 class TestConv2dConcat:
     """``conv2d(x, w, b, concat=groups)`` is ``conv2d`` of the channel
     concatenation bit for bit: output, each group's gradient, dw and db, at
@@ -416,8 +473,11 @@ class TestMaxpool:
 
 
 class TestMaskMean3x3:
-    def test_ones_padding_arithmetic(self):
-        out = T.mask_mean3x3(T.ones((1, 1, 5, 5), dtype=np.float64)).data[0, 0]
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_ones_padding_arithmetic(self, c):
+        out = T.mask_mean3x3(T.ones((1, c, 5, 5), dtype=np.float64))
+        assert out.shape == (1, 1, 5, 5)
+        out = out.data[0, 0]
         assert out[2, 2] == pytest.approx(1.0)
         assert out[0, 2] == pytest.approx(6 / 9)
         assert out[0, 0] == pytest.approx(4 / 9)
@@ -425,6 +485,22 @@ class TestMaskMean3x3:
 
     def test_zeros(self):
         np.testing.assert_array_equal(T.mask_mean3x3(T.zeros((1, 2, 4, 4))).data, 0.0)
+
+    def test_is_the_share_of_the_whole_window_the_mask_covers(self):
+        """A mask that is 1 in one channel of four and 0 in the rest covers a quarter of each window."""
+        m = np.zeros((1, 4, 5, 5))
+        m[0, 1] = 1.0
+        out = T.mask_mean3x3(T.tensor(m)).data[0, 0]
+        assert out[2, 2] == pytest.approx(0.25) and out[0, 0] == pytest.approx(1 / 9)
+
+    @pytest.mark.parametrize("shape", [(1, 3, 6, 6), (2, 2, 5, 7), (1, 1, 4, 4)])
+    def test_backward_spreads_the_box_mean_over_the_channels(self, shape):
+        m = T.tensor(rand(shape, 20), requires_grad=True)
+        g = rand((shape[0], 1, *shape[2:]), 21)
+        with T.Tape():
+            T.backward(T.reduce_sum(T.mul(T.mask_mean3x3(m), T.tensor(g))))
+        want = mask_mean3x3_loops(g) / shape[1]  # the box is symmetric, so its adjoint is itself
+        np.testing.assert_allclose(m.grad, np.broadcast_to(want, shape), atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("seed,shape", [(0, (1, 3, 6, 6)), (1, (2, 1, 5, 7)),
                                             (2, (1, 2, 3, 3)), (3, (1, 1, 8, 4)),
@@ -581,10 +657,10 @@ def assert_same_bits(got, want):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, inf * 0 and exp overflow, on purpose
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 class TestMaskOpsMatchWholePlaneFormulas:
-    """``sigmoid``, ``mask_mean3x3`` and ``mask_renorm`` compute, forward and
-    backward, the bytes of their whole-plane ``np.where`` / padded-copy
-    formulas in ``oracles``, on special values too, with NaN-filled
-    ``empty`` buffers."""
+    """``sigmoid``, ``mask_mean3x3`` and the coverage write of ``conv2d``
+    compute, forward and backward, the bytes of their whole-plane
+    ``np.where`` / padded-copy formulas in ``oracles``, on special values
+    too, with NaN-filled ``empty`` buffers."""
 
     @pytest.fixture(autouse=True)
     def nan_empty(self, monkeypatch):
@@ -612,29 +688,38 @@ class TestMaskOpsMatchWholePlaneFormulas:
         with T.Tape():
             out = T.mask_mean3x3(T.Tensor(m, requires_grad=True))
         assert_same_bits(out.data, mask_mean3x3_padded(np.ascontiguousarray(m)))
-        g = with_specials(rand((2, 3, 5, 6), 612).astype(dtype), 613)[:shape[0], :shape[1], :shape[2], :shape[3]]
+        g = with_specials(rand((2, 1, 5, 6), 612).astype(dtype), 613)[:shape[0], :, :shape[2], :shape[3]]
         g = np.ascontiguousarray(g)
-        assert_same_bits(out.node.grad_fn(g)[0], mask_mean3x3_padded(g))
+        want = np.broadcast_to(box_mean_padded(g, 9.0 * shape[1]), shape)
+        assert_same_bits(out.node.grad_fn(g)[0], want)
 
     @pytest.mark.parametrize("relu", [False, True])
-    def test_mask_renorm(self, dtype, relu):
-        shape = (2, 4, 6, 7)
+    def test_conv2d_coverage(self, dtype, relu):
+        """The fused write is the unfused formula on a plain conv's output,
+        ReLU included; dx and dw are a plain conv's for g' / coverage, and db
+        a plain conv's for g'."""
         eps = T.MASK_EPS
-        y = with_specials(rand(shape, 620).astype(dtype), 621)
-        mbar = rand(shape, 622, 0.0, 1.0).astype(dtype)
-        at_eps = dtype(eps)  # the comparison mbar > eps runs in mbar's dtype
+        x = rand((2, 3, 6, 7), 620).astype(dtype)
+        w = rand((4, 3, 3, 3), 621).astype(dtype)
+        b = rand((1, 4, 1, 1), 622).astype(dtype)
+        cov = rand((2, 1, 6, 7), 623, 0.0, 1.0).astype(dtype)
+        at_eps = dtype(eps)  # the comparison cov > eps runs in the coverage's dtype
         low = [at_eps, np.nextafter(at_eps, dtype(0)), np.nextafter(at_eps, dtype(1)), 0.0, -0.0, -0.5,
                np.finfo(dtype).smallest_subnormal, np.inf, -np.inf, np.nan]
-        mbar.reshape(-1)[np.random.Generator(np.random.PCG64(623)).choice(mbar.size, 40, replace=False)] = low * 4
-        mbar[1, 2, :3] = 0.0  # a suppressed block
-        # y*0 + b*0 on a suppressed entry: a positive b turns -0 into +0, inf into NaN
-        b = np.array([-1.5, -0.0, 0.75, np.inf], dtype=dtype).reshape(1, shape[1], 1, 1)
-        yt, mt, bt = (T.Tensor(a, requires_grad=True) for a in (y, mbar, b))
+        cov.reshape(-1)[np.random.Generator(np.random.PCG64(624)).choice(cov.size, 20, replace=False)] = low * 2
+        cov[1, 0, :3] = 0.0  # a suppressed block
+        leaves = [T.Tensor(a, requires_grad=True) for a in (x, w, b, cov)]
         with T.Tape():
-            out = T.mask_renorm(yt, mt, bt, relu=relu)
-        assert_same_bits(out.data, mask_renorm_where(y, mbar, b, eps, relu))
-        g = with_specials(rand(shape, 625).astype(dtype), 626)
-        for got, want in zip(out.node.grad_fn(g), mask_renorm_grad_where(y, mbar, b, g, eps, relu)):
+            out = T.conv2d(*leaves[:3], pad=1, relu=relu, coverage=leaves[3])
+            plain = T.conv2d(*leaves[:3], pad=1)
+        raw = T.conv2d(T.Tensor(x), T.Tensor(w), None, pad=1).data
+        assert_same_bits(out.data, coverage_where(raw, cov, b, eps, relu))
+        g = with_specials(rand(out.shape, 625).astype(dtype), 626)
+        gp, g_raw, dcov = coverage_grad_where(out.data, cov, b, g, eps, relu)
+        dx, dw, db, dc = out.node.grad_fn(g)
+        px, pw, _ = plain.node.grad_fn(g_raw)
+        _, _, pb = plain.node.grad_fn(gp)
+        for got, want in ((dx, px), (dw, pw), (db, pb), (dc, dcov)):
             assert_same_bits(got, want)
 
 
@@ -658,7 +743,8 @@ class TestLeakyReluMatchesWhereForm:
 
 
 class TestOpPeakMemory:
-    """The traced peak of one forward, in multiples of its output bytes, at (1, 16, 64, 64) float32."""
+    """The traced peak of one forward, in multiples of its output bytes, at (1, 16, 64, 64) float32
+    (``mask_mean3x3``: at (1, 16, 256, 256), to a (1, 1, 256, 256) output)."""
 
     @staticmethod
     def peak_ratio(op):
@@ -673,16 +759,20 @@ class TestOpPeakMemory:
 
     # a 1x1 conv on one image reads its blocks as views of the input: no stack
     # buffer and no second accumulator, so the output and one accumulator
-    @pytest.mark.parametrize("op", ["sigmoid", "mask_mean3x3", "mask_renorm", "mask_renorm_relu", "conv2d_1x1"])
+    @pytest.mark.parametrize("op", ["sigmoid", "mask_mean3x3", "conv2d_1x1", "conv2d_1x1_coverage",
+                                    "conv2d_1x1_coverage_relu"])
     def test_peak_within_two_and_a_half_outputs(self, op):
         shape = (1, 16, 64, 64)
         x = T.tensor(rand(shape, 630, -6, 6).astype(np.float32))
-        m = T.tensor(rand(shape, 631, 0.0, 1.0).astype(np.float32))
+        # mask_mean3x3 writes one channel: at 256² its output outweighs numpy's
+        # fixed ufunc buffers (about 70 KB), which a 64² plane (16 KB) does not
+        m = T.tensor(rand((1, 16, 256, 256), 631, 0.0, 1.0).astype(np.float32))
         b = T.tensor(rand((1, 16, 1, 1), 632).astype(np.float32))
         w = T.tensor(rand((16, 16, 1, 1), 633).astype(np.float32))
+        c = T.tensor(rand((1, 1, 64, 64), 634, 0.0, 1.0).astype(np.float32))
         fn = {"sigmoid": lambda: T.sigmoid(x),
               "mask_mean3x3": lambda: T.mask_mean3x3(m),
-              "mask_renorm": lambda: T.mask_renorm(x, m, b),
-              "mask_renorm_relu": lambda: T.mask_renorm(x, m, b, relu=True),
-              "conv2d_1x1": lambda: T.conv2d(x, w, b)}[op]
+              "conv2d_1x1": lambda: T.conv2d(x, w, b),
+              "conv2d_1x1_coverage": lambda: T.conv2d(x, w, b, coverage=c),
+              "conv2d_1x1_coverage_relu": lambda: T.conv2d(x, w, b, relu=True, coverage=c)}[op]
         assert self.peak_ratio(fn) <= 2.5
