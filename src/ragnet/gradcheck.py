@@ -99,6 +99,12 @@ CHECKS: tuple[Check, ...] = (
     # the RAG mask heads m0/m1 are 1x1 convs
     _op("conv2d_1x1", lambda x, w, b: T.reduce_sum(T.tanh(T.conv2d(x, w, b))),
         ((2, 3, 4, 5), 42), ((2, 3, 1, 1), 43), ((1, 2, 1, 1), 44)),
+    # a pad wider than k - 1 gives the anchor grid rows and columns past the image
+    _op("conv2d_pad3", lambda x, w, b: T.reduce_sum(T.tanh(T.conv2d(x, w, b, 1, 3))),
+        ((2, 2, 4, 5), 48), ((3, 2, 3, 3), 49), ((1, 3, 1, 1), 323)),
+    # a padded 1x1 conv: dx reads the gradient grid as a view
+    _op("conv2d_1x1_pad1", lambda x, w, b: T.reduce_sum(T.tanh(T.conv2d(x, w, b, 1, 1))),
+        ((2, 3, 4, 5), 324), ((2, 3, 1, 1), 328), ((1, 2, 1, 1), 329)),
     # a stride that does not divide the kernel: 5-tap windows 3 apart read some pixels once, some twice
     _op("conv2d_k5_stride3", lambda x, w, b: T.reduce_sum(T.tanh(T.conv2d(x, w, b, 3, 2))),
         ((1, 2, 9, 8), 45), ((3, 2, 5, 5), 46), ((1, 3, 1, 1), 47)),

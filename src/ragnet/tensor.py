@@ -41,6 +41,8 @@ from __future__ import annotations
 import ctypes
 import platform
 
+from functools import partial
+
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
@@ -248,16 +250,25 @@ def scalar(value: float, dtype=DEFAULT_DTYPE) -> Tensor:
 CONV_BLOCK = 8192
 
 
-def _row_blocks(n, hp, wp, last):
+def _grid(h, wd, pad, k):
+    """The (Hp, Wp) image slot of conv2d's anchor grid for an H x W input,
+    pad *pad* and kernel k: *pad* zero rows and columns lead the image, and
+    only a pad wider than k - 1 adds pad - k + 1 more after it."""
+    extra = max(pad - k + 1, 0)
+    return h + pad + extra, wd + pad + extra
+
+
+def _row_blocks(n, hp, wp, last, first=0):
     """Blocks (n0, n1, i0, i1, start, size): anchor rows i0..i1 of images
     n0..n1, their first anchor and their anchor count.  Whole images while
-    one fits ``CONV_BLOCK``, else rows of one image up to row *last*."""
+    one fits ``CONV_BLOCK``, else rows of one image from row *first* up to
+    row *last*."""
     rows = max(1, CONV_BLOCK // wp)
     if rows >= hp:
         per = rows // hp
         spans = [(n0, min(n0 + per, n), 0, hp) for n0 in range(0, n, per)]
     else:
-        spans = [(nn, nn + 1, i0, min(i0 + rows, last)) for nn in range(n) for i0 in range(0, last, rows)]
+        spans = [(nn, nn + 1, i0, min(i0 + rows, last)) for nn in range(n) for i0 in range(first, last, rows)]
     return [(n0, n1, i0, i1, (n0 * hp + i0) * wp, ((n1 - n0 - 1) * hp + i1 - i0) * wp)
             for n0, n1, i0, i1 in spans]
 
@@ -268,27 +279,34 @@ def _is_view(groups: int, pad, k, block) -> bool:
     return k == 1 and pad == 0 and groups == 1 and block[1] - block[0] == 1
 
 
+def _buffer(rows, blocks, k, wp, dtype):
+    """A stack buffer of *rows* rows for the largest of *blocks* and its tap shifts."""
+    return np.empty((rows, max(size for *_, size in blocks) + (k - 1) * (wp + 1)), dtype=dtype)
+
+
 def _stack(buf, xts, pad, k, block):
     """Tap v as rows v*C..(v+1)*C of *buf*, filled from the (C_g, N, H, W)
     arrays *xts*, read as their concatenation along C (C = the sum of the
-    C_g) and zero-padded by *pad*: column j is padded column start + v + j,
-    over the block's anchors and the rows below that its lower kernel rows
-    read, or 0 where only cropped anchors read it."""
+    C_g) on the anchor grid of ``_grid``: column j is grid column
+    start + v + j, over the block's anchors and the rows below that its
+    lower kernel rows read.  Past the block's images, or past row Hp of a
+    one-image block, the columns hold 0: the next slot's top border, or
+    columns that only cropped anchors read."""
     c = sum(len(xt) for xt in xts)
     _, _, h, wd = xts[0].shape
-    hp, wp = h + 2 * pad, wd + 2 * pad
+    hp, wp = _grid(h, wd, pad, k)
     n0, n1, i0, i1, _, size = block
     if _is_view(len(xts), pad, k, block):
         return xts[0][:, n0, i0:i1].reshape(c, size)
     tall = k - 1
     span = size + tall * wp
-    rb = min(i1 + tall, hp) - i0  # the rows of each image that kept anchors read
+    rb = min(i1 + tall, hp) - i0  # the rows of each image that the block's anchors read
     st = buf[:k * c, :span + tall]
     lead = st[:c]
-    lead[:, (n1 - n0) * rb * wp:] = 0  # read by cropped anchors only
+    lead[:, (n1 - n0) * rb * wp:] = 0
     grid = lead[:, :(n1 - n0) * rb * wp].reshape(c, n1 - n0, rb, wp)
     r0 = min(max(pad, i0), i0 + rb)
-    r1 = max(min(pad + h, i0 + rb), r0)  # rows r0..r1 hold input pixels, the others padding
+    r1 = max(min(pad + h, i0 + rb), r0)  # rows r0..r1 hold input pixels, the others border
     grid[:, :, :r0 - i0] = 0
     grid[:, :, r1 - i0:] = 0
     body = grid[:, :, r0 - i0:r1 - i0]
@@ -303,51 +321,54 @@ def _stack(buf, xts, pad, k, block):
     return st[:, :span]
 
 
-def _correlate(xts, pad, wk, out, buf=None, bias=None, relu=False, sigmoid=False, cover=None):
-    """*out* (N, Cout, Ho, Wo) = the channel concatenation of the (C_g, N, H, W)
-    arrays *xts*, zero-padded by *pad*, correlated with kernel rows *wk*
-    (k, Cout, k*C), divided by the (N, Ho, Wo) coverage *cover* if given,
-    plus *bias* and the activation, and 0 where *cover* is not above
-    ``MASK_EPS``; the stacks use *buf* if it is large enough.  No stack
-    buffer is allocated when every block is a view of the input, and no
-    second accumulator when k = 1."""
-    c = sum(len(xt) for xt in xts)
-    _, n, h, wd = xts[0].shape
+def _shifted(buf, gp, k, wp, block):
+    """Tap v as rows v*C..(v+1)*C of *buf*: the (C, L) gradient buffer *gp*
+    from column start + k - 1 - v on, over the block's anchors and the
+    k - 1 rows below; *gp* itself, as a view, when k = 1."""
+    start, size = block[4:]
+    if k == 1:
+        return gp[:, start:start + size]
+    c, span = len(gp), size + (k - 1) * wp
+    st = buf[:k * c, :span]
+    for v in range(k):  # tap v is tap 0, v columns back
+        st[v * c:(v + 1) * c] = gp[:, start + k - 1 - v:start + k - 1 - v + span]
+    return st
+
+
+def _correlate(stack, blocks, wp, wk, out, origin=0, bias=None, relu=False, sigmoid=False, cover=None):
+    """*out* (N, Cout, Ho, Wo) at (i, j) = anchor (origin + i, origin + j),
+    on a grid of rows *wp* wide, of the correlation of the (k*C, block +
+    (k-1)*wp) stacks ``stack(block)`` of *blocks* with kernel rows *wk*
+    (k, Cout, k*C), divided by the coverage *cover* (one value per grid
+    anchor) if given, plus *bias* and the activation, and 0 where *cover*
+    is not above ``MASK_EPS``.  No second accumulator is allocated when
+    k = 1."""
     k, co = wk.shape[:2]
-    hp, wp = h + 2 * pad, wd + 2 * pad
-    ho, wo = hp - k + 1, wp - k + 1
-    blocks = _row_blocks(n, hp, wp, ho)
-    most = max(size for *_, size in blocks)
-    cols = most + (k - 1) * (wp + 1)  # the largest stack and its tap shift
-    views = all(_is_view(len(xts), pad, k, block) for block in blocks)
-    if not views and (buf is None or buf.shape[0] < k * c or buf.shape[1] < cols):
-        buf = np.empty((k * c, cols), dtype=xts[0].dtype)
-    acc = np.empty((co, most), dtype=np.result_type(xts[0], wk))
+    ho, wo = out.shape[2:]
+    acc = np.empty((co, max(size for *_, size in blocks)), dtype=out.dtype)
     tmp = np.empty_like(acc) if k > 1 else None  # only kernel rows past the first read it
     for block in blocks:
-        n0, n1, i0, i1, _, size = block
+        n0, n1, i0, i1, start, size = block
+        st = stack(block)
         acc_b = acc[:, :size]
-        st = _stack(buf, xts, pad, k, block)
         np.matmul(wk[0], st[:, :size], out=acc_b)
         for u in range(1, k):  # kernel row u reads u anchor rows down
             acc_b += np.matmul(wk[u], st[:, u * wp:u * wp + size], out=tmp[:, :size])
-        kept = min(i1, ho) - i0
-        crop = acc_b.reshape(co, n1 - n0, i1 - i0, wp)[:, :, :kept, :wo]
         if cover is not None:
-            cov = cover[n0:n1, i0:i0 + kept]  # one ratio per anchor, shared by every output channel
+            cov = cover[start:start + size]
             active = cov > MASK_EPS
-            np.divide(crop, cov, out=crop, where=active)
-        dst = out[n0:n1, :, i0:i0 + kept].transpose(1, 0, 2, 3)
-        if bias is None:
-            dst[...] = crop
-        else:
-            np.add(crop, bias.reshape(co, 1, 1, 1), out=dst)
+            np.divide(acc_b, cov, out=acc_b, where=active)
+        if bias is not None:
+            acc_b += bias.reshape(co, 1)
         if relu:
-            np.maximum(dst, 0, out=dst)
+            np.maximum(acc_b, 0, out=acc_b)
         elif sigmoid:
-            _sigmoid_into(dst, dst)
+            _sigmoid_into(acc_b, acc_b)
         if cover is not None:
-            np.copyto(dst, 0, where=~active)  # after the ReLU too, since relu(0) = 0
+            np.copyto(acc_b, 0, where=~active)  # after the ReLU too, since relu(0) = 0
+        r0, r1 = max(i0, origin), min(i1, origin + ho)  # the block's kept rows
+        kept = acc_b.reshape(co, n1 - n0, i1 - i0, wp)[:, :, r0 - i0:r1 - i0, origin:origin + wo]
+        out[n0:n1, :, r0 - origin:r1 - origin] = kept.transpose(1, 0, 2, 3)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0,
@@ -365,42 +386,52 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     channels.  ``relu=True`` gives ``relu(conv2d(...))`` bit for bit,
     output and gradients, as one op: the ReLU is applied in the pass that
     writes the output, and the tape keeps one activation instead of two.  ``sigmoid=True`` gives
-    ``sigmoid(conv2d(...))`` the same way: each row block is squashed in the
-    output it was just written to, with the formula of ``sigmoid``, so no
-    pre-activation plane exists.  The two cannot be combined.
+    ``sigmoid(conv2d(...))`` the same way: each row block is squashed in its
+    accumulator, with the formula of ``sigmoid``, so no pre-activation
+    plane exists.  The two cannot be combined.
     ``coverage`` (N, 1, Ho, Wo), one ratio per output position shared by
     every channel (``mask_mean3x3`` gives it), makes it a partial
     convolution (arXiv:1804.07723), at stride 1 without the sigmoid: the
     output is ``raw / coverage + b`` where the coverage exceeds
     ``MASK_EPS`` and exactly 0 elsewhere, then the ReLU.
 
-    Layout: channel-major.  The conv is computed at stride 1 on the
-    zero-padded Hp x Wp grid: column n*Hp*Wp + i*Wp + j is anchor (i, j) of
-    image n, and tap (u, v) of every anchor is the same column shifted by
-    u*Wp + v.  Stride s keeps the stride-1 result at every s-th anchor,
-    ``out[:, :, ::s, ::s]``, and its backward writes the output gradient
-    onto those anchors of an otherwise zero stride-1 gradient.  The padded
-    grid is never built whole; only the row blocks below hold parts of it.
+    Layout: channel-major, on a shared-border anchor grid.  Each image
+    has an Hp x Wp slot, Hp = H + pad and Wp = W + pad: its first pad
+    rows and the first pad columns of each row are zero, and the image
+    fills the rest.  The pad zero columns that start a row are also the
+    previous row's right border, and the pad zero rows that start a slot
+    the previous image's bottom border; zeros after the last slot pad the
+    last image.  Only a pad wider than k - 1 adds pad - k + 1 more zero
+    rows and columns after the image, since the output then has more
+    anchors than H + pad (``_grid``).  Column n*Hp*Wp + i*Wp + j is anchor
+    (i, j) of image n, and tap (u, v) of every anchor is the same column
+    shifted by u*Wp + v.  The conv is computed at stride 1 on every anchor;
+    the Ho x Wo kept ones are cropped, and the others, which may read
+    across a border into the next row or slot, are dropped.  Stride s keeps
+    the stride-1 result at every s-th anchor, ``out[:, :, ::s, ::s]``, and
+    its backward writes the output gradient onto those anchors of an
+    otherwise zero stride-1 gradient.  The grid is never built whole; only
+    the row blocks below hold parts of it.
 
-    One blocked correlation computes the forward and dx.  It runs over
-    blocks of whole anchor rows of about ``CONV_BLOCK`` anchors: whole
-    images while one fits (their k - 1 bottom rows are computed and
-    cropped), else kept rows of one image.  Per block, the k taps v are
-    written into one (k*Cin, block + (k-1)*Wp) stack, which kernel row u
-    reads u anchor rows down.  The stack is filled straight from the
-    channel-major input: tap 0 is a copy of the block's input rows, with 0
-    where it reads padding, and tap v is tap 0 shifted v columns.  Each
-    channel group copies its rows into its own rows of tap 0, x first, so
-    the stack holds the bytes the concatenated input would give it.
-    Columns that only cropped anchors read (rows past the image, or a shift
-    that wraps into the next row) hold 0.  A 1x1 conv without padding of
-    one group reads a one-image block as a view of the input, and
-    allocates no stack buffer when every block is one.  A block is thus
-    k GEMMs, one per (Cout, k*Cin) kernel row of a (k, Cout, k*Cin)
-    weight copy, summed into a (Cout, block) accumulator that stays in
-    cache.  The cropped block, divided by the coverage if one is given,
-    plus the bias, and with ``relu=True`` or ``sigmoid=True`` its
-    activation, is written straight into the NCHW output.
+    One blocked correlation (``_correlate``) computes the forward and dx.
+    It runs over blocks of whole anchor rows of about ``CONV_BLOCK``
+    anchors: whole images while one fits, else kept rows of one image.  Per
+    block, the k taps v are written into one (k*Cin, block + (k-1)*Wp)
+    stack, which kernel row u reads u anchor rows down.  The forward's
+    stack is filled straight from the channel-major input: tap 0 is a copy
+    of the block's grid rows, with 0 on the borders, and tap v is tap 0
+    shifted v columns.  Each channel group copies its rows into its own
+    rows of tap 0, x first, so the stack holds the bytes the concatenated
+    input would give it.  A 1x1 conv without padding of one group reads a
+    one-image block as a view of the input, and allocates no stack buffer
+    when every block is one.  A block is thus k GEMMs, one per
+    (Cout, k*Cin) kernel row of a (k, Cout, k*Cin) weight copy, summed into
+    a (Cout, block) accumulator that stays in cache.  On that contiguous
+    accumulator the block is divided by the coverage if one is given (laid
+    on the grid, 0 off the kept anchors), the bias is added, ``relu=True``
+    or ``sigmoid=True`` applies its activation and a coverage not above
+    ``MASK_EPS`` writes 0, in that order; then one copy moves the kept
+    anchors into the NCHW output.
 
     The tape keeps what the backward reads, decided at the forward, and no
     concatenated copy of the input: the groups *x* and *concat*, which
@@ -415,33 +446,35 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
 
     The backward pass writes the output gradient, masked by ``out > 0``
     when ``relu=True``, or as ``g * out * (1 - out)`` in the order of
-    ``sigmoid``'s backward when ``sigmoid=True``, onto the anchor grid
-    after E = ((k-1)*Wp + k-1) leading zero columns; every other column of
-    that (Cout, E + N*Hp*Wp) buffer is 0, and db is its row sum (the E
-    zeros stay: numpy's pairwise sum rounds by the row's length).  With a
+    ``sigmoid``'s backward when ``sigmoid=True``, onto the kept anchors of
+    the grid after E = ((k-1)*Wp + k-1) leading columns.  Each column of
+    that (Cout, E + N*Hp*Wp) buffer is written once: the gradient on the
+    kept anchors and 0 on the E columns and every other anchor.  On this
+    grid the stride-1 gradient is thus already zero-padded as dx needs it.
+    db is the buffer's row sum (the E zeros stay: numpy's pairwise sum
+    rounds by the row's length).  With a
     coverage, that g' is first set to 0 where the coverage is not above
     ``MASK_EPS``, then db is taken, d(coverage) = -sum_c g' (out - b) /
     coverage where it is above (else 0), and dx and dw read g' / coverage.
 
-    - dw runs over the forward's row blocks, extended to all Hp anchor rows
-      because input pixels also lie on the rows the forward crops.  The
-      forward's (k*Cin, block) stack is filled again from the groups, and
-      kernel row u adds ``stack[:, u rows down] @ g_block.T`` to a
-      (k, k*Cin, Cout) buffer.  A stack column that holds 0 instead of an
-      input pixel meets a cropped anchor, whose gradient is 0.  dw is
-      returned as a C-contiguous (Cout, Cin, k, k) copy of that buffer, so
-      a reduction over a weight gradient reads it in one order.
-    - dx: the padded input gradient at a is the sum over u, v of
-      ``w[:, :, u, v].T @ g[a - u*Wp - v]``.  Turned by 180 degrees, a shift
-      back is a shift on, so the turned view of dx is the correlation above
-      of the turned stride-1 gradient, padded by q = k - 1 - pad (cropped by
-      -q if q < 0), with unflipped kernel rows (k, Cin, k*Cout), built at
-      the backward from the weights the tape kept.  Row u still reads u
-      rows down and each GEMM sums its (v, Cout) taps in the same order, so
-      the turn changes no rounding.  Its stack shares dw's buffer.  It is
-      one correlation over all Cin channels, run when any group tracked
-      gradients at the forward; each such group gets its channel slice of
-      the result.
+    - dw runs over the forward's row blocks.  The forward's (k*Cin, block)
+      stack is filled again from the groups, and kernel row u adds
+      ``stack[:, u rows down] @ g_block.T`` to a (k, k*Cin, Cout) buffer.
+      An anchor that is not kept has gradient 0, so what its taps read
+      adds nothing.  dw is returned as a C-contiguous (Cout, Cin, k, k)
+      copy of that buffer, so a reduction over a weight gradient reads it
+      in one order.
+    - dx: the input gradient at grid anchor a is the sum over u, v of
+      ``w[:, :, u, v].T @ g[a - u*Wp - v]``, which is column E + a - u*Wp - v
+      of the gradient buffer.  So dx is the blocked correlation above, run
+      over the anchor rows of input pixels and cropped to the H x W pixels:
+      tap v of a block's stack is the buffer from column start + k-1-v on,
+      a contiguous copy, and kernel row u of the (k, Cin, k*Cout) rows built
+      at the backward from the weights the tape kept is read k-1-u rows
+      down, the rows in reverse.  A 1x1 conv reads the buffer itself as a
+      view.  The stack shares dw's buffer.  It is one correlation over all
+      Cin channels, run when any group tracked gradients at the forward;
+      each such group gets its channel slice of the result.
     """
     groups = (x, *concat)
     n, _, h, wd = x.shape
@@ -466,8 +499,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         raise ValueError("conv2d: relu and sigmoid cannot be combined")
     if b is not None and b.shape != (1, co, 1, 1):
         raise ValueError(f"conv2d: bias shape {b.shape} != (1,{co},1,1)")
-    hp, wp = h + 2 * pad, wd + 2 * pad
-    ho, wo = hp - k + 1, wp - k + 1  # the stride-1 output
+    ho, wo = h + 2 * pad - k + 1, wd + 2 * pad - k + 1  # the stride-1 output
     if ho < 1 or wo < 1:
         raise ValueError(f"conv2d: output spatial size ({ho},{wo}) is empty for input ({h},{wd})")
     if coverage is not None and (stride != 1 or sigmoid or coverage.shape != (n, 1, ho, wo)
@@ -475,8 +507,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         raise ValueError(f"conv2d: a coverage must be {(n, 1, ho, wo)} {x.dtype} at stride 1 without sigmoid, "
                          f"got {coverage.shape} {coverage.dtype} at stride {stride}, sigmoid={sigmoid}")
 
+    hp, wp = _grid(h, wd, pad, k)
     tall = k - 1
     ext = tall * wp + tall  # the largest tap shift
+    blocks = _row_blocks(n, hp, wp, ho)
+    views = all(_is_view(len(groups), pad, k, block) for block in blocks)
     xts = [t.data.transpose(1, 0, 2, 3) for t in groups]  # (C_g, N, H, W), views
     # (k, Cout, k*Cin): kernel row u as one matrix, columns tap-major.  Copied
     # 32 output channels at a time, which keeps the source block in cache and
@@ -487,9 +522,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         wk4[:, o:o + 32] = w.data[o:o + 32].transpose(2, 0, 3, 1)
     dtype = np.result_type(x.data, w.data)
     out_data = np.empty((n, co, ho, wo), dtype=dtype if b is None else np.result_type(dtype, b.data))
-    cover = None if coverage is None else coverage.data[:, 0]  # (N, Ho, Wo), a view
-    _correlate(xts, pad, wk, out_data, bias=None if b is None else b.data, relu=relu, sigmoid=sigmoid,
-               cover=cover)
+    cover = cover_grid = None
+    if coverage is not None:
+        cover = coverage.data[:, 0]  # (N, Ho, Wo), a view
+        cover_grid = np.zeros(n * hp * wp, dtype=cover.dtype)  # 0 on the anchors the forward crops
+        cover_grid.reshape(n, hp, wp)[:, :ho, :wo] = cover
+    buf = None if views else _buffer(k * ci, blocks, k, wp, x.dtype)
+    _correlate(partial(_stack, buf, xts, pad, k), blocks, wp, wk, out_data,
+               bias=None if b is None else b.data, relu=relu, sigmoid=sigmoid, cover=cover_grid)
     out = Tensor(out_data[:, :, ::stride, ::stride])  # every stride-th anchor; Tensor makes a strided view contiguous
     parents = (*groups, w) + ((b,) if b is not None else ()) + ((coverage,) if coverage is not None else ())
     # what the backward reads, decided now: the groups for dw, the weights for dx,
@@ -504,10 +544,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     ngroups, xdtype = len(groups), x.dtype
 
     def grad_fn(g):
-        # the output gradient on every stride-th anchor after E leading zero columns
-        gp = np.zeros((co, ext + n * hp * wp), dtype=g.dtype)
-        g1 = gp[:, ext:].reshape(co, n, hp, wp)[:, :, :ho, :wo]  # the stride-1 gradient
-        gq = g1[:, :, ::stride, ::stride]
+        # the output gradient on the anchor grid after E leading columns, written
+        # once: g' on the kept anchors, 0 on the others and on the E columns
+        gp = np.empty((co, ext + n * hp * wp), dtype=g.dtype)
+        gp[:, :ext] = 0
+        grid = gp[:, ext:].reshape(co, n, hp, wp)
+        grid[:, :, ho:] = 0
+        grid[:, :, :ho, wo:] = 0
+        if stride > 1:  # the anchors between the stride-th ones
+            grid[:, :, :ho, :wo] = 0
+        gq = grid[:, :, :ho:stride, :wo:stride]
         if relu:
             np.multiply(g.transpose(1, 0, 2, 3), alive.transpose(1, 0, 2, 3) > 0, out=gq)
         elif sigmoid:
@@ -528,16 +574,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         if cover is not None:
             np.divide(gq, cover, out=gq, where=active)  # dx and dw read g' / coverage
         dxs, dw = [None] * ngroups, None  # a parent that tracked no gradient at the forward gets None
-        bwd_blocks = _row_blocks(n, hp, wp, hp)  # input pixels lie on every anchor row
-        span = max(size for *_, size in bwd_blocks) + tall * wp
+        dx_blocks = _row_blocks(n, hp, wp, pad + h, pad) if wf is not None else []  # the anchors of input pixels
         # one buffer for dw's input stacks, then dx's gradient stacks: a call
         # touches fewer fresh pages than with one buffer each; none when both read views
-        buf = (None if all(_is_view(ngroups, pad, k, block) for block in bwd_blocks)
-               else np.empty((k * max(ci, co), span + tall), dtype=np.result_type(xdtype, gp)))
+        buf = (_buffer(k * max(ci, co), blocks + dx_blocks, k, wp, np.result_type(xdtype, gp))
+               if (stacked is not None and not views) or (wf is not None and k > 1) else None)
         if stacked is not None:
             dwk = np.empty((k, k * ci, co), dtype=np.result_type(g, xdtype))  # dw of kernel row u, (v, Cin) x Cout
             part = np.empty((k * ci, co), dtype=dwk.dtype)
-            for bi, block in enumerate(bwd_blocks):
+            for bi, block in enumerate(blocks):
                 # kernel row u: its stacked taps times the block's gradient
                 start, size = block[4:]
                 gb = gp[:, ext + start:ext + start + size]
@@ -549,13 +594,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
                         dwk[u] += np.matmul(st[:, u * wp:u * wp + size], gb.T, out=part)
             dw = np.ascontiguousarray(dwk.reshape(k, k, ci, co).transpose(3, 2, 0, 1))
         if wf is not None:
-            q = k - 1 - pad
-            turned = g1[:, :, ::-1, ::-1]
-            if q < 0:  # pad > k - 1: the outer -q rows and columns read only padding
-                turned, q = turned[:, :, -q:q, -q:q], 0
             dx = np.empty((n, ci, h, wd), dtype=np.result_type(g, wf))
             wt = np.ascontiguousarray(wf.transpose(2, 1, 3, 0)).reshape(k, ci, k * co)  # (u, Cin, v, Cout)
-            _correlate((turned,), q, wt, dx[:, :, ::-1, ::-1], buf)
+            _correlate(partial(_shifted, buf, gp, k, wp), dx_blocks, wp, wt[::-1], dx, origin=pad)
             c0 = 0
             for i, (tracked, c) in enumerate(zip(tracks, widths)):
                 if tracked:

@@ -177,8 +177,10 @@ class _NaNEmpty:
 
 class TestConv2dReadsOnlyWhatItWrote:
     """conv2d with every ``empty`` buffer NaN-filled: a stack column, an
-    accumulator entry or a padding zero that the op reads before writing
-    would turn up as NaN instead of hiding behind fresh zero pages."""
+    accumulator entry, a padding zero or a cropped anchor of the gradient
+    grid that the op reads before writing would turn up as NaN instead of
+    hiding behind fresh zero pages.  Run plain, with the fused ReLU and
+    sigmoid, and with a coverage, whose every anchor divides."""
 
     @pytest.mark.parametrize("budget", [1, 20, 37, 160])
     @pytest.mark.parametrize("seed,shape,wshape,stride,pad", ORACLE_CASES)
@@ -200,6 +202,74 @@ class TestConv2dReadsOnlyWhatItWrote:
             np.testing.assert_allclose(xt.grad, dx, atol=1e-10, rtol=0)
             np.testing.assert_allclose(wt.grad, dw, atol=1e-10, rtol=0)
             np.testing.assert_allclose(bt.grad.reshape(-1), db, atol=1e-10, rtol=0)
+
+    @pytest.mark.parametrize("budget", [1, 20, 37, 160])
+    @pytest.mark.parametrize("seed,shape,wshape,stride,pad", ORACLE_CASES)
+    def test_fused_sigmoid_matches_oracle(self, monkeypatch, budget, seed, shape, wshape, stride, pad):
+        monkeypatch.setattr(T, "CONV_BLOCK", budget)
+        monkeypatch.setattr(T, "np", _NaNEmpty())
+        x = rand(shape, seed)
+        w = rand(wshape, seed + 100)
+        b = rand((wshape[0],), seed + 200)
+        want = sigmoid_where(conv2d_loops(x, w, b, stride=stride, pad=pad))
+        xt, wt, bt = (T.tensor(a, requires_grad=True) for a in (x, w, b.reshape(1, -1, 1, 1)))
+        with T.Tape():
+            out = T.conv2d(xt, wt, bt, stride=stride, pad=pad, sigmoid=True)
+            g = rand(out.shape, seed + 300)
+            T.backward(T.reduce_sum(T.mul(out, T.tensor(g))))
+        np.testing.assert_allclose(out.data, want, atol=1e-10, rtol=0)
+        dx, dw, db = conv2d_grad_loops(x, w, sigmoid_grad_where(g, want), stride=stride, pad=pad)
+        np.testing.assert_allclose(xt.grad, dx, atol=1e-10, rtol=0)
+        np.testing.assert_allclose(wt.grad, dw, atol=1e-10, rtol=0)
+        np.testing.assert_allclose(bt.grad.reshape(-1), db, atol=1e-10, rtol=0)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("budget", [1, 20, 37, 160])
+    @pytest.mark.parametrize("seed,shape,wshape,stride,pad", [c for c in ORACLE_CASES if c[3] == 1])
+    def test_coverage_conv_matches_oracle(self, monkeypatch, relu, budget, seed, shape, wshape, stride, pad):
+        monkeypatch.setattr(T, "CONV_BLOCK", budget)
+        monkeypatch.setattr(T, "np", _NaNEmpty())
+        x, w, b = rand(shape, seed), rand(wshape, seed + 100), rand((wshape[0],), seed + 200)
+        ho, wo = shape[2] + 2 * pad - wshape[2] + 1, shape[3] + 2 * pad - wshape[2] + 1
+        cov = rand((shape[0], 1, ho, wo), seed + 500, 0.2, 1.0)
+        xt, wt, bt, ct = (T.tensor(a, requires_grad=True) for a in (x, w, b.reshape(1, -1, 1, 1), cov))
+        with T.Tape():
+            out = T.conv2d(xt, wt, bt, pad=pad, relu=relu, coverage=ct)
+            g = rand(out.shape, seed + 300)
+            T.backward(T.reduce_sum(T.mul(out, T.tensor(g))))
+        np.testing.assert_allclose(out.data, conv2d_coverage_loops(x, w, b, cov, pad, T.MASK_EPS, relu),
+                                   atol=1e-10, rtol=0)
+        dx, dw, db, dcov = conv2d_coverage_grad_loops(x, w, b, cov, g, pad, T.MASK_EPS, relu)
+        for got, want in ((xt.grad, dx), (wt.grad, dw), (bt.grad.reshape(-1), db), (ct.grad, dcov)):
+            np.testing.assert_allclose(got, want, atol=1e-9, rtol=1e-12)
+
+
+class TestConv2dAnchorGrid:
+    """The anchor grid gives each image a (H + pad) x (W + pad) slot: its
+    leading pad rows and columns are also the previous image's bottom and
+    the previous row's right border.  A (4, 64, 4, 4) -> 64 conv at pad 1
+    thus computes 4 * 5 * 5 = 100 anchors, not the 4 * 6 * 6 = 144 of a
+    grid padded on both sides, in the forward, dw and dx alike."""
+
+    def test_every_gemm_reads_100_anchor_columns(self, monkeypatch):
+        calls = []
+
+        class Spy(_NaNEmpty):
+            """``_NaNEmpty`` that records the operand shapes of every ``matmul``."""
+
+            @staticmethod
+            def matmul(a, b, **kw):
+                calls.append((a.shape, b.shape))
+                return np.matmul(a, b, **kw)
+
+        x = T.Tensor(rand((4, 64, 4, 4), 70).astype(np.float32), requires_grad=True)
+        w = T.Tensor(rand((64, 64, 3, 3), 71).astype(np.float32), requires_grad=True)
+        monkeypatch.setattr(T, "np", Spy())
+        with T.Tape():
+            out = T.conv2d(x, w, None, pad=1)
+            T.backward(T.reduce_sum(out))
+        # the forward and dx: (Cout, 3*Cin) @ (3*Cin, anchors); dw: (3*Cin, anchors) @ (anchors, Cout)
+        assert calls == [((64, 192), (192, 100))] * 3 + [((192, 100), (100, 64))] * 3 + [((64, 192), (192, 100))] * 3
 
 
 class TestConv2dFusedSigmoid:
