@@ -270,6 +270,7 @@ def cmd_eval(args, train: TR.TrainConfig, synth: S.SynthesisParams) -> int:
     entries = S.read_manifest(args.data)
 
     def eval_one(entry):
+        """Score one triple and write its mask and panel; the result keeps only the CSV values."""
         tr = S.load_triple(entry)
         r_np, t_np, masks, pads = infer_image(state, tr.i)
         mask_mean = weak = strong = None
@@ -279,7 +280,7 @@ def cmd_eval(args, train: TR.TrainConfig, synth: S.SynthesisParams) -> int:
             weak_region = mask_mean.astype(np.float64) > train.thresholds.tau  # tau is not rounded to float32
             weak = ME.region_psnr(t_np, tr.t, weak_region)
             strong = ME.region_psnr(t_np, tr.t, ~weak_region)
-        return ME.ImageResult(
+        result = ME.ImageResult(
             name=f"img{entry.index:04d}",
             psnr=ME.psnr(t_np, tr.t),
             ssim=ME.ssim(t_np, tr.t),
@@ -288,6 +289,8 @@ def cmd_eval(args, train: TR.TrainConfig, synth: S.SynthesisParams) -> int:
             refl_det_psnr=ME.reflection_detection_psnr(r_np, tr.i, tr.t),
             mask=mask_mean,
             panel=ME.make_panel(tr.i, r_np, t_np))
+        ME.emit_image_files(result, args.out)
+        return dataclasses.replace(result, mask=None, panel=None)
 
     results = [eval_one(entry) for entry in entries]
     files = ME.emit_report(results, args.out)

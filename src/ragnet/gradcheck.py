@@ -78,8 +78,8 @@ def _op3(name, fn, specs):
 
 
 def _sigmoid_conv_spatial_gradient(x, w):
-    gx, gy = T.spatial_gradient(T.sigmoid(T.conv2d(x, w, None, 1, 1)))
-    return T.add(T.frobenius_norm(gx), T.l1_norm(gy))
+    g = T.spatial_gradient(T.sigmoid(T.conv2d(x, w, None, 1, 1)))
+    return T.add(T.frobenius_norm(g), T.l1_norm(g))
 
 
 CHECKS: tuple[Check, ...] = (
@@ -123,7 +123,7 @@ CHECKS: tuple[Check, ...] = (
     _op3("maxpool2x2", lambda x: T.reduce_sum(T.maxpool2x2(x)), lambda i, s: [(s, 80 + i)]),
     _op3("mask_mean3x3", lambda x: T.frobenius_norm(T.mask_mean3x3(x)), lambda i, s: [(s, 90 + i, 0.1, 0.9)]),
     _op3("downsample2x", lambda x: T.reduce_sum(T.tanh(T.downsample2x(x))), lambda i, s: [(s, 100 + i)]),
-    _op3("spatial_gradient", lambda x: T.reduce_sum(T.mul(*T.spatial_gradient(x))), lambda i, s: [(s, 110 + i)]),
+    _op3("spatial_gradient", lambda x: T.reduce_sum(T.tanh(T.spatial_gradient(x))), lambda i, s: [(s, 110 + i)]),
     _op3("elementwise_binary", lambda a, b: T.reduce_sum(T.mul(T.add(a, b), T.sub(a, b))),
          lambda i, s: [(s, 120 + i), (s, 130 + i)]),
     *(_op3(name, lambda x, fn=fn: T.reduce_sum(fn(x)), lambda i, s: [(s, 140 + i, 0.05, 0.95)])

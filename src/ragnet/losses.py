@@ -101,19 +101,20 @@ def perceptual_loss(pairs: list[tuple[Tensor, Tensor]], percep: Network) -> Tens
 
 
 def _scale_gradients(t: Tensor, r: Tensor):
-    """Spatial gradients (tx, ty, rx, ry) at each scale, halving the resolution between scales."""
+    """The stacked spatial gradients (g_T, g_R) at each scale, halving the resolution between scales;
+    each holds gx then gy on channels (see ``T.spatial_gradient``)."""
     for scale in range(EXCL_SCALES + 1):
-        yield T.spatial_gradient(t) + T.spatial_gradient(r)
+        yield T.spatial_gradient(t), T.spatial_gradient(r)
         if scale < EXCL_SCALES:
             t, r = T.downsample2x(t), T.downsample2x(r)
 
 
-def _gradient_mass_ratio(tx: Tensor, ty: Tensor, rx: Tensor, ry: Tensor) -> float | None:
-    """|grad T|_1 / |grad R|_1 of one scale, or None where |grad R|_1 vanishes."""
-    l1_r = float(np.abs(rx.data).sum() + np.abs(ry.data).sum())
-    if l1_r < 1e-8:
-        return None
-    return float(np.abs(tx.data).sum() + np.abs(ty.data).sum()) / l1_r
+def _gradient_mass_ratio(g_t: Tensor, g_r: Tensor) -> float | None:
+    """|grad T|_1 / |grad R|_1 of one scale, each |gx|_1 + |gy|_1 with the two directions
+    summed apart; None where |grad R|_1 vanishes."""
+    c = g_t.shape[1] // 2
+    l1_t, l1_r = (float(np.abs(g.data[:, :c]).sum() + np.abs(g.data[:, c:]).sum()) for g in (g_t, g_r))
+    return None if l1_r < 1e-8 else l1_t / l1_r
 
 
 def exclusion_lambdas(t_hat: Tensor, r_hat: Tensor) -> list[float | None]:
@@ -129,8 +130,9 @@ def exclusion_loss(t_hat: Tensor, r_hat: Tensor, lambda_r_values: list[float | N
     """Multi-scale penalty on correlated gradients of the two predicted layers.
 
     Per scale: sqrt of the Frobenius norm of tanh(lambda_t * |grad T|) o
-    tanh(lambda_r * |grad R|), lambda_t = ``EXCL_LAMBDA_T``, with both gradient
-    components in the norm.  lambda_r normalizes by the gradient-mass ratio
+    tanh(lambda_r * |grad R|), lambda_t = ``EXCL_LAMBDA_T``, where each grad
+    is the stacked (gx, gy) of ``T.spatial_gradient``, so one norm covers both
+    directions.  lambda_r normalizes by the gradient-mass ratio
     |grad T|_1 / |grad R|_1 of that scale and is treated as a constant with
     respect to gradients; a scale with vanishing |grad R|_1 contributes 0.
 
@@ -147,15 +149,13 @@ def exclusion_loss(t_hat: Tensor, r_hat: Tensor, lambda_r_values: list[float | N
 
     def terms():
         """One term per scale, each recorded before the next scale is pooled."""
-        for scale, (tx, ty, rx, ry) in enumerate(_scale_gradients(t_hat, r_hat)):
+        for scale, (g_t, g_r) in enumerate(_scale_gradients(t_hat, r_hat)):
             # the stop-gradient normalization factor
-            lam_r = _gradient_mass_ratio(tx, ty, rx, ry) if lambda_r_values is None else lambda_r_values[scale]
+            lam_r = _gradient_mass_ratio(g_t, g_r) if lambda_r_values is None else lambda_r_values[scale]
             if lam_r is not None:
-                psi_x = T.mul(T.tanh(T.scalar_mul(T.abs_(tx), EXCL_LAMBDA_T)),
-                              T.tanh(T.scalar_mul(T.abs_(rx), lam_r)))
-                psi_y = T.mul(T.tanh(T.scalar_mul(T.abs_(ty), EXCL_LAMBDA_T)),
-                              T.tanh(T.scalar_mul(T.abs_(ry), lam_r)))
-                yield T.sqrt(T.frobenius_norm(T.concat_channels(psi_x, psi_y)))
+                psi = T.mul(T.tanh(T.scalar_mul(T.abs_(g_t), EXCL_LAMBDA_T)),
+                            T.tanh(T.scalar_mul(T.abs_(g_r), lam_r)))
+                yield T.sqrt(T.frobenius_norm(psi))
 
     loss = _sum(terms())
     if loss is None:

@@ -127,27 +127,30 @@ def _fmt(v: float | None) -> str:
     return f"{v:.6f}"
 
 
-def emit_report(results: list[ImageResult], out_dir) -> list[str]:
-    """CSV summary plus per-image mask heatmap (P5) and panel (P6) files."""
+def emit_image_files(r: ImageResult, out_dir) -> list[str]:
+    """Write *r*'s mask heatmap (P5) and panel (P6), where it has them, under *out_dir*; the paths written."""
+    written = []
     try:
         os.makedirs(out_dir, exist_ok=True)
-        written = []
-        csv_path = os.path.join(out_dir, "report.csv")
+        for suffix, img, write in (("mask.pgm", r.mask, write_pgm), ("panel.ppm", r.panel, write_ppm)):
+            if img is not None:
+                written.append(os.path.join(out_dir, f"{r.name}_{suffix}"))
+                write(written[-1], np.clip(img, 0.0, 1.0))
+    except OSError as e:
+        raise OSError(f"emit_report: I/O failure under {out_dir}: {e}") from e
+    return written
+
+
+def emit_report(results: list[ImageResult], out_dir) -> list[str]:
+    """CSV summary plus each result's files from :func:`emit_image_files`."""
+    csv_path = os.path.join(out_dir, "report.csv")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
         with open(csv_path, "w") as f:
             f.write("image,psnr,ssim,psnr_weak,psnr_strong,refl_det_psnr\n")
             for r in results:
                 f.write(f"{r.name},{_fmt(r.psnr)},{_fmt(r.ssim)},{_fmt(r.psnr_weak)},"
                         f"{_fmt(r.psnr_strong)},{_fmt(r.refl_det_psnr)}\n")
-        written.append(csv_path)
-        for r in results:
-            if r.mask is not None:
-                p = os.path.join(out_dir, f"{r.name}_mask.pgm")
-                write_pgm(p, np.clip(r.mask, 0.0, 1.0))
-                written.append(p)
-            if r.panel is not None:
-                p = os.path.join(out_dir, f"{r.name}_panel.ppm")
-                write_ppm(p, np.clip(r.panel, 0.0, 1.0))
-                written.append(p)
     except OSError as e:
         raise OSError(f"emit_report: I/O failure under {out_dir}: {e}") from e
-    return written
+    return [csv_path] + [p for r in results for p in emit_image_files(r, out_dir)]

@@ -767,29 +767,32 @@ def downsample2x(x: Tensor) -> Tensor:
     return _record("downsample2x", (x,), out, grad_fn)
 
 
-def spatial_gradient(x: Tensor) -> tuple[Tensor, Tensor]:
-    """Forward-difference gradients (gx, gy); the last column/row is zero."""
+def spatial_gradient(x: Tensor) -> Tensor:
+    """Forward-difference gradients stacked on channels as (N, 2C, H, W): gx =
+    x[..., j+1] - x[..., j] in channels [0, C), gy = x[..., i+1, :] - x[..., i, :]
+    in [C, 2C); the last column of gx and the last row of gy are zero.
+
+    The op records x as its parent twice and returns gy's input gradient
+    first, then gx's, so x's gradient is (P + d_y) + d_x where P is what
+    its later consumers passed back.
+    """
     n, c, h, w = x.shape
     if h < 2 or w < 2:
         raise ValueError(f"spatial_gradient: need H,W >= 2, got ({h},{w})")
-    return _forward_diff(x, 3), _forward_diff(x, 2)
-
-
-def _forward_diff(x: Tensor, axis: int) -> Tensor:
-    """x[i+1] - x[i] along *axis* (3 records ``sgrad_x``, 2 ``sgrad_y``); the last entry is zero."""
-    lo = (slice(None),) * axis + (slice(None, -1),)
-    hi = (slice(None),) * axis + (slice(1, None),)
-    d = np.zeros_like(x.data)
-    d[lo] = x.data[hi] - x.data[lo]
-    out = Tensor(d)
+    d = np.zeros((n, 2 * c, h, w), dtype=x.dtype)
+    d[:, :c, :, :-1] = x.data[:, :, :, 1:] - x.data[:, :, :, :-1]
+    d[:, c:, :-1, :] = x.data[:, :, 1:, :] - x.data[:, :, :-1, :]
 
     def grad_fn(g):
-        dx = np.zeros_like(g)
-        dx[lo] -= g[lo]
-        dx[hi] += g[lo]
-        return (dx,)
+        gx, gy = g[:, :c, :, :-1], g[:, c:, :-1, :]
+        dx, dy = np.zeros((n, c, h, w), g.dtype), np.zeros((n, c, h, w), g.dtype)
+        dx[:, :, :, :-1] -= gx
+        dx[:, :, :, 1:] += gx
+        dy[:, :, :-1, :] -= gy
+        dy[:, :, 1:, :] += gy
+        return dy, dx
 
-    return _record("sgrad_x" if axis == 3 else "sgrad_y", (x,), out, grad_fn)
+    return _record("spatial_gradient", (x, x), Tensor(d), grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import gc
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -142,6 +143,16 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "all" in out and "passed" in out
         assert "FAIL" not in out
+
+    def test_failure_prints_fail_and_exits_2(self, monkeypatch, capsys):
+        from ragnet.gradcheck import CheckResult
+        monkeypatch.setattr(cli, "run_suite", lambda: [CheckResult("good_op", 1e-9, 1e-6),
+                                                        CheckResult("bad_op", 0.5, 1e-6)])
+        assert main(["gradcheck"]) == EXIT_VALIDATION == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["ok   good_op max rel err 1.000e-09 (tol 1e-06)",
+                         "FAIL bad_op  max rel err 5.000e-01 (tol 1e-06)",
+                         "gradient checks FAILED"]
 
 
 @pytest.fixture(scope="module")
@@ -549,6 +560,31 @@ def test_eval_averages_only_the_finite_psnrs_and_says_how_many(tiny_data, tmp_pa
     assert main(["eval", "--ckpt", str(manifest), "--data", str(manifest), "--out", str(tmp_path)]) == EXIT_OK
     finite = [ME.psnr(t_hat, S.load_triple(e).t) for e in entries[1:]]
     assert f"mean PSNR {np.mean(finite):.3f} dB over {len(finite)} of {len(entries)} images\n" in capsys.readouterr().out
+
+
+def test_eval_writes_each_image_before_scoring_the_next(tiny_data, tmp_path, monkeypatch):
+    """At most one image's panel is alive at a time: eval writes an image's mask and panel as it
+    scores the image and keeps only its CSV values."""
+    manifest = tiny_data / "manifest.tsv"
+    m = np.full((1, 2, 16, 16), 0.5, dtype=np.float32)
+    t_hat = np.full((1, 3, 16, 16), 0.5, dtype=np.float32)
+    panels, make_panel = [], ME.make_panel
+
+    def spy(*imgs):
+        assert all(ref() is None for ref in panels)  # every earlier panel is gone
+        written = sorted(p.name for p in tmp_path.glob("img*"))
+        assert written == sorted(f"img{k:04d}_{kind}" for k in range(len(panels)) for kind in ("mask.pgm", "panel.ppm"))
+        panel = make_panel(*imgs)
+        panels.append(weakref.ref(panel))
+        return panel
+
+    monkeypatch.setattr(cli, "load_models", lambda path: None)
+    monkeypatch.setattr(cli, "infer_image", lambda state, img: (img, t_hat, [T.Tensor(m)], (0, 0)))
+    monkeypatch.setattr(ME, "make_panel", spy)
+    assert main(["eval", "--ckpt", str(manifest), "--data", str(manifest), "--out", str(tmp_path)]) == EXIT_OK
+    assert len(panels) == 4 and all(ref() is None for ref in panels)
+    assert len(list(tmp_path.glob("img*"))) == 8
+    assert len((tmp_path / "report.csv").read_text().splitlines()) == 1 + 4
 
 
 def test_eval_no_mask_checkpoint_reports_na(tmp_path):

@@ -439,8 +439,8 @@ def concat_readers(roots) -> tuple[int, set[str]]:
 
 class TestConvsReadNoConcatenation:
     """The merges, the RAG mask head and the critic pass their inputs to
-    ``conv2d`` as channel groups: only ``partial_conv``'s f o m and the
-    exclusion loss's norms read a ``concat_channels`` output."""
+    ``conv2d`` as channel groups: only ``partial_conv``'s f o m reads a
+    ``concat_channels`` output."""
 
     def test_phase2_step(self, tmp_path, monkeypatch):
         from ragnet import trainer
@@ -461,7 +461,7 @@ class TestConvsReadNoConcatenation:
         assert len(censuses) == 2  # the critic's term, then the generators'
         convs = sum(n for n, _ in censuses)
         readers = set().union(*(r for _, r in censuses))
-        assert convs > 0 and readers == {"mul", "frobenius_norm"}
+        assert convs > 0 and readers == {"mul"}
 
     def test_infer_image_forward(self, monkeypatch):
         cfg = ModelConfig(width_multiplier=1 / 16, seed=2)

@@ -614,26 +614,49 @@ class TestDownsample2x:
 
 class TestSpatialGradient:
     def test_constant_is_zero(self):
-        gx, gy = T.spatial_gradient(T.full((1, 2, 4, 4), 0.8))
-        np.testing.assert_array_equal(gx.data, 0.0)
-        np.testing.assert_array_equal(gy.data, 0.0)
+        g = T.spatial_gradient(T.full((1, 2, 4, 4), 0.8))
+        assert g.shape == (1, 4, 4, 4)
+        np.testing.assert_array_equal(g.data, 0.0)
 
     def test_ramp(self):
         x = np.tile(np.arange(5.0), (4, 1)).reshape(1, 1, 4, 5)
-        gx, gy = T.spatial_gradient(T.tensor(x))
-        np.testing.assert_array_equal(gx.data[..., :-1], 1.0)
-        np.testing.assert_array_equal(gx.data[..., -1], 0.0)
-        np.testing.assert_array_equal(gy.data, 0.0)
+        g = T.spatial_gradient(T.tensor(x)).data
+        np.testing.assert_array_equal(g[:, 0, :, :-1], 1.0)
+        np.testing.assert_array_equal(g[:, 0, :, -1], 0.0)
+        np.testing.assert_array_equal(g[:, 1], 0.0)
 
     def test_matches_shifted_subtraction(self):
         x = rand((2, 3, 5, 6), 17)
-        gx, gy = T.spatial_gradient(T.tensor(x))
-        np.testing.assert_array_equal(gx.data[:, :, :, :-1], x[:, :, :, 1:] - x[:, :, :, :-1])
-        np.testing.assert_array_equal(gy.data[:, :, :-1, :], x[:, :, 1:, :] - x[:, :, :-1, :])
+        g = T.spatial_gradient(T.tensor(x)).data
+        assert g.shape == (2, 6, 5, 6)
+        gx, gy = g[:, :3], g[:, 3:]
+        np.testing.assert_array_equal(gx[:, :, :, :-1], x[:, :, :, 1:] - x[:, :, :, :-1])
+        np.testing.assert_array_equal(gy[:, :, :-1, :], x[:, :, 1:, :] - x[:, :, :-1, :])
+        np.testing.assert_array_equal(gx[:, :, :, -1], 0.0)
+        np.testing.assert_array_equal(gy[:, :, -1, :], 0.0)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             T.spatial_gradient(T.zeros((1, 1, 1, 4)))
+
+    def test_input_gradient_adds_dy_then_dx(self):
+        """x's gradient is (P + d_y) + d_x in float32: P from a consumer recorded after the op,
+        then the backward of gy, then that of gx."""
+        n, c, h, w = 2, 3, 9, 11
+        x = T.Tensor(rand((n, c, h, w), 40, -4.0, 4.0).astype(np.float32), requires_grad=True)
+        a = (rand((n, 2 * c, h, w), 41) * np.exp(3 * rand((n, 2 * c, h, w), 42))).astype(np.float32)
+        p = (rand((n, c, h, w), 43) * np.exp(3 * rand((n, c, h, w), 44))).astype(np.float32)
+        with T.Tape():
+            loss = T.add(T.reduce_sum(T.mul(T.spatial_gradient(x), T.tensor(a))),
+                         T.reduce_sum(T.mul(x, T.tensor(p))))
+        T.backward(loss)
+        # the backward of a forward difference along one axis: the shifted gradient minus the gradient
+        ax, ay = a[:, :c, :, :-1], a[:, c:, :-1, :]
+        d_x = np.pad(ax, ((0, 0), (0, 0), (0, 0), (1, 0))) - np.pad(ax, ((0, 0), (0, 0), (0, 0), (0, 1)))
+        d_y = np.pad(ay, ((0, 0), (0, 0), (1, 0), (0, 0))) - np.pad(ay, ((0, 0), (0, 0), (0, 1), (0, 0)))
+        want = (p + d_y) + d_x
+        assert want.tobytes() != (p + (d_x + d_y)).tobytes()  # the data tells the two orders apart
+        assert x.grad.dtype == np.float32 and x.grad.tobytes() == want.tobytes()
 
 
 class TestElementwise:
